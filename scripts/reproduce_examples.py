@@ -1,8 +1,8 @@
 """Run every bundled syllogism document and tabulate the results.
 
-Prints one summary block per document (bounds for crisp runs, the level grid
-and fitted trapezoid for fuzzy ones) and writes a ``level,lo,hi`` CSV per
-document into the output directory.
+Prints each document's ``sylq FILE`` text output and writes its
+``sylq FILE --format csv`` output (``level,lo,hi``) into the output
+directory, both through the ``sylq`` command-line front end.
 
     python3 scripts/reproduce_examples.py [--docs DIR] [--out DIR]
 """
@@ -10,70 +10,14 @@ document into the output directory.
 from __future__ import annotations
 
 import argparse
-import csv
+import io
 import sys
-from fractions import Fraction
+from contextlib import redirect_stdout
 from pathlib import Path
 
-from sylq import InferenceConfig, as_fraction, conclusion_text, infer, parse
+from sylq import cli
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-
-
-def fmt(value) -> str:
-    if value is None:
-        return ""
-    f = as_fraction(value)
-    if f.denominator == 1:
-        return str(int(f))
-    return repr(float("%.12g" % float(f)))
-
-
-def config_from(options: dict) -> InferenceConfig:
-    return InferenceConfig(
-        levels=options.get("levels", 11),
-        eps_count=options.get("eps_count", Fraction(1)),
-        eps_prop=options.get("eps_prop", Fraction(1, 10**6)),
-    )
-
-
-def summarize(name: str, result, syl) -> list:
-    print("%s" % name)
-    print("  conclusion: %s" % conclusion_text(syl.conclusion))
-    print("  mode: %s" % result.mode)
-    meta = result.metadata
-    if result.mode == "crisp":
-        lo = fmt(meta.get("lo")) or "-inf"
-        hi = fmt(meta.get("hi")) or "inf"
-        print("  bounds: [%s, %s] (%s)" % (lo, hi, meta.get("status")))
-        if "attained_lo" in meta:
-            print("  attained lo: %s" % fmt(meta["attained_lo"]))
-    else:
-        for level, iv in result.cuts or []:
-            if iv is None:
-                print("  level %s: infeasible" % fmt(level))
-            else:
-                print(
-                    "  level %s: [%s, %s]"
-                    % (fmt(level), fmt(iv.lo), fmt(iv.hi) or "inf")
-                )
-        print("  max feasible level: %s" % fmt(result.max_feasible_level))
-        if result.fitted is not None:
-            knots = ", ".join(fmt(v) for v in result.fitted.as_tuple())
-            print("  fitted: tz(%s)" % knots)
-    for warning in meta.get("warnings", []):
-        print("  warning: %s" % warning)
-
-    rows = []
-    for level, iv in result.cuts or []:
-        rows.append(
-            [
-                fmt(level),
-                "" if iv is None else fmt(iv.lo),
-                "" if iv is None or iv.hi is None else fmt(iv.hi),
-            ]
-        )
-    return rows
 
 
 def main(argv=None) -> int:
@@ -98,20 +42,19 @@ def main(argv=None) -> int:
         return 1
     args.out.mkdir(parents=True, exist_ok=True)
 
+    status = 0
     for path in paths:
-        doc = parse(path.read_text(encoding="utf-8"))
-        syl = doc.to_syllogism()
-        mode = doc.options.get("mode", "auto")
-        result = infer(syl, mode=mode, config=config_from(doc.options))
-        rows = summarize(path.stem, result, syl)
+        print("== %s" % path.stem)
+        text_code = cli.main([str(path)])
+        table = io.StringIO()
+        with redirect_stdout(table):
+            csv_code = cli.main([str(path), "--format", "csv"])
+        status = status or text_code or csv_code
         target = args.out / (path.stem + ".csv")
-        with open(target, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["level", "lo", "hi"])
-            writer.writerows(rows)
-        print("  wrote %s" % target.relative_to(args.out.parent))
+        target.write_text(table.getvalue(), encoding="utf-8")
+        print("wrote %s" % target)
         print()
-    return 0
+    return status
 
 
 if __name__ == "__main__":

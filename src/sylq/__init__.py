@@ -28,11 +28,8 @@ from .inference import (
     InferenceConfig,
     InferenceResult,
     infer,
-    infer_alpha,
-    infer_crisp,
-    infer_ker_sup,
 )
-from .optimizer import SolveOutcome, effective_epsilon, rewrite_strict, solve
+from .optimizer import SolveOutcome, rewrite_strict, solve
 from .oracle import enumerate_range, statement_predicate
 from .quantifiers import (
     ABSOLUTE,
@@ -68,7 +65,6 @@ from .statements import COMPARED_FAMILIES, Conclusion, Statement, Syllogism
 from .terms import (
     UNIVERSE,
     And,
-    AtomDescriptor,
     AtomSet,
     Not,
     Or,
@@ -76,7 +72,6 @@ from .terms import (
     SizeGuardError,
     Universe,
     atoms_of,
-    enumerate_atoms,
 )
 
 __version__ = "0.1.0"
@@ -100,7 +95,6 @@ __all__ = [
     "SIMILARITY",
     "UNIVERSE",
     "And",
-    "AtomDescriptor",
     "AtomSet",
     "Conclusion",
     "Constraint",
@@ -134,19 +128,14 @@ __all__ = [
     "build_objective",
     "compile_statement",
     "compile_syllogism",
-    "enumerate_atoms",
     "enumerate_range",
     "fit_trapezoid",
     "infer",
-    "infer_alpha",
-    "infer_crisp",
-    "infer_ker_sup",
     "interpolate_membership",
     "kernel_of",
     "conclusion_text",
     "parse",
     "print_doc",
-    "effective_epsilon",
     "rewrite_strict",
     "solve",
     "statement_predicate",

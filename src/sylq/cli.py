@@ -6,8 +6,9 @@
 
 Reads a syllogism document (or stdin when FILE is ``-``), runs inference, and
 prints the result.  ``verify`` cross-checks the engine against brute-force
-enumeration of integer populations.  Exit codes: 0 success, 1 input error,
-2 infeasible premises, 3 size guard exceeded or verification disagreement.
+enumeration of integer populations.  Exit codes: 0 success, 1 input or output
+error, 2 infeasible premises, 3 size guard exceeded or verification
+disagreement.
 
 JSON and CSV output are deterministic: fixed key order and numbers printed
 to 12 significant digits (integers without a decimal point).  An unbounded
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -26,13 +28,15 @@ from . import optimizer
 from .compiler import UnitMixingError, compile_syllogism
 from .dsl import DslError, conclusion_text, parse
 from .inference import (
+    MODES,
     InfeasiblePremisesError,
     InferenceConfig,
     InferenceResult,
     infer,
+    premise_bounds,
 )
 from .oracle import enumerate_range
-from .quantifiers import Interval, as_fraction, kernel_of, support_of
+from .quantifiers import as_fraction
 from .statements import Syllogism
 from .terms import SizeGuardError
 
@@ -54,7 +58,7 @@ def _run_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", default="-", help="syllogism document ('-' for stdin)")
     p.add_argument(
         "--mode",
-        choices=("auto", "crisp", "kersup", "alpha"),
+        choices=MODES,
         default=None,
         help="inference mode (default: document option, else auto)",
     )
@@ -136,76 +140,65 @@ def _num_text(value) -> str:
     return repr(n) if isinstance(n, float) else str(n)
 
 
-def _level_rows(result: InferenceResult) -> List[dict]:
-    rows = []
-    for level, iv in result.cuts or []:
-        rows.append(
-            {
-                "level": _num(level),
-                "lo": None if iv is None else _num(iv.lo),
-                "hi": None if iv is None or iv.hi is None else _num(iv.hi),
-                "feasible": iv is not None,
-            }
-        )
-    return rows
+def _level_rows(result: InferenceResult) -> List[tuple]:
+    """Exact (level, lo, hi, feasible) per grid level, read from the outcomes."""
+    return [
+        (level, outcome.lo, outcome.hi, outcome.status != optimizer.INFEASIBLE)
+        for (level, _), outcome in zip(result.cuts, result.outcomes)
+    ]
+
+
+def _json_interval(iv) -> Optional[dict]:
+    return None if iv is None else {"lo": _num(iv.lo), "hi": _num(iv.hi)}
 
 
 def _json_payload(result: InferenceResult, syl: Syllogism) -> dict:
-    meta = result.metadata
+    first = result.outcomes[0]
     payload: dict = {}
     if result.mode == "crisp":
-        payload["lo"] = _num(meta.get("lo"))
-        payload["hi"] = _num(meta.get("hi"))
+        payload["lo"] = _num(first.lo)
+        payload["hi"] = _num(first.hi)
     payload["mode"] = result.mode
     payload["conclusion"] = conclusion_text(syl.conclusion)
     if result.mode == "crisp":
-        payload["status"] = meta.get("status")
-        if "attained_lo" in meta:
-            payload["attained_lo"] = _num(meta["attained_lo"])
+        payload["status"] = first.status
+        if first.attained_lo is not None:
+            payload["attained_lo"] = _num(first.attained_lo)
     if result.mode == "kersup":
         pair = result.pair
-        payload["kernel"] = (
-            None
-            if pair is None
-            else {"lo": _num(pair.kernel.lo), "hi": _num(pair.kernel.hi)}
-        )
-        support = result.cuts[0][1] if result.cuts else None
-        payload["support"] = (
-            None
-            if support is None
-            else {"lo": _num(support.lo), "hi": _num(support.hi)}
-        )
-    payload["levels"] = _level_rows(result)
+        payload["kernel"] = None if pair is None else _json_interval(pair.kernel)
+        payload["support"] = _json_interval(result.cuts[0][1])
+    payload["levels"] = [
+        {"level": _num(level), "lo": _num(lo), "hi": _num(hi), "feasible": feasible}
+        for level, lo, hi, feasible in _level_rows(result)
+    ]
     payload["fitted"] = (
         None if result.fitted is None else [_num(v) for v in result.fitted.as_tuple()]
     )
     payload["max_feasible_level"] = _num(result.max_feasible_level)
-    payload["epsilon"] = {
-        "kind": meta.get("epsilon_kind"),
-        "value": _num(meta.get("epsilon")),
-    }
-    if meta.get("warnings"):
-        payload["warnings"] = list(meta["warnings"])
+    payload["epsilon"] = {"kind": result.epsilon_kind, "value": _num(result.epsilon)}
+    if result.warnings:
+        payload["warnings"] = list(result.warnings)
     return payload
 
 
 def _print_text(result: InferenceResult, syl: Syllogism) -> None:
-    meta = result.metadata
     out = ["mode: %s" % result.mode, "conclusion: %s" % conclusion_text(syl.conclusion)]
     if result.mode == "crisp":
-        out.append("lo: %s" % (_num_text(meta.get("lo")) or "-inf"))
-        out.append("hi: %s" % (_num_text(meta.get("hi")) or "inf"))
-        out.append("status: %s" % meta.get("status"))
-        if "attained_lo" in meta:
-            out.append("attained lo: %s" % _num_text(meta["attained_lo"]))
+        first = result.outcomes[0]
+        out.append("lo: %s" % (_num_text(first.lo) or "-inf"))
+        out.append("hi: %s" % (_num_text(first.hi) or "inf"))
+        out.append("status: %s" % first.status)
+        if first.attained_lo is not None:
+            out.append("attained lo: %s" % _num_text(first.attained_lo))
     else:
-        for level, iv in result.cuts or []:
-            if iv is None:
+        for level, lo, hi, feasible in _level_rows(result):
+            if not feasible:
                 out.append("level %s: infeasible" % _num_text(level))
             else:
-                hi = _num_text(iv.hi) if iv.hi is not None else "inf"
                 out.append(
-                    "level %s: [%s, %s]" % (_num_text(level), _num_text(iv.lo), hi)
+                    "level %s: [%s, %s]"
+                    % (_num_text(level), _num_text(lo) or "-inf", _num_text(hi) or "inf")
                 )
         out.append("max feasible level: %s" % _num_text(result.max_feasible_level))
         if result.fitted is not None:
@@ -213,42 +206,33 @@ def _print_text(result: InferenceResult, syl: Syllogism) -> None:
                 "fitted: tz(%s)"
                 % ", ".join(_num_text(v) for v in result.fitted.as_tuple())
             )
-    out.append(
-        "epsilon: %s (%s)" % (_num_text(meta.get("epsilon")), meta.get("epsilon_kind"))
-    )
-    for warning in meta.get("warnings", []):
+    out.append("epsilon: %s (%s)" % (_num_text(result.epsilon), result.epsilon_kind))
+    for warning in result.warnings:
         out.append("warning: %s" % warning)
     print("\n".join(out))
 
 
 def _print_csv(result: InferenceResult) -> None:
     lines = ["level,lo,hi"]
-    for row in _level_rows(result):
-        lines.append(
-            "%s,%s,%s"
-            % (
-                _num_text(row["level"]),
-                "" if row["lo"] is None else _num_text(row["lo"]),
-                "" if row["hi"] is None else _num_text(row["hi"]),
-            )
-        )
+    for level, lo, hi, _ in _level_rows(result):
+        lines.append("%s,%s,%s" % (_num_text(level), _num_text(lo), _num_text(hi)))
     print("\n".join(lines))
 
 
-def _crisp_readings(syl: Syllogism):
-    """(name, premise bounds) pairs to audit: one per distinct cut level."""
-    shapes = [p.quantifier.shape for p in syl.premises]
-    if all(s is None or isinstance(s, Interval) for s in shapes):
-        return [("crisp", [s for s in shapes])]
-    sup = [None if s is None else support_of(s) for s in shapes]
-    ker = [None if s is None else kernel_of(s) for s in shapes]
-    return [("support", sup), ("kernel", ker)]
-
-
 def _verify_doc(syl: Syllogism, cap: int, config: InferenceConfig) -> int:
-    """Compare engine bounds with enumeration; 0 on agreement, 3 otherwise."""
+    """Compare engine bounds with enumeration; 0 on agreement, 3 otherwise.
+
+    Audits the distinct premise readings at levels 0 and 1: one for crisp
+    premises, else the support and the kernel.
+    """
+    readings: List[tuple] = []
+    for level in (Fraction(0), Fraction(1)):
+        bounds = premise_bounds(syl, level)
+        if bounds not in readings:
+            readings.append(bounds)
+    names = ("crisp",) if len(readings) == 1 else ("support", "kernel")
     failures = 0
-    for name, bounds in _crisp_readings(syl):
+    for name, bounds in zip(names, readings):
         system = compile_syllogism(syl, bounds)
         outcome = optimizer.solve(
             system, eps_count=config.eps_count, eps_prop=config.eps_prop
@@ -342,9 +326,18 @@ def _cmd_verify(argv: Sequence[str]) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "verify":
-        return _cmd_verify(argv[1:])
-    return _cmd_run(argv)
+    try:
+        if argv and argv[0] == "verify":
+            return _cmd_verify(argv[1:])
+        code = _cmd_run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; send what is still buffered to devnull so the
+        # flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,11 +2,13 @@
 
 The engine answers one question: given quantified premises, how large and how
 small can the conclusion's measure be over populations satisfying all of
-them?  Crisp premises need a single pair of LP solves.  Fuzzy premises are
-handled levelwise: each alpha level cuts every premise quantifier to a crisp
-interval, the crisp engine runs, and the family of resulting intervals is
-reassembled into a fuzzy answer (a fitted trapezoid when the cuts are bounded
-and reach level 1).
+them?  Every mode runs the same levelwise path: each membership level cuts
+every premise quantifier to a crisp interval, the crisp engine runs, and the
+family of resulting intervals is reassembled into a fuzzy answer (a fitted
+trapezoid when the cuts are bounded and reach level 1).  The mode only picks
+the level grid: crisp and kersup read levels 0 and 1 (support and kernel),
+alpha an evenly spaced grid.  A level whose premise bounds equal an earlier
+level's reuses that level's outcome, so crisp premises cost one solve.
 
 Premise cuts shrink as the level rises, so the feasible region shrinks too;
 consequently conclusion cuts are nested and feasibility is monotone.  A
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import optimizer
 from .compiler import compile_syllogism
@@ -45,12 +47,12 @@ __all__ = [
     "InferenceResult",
     "InfeasiblePremisesError",
     "infer",
-    "infer_crisp",
-    "infer_ker_sup",
-    "infer_alpha",
+    "premise_bounds",
 ]
 
 MODES = ("auto", "crisp", "kersup", "alpha")
+
+Bounds = Tuple[Optional[Interval], ...]
 
 
 class InfeasiblePremisesError(RuntimeError):
@@ -84,25 +86,41 @@ class InferenceConfig:
 class InferenceResult:
     """Conclusion bounds at the precision the premises support.
 
-    crisp   one interval (crisp mode);
-    pair    kernel/support intervals (kersup mode; None when the premises
-            are contradictory at kernel level);
     cuts    (level, interval) rows, with None for levels where no closed
             interval exists (premises infeasible there, or the measure is
             unbounded below);
+    outcomes  the exact solver outcome behind each cut, in the same order;
     fitted  trapezoid through the cuts, only when they are bounded and reach
-            level 1;
+            level 1 (never in crisp mode);
     max_feasible_level  highest grid level at which the premises are jointly
-            satisfiable.
+            satisfiable;
+    epsilon_kind, epsilon  the strictness margin the solves used.
     """
 
     mode: str
-    crisp: Optional[Interval] = None
-    pair: Optional[KernelSupportPair] = None
-    cuts: Optional[List[Tuple[Fraction, Optional[Interval]]]] = None
+    cuts: List[Tuple[Fraction, Optional[Interval]]]
+    outcomes: List[optimizer.SolveOutcome]
+    max_feasible_level: Fraction
+    epsilon_kind: str
+    epsilon: Fraction
     fitted: Optional[Trapezoid] = None
-    max_feasible_level: Optional[Fraction] = None
-    metadata: Dict[str, object] = field(default_factory=dict)
+    warnings: List[str] = field(default_factory=list)
+
+    @property
+    def crisp(self) -> Optional[Interval]:
+        """The one interval of a crisp-mode result."""
+        return self.cuts[0][1] if self.mode == "crisp" else None
+
+    @property
+    def pair(self) -> Optional[KernelSupportPair]:
+        """Kernel/support intervals of a kersup-mode result; None when the
+        premises are contradictory at kernel level."""
+        if self.mode != "kersup":
+            return None
+        (_, support), (_, kernel) = self.cuts
+        if support is None or kernel is None:
+            return None
+        return KernelSupportPair(kernel=kernel, support=support)
 
     def membership(self, value) -> Fraction:
         """Highest level whose computed cut provably contains ``value``.
@@ -110,7 +128,7 @@ class InferenceResult:
         This is a lower bound on the conclusion's membership: levels without
         a closed cut contribute nothing.
         """
-        usable = [(lam, iv) for lam, iv in (self.cuts or []) if iv is not None]
+        usable = [(lam, iv) for lam, iv in self.cuts if iv is not None]
         if not usable:
             raise ValueError("result carries no cut information")
         return interpolate_membership(usable, value)
@@ -118,237 +136,39 @@ class InferenceResult:
     @property
     def bounds(self) -> Tuple[Optional[Fraction], Optional[Fraction]]:
         """(lo, hi) of the widest bracket computed; None marks an open side."""
-        if self.crisp is not None:
-            return self.crisp.lo, self.crisp.hi
-        usable = [iv for _, iv in (self.cuts or []) if iv is not None]
+        usable = [iv for _, iv in self.cuts if iv is not None]
         if usable:
             return usable[0].lo, usable[0].hi
-        lo = self.metadata.get("lo")
-        hi = self.metadata.get("hi")
-        return (
-            None if lo is None else as_fraction(lo),
-            None if hi is None else as_fraction(hi),
-        )
+        return self.outcomes[0].lo, self.outcomes[0].hi
 
 
-def _float(x) -> Optional[float]:
-    return None if x is None else float(x)
+def premise_bounds(syl: Syllogism, level: Fraction) -> Bounds:
+    """Each premise's crisp bound at a membership level.
+
+    Level 0 reads the support, level 1 the kernel, and levels in between the
+    alpha cut.
+    """
+    bounds: List[Optional[Interval]] = []
+    for premise in syl.premises:
+        q = premise.quantifier
+        if q.shape is None:
+            bounds.append(None)
+        elif level == 0:
+            bounds.append(support_of(q))
+        elif level == 1:
+            bounds.append(kernel_of(q))
+        else:
+            bounds.append(bound_at_level(q, level))
+    return tuple(bounds)
 
 
 def _solve_at(
-    syl: Syllogism, bounds: Sequence[Optional[Interval]], config: InferenceConfig
+    syl: Syllogism, bounds: Bounds, config: InferenceConfig
 ) -> optimizer.SolveOutcome:
+    """Bound the conclusion with every premise read at the given bounds."""
     system = compile_syllogism(syl, bounds)
     return optimizer.solve(
         system, eps_count=config.eps_count, eps_prop=config.eps_prop
-    )
-
-
-def _interval_of(outcome: optimizer.SolveOutcome) -> Optional[Interval]:
-    """Closed-interval reading of an outcome; None if there is none."""
-    if outcome.lo is None:
-        return None
-    return Interval(outcome.lo, outcome.hi)
-
-
-def _outcome_detail(level, outcome: optimizer.SolveOutcome) -> Dict[str, object]:
-    detail = {
-        "level": _float(level),
-        "status": outcome.status,
-        "lo": _float(outcome.lo),
-        "hi": _float(outcome.hi),
-    }
-    if outcome.attained_lo is not None:
-        detail["attained_lo"] = _float(outcome.attained_lo)
-    return detail
-
-
-def _base_metadata(syl: Syllogism, config: InferenceConfig) -> Dict[str, object]:
-    families = {p.family for p in syl.premises} | {syl.conclusion.family}
-    meta: Dict[str, object] = {}
-    if families & RATIO_FAMILIES:
-        kind, value = "proportion", config.eps_prop
-    else:
-        kind, value = "count", config.eps_count
-    meta["epsilon_kind"] = kind
-    meta["epsilon"] = float(value)
-    if families & COUNT_FAMILIES and families & RATIO_FAMILIES:
-        meta["warnings"] = [
-            "count and proportion quantifiers are mixed; all bounds are read "
-            "at the declared universe size"
-        ]
-    return meta
-
-
-def _crisp_bounds(syl: Syllogism) -> List[Optional[Interval]]:
-    bounds: List[Optional[Interval]] = []
-    for i, premise in enumerate(syl.premises):
-        shape = premise.quantifier.shape
-        if shape is None:
-            bounds.append(None)
-        elif isinstance(shape, Interval):
-            bounds.append(shape)
-        else:
-            raise ValueError(
-                "premise %d carries a fuzzy quantifier; crisp inference needs "
-                "interval bounds (use alpha or kersup mode)" % (i + 1)
-            )
-    return bounds
-
-
-def infer_crisp(
-    syl: Syllogism, config: Optional[InferenceConfig] = None
-) -> InferenceResult:
-    """Bound the conclusion for premises with crisp (interval) quantifiers."""
-    config = config or InferenceConfig()
-    outcome = _solve_at(syl, _crisp_bounds(syl), config)
-    if outcome.status == optimizer.INFEASIBLE:
-        raise InfeasiblePremisesError("no population satisfies the premises")
-
-    meta = _base_metadata(syl, config)
-    meta["status"] = outcome.status
-    meta["pivots"] = outcome.pivots
-    meta["lo"] = _float(outcome.lo)
-    meta["hi"] = _float(outcome.hi)
-    if outcome.attained_lo is not None:
-        meta["attained_lo"] = _float(outcome.attained_lo)
-
-    iv = _interval_of(outcome)
-    cuts = [(Fraction(0), iv), (Fraction(1), iv)]
-    return InferenceResult(
-        mode="crisp",
-        crisp=iv,
-        cuts=cuts,
-        max_feasible_level=Fraction(1),
-        metadata=meta,
-    )
-
-
-def infer_ker_sup(
-    syl: Syllogism, config: Optional[InferenceConfig] = None
-) -> InferenceResult:
-    """Bound the conclusion at the support and kernel of every premise.
-
-    The support solve uses the loosest reading of each premise and the kernel
-    solve the tightest, so the two conclusion intervals nest.  If the kernel
-    reading is contradictory, the result degrades to a support interval with
-    max_feasible_level 0 instead of failing.
-    """
-    config = config or InferenceConfig()
-    sup_bounds = [
-        None if p.quantifier.shape is None else support_of(p.quantifier)
-        for p in syl.premises
-    ]
-    ker_bounds = [
-        None if p.quantifier.shape is None else kernel_of(p.quantifier)
-        for p in syl.premises
-    ]
-    sup_out = _solve_at(syl, sup_bounds, config)
-    if sup_out.status == optimizer.INFEASIBLE:
-        raise InfeasiblePremisesError(
-            "no population satisfies the premises even at support level"
-        )
-    ker_out = _solve_at(syl, ker_bounds, config)
-
-    meta = _base_metadata(syl, config)
-    meta["pivots"] = sup_out.pivots + ker_out.pivots
-    meta["levels_detail"] = [
-        _outcome_detail(0, sup_out),
-        _outcome_detail(1, ker_out),
-    ]
-
-    sup_iv = _interval_of(sup_out)
-    if ker_out.status == optimizer.INFEASIBLE:
-        meta["non_normalized"] = True
-        meta.setdefault("warnings", []).append(
-            "premises are contradictory at kernel level; only the support "
-            "interval is reported"
-        )
-        return InferenceResult(
-            mode="kersup",
-            pair=None,
-            cuts=[(Fraction(0), sup_iv), (Fraction(1), None)],
-            max_feasible_level=Fraction(0),
-            metadata=meta,
-        )
-
-    ker_iv = _interval_of(ker_out)
-    pair = None
-    if ker_iv is not None and sup_iv is not None:
-        pair = KernelSupportPair(kernel=ker_iv, support=sup_iv)
-    fitted = None
-    if (
-        pair is not None
-        and sup_iv.hi is not None
-        and ker_iv.hi is not None
-    ):
-        fitted = Trapezoid(sup_iv.lo, ker_iv.lo, ker_iv.hi, sup_iv.hi)
-    return InferenceResult(
-        mode="kersup",
-        pair=pair,
-        cuts=[(Fraction(0), sup_iv), (Fraction(1), ker_iv)],
-        fitted=fitted,
-        max_feasible_level=Fraction(1),
-        metadata=meta,
-    )
-
-
-def infer_alpha(
-    syl: Syllogism, config: Optional[InferenceConfig] = None
-) -> InferenceResult:
-    """Bound the conclusion on an evenly spaced grid of alpha levels."""
-    config = config or InferenceConfig()
-    n = config.levels
-    grid = [Fraction(i, n - 1) for i in range(n)]
-
-    cuts: List[Tuple[Fraction, Optional[Interval]]] = []
-    details = []
-    max_feasible: Optional[Fraction] = None
-    total_pivots = 0
-    for lam in grid:
-        bounds = [
-            None
-            if p.quantifier.shape is None
-            else bound_at_level(p.quantifier, lam)
-            for p in syl.premises
-        ]
-        outcome = _solve_at(syl, bounds, config)
-        total_pivots += outcome.pivots
-        details.append(_outcome_detail(lam, outcome))
-        if outcome.status == optimizer.INFEASIBLE:
-            if lam == 0:
-                raise InfeasiblePremisesError(
-                    "no population satisfies the premises even at support level"
-                )
-            cuts.append((lam, None))
-            continue
-        max_feasible = lam
-        cuts.append((lam, _interval_of(outcome)))
-
-    meta = _base_metadata(syl, config)
-    meta["levels"] = n
-    meta["pivots"] = total_pivots
-    meta["levels_detail"] = details
-
-    fitted = None
-    feasible = [(lam, iv) for lam, iv in cuts if iv is not None]
-    if max_feasible is not None and max_feasible < 1:
-        meta["non_normalized"] = True
-        meta.setdefault("warnings", []).append(
-            "premises become contradictory above level %s; no trapezoid "
-            "is fitted" % float(max_feasible)
-        )
-    elif feasible and all(iv.hi is not None for _, iv in feasible):
-        if len(feasible) == len(cuts):
-            fitted, report = fit_trapezoid(feasible)
-            meta["fit_max_residual"] = float(report.max_residual)
-
-    return InferenceResult(
-        mode="alpha",
-        cuts=cuts,
-        fitted=fitted,
-        max_feasible_level=max_feasible,
-        metadata=meta,
     )
 
 
@@ -361,6 +181,10 @@ def _auto_mode(syl: Syllogism) -> str:
     return "crisp"
 
 
+def _level_text(level: Fraction) -> str:
+    return str(int(level)) if level.denominator == 1 else str(float(level))
+
+
 def infer(
     syl: Syllogism,
     mode: str = "auto",
@@ -371,8 +195,68 @@ def infer(
         raise ValueError("mode must be one of %s" % ", ".join(MODES))
     if mode == "auto":
         mode = _auto_mode(syl)
+    config = config or InferenceConfig()
     if mode == "crisp":
-        return infer_crisp(syl, config)
-    if mode == "kersup":
-        return infer_ker_sup(syl, config)
-    return infer_alpha(syl, config)
+        for i, premise in enumerate(syl.premises):
+            if not isinstance(premise.quantifier.shape, (Interval, type(None))):
+                raise ValueError(
+                    "premise %d carries a fuzzy quantifier; crisp inference needs "
+                    "interval bounds (use alpha or kersup mode)" % (i + 1)
+                )
+    # crisp and kersup read levels 0 and 1 only
+    n = config.levels if mode == "alpha" else 2
+    grid = [Fraction(i, n - 1) for i in range(n)]
+
+    solved: Dict[Bounds, optimizer.SolveOutcome] = {}
+    cuts: List[Tuple[Fraction, Optional[Interval]]] = []
+    outcomes: List[optimizer.SolveOutcome] = []
+    max_feasible = Fraction(0)
+    for lam in grid:
+        bounds = premise_bounds(syl, lam)
+        if bounds not in solved:
+            solved[bounds] = _solve_at(syl, bounds, config)
+        outcome = solved[bounds]
+        outcomes.append(outcome)
+        if outcome.status == optimizer.INFEASIBLE:
+            if lam == 0:
+                raise InfeasiblePremisesError(
+                    "no population satisfies the premises"
+                    + ("" if mode == "crisp" else " even at support level")
+                )
+            cuts.append((lam, None))
+            continue
+        max_feasible = lam
+        iv = None if outcome.lo is None else Interval(outcome.lo, outcome.hi)
+        cuts.append((lam, iv))
+
+    families = {p.family for p in syl.premises} | {syl.conclusion.family}
+    if families & RATIO_FAMILIES:
+        kind, epsilon = "proportion", config.eps_prop
+    else:
+        kind, epsilon = "count", config.eps_count
+    warnings = []
+    if families & COUNT_FAMILIES and families & RATIO_FAMILIES:
+        warnings.append(
+            "count and proportion quantifiers are mixed; all bounds are read "
+            "at the declared universe size"
+        )
+
+    fitted = None
+    if max_feasible < 1:
+        warnings.append(
+            "premises become contradictory above level %s; no trapezoid "
+            "is fitted" % _level_text(max_feasible)
+        )
+    elif mode != "crisp" and all(iv is not None and iv.hi is not None for _, iv in cuts):
+        fitted, _ = fit_trapezoid(cuts)
+
+    return InferenceResult(
+        mode=mode,
+        cuts=cuts,
+        outcomes=outcomes,
+        max_feasible_level=max_feasible,
+        epsilon_kind=kind,
+        epsilon=epsilon,
+        fitted=fitted,
+        warnings=warnings,
+    )

@@ -102,18 +102,6 @@ def rewrite_strict(
     return out
 
 
-def effective_epsilon(
-    system: ConstraintSystem,
-    *,
-    eps_count: Fraction = DEFAULT_EPS_COUNT,
-    eps_prop: Fraction = DEFAULT_EPS_PROP,
-) -> Tuple[str, Fraction]:
-    """(kind, value) of the strictness margin this system would use."""
-    if system.proportional_context:
-        return "proportion", Fraction(eps_prop)
-    return "count", Fraction(eps_count)
-
-
 def _dense(expr: LinearExpr, n: int) -> List[Fraction]:
     row = [_ZERO] * n
     for i, f in expr.coeffs:

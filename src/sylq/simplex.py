@@ -101,18 +101,12 @@ def _iterate(
         if row < 0:
             return UNBOUNDED, pivots
 
-        piv = tableau[row][col]
-        tableau[row] = [v / piv for v in tableau[row]]
+        _pivot(tableau, basis, row, col)
         prow = tableau[row]
-        for i, other in enumerate(tableau):
-            if i != row and other[col] != 0:
-                factor = other[col]
-                tableau[i] = [v - factor * p for v, p in zip(other, prow)]
         factor = obj[col]
         if factor != 0:
             for j in range(ncols + 1):
                 obj[j] -= factor * prow[j]
-        basis[row] = col
         pivots += 1
         if pivots > _MAX_PIVOTS:
             raise RuntimeError("simplex did not terminate within the pivot cap")

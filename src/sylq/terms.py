@@ -24,8 +24,6 @@ __all__ = [
     "Universe",
     "UNIVERSE",
     "AtomSet",
-    "AtomDescriptor",
-    "enumerate_atoms",
     "atoms_of",
     "term_names",
 ]
@@ -148,26 +146,6 @@ class AtomSet:
         return index in self.members
 
 
-@dataclass(frozen=True)
-class AtomDescriptor:
-    """One Venn atom: its index, its signed literals, and its conventional rank.
-
-    ``conventional_index`` is the 1-based position of the atom in the textbook
-    enumeration that lists the all-complements atom first and orders atoms
-    with the *first* declared property as the most significant bit.  It exists
-    so fixtures can cross-reference that ordering in comments; the engine
-    itself always uses the bitwise index.
-    """
-
-    index: int
-    literals: tuple
-    conventional_index: int
-
-    def __str__(self) -> str:
-        parts = [name if inside else "!" + name for name, inside in self.literals]
-        return " & ".join(parts)
-
-
 def _validate_s(s: int, s_max: int) -> None:
     if s < 1:
         raise ValueError("need at least one declared property")
@@ -176,24 +154,6 @@ def _validate_s(s: int, s_max: int) -> None:
             "S=%d properties would create %d atoms (cap %d); "
             "the constraint system would be too large" % (s, 2**s, 2**s_max)
         )
-
-
-def enumerate_atoms(properties: Sequence[str], s_max: int = S_MAX) -> list:
-    """Describe all 2**S atoms of the partition induced by ``properties``."""
-    s = len(properties)
-    _validate_s(s, s_max)
-    if len(set(properties)) != s:
-        raise ValueError("property names must be unique")
-    out = []
-    for index in range(1 << s):
-        literals = tuple(
-            (name, bool(index >> bit & 1)) for bit, name in enumerate(properties)
-        )
-        rank = 0
-        for bit in range(s):
-            rank = rank << 1 | (index >> bit & 1)
-        out.append(AtomDescriptor(index=index, literals=literals, conventional_index=rank + 1))
-    return out
 
 
 def atoms_of(expr: TermExpr, properties: Sequence[str], s_max: int = S_MAX) -> AtomSet:

@@ -20,7 +20,6 @@ from sylq import (
     compile_syllogism,
     enumerate_range,
     infer,
-    infer_crisp,
     kernel_of,
     solve,
     statement_predicate,
@@ -53,24 +52,24 @@ def cut_bounds(syl, which):
 def test_criterion_1_pets_crisp_counts():
     syl = load_fixture("pets_at_home.syl").to_syllogism()
 
-    full = infer_crisp(syl)
+    full = infer(syl, mode="crisp")
     assert abs(full.crisp.lo - 3) <= 1e-9
     assert abs(full.crisp.hi - 3) <= 1e-9
-    assert full.metadata["status"] == "bounded"
+    assert full.outcomes[0].status == "bounded"
 
     # drop the two closure premises (every animal is a dog, cat or parrot)
     opened = syl.with_premises(syl.premises[:3] + syl.premises[5:])
-    part = infer_crisp(opened)
+    part = infer(opened, mode="crisp")
     assert abs(part.crisp.lo - 2) <= 1e-9
     assert abs(part.crisp.hi - 3) <= 1e-9
 
     # the three exception premises alone leave the total unbounded
     bare = syl.with_premises(syl.premises[:3])
-    loose = infer_crisp(bare)
-    assert loose.metadata["status"] == "unbounded-above"
+    loose = infer(bare, mode="crisp")
+    assert loose.outcomes[0].status == "unbounded-above"
     assert loose.crisp.lo == 0
     assert loose.crisp.hi is None
-    assert abs(loose.metadata["attained_lo"] - 2) <= 1e-9
+    assert loose.outcomes[0].attained_lo == 2
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +79,7 @@ def test_criterion_1_pets_crisp_counts():
 def test_criterion_2_course_crisp_fractional():
     syl = load_fixture("course_passrates_crisp.syl").to_syllogism()
     assert syl.s == 5  # 32 atoms
-    result = infer_crisp(syl)
+    result = infer(syl, mode="crisp")
     assert abs(result.crisp.lo - F(1, 5)) <= 1e-6
     assert abs(result.crisp.hi - 1) <= 1e-6
 
@@ -138,7 +137,7 @@ def test_criterion_5_nonnormalized_feasibility_edge():
     assert level < 1
     assert abs(level - F(95, 100)) <= F(5, 100)
     assert result.fitted is None
-    assert result.metadata.get("non_normalized") is True
+    assert result.max_feasible_level < 1
 
     coarse = infer(syl, mode="alpha", config=InferenceConfig(levels=11))
     assert coarse.max_feasible_level == F(9, 10)
@@ -393,14 +392,14 @@ def test_criterion_9d_premise_permutation(rng):
         rng.shuffle(order)
         shuffled = syl.with_premises(tuple(order))
         try:
-            base = infer_crisp(syl)
+            base = infer(syl, mode="crisp")
         except InfeasiblePremisesError:
             with pytest.raises(InfeasiblePremisesError):
-                infer_crisp(shuffled)
+                infer(shuffled, mode="crisp")
             continue
-        other = infer_crisp(shuffled)
+        other = infer(shuffled, mode="crisp")
         assert base.crisp == other.crisp
-        assert base.metadata["status"] == other.metadata["status"]
+        assert base.outcomes[0].status == other.outcomes[0].status
 
     config = InferenceConfig(levels=4)
     for _ in range(25):

@@ -1,11 +1,12 @@
 """End-to-end checks of the command-line front end.
 
 Everything drives ``sylq.cli.main`` in process so exit codes and streams are
-observable through capsys, except two subprocess tests of the wiring.  One
-runs from a checkout: it runs ``python -m sylq.cli`` and the ``sylq`` target
-named in ``[project.scripts]`` the way the generated console script does, and
-both must print the same answer.  The other runs the installed ``sylq``
-script and is skipped where no such script is on PATH.
+observable through capsys, except a subprocess test of a closed stdout and
+two subprocess tests of the wiring.  One runs from a checkout: it runs
+``python -m sylq.cli`` and the ``sylq`` target named in ``[project.scripts]``
+the way the generated console script does, and both must print the same
+answer.  The other runs the installed ``sylq`` script and is skipped where no
+such script is on PATH.
 """
 
 import io
@@ -118,6 +119,60 @@ def test_csv_unbounded_hi_is_empty_cell(capsys):
     code, out, _ = run_cli(capsys, ["-", "--format", "csv"])
     assert code == 0
     assert out.splitlines()[1] == "0,0,"
+
+
+# the premise pins |p & q| but nothing bounds |p| - |q| either way, so every
+# level is feasible with an unbounded conclusion
+UNBOUNDED_DOC = """\
+terms: p, q
+premise: abs tz(1, 2, 3, 4) p -> q
+conclude: cmpabs? p vs q
+"""
+
+# 10**17 + 1 is not a float, so any float on the way would print 10**17
+HUGE = 10**17 + 1
+HUGE_DOC = """\
+terms: p, q
+universe: %d
+premise: abs[3, %d] p -> q
+conclude: abs? p -> q
+""" % (HUGE, HUGE)
+
+
+def test_feasible_level_with_unbounded_conclusion(capsys):
+    sys.stdin = io.StringIO(UNBOUNDED_DOC)
+    code, out, _ = run_cli(capsys, ["-", "--levels", "3"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[2:5] == [
+        "level 0: [-inf, inf]",
+        "level 0.5: [-inf, inf]",
+        "level 1: [-inf, inf]",
+    ]
+    assert "max feasible level: 1" in lines
+    sys.stdin = io.StringIO(UNBOUNDED_DOC)
+    code, out, _ = run_cli(capsys, ["-", "--levels", "3", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["levels"][0] == {
+        "level": 0,
+        "lo": None,
+        "hi": None,
+        "feasible": True,
+    }
+
+
+def test_crisp_bounds_render_exactly_in_every_format(capsys):
+    sys.stdin = io.StringIO(HUGE_DOC)
+    _, out, _ = run_cli(capsys, ["-"])
+    assert "hi: %d" % HUGE in out.splitlines()
+    sys.stdin = io.StringIO(HUGE_DOC)
+    _, out, _ = run_cli(capsys, ["-", "--format", "json"])
+    payload = json.loads(out)
+    assert payload["hi"] == HUGE
+    assert [row["hi"] for row in payload["levels"]] == [HUGE, HUGE]
+    sys.stdin = io.StringIO(HUGE_DOC)
+    _, out, _ = run_cli(capsys, ["-", "--format", "csv"])
+    assert out.splitlines()[1:] == ["0,3,%d" % HUGE, "1,3,%d" % HUGE]
 
 
 def test_reads_stdin_when_file_is_dash(capsys):
@@ -272,3 +327,20 @@ def test_module_and_console_script_entry_points():
 @pytest.mark.skipif(shutil.which("sylq") is None, reason="no sylq script on PATH")
 def test_installed_console_script_matches_module():
     assert_matches_module(run_checkout(["sylq", PETS]))
+
+
+def test_closed_stdout_exits_with_code_1_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before sylq writes a byte
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sylq.cli", PETS],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=checkout_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr

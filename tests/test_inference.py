@@ -17,9 +17,6 @@ from sylq import (
     Syllogism,
     Trapezoid,
     infer,
-    infer_alpha,
-    infer_crisp,
-    infer_ker_sup,
     parse,
 )
 from conftest import load_fixture
@@ -68,28 +65,29 @@ def test_unknown_mode_is_rejected():
 
 def test_crisp_mode_requires_crisp_premises():
     with pytest.raises(ValueError):
-        infer_crisp(one_premise(Trapezoid(0, 1, 2, 3)))
+        infer(one_premise(Trapezoid(0, 1, 2, 3)), mode="crisp")
 
 
 def test_crisp_infeasible_raises():
     syl = one_premise(Interval(2, 3), universe=F(1))
     with pytest.raises(InfeasiblePremisesError):
-        infer_crisp(syl)
+        infer(syl, mode="crisp")
 
 
 def test_crisp_result_structure():
-    result = infer_crisp(one_premise(Interval(1, 2)))
+    result = infer(one_premise(Interval(1, 2)), mode="crisp")
     assert result.crisp == Interval(F(1), F(2))
     assert result.bounds == (F(1), F(2))
     assert result.cuts == [(F(0), result.crisp), (F(1), result.crisp)]
     assert result.max_feasible_level == 1
-    assert result.metadata["status"] == "bounded"
-    assert result.metadata["epsilon_kind"] == "count"
+    assert result.outcomes[0].status == "bounded"
+    assert result.epsilon_kind == "count"
+    assert result.epsilon == 1
 
 
 def test_alpha_on_fuzzy_count_premise():
-    result = infer_alpha(
-        one_premise(Trapezoid(1, 2, 4, 5)), InferenceConfig(levels=3)
+    result = infer(
+        one_premise(Trapezoid(1, 2, 4, 5)), mode="alpha", config=InferenceConfig(levels=3)
     )
     assert [lam for lam, _ in result.cuts] == [0, F(1, 2), 1]
     assert result.cuts[0][1] == Interval(F(1), F(5))
@@ -103,7 +101,7 @@ def test_alpha_on_fuzzy_count_premise():
 
 def test_kersup_pair_nests_and_fits():
     syl = one_premise(Trapezoid(1, 2, 4, 5))
-    result = infer_ker_sup(syl)
+    result = infer(syl, mode="kersup")
     assert result.pair == KernelSupportPair(
         Interval(F(2), F(4)), Interval(F(1), F(5))
     )
@@ -121,12 +119,13 @@ def test_kersup_degrades_when_the_kernel_contradicts():
         ),
         Conclusion(ABSOLUTE, P, Q),
     )
-    result = infer_ker_sup(syl)
+    result = infer(syl, mode="kersup")
     assert result.pair is None
     assert result.max_feasible_level == 0
     assert result.fitted is None
-    assert result.metadata["non_normalized"] is True
-    assert any("level" in w for w in result.metadata["warnings"])
+    assert result.warnings == [
+        "premises become contradictory above level 0; no trapezoid is fitted"
+    ]
     level0, level1 = result.cuts
     assert level0[1] == Interval(F(3), F(4))
     assert level1[1] is None
@@ -142,7 +141,7 @@ def test_kersup_support_contradiction_raises():
         Conclusion(ABSOLUTE, P, Q),
     )
     with pytest.raises(InfeasiblePremisesError):
-        infer_ker_sup(syl)
+        infer(syl, mode="kersup")
 
 
 def test_two_sided_passrate_shapes_cap_the_upper_bound():
@@ -158,15 +157,15 @@ def test_two_sided_passrate_shapes_cap_the_upper_bound():
         conclude: prop? student -> phys & math & phil & lang
         """
     )
-    result = infer_ker_sup(doc.to_syllogism())
+    result = infer(doc.to_syllogism(), mode="kersup")
     assert result.pair.kernel == Interval(F(42, 100), F(85, 100))
     assert result.pair.support == Interval(F(20, 100), F(90, 100))
 
 
 def test_alpha_matches_kersup_at_the_grid_ends():
     syl = load_fixture("course_passrates_fuzzy.syl").to_syllogism()
-    alpha = infer_alpha(syl, InferenceConfig(levels=5))
-    pair = infer_ker_sup(syl).pair
+    alpha = infer(syl, mode="alpha", config=InferenceConfig(levels=5))
+    pair = infer(syl, mode="kersup").pair
     assert alpha.cuts[0][1] == pair.support
     assert alpha.cuts[-1][1] == pair.kernel
 
@@ -181,6 +180,29 @@ def test_unit_mix_warning_with_declared_universe():
         conclude: abs? p -> q
         """
     )
-    result = infer_crisp(doc.to_syllogism())
-    assert any("mix" in w for w in result.metadata["warnings"])
-    assert result.metadata["epsilon_kind"] == "proportion"
+    result = infer(doc.to_syllogism(), mode="crisp")
+    assert any("mix" in w for w in result.warnings)
+    assert result.epsilon_kind == "proportion"
+    assert result.epsilon == F(1, 10**6)
+
+
+def test_levels_with_equal_premise_bounds_share_one_solve(monkeypatch):
+    import sylq.inference
+
+    calls = []
+    real = sylq.inference._solve_at
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(sylq.inference, "_solve_at", counting)
+    syl = one_premise(Interval(1, 2))
+    for mode, config in (("crisp", None), ("kersup", None), ("alpha", InferenceConfig(levels=5))):
+        calls.clear()
+        result = infer(syl, mode=mode, config=config)
+        assert len(calls) == 1
+        assert all(outcome is result.outcomes[0] for outcome in result.outcomes)
+    calls.clear()
+    infer(one_premise(Trapezoid(1, 2, 4, 5)), mode="alpha", config=InferenceConfig(levels=5))
+    assert len(calls) == 5

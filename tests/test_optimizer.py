@@ -14,7 +14,6 @@ from sylq import (
     Statement,
     Syllogism,
     compile_syllogism,
-    effective_epsilon,
     rewrite_strict,
     solve,
 )
@@ -65,15 +64,6 @@ def test_rewrite_strict_proportion_folds_total_when_universe_is_free():
 def test_rewrite_strict_keeps_weak_rows_untouched():
     row = Constraint(LinearExpr.of({0: F(1)}), "<=", F(5))
     assert rewrite_strict([row], k=4, proportional_context=False) == [row]
-
-
-def test_effective_epsilon_tracks_the_context():
-    count_system = build([stmt(ABSOLUTE, Interval(1, 2))], Conclusion(ABSOLUTE, P, Q))
-    assert effective_epsilon(count_system) == ("count", F(1))
-    ratio_system = build(
-        [stmt(PROPORTIONAL, Interval(F(1, 2), 1))], Conclusion(PROPORTIONAL, P, Q)
-    )
-    assert effective_epsilon(ratio_system) == ("proportion", F(1, 10**6))
 
 
 def test_bounded_count_band_comes_back_exactly():
