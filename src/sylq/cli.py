@@ -7,8 +7,8 @@
 Reads a syllogism document (or stdin when FILE is ``-``), runs inference, and
 prints the result.  ``verify`` cross-checks the engine against brute-force
 enumeration of integer populations.  Exit codes: 0 success, 1 input or output
-error, 2 infeasible premises, 3 size guard exceeded or verification
-disagreement.
+error, 2 infeasible premises, 3 size guard or pivot limit exceeded, or
+verification disagreement.
 
 JSON and CSV output are deterministic: fixed key order and numbers printed
 to 12 significant digits (integers without a decimal point).  An unbounded
@@ -37,6 +37,7 @@ from .inference import (
 )
 from .oracle import enumerate_range
 from .quantifiers import as_fraction
+from .simplex import PivotLimitError
 from .statements import Syllogism
 from .terms import SizeGuardError
 
@@ -277,7 +278,7 @@ def _cmd_run(argv: Sequence[str]) -> int:
     except InfeasiblePremisesError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except SizeGuardError as exc:
+    except (SizeGuardError, PivotLimitError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except OSError as exc:
@@ -297,7 +298,7 @@ def _cmd_run(argv: Sequence[str]) -> int:
     if args.verify is not None:
         try:
             return _verify_doc(syl, args.verify, config)
-        except SizeGuardError as exc:
+        except (SizeGuardError, PivotLimitError) as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 3
     return 0
@@ -313,7 +314,7 @@ def _cmd_verify(argv: Sequence[str]) -> int:
     except DslError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except SizeGuardError as exc:
+    except (SizeGuardError, PivotLimitError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except OSError as exc:

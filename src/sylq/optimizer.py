@@ -115,21 +115,24 @@ _ORDER = {LE: lambda a, b: a <= b, GE: lambda a, b: a >= b, EQ: lambda a, b: a =
 def _prepare_rows(
     constraints: Sequence[Constraint], n: int
 ) -> Tuple[Optional[List[simplex.Row]], bool]:
-    """Dense rows for the solver; (None, False) on a constant contradiction."""
+    """Dense rows for the solver; (None, False) on a constant contradiction.
+
+    The checks read the sparse coefficients; only kept rows are densified.
+    """
     rows: List[simplex.Row] = []
     for c in constraints:
-        dense = _dense(c.expr, n)
+        coeffs = [v for _, v in c.expr.coeffs]
         rhs = c.rhs - c.expr.const
-        if all(v == 0 for v in dense):
+        if all(v == 0 for v in coeffs):
             if not _ORDER[c.rel](_ZERO, rhs):
                 return None, False
             continue
         # rows already implied by x >= 0 only add simplex columns
-        if c.rel == GE and rhs <= 0 and all(v >= 0 for v in dense):
+        if c.rel == GE and rhs <= 0 and all(v >= 0 for v in coeffs):
             continue
-        if c.rel == LE and rhs >= 0 and all(v <= 0 for v in dense):
+        if c.rel == LE and rhs >= 0 and all(v <= 0 for v in coeffs):
             continue
-        rows.append((dense, c.rel, rhs))
+        rows.append((_dense(c.expr, n), c.rel, rhs))
     return rows, True
 
 

@@ -1,9 +1,18 @@
 """Exact two-phase simplex over rational arithmetic.
 
 Solves  min c.x  subject to  rows of (a, rel, b) with rel in {<=, >=, ==}
-and x >= 0, entirely in Fraction arithmetic, so optima, infeasibility and
-unboundedness are certificates rather than tolerance calls.  Problem sizes
-here are tiny (tens of variables), which makes exactness affordable.
+and x >= 0 exactly, so optima, infeasibility and unboundedness are
+certificates rather than tolerance calls.
+
+Every tableau row, the reduced-cost row included, is a list of Python ints
+over one positive int denominator, kept in lowest terms.  A pivot is
+fraction-free elimination (Bareiss, Math. Comp. 1968): row i becomes
+(d*row_i - f*prow) / (den_i*d), where prow/d is the pivot row scaled so its
+pivot entry is one and f = row_i[col]; rows with f == 0 are left alone.
+Because denominators are positive, signs and orderings read straight off
+the numerators, and ratios compare by cross-multiplication, so every choice
+is the one exact rational arithmetic makes.  Fractions appear only at the
+input and result boundaries.
 
 Pivoting: entering variable by most negative reduced cost (Dantzig) for
 speed, switching permanently to Bland's smallest-index rule once an iteration
@@ -15,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 __all__ = ["LpSolution", "minimize", "maximize"]
@@ -28,8 +39,9 @@ _DANTZIG_BUDGET = 500
 # absolute ceiling; exceeding it means the implementation is broken
 _MAX_PIVOTS = 50_000
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+class PivotLimitError(RuntimeError):
+    """The simplex ran past its pivot cap without terminating."""
 
 
 @dataclass
@@ -42,178 +54,195 @@ class LpSolution:
 
 Row = Tuple[Sequence[Fraction], str, Fraction]
 
+# an exact row: (numerators, positive denominator) in lowest terms
+IntRow = Tuple[List[int], int]
 
-def _pivot(tableau: List[List[Fraction]], basis: List[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
+def _reduced(nums: List[int], den: int) -> IntRow:
+    g = gcd(den, *nums)
+    if g > 1:
+        return [v // g for v in nums], den // g
+    return nums, den
+
+
+def _int_row(values: Sequence) -> IntRow:
+    """Exact int numerators over one denominator for a sequence of rationals."""
+    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = lcm(*map(_denominator, fracs))
+    if den == 1:
+        return list(map(_numerator, fracs)), 1
+    return _reduced([v.numerator * (den // v.denominator) for v in fracs], den)
+
+
+def _support(nums: List[int]) -> List[int]:
+    return [j for j, v in enumerate(nums) if v]
+
+
+def _eliminate(row: IntRow, col: int, prow: IntRow, support: List[int]) -> IntRow:
+    """row - row[col] * prow, where prow's entry at col equals one.
+
+    support lists prow's nonzero columns; only those entries change.
+    """
+    nums, den = row
+    pnums, pden = prow
+    f = nums[col]
+    g = gcd(pden, f)
+    a, b = pden // g, f // g
+    new = nums[:] if a == 1 else [a * v for v in nums]
+    for j in support:
+        new[j] -= b * pnums[j]
+    return _reduced(new, den * a)
+
+
+def _pivot(tableau: List[IntRow], basis: List[int], row: int, col: int) -> List[int]:
+    """Pivot on (row, col) in place; returns the new pivot row's support."""
+    nums, den = tableau[row]
+    piv = nums[col]
     if piv == 0:
         raise ArithmeticError("pivot on zero element")
-    inv = _ONE / piv
-    tableau[row] = [v * inv for v in tableau[row]]
-    prow = tableau[row]
+    # row / (piv/den) = nums / piv
+    if piv < 0:
+        nums, piv = [-v for v in nums], -piv
+    prow = tableau[row] = _reduced(nums, piv)
+    support = _support(prow[0])
     for i, other in enumerate(tableau):
-        if i == row:
-            continue
-        factor = other[col]
-        if factor != 0:
-            tableau[i] = [v - factor * p for v, p in zip(other, prow)]
+        if i != row and other[0][col]:
+            tableau[i] = _eliminate(other, col, prow, support)
     basis[row] = col
+    return support
 
 
 def _iterate(
-    tableau: List[List[Fraction]],
+    tableau: List[IntRow],
     basis: List[int],
-    obj: List[Fraction],
+    obj: IntRow,
     ncols: int,
     pivots_done: int,
-) -> Tuple[str, int]:
+) -> Tuple[str, int, IntRow]:
     """Run simplex iterations in place; obj is the reduced-cost row."""
     pivots = pivots_done
     while True:
-        use_bland = pivots >= _DANTZIG_BUDGET
-        col = -1
-        if use_bland:
-            for j in range(ncols):
-                if obj[j] < 0:
-                    col = j
-                    break
+        reduced = obj[0]  # signs and order hold: the denominator is positive
+        if pivots >= _DANTZIG_BUDGET:
+            col = next((j for j in range(ncols) if reduced[j] < 0), -1)
         else:
-            best = _ZERO
-            for j in range(ncols):
-                if obj[j] < best:
-                    best = obj[j]
-                    col = j
+            best = min(reduced[:ncols], default=0)
+            col = reduced.index(best) if best < 0 else -1
         if col < 0:
-            return OPTIMAL, pivots
+            return OPTIMAL, pivots, obj
 
+        # ratio rhs/coef over rows with coef > 0; a row's denominator
+        # cancels, and rhs_i/coef_i < rhs_r/coef_r iff rhs_i*coef_r < rhs_r*coef_i
         row = -1
-        best_ratio: Optional[Fraction] = None
-        for i, trow in enumerate(tableau):
-            coef = trow[col]
+        for i, (nums, _) in enumerate(tableau):
+            coef = nums[col]
             if coef > 0:
-                ratio = trow[-1] / coef
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[row])
-                ):
-                    best_ratio = ratio
-                    row = i
+                if row < 0:
+                    row, rhs_best, coef_best = i, nums[-1], coef
+                    continue
+                lhs, rhs = nums[-1] * coef_best, rhs_best * coef
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[row]):
+                    row, rhs_best, coef_best = i, nums[-1], coef
         if row < 0:
-            return UNBOUNDED, pivots
+            return UNBOUNDED, pivots, obj
 
-        _pivot(tableau, basis, row, col)
-        prow = tableau[row]
-        factor = obj[col]
-        if factor != 0:
-            for j in range(ncols + 1):
-                obj[j] -= factor * prow[j]
+        support = _pivot(tableau, basis, row, col)
+        obj = _eliminate(obj, col, tableau[row], support)
         pivots += 1
         if pivots > _MAX_PIVOTS:
-            raise RuntimeError("simplex did not terminate within the pivot cap")
+            raise PivotLimitError("simplex did not terminate within the pivot cap")
 
 
 def minimize(costs: Sequence, rows: Sequence[Row]) -> LpSolution:
     """Minimize costs.x over {x >= 0 : every row holds}."""
     n = len(costs)
-    costs = [Fraction(c) for c in costs]
 
     # normalize rows to nonnegative rhs and count extra columns
-    norm: List[Tuple[List[Fraction], str, Fraction]] = []
+    norm: List[Tuple[List[int], int, str]] = []
     for coeffs, rel, rhs in rows:
-        coeffs = [Fraction(c) for c in coeffs]
-        rhs = Fraction(rhs)
         if len(coeffs) != n:
             raise ValueError("row length does not match variable count")
         if rel not in ("<=", ">=", "=="):
             raise ValueError("relation must be <=, >= or == (rewrite strict first)")
-        if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
+        nums, den = _int_row([*coeffs, rhs])
+        if nums[-1] < 0:
+            nums = [-v for v in nums]
             rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        norm.append((coeffs, rel, rhs))
+        norm.append((nums, den, rel))
 
-    n_slack = sum(1 for _, rel, _ in norm if rel != "==")
-    n_art = sum(1 for _, rel, _ in norm if rel != "<=")
+    n_slack = sum(1 for *_, rel in norm if rel != "==")
+    n_art = sum(1 for *_, rel in norm if rel != "<=")
     ncols = n + n_slack + n_art
-    art_cols = []
 
-    tableau: List[List[Fraction]] = []
+    tableau: List[IntRow] = []
     basis: List[int] = []
     slack_at = n
     art_at = n + n_slack
-    for coeffs, rel, rhs in norm:
-        row = coeffs + [_ZERO] * (n_slack + n_art) + [rhs]
+    for nums, den, rel in norm:
+        row = nums[:-1] + [0] * (n_slack + n_art) + nums[-1:]
+        if rel != "==":
+            row[slack_at] = den if rel == "<=" else -den
+            slack_at += 1
         if rel == "<=":
-            row[slack_at] = _ONE
-            basis.append(slack_at)
-            slack_at += 1
-        elif rel == ">=":
-            row[slack_at] = Fraction(-1)
-            slack_at += 1
-            row[art_at] = _ONE
-            basis.append(art_at)
-            art_cols.append(art_at)
-            art_at += 1
+            basis.append(slack_at - 1)
         else:
-            row[art_at] = _ONE
+            row[art_at] = den
             basis.append(art_at)
-            art_cols.append(art_at)
             art_at += 1
-        tableau.append(row)
+        tableau.append((row, den))
 
     pivots = 0
+    art_start = n + n_slack
 
     # phase 1: drive artificial variables to zero
-    if art_cols:
-        obj = [_ZERO] * (ncols + 1)
-        for a in art_cols:
-            obj[a] = _ONE
-        for i, b in enumerate(basis):
-            if b in set(art_cols):
-                obj = [o - t for o, t in zip(obj, tableau[i])]
-        status, pivots = _iterate(tableau, basis, obj, ncols, pivots)
+    if n_art:
+        # obj = sum of artificial columns minus their basic rows, over the
+        # lcm of those rows' denominators
+        art_rows = [tableau[i] for i, b in enumerate(basis) if b >= art_start]
+        oden = lcm(*(den for _, den in art_rows))
+        onums = [0] * art_start + [oden] * n_art + [0]
+        for nums, den in art_rows:
+            m = oden // den
+            onums = [o - m * v for o, v in zip(onums, nums)]
+        status, pivots, obj = _iterate(tableau, basis, _reduced(onums, oden), ncols, pivots)
         assert status == OPTIMAL  # phase 1 objective is bounded below by 0
-        if -obj[-1] > 0:
+        if obj[0][-1] < 0:
             return LpSolution(INFEASIBLE, pivots=pivots)
         # pivot lingering artificials out of the basis, dropping empty rows
-        art_set = set(art_cols)
         for i in reversed(range(len(basis))):
-            if basis[i] not in art_set:
+            if basis[i] < art_start:
                 continue
-            entry = next(
-                (j for j in range(ncols) if j not in art_set and tableau[i][j] != 0),
-                None,
-            )
+            nums = tableau[i][0]
+            entry = next((j for j in range(art_start) if nums[j]), None)
             if entry is None:
                 del tableau[i]
                 del basis[i]
             else:
                 _pivot(tableau, basis, i, entry)
                 pivots += 1
-        # freeze artificial columns at zero
-        for trow in tableau:
-            for a in art_cols:
-                trow[a] = _ZERO
+        # artificial columns are zero from here on and never re-enter: drop them
+        tableau = [_reduced(nums[:art_start] + nums[-1:], den) for nums, den in tableau]
+        ncols = art_start
 
-    # phase 2
-    ext_costs = costs + [_ZERO] * (n_slack + n_art)
-    obj = ext_costs + [_ZERO]
+    # phase 2: reduced costs c - sum of c_b * (basic row b)
+    obj = _int_row([*costs, *[0] * (ncols - n), 0])
     for i, b in enumerate(basis):
-        if ext_costs[b] != 0:
-            obj = [o - ext_costs[b] * t for o, t in zip(obj, tableau[i])]
-    if art_cols:
-        for a in art_cols:
-            obj[a] = _ZERO  # never re-enter
-    status, pivots = _iterate(tableau, basis, obj, ncols, pivots)
+        if obj[0][b]:
+            obj = _eliminate(obj, b, tableau[i], _support(tableau[i][0]))
+    status, pivots, obj = _iterate(tableau, basis, obj, ncols, pivots)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED, pivots=pivots)
 
-    point = [_ZERO] * n
-    for i, b in enumerate(basis):
+    point = [Fraction(0)] * n
+    for (nums, den), b in zip(tableau, basis):
         if b < n:
-            point[b] = tableau[i][-1]
-    value = sum((c * p for c, p in zip(costs, point)), _ZERO)
-    return LpSolution(OPTIMAL, value=value, point=point, pivots=pivots)
+            point[b] = Fraction(nums[-1], den)
+    # the reduced-cost row's rhs entry is -c.x
+    onums, oden = obj
+    return LpSolution(OPTIMAL, value=Fraction(-onums[-1], oden), point=point, pivots=pivots)
 
 
 def maximize(costs: Sequence, rows: Sequence[Row]) -> LpSolution:

@@ -20,7 +20,9 @@ from pathlib import Path
 import pytest
 
 import sylq
+from sylq import cli, simplex
 from sylq.cli import main
+from sylq.inference import infer
 
 from conftest import FIXTURE_DIR
 
@@ -220,6 +222,29 @@ def test_size_guard_exit_code(capsys):
     code, _, err = run_cli(capsys, ["verify", PETS, "--cap", "60"])
     assert code == 3
     assert "guard" in err
+
+
+def test_pivot_limit_exits_with_code_3_without_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
+    for argv in ([PETS], ["verify", PETS, "--cap", "10"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err == "error: simplex did not terminate within the pivot cap\n"
+
+
+def test_pivot_limit_in_the_verify_flag_exits_with_code_3(capsys, monkeypatch):
+    # the run itself finishes; the cap is hit by the cross-check's solves
+    def infer_then_cap(*args, **kwargs):
+        result = infer(*args, **kwargs)
+        monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
+        return result
+
+    monkeypatch.setattr(cli, "infer", infer_then_cap)
+    code, out, err = run_cli(capsys, [PETS, "--verify", "10"])
+    assert code == 3
+    assert "lo: 3" in out
+    assert err == "error: simplex did not terminate within the pivot cap\n"
 
 
 def test_verify_agreement(capsys):

@@ -1,8 +1,14 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sylq import cli, simplex
 from sylq.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, maximize, minimize
+
+from conftest import FIXTURE_DIR
 
 F = Fraction
 
@@ -81,3 +87,111 @@ def test_negative_rhs_rows_normalize():
     assert sol.status == OPTIMAL
     assert sol.value == 3
     assert sol.point == [0, 3]
+
+
+# (pivots, minimize calls) of `sylq FILE` for each bundled document in its
+# own mode; the integer-row tableau must choose every pivot as before
+BUNDLED_PIVOTS = {
+    "course_passrates_crisp": (33, 2),
+    "course_passrates_fuzzy": (363, 22),
+    "course_passrates_nonnormalized": (637, 41),
+    "hats_and_ties": (36, 4),
+    "pets_at_home": (26, 2),
+    "warehouse_sales_mix": (40, 4),
+    "wine_boxes_exception": (68, 22),
+    "wine_exports_rim": (168, 22),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_PIVOTS))
+def test_bundled_pivot_counts(name, monkeypatch, capsys):
+    seen = []
+
+    def counting_minimize(costs, rows):
+        sol = minimize(costs, rows)
+        seen.append(sol.pivots)
+        return sol
+
+    monkeypatch.setattr(simplex, "minimize", counting_minimize)
+    assert cli.main([str(FIXTURE_DIR / ("%s.syl" % name))]) == 0
+    capsys.readouterr()
+    assert (sum(seen), len(seen)) == BUNDLED_PIVOTS[name]
+
+
+# ------------------------------------------------- differential property test
+
+RELATIONS = ("<=", ">=", "==")
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _solve_square(a, b):
+    """The unique x with a x = b by Fraction elimination, else None."""
+    n = len(a)
+    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            return None
+        m[c], m[piv] = m[piv], m[c]
+        for r in range(n):
+            if r != c and m[r][c] != 0:
+                f = m[r][c] / m[c][c]
+                m[r] = [v - f * p for v, p in zip(m[r], m[c])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+def _holds(lhs, rel, rhs):
+    return lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
+
+
+def _brute_minimum(costs, rows):
+    """min costs.x over a bounded polytope by enumerating its vertices.
+
+    Every vertex is the unique solution of n active hyperplanes taken from
+    the rows and from x_i = 0; None when no vertex is feasible.
+    """
+    n = len(costs)
+    planes = [(list(a), b) for a, _, b in rows]
+    planes += [([F(int(i == j)) for j in range(n)], F(0)) for i in range(n)]
+    best = None
+    for subset in itertools.combinations(planes, n):
+        x = _solve_square([a for a, _ in subset], [b for _, b in subset])
+        if x is None or any(v < 0 for v in x):
+            continue
+        if not all(_holds(sum(c * v for c, v in zip(a, x)), rel, b) for a, rel, b in rows):
+            continue
+        value = sum(c * v for c, v in zip(costs, x))
+        best = value if best is None else min(best, value)
+    return best
+
+
+@st.composite
+def boxed_lps(draw):
+    n = draw(st.integers(1, 3))
+    costs = draw(st.lists(small, min_size=n, max_size=n))
+    rows = draw(
+        st.lists(
+            st.tuples(st.lists(small, min_size=n, max_size=n), st.sampled_from(RELATIONS), small),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    box = draw(st.integers(1, 4))
+    rows += [([F(int(i == j)) for j in range(n)], "<=", F(box)) for i in range(n)]
+    return costs, rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(boxed_lps())
+def test_minimize_matches_vertex_enumeration(lp):
+    costs, rows = lp
+    expected = _brute_minimum(costs, rows)
+    sol = minimize(costs, rows)
+    if expected is None:
+        assert sol.status == INFEASIBLE
+        return
+    assert sol.status == OPTIMAL
+    assert sol.value == expected
+    assert all(v >= 0 for v in sol.point)
+    assert all(_holds(sum(c * v for c, v in zip(a, sol.point)), rel, b) for a, rel, b in rows)
+    assert sum(c * v for c, v in zip(costs, sol.point)) == expected
