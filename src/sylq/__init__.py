@@ -47,7 +47,6 @@ from .quantifiers import (
     PROPORTIONAL,
     RATIO_FAMILIES,
     SIMILARITY,
-    FitReport,
     Interval,
     KernelSupportPair,
     QuantifierSpec,
@@ -100,7 +99,6 @@ __all__ = [
     "Constraint",
     "ConstraintSystem",
     "DslError",
-    "FitReport",
     "InfeasiblePremisesError",
     "InferenceConfig",
     "InferenceResult",

@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import optimizer
-from .compiler import UnitMixingError, compile_syllogism
-from .dsl import DslError, conclusion_text, parse
+from .compiler import compile_syllogism
+from .dsl import conclusion_text, parse
 from .inference import (
     MODES,
     InfeasiblePremisesError,
@@ -63,20 +63,27 @@ def _run_parser() -> argparse.ArgumentParser:
         default=None,
         help="inference mode (default: document option, else auto)",
     )
-    p.add_argument("--levels", type=int, default=None, help="alpha grid size (default 11)")
+    p.add_argument(
+        "--levels",
+        type=int,
+        default=None,
+        help="alpha grid size (default %d)" % InferenceConfig.levels,
+    )
     p.add_argument(
         "--epsilon-count",
         type=_number,
         default=None,
         metavar="X",
-        help="margin replacing strict count inequalities (default 1)",
+        help="margin replacing strict count inequalities (default %s)"
+        % _num_text(InferenceConfig.eps_count),
     )
     p.add_argument(
         "--epsilon-prop",
         type=_number,
         default=None,
         metavar="X",
-        help="relative margin for strict rows in proportion contexts (default 1e-6)",
+        help="relative margin for strict rows in proportion contexts (default %s)"
+        % _num_text(InferenceConfig.eps_prop),
     )
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument(
@@ -109,19 +116,19 @@ def _read_text(path: str) -> str:
 
 
 def _config(doc_options, args) -> InferenceConfig:
-    cli_levels = getattr(args, "levels", None)
-    levels = cli_levels if cli_levels is not None else doc_options.get("levels", 11)
-    eps_count = (
-        args.epsilon_count
-        if args.epsilon_count is not None
-        else doc_options.get("eps_count", Fraction(1))
-    )
-    eps_prop = (
-        args.epsilon_prop
-        if args.epsilon_prop is not None
-        else doc_options.get("eps_prop", Fraction(1, 10**6))
-    )
-    return InferenceConfig(levels=levels, eps_count=eps_count, eps_prop=eps_prop)
+    """A CLI flag beats the document option; unset knobs keep their defaults."""
+    given = {}
+    for key, flag in (
+        ("levels", "levels"),
+        ("eps_count", "epsilon_count"),
+        ("eps_prop", "epsilon_prop"),
+    ):
+        value = getattr(args, flag, None)
+        if value is None:
+            value = doc_options.get(key)
+        if value is not None:
+            given[key] = value
+    return InferenceConfig(**given)
 
 
 def _num(value) -> Optional[object]:
@@ -266,27 +273,11 @@ def _verify_doc(syl: Syllogism, cap: int, config: InferenceConfig) -> int:
 
 def _cmd_run(argv: Sequence[str]) -> int:
     args = _run_parser().parse_args(list(argv))
-    try:
-        doc = parse(_read_text(args.file))
-        syl = doc.to_syllogism()
-        config = _config(doc.options, args)
-        mode = args.mode or doc.options.get("mode", "auto")
-        result = infer(syl, mode=mode, config=config)
-    except DslError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except InfeasiblePremisesError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (SizeGuardError, PivotLimitError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (UnitMixingError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    doc = parse(_read_text(args.file))
+    syl = doc.to_syllogism()
+    config = _config(doc.options, args)
+    mode = args.mode or doc.options.get("mode", "auto")
+    result = infer(syl, mode=mode, config=config)
 
     if args.format == "json":
         print(json.dumps(_json_payload(result, syl), indent=2))
@@ -296,33 +287,25 @@ def _cmd_run(argv: Sequence[str]) -> int:
         _print_text(result, syl)
 
     if args.verify is not None:
-        try:
-            return _verify_doc(syl, args.verify, config)
-        except (SizeGuardError, PivotLimitError) as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 3
+        return _verify_doc(syl, args.verify, config)
     return 0
 
 
 def _cmd_verify(argv: Sequence[str]) -> int:
     args = _verify_parser().parse_args(list(argv))
-    try:
-        doc = parse(_read_text(args.file))
-        syl = doc.to_syllogism()
-        config = _config(doc.options, args)
-        return _verify_doc(syl, args.cap, config)
-    except DslError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (SizeGuardError, PivotLimitError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (UnitMixingError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    doc = parse(_read_text(args.file))
+    return _verify_doc(doc.to_syllogism(), args.cap, _config(doc.options, args))
+
+
+# exit code of each error a command reports as one "error: ..." line; DslError
+# and UnitMixingError are ValueErrors
+_EXIT_CODES = {
+    InfeasiblePremisesError: 2,
+    SizeGuardError: 3,
+    PivotLimitError: 3,
+    OSError: 1,
+    ValueError: 1,
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -339,6 +322,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
+    except tuple(_EXIT_CODES) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -17,8 +17,9 @@ A = atoms(restriction), B = atoms(scope) and S_X the sum of x_k over X:
 
 Ratio constraints are cross-multiplied so the premise set stays purely linear;
 only the conclusion objective may be a ratio.  The structural layer adds
-nonnegativity for every atom, denominator positivity for ratio statements,
-and the universe cardinality equation when |E| is declared.
+denominator positivity for ratio statements and the universe cardinality
+equation when |E| is declared.  Nonnegativity x >= 0 is not a row: the
+solver works over x >= 0 already.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .quantifiers import (
     SIMILARITY,
     Interval,
     as_fraction,
+    check_unit,
 )
 from .statements import Conclusion, Statement, Syllogism
 from .terms import AtomSet, atoms_of
@@ -56,10 +58,10 @@ __all__ = [
     "structural_constraints",
     "build_objective",
     "compile_syllogism",
+    "denominator_atoms",
 ]
 
 LE, GE, EQ, LT, GT = "<=", ">=", "==", "<", ">"
-_STRICT = {LT, GT}
 
 
 class UnitMixingError(ValueError):
@@ -85,28 +87,13 @@ class LinearExpr:
     def as_dict(self) -> Dict[int, Fraction]:
         return dict(self.coeffs)
 
-    def plus(self, other: "LinearExpr") -> "LinearExpr":
+    def plus(self, other: "LinearExpr", factor=1) -> "LinearExpr":
+        """self + factor * other."""
+        f = as_fraction(factor)
         out = self.as_dict()
         for k, v in other.coeffs:
-            out[k] = out.get(k, Fraction(0)) + v
-        return LinearExpr.of(out, self.const + other.const)
-
-    def minus(self, other: "LinearExpr") -> "LinearExpr":
-        return self.plus(other.scaled(-1))
-
-    def scaled(self, factor) -> "LinearExpr":
-        f = as_fraction(factor)
-        return LinearExpr.of({k: v * f for k, v in self.coeffs}, self.const * f)
-
-    def evaluate(self, counts: Sequence) -> Fraction:
-        total = self.const
-        for k, v in self.coeffs:
-            total += v * as_fraction(counts[k])
-        return total
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.coeffs
+            out[k] = out.get(k, 0) + f * v
+        return LinearExpr.of(out, self.const + f * other.const)
 
     def max_index(self) -> int:
         return max((k for k, _ in self.coeffs), default=-1)
@@ -131,20 +118,7 @@ class Constraint:
 
     @property
     def is_strict(self) -> bool:
-        return self.rel in _STRICT
-
-    def holds(self, counts: Sequence) -> bool:
-        """Exact evaluation on an integer population (strictness honored)."""
-        value = self.expr.evaluate(counts)
-        if self.rel == LE:
-            return value <= self.rhs
-        if self.rel == GE:
-            return value >= self.rhs
-        if self.rel == EQ:
-            return value == self.rhs
-        if self.rel == LT:
-            return value < self.rhs
-        return value > self.rhs
+        return self.rel in (LT, GT)
 
 
 @dataclass(frozen=True)
@@ -200,32 +174,18 @@ def _term_sets(stmt, properties: Sequence[str]):
 
 def _band(expr: LinearExpr, bound: Interval) -> List[Constraint]:
     """lo <= expr <= hi as one or two rows; unbounded hi emits no upper row."""
-    rows = [Constraint(expr, GT if bound.lo_strict else GE, bound.lo)]
+    rows = [Constraint(expr, GE, bound.lo)]
     if bound.hi is not None:
-        rows.append(Constraint(expr, LT if bound.hi_strict else LE, bound.hi))
+        rows.append(Constraint(expr, LE, bound.hi))
     return rows
 
 
 def _ratio_band(num: LinearExpr, den: LinearExpr, bound: Interval) -> List[Constraint]:
     """lo*den <= num <= hi*den, cross-multiplied to stay linear."""
-    rows = [
-        Constraint(num.minus(den.scaled(bound.lo)), GT if bound.lo_strict else GE, 0)
-    ]
+    rows = [Constraint(num.plus(den, -bound.lo), GE, 0)]
     if bound.hi is not None:
-        rows.append(
-            Constraint(num.minus(den.scaled(bound.hi)), LT if bound.hi_strict else LE, 0)
-        )
+        rows.append(Constraint(num.plus(den, -bound.hi), LE, 0))
     return rows
-
-
-def _check_bound_unit(family: str, bound: Interval) -> None:
-    if family in (ABSOLUTE, EXCEPTION, COMPARATIVE_PROPORTIONAL) and bound.lo < 0:
-        raise ValueError("%s bound must be nonnegative, got %s" % (family, bound))
-    if family in (PROPORTIONAL, SIMILARITY):
-        if bound.lo < 0 or (bound.hi is not None and bound.hi > 1):
-            raise ValueError(
-                "unit mismatch: %s bound %s outside [0, 1]" % (family, bound)
-            )
 
 
 def compile_statement(
@@ -251,15 +211,14 @@ def compile_statement(
 
     if bound is None:
         raise ValueError("family %s needs a crisp bound to compile" % family)
-    _check_bound_unit(family, bound)
+    check_unit(family, bound.lo, bound.hi)
 
     if family == ABSOLUTE:
         return _band(LinearExpr.sum_over(a & b), bound)
     if family == EXCEPTION:
         return _band(LinearExpr.sum_over(a - b), bound)
     if family == COMPARATIVE_ABSOLUTE:
-        expr = LinearExpr.sum_over(a).minus(LinearExpr.sum_over(b))
-        return _band(expr, bound)
+        return _band(LinearExpr.sum_over(a).plus(LinearExpr.sum_over(b), -1), bound)
     if family == PROPORTIONAL:
         return _ratio_band(LinearExpr.sum_over(a & b), LinearExpr.sum_over(a), bound)
     if family == COMPARATIVE_PROPORTIONAL:
@@ -269,7 +228,7 @@ def compile_statement(
     raise ValueError("cannot compile family %r" % family)
 
 
-def _denominator_atoms(stmt, properties: Sequence[str]) -> Optional[AtomSet]:
+def denominator_atoms(stmt, properties: Sequence[str]) -> Optional[AtomSet]:
     """Atom set whose cardinality divides in the statement's ratio, if any."""
     if stmt.family not in RATIO_FAMILIES:
         return None
@@ -287,7 +246,7 @@ def structural_constraints(
     properties: Sequence[str],
     universe_size=None,
 ) -> Tuple[List[Constraint], bool]:
-    """Nonnegativity, denominator positivity, and the universe equation.
+    """Denominator positivity and the universe equation.
 
     Returns (constraints, proportional_context).  Count and proportion
     quantifiers may share a syllogism only when the universe size is declared
@@ -305,17 +264,15 @@ def structural_constraints(
             "'universe:' to make the units commensurable"
         )
 
-    k = 1 << len(properties)
-    rows = [Constraint(LinearExpr.of({i: 1}), GE, 0) for i in range(k)]
+    rows: List[Constraint] = []
     if has_ratio:
         for stmt in statements:
-            atoms = _denominator_atoms(stmt, properties)
+            atoms = denominator_atoms(stmt, properties)
             if atoms is not None:
                 rows.append(Constraint(LinearExpr.sum_over(atoms), GT, 0))
     if universe_size is not None:
-        size = as_fraction(universe_size)
-        full = LinearExpr.of({i: 1 for i in range(k)})
-        rows.append(Constraint(full, EQ, size))
+        full = LinearExpr.sum_over(range(1 << len(properties)))
+        rows.append(Constraint(full, EQ, universe_size))
     return rows, has_ratio
 
 
@@ -328,7 +285,7 @@ def build_objective(conclusion: Conclusion, properties: Sequence[str]) -> Object
     if family == EXCEPTION:
         return Objective("linear", LinearExpr.sum_over(a - b))
     if family == COMPARATIVE_ABSOLUTE:
-        expr = LinearExpr.sum_over(a).minus(LinearExpr.sum_over(b))
+        expr = LinearExpr.sum_over(a).plus(LinearExpr.sum_over(b), -1)
         return Objective("linear", expr)
     if family == PROPORTIONAL:
         return Objective(

@@ -48,7 +48,7 @@ from .quantifiers import (
     Trapezoid,
 )
 from .statements import COMPARED_FAMILIES, Conclusion, Statement, Syllogism
-from .terms import UNIVERSE, And, Not, Or, Prop, Universe
+from .terms import UNIVERSE, And, Not, Or, Prop, Universe, term_names
 
 __all__ = ["DslError", "SyllogismDoc", "conclusion_text", "parse", "print_doc"]
 
@@ -396,7 +396,7 @@ def parse(text: str) -> SyllogismDoc:
                 premises.append(stmt)
             declared = set(properties)
             for term in (restriction, scope):
-                for leaf in _leaf_names(term):
+                for leaf in term_names(term):
                     if leaf not in declared:
                         raise DslError(
                             "undeclared property %r (declared: %s)"
@@ -419,16 +419,6 @@ def parse(text: str) -> SyllogismDoc:
         universe_size=universe,
         options=options,
     )
-
-
-def _leaf_names(term):
-    if isinstance(term, Prop):
-        yield term.name
-    elif isinstance(term, Not):
-        yield from _leaf_names(term.arg)
-    elif isinstance(term, (And, Or)):
-        yield from _leaf_names(term.left)
-        yield from _leaf_names(term.right)
 
 
 def _fmt_number(value: Fraction) -> str:

@@ -70,8 +70,8 @@ class InferenceConfig:
     """
 
     levels: int = 11
-    eps_count: Fraction = Fraction(1)
-    eps_prop: Fraction = Fraction(1, 10**6)
+    eps_count: Fraction = optimizer.DEFAULT_EPS_COUNT
+    eps_prop: Fraction = optimizer.DEFAULT_EPS_PROP
 
     def __post_init__(self) -> None:
         if not isinstance(self.levels, int) or self.levels < 2:
@@ -248,7 +248,7 @@ def infer(
             "is fitted" % _level_text(max_feasible)
         )
     elif mode != "crisp" and all(iv is not None and iv.hi is not None for _, iv in cuts):
-        fitted, _ = fit_trapezoid(cuts)
+        fitted = fit_trapezoid(cuts)
 
     return InferenceResult(
         mode=mode,

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import simplex
-from .compiler import EQ, GE, GT, LE, LT, Constraint, ConstraintSystem, LinearExpr
+from .compiler import EQ, GE, GT, LE, Constraint, ConstraintSystem, LinearExpr
 
 __all__ = [
     "BOUNDED",
@@ -61,10 +61,6 @@ class SolveOutcome:
     pivots: int = 0
 
 
-def _total_expr(k: int) -> LinearExpr:
-    return LinearExpr.of({i: Fraction(1) for i in range(k)})
-
-
 def rewrite_strict(
     constraints: Sequence[Constraint],
     *,
@@ -85,9 +81,10 @@ def rewrite_strict(
     """
     eps_count = Fraction(eps_count)
     eps_prop = Fraction(eps_prop)
+    total = LinearExpr.sum_over(range(k))
     out: List[Constraint] = []
     for c in constraints:
-        if c.rel not in (GT, LT):
+        if not c.is_strict:
             out.append(c)
             continue
         sign = 1 if c.rel == GT else -1
@@ -97,8 +94,7 @@ def rewrite_strict(
         elif universe_size is not None:
             out.append(Constraint(c.expr, weak, c.rhs + sign * eps_prop * universe_size))
         else:
-            margin = _total_expr(k).scaled(sign * eps_prop)
-            out.append(Constraint(c.expr.minus(margin), weak, c.rhs))
+            out.append(Constraint(c.expr.plus(total, -sign * eps_prop), weak, c.rhs))
     return out
 
 
@@ -194,19 +190,16 @@ def solve(
     t = system.k
     cc_rows: List[Constraint] = []
     for c in rewritten:
-        folded = c.rhs - c.expr.const
-        shifted = LinearExpr(c.expr.coeffs, _ZERO).minus(
-            LinearExpr.of({t: folded})
-        )
+        shifted = LinearExpr.of({**c.expr.as_dict(), t: c.expr.const - c.rhs})
         cc_rows.append(Constraint(shifted, c.rel, _ZERO))
     den = obj.denominator
-    norm = LinearExpr(den.coeffs, _ZERO).plus(LinearExpr.of({t: den.const}))
+    norm = LinearExpr.of({**den.as_dict(), t: den.const})
     cc_rows.append(Constraint(norm, EQ, Fraction(1)))
 
     rows, ok = _prepare_rows(cc_rows, n)
     if not ok:
         return SolveOutcome(INFEASIBLE, None, None)
     num = obj.numerator
-    costs = _dense(LinearExpr(num.coeffs, _ZERO).plus(LinearExpr.of({t: num.const})), n)
+    costs = _dense(LinearExpr.of({**num.as_dict(), t: num.const}), n)
     sign_definite = all(v >= 0 for v in costs)
     return _bracket(costs, _ZERO, rows, sign_definite)

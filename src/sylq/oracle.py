@@ -25,7 +25,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .compiler import _denominator_atoms
+from .compiler import denominator_atoms
 from .quantifiers import (
     ABSOLUTE,
     COMPARATIVE_ABSOLUTE,
@@ -232,7 +232,7 @@ def enumerate_range(
     # denominators that must be nonempty, conclusion included
     statements = list(syl.premises) + [syl.conclusion]
     positivity = [
-        _denominator_atoms(stmt, syl.properties)
+        denominator_atoms(stmt, syl.properties)
         for stmt in statements
         if stmt.family in RATIO_FAMILIES
     ]

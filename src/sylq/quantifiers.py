@@ -18,7 +18,7 @@ snapped back immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -39,6 +39,7 @@ __all__ = [
     "RATIO_FAMILIES",
     "NUMERIC_FAMILIES",
     "as_fraction",
+    "check_unit",
     "Interval",
     "Trapezoid",
     "KernelSupportPair",
@@ -48,7 +49,6 @@ __all__ = [
     "kernel_of",
     "support_of",
     "bound_at_level",
-    "FitReport",
     "fit_trapezoid",
     "interpolate_membership",
 ]
@@ -109,17 +109,15 @@ def _fmt(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed (by default) numeric interval, possibly unbounded above.
+    """Closed numeric interval, possibly unbounded above.
 
-    ``hi is None`` means unbounded above.  The strictness flags record open
-    endpoints; they are produced only by logical quantifier translations and
-    denominator-positivity constraints, never stored in parsed documents.
+    ``hi is None`` means unbounded above.  Strict rows never come from an
+    interval: the compiler emits them only for logical-some/not-all and for
+    denominator positivity.
     """
 
     lo: Fraction
     hi: Optional[Fraction] = None
-    lo_strict: bool = False
-    hi_strict: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", as_fraction(self.lo))
@@ -137,22 +135,10 @@ class Interval:
 
     def contains(self, value: Real) -> bool:
         v = as_fraction(value)
-        if self.lo_strict:
-            if v <= self.lo:
-                return False
-        elif v < self.lo:
-            return False
-        if self.hi is None:
-            return True
-        if self.hi_strict:
-            return v < self.hi
-        return v <= self.hi
+        return self.lo <= v and (self.hi is None or v <= self.hi)
 
     def subset_of(self, other: "Interval") -> bool:
-        """True when every point of this interval lies in ``other``.
-
-        Strictness flags are ignored; cuts handled by the engine are closed.
-        """
+        """True when every point of this interval lies in ``other``."""
         if self.lo < other.lo:
             return False
         if other.hi is None:
@@ -162,11 +148,9 @@ class Interval:
         return self.hi <= other.hi
 
     def __str__(self) -> str:
-        left = "(" if self.lo_strict else "["
         if self.hi is None:
-            return "%s%s, inf)" % (left, _fmt(self.lo))
-        right = ")" if self.hi_strict else "]"
-        return "%s%s, %s%s" % (left, _fmt(self.lo), _fmt(self.hi), right)
+            return "[%s, inf)" % _fmt(self.lo)
+        return "[%s, %s]" % (_fmt(self.lo), _fmt(self.hi))
 
 
 @dataclass(frozen=True)
@@ -228,10 +212,9 @@ class RimQuantifier:
 
 
 Shape = Union[Interval, Trapezoid, KernelSupportPair, RimQuantifier, None]
-_FUZZY_SHAPES = (Trapezoid, RimQuantifier)
 
 
-def _check_unit(family: str, lo: Fraction, hi: Optional[Fraction]) -> None:
+def check_unit(family: str, lo: Fraction, hi: Optional[Fraction]) -> None:
     """Validate that a bound is expressed in the family's unit."""
     if family in (ABSOLUTE, EXCEPTION):
         if lo < 0:
@@ -291,15 +274,7 @@ class QuantifierSpec:
                 "RIM shapes define proportions; family %s uses counts" % self.family
             )
         lo, hi = _shape_bounds(self.shape)
-        _check_unit(self.family, lo, hi)
-
-    @property
-    def is_fuzzy(self) -> bool:
-        return isinstance(self.shape, (_FUZZY_SHAPES + (KernelSupportPair,)))
-
-    @property
-    def is_crisp(self) -> bool:
-        return isinstance(self.shape, Interval)
+        check_unit(self.family, lo, hi)
 
 
 def _rim_cut_lo(exponent: Fraction, level: Fraction) -> Fraction:
@@ -384,38 +359,12 @@ def bound_at_level(q: QuantifierSpec, level: Real) -> Interval:
     return alpha_cut(shape, level)
 
 
-@dataclass(frozen=True)
-class FitReport:
-    """Diagnostics from fitting a trapezoid through a cut collection.
-
-    max_feasible_level is the highest level present in the cuts (1 when the
-    collection is normalized).  residuals holds, per given level, the largest
-    absolute deviation between the fitted sides and the actual cut endpoints.
-    """
-
-    max_feasible_level: Fraction
-    residuals: tuple = field(default_factory=tuple)
-
-    @property
-    def max_residual(self) -> Fraction:
-        if not self.residuals:
-            return Fraction(0)
-        return max(r for _, r in self.residuals)
-
-    @property
-    def normalized(self) -> bool:
-        return self.max_feasible_level == 1
-
-
-def fit_trapezoid(cuts: Sequence[tuple]) -> tuple:
+def fit_trapezoid(cuts: Sequence[tuple]) -> Trapezoid:
     """Fit a trapezoid through a nested collection of (level, Interval) cuts.
 
     The fitted support is the level-0 cut and the fitted kernel is the highest
-    given cut; the sides interpolate linearly between the two *at their
-    levels*, so collections that top out below level 1 are fitted against
-    their actual ceiling rather than an extrapolation.  Returns (Trapezoid,
-    FitReport); the report carries the top level and per-level residuals of
-    the piecewise-linear fit.
+    given cut, so a collection that tops out below level 1 keeps its actual
+    ceiling as the kernel rather than an extrapolation.
 
     Cut levels must be strictly increasing, start at 0, and the intervals must
     be nested and bounded; a nesting violation signals an optimizer bug
@@ -445,19 +394,8 @@ def fit_trapezoid(cuts: Sequence[tuple]) -> tuple:
                 % (_fmt(levels[i]), intervals[i], _fmt(levels[i - 1]), intervals[i - 1])
             )
 
-    top_level = levels[-1]
-    lo0, hi0 = intervals[0].lo, intervals[0].hi
-    lot, hit = intervals[-1].lo, intervals[-1].hi
-    fitted = Trapezoid(lo0, lot, hit, hi0)
-
-    residuals = []
-    for lam, iv in zip(levels, intervals):
-        t = lam / top_level if top_level > 0 else Fraction(0)
-        lo_fit = lo0 + t * (lot - lo0)
-        hi_fit = hi0 - t * (hi0 - hit)
-        residuals.append((lam, max(abs(lo_fit - iv.lo), abs(hi_fit - iv.hi))))
-    report = FitReport(max_feasible_level=top_level, residuals=tuple(residuals))
-    return fitted, report
+    support, kernel = intervals[0], intervals[-1]
+    return Trapezoid(support.lo, kernel.lo, kernel.hi, support.hi)
 
 
 def interpolate_membership(cuts: Sequence[tuple], value: Real) -> Fraction:

@@ -15,6 +15,7 @@ from sylq import (
     UNIVERSE,
     And,
     Conclusion,
+    Constraint,
     Interval,
     LinearExpr,
     Not,
@@ -124,11 +125,8 @@ def test_structural_rows_nonnegativity_and_universe():
         syl.premises, syl.conclusion, syl.properties, syl.universe_size
     )
     assert not has_ratio
-    nonneg = [r for r in rows if r.rel == ">=" and r.rhs == 0]
-    assert len(nonneg) == 4  # one per atom
-    [total] = [r for r in rows if r.rel == "=="]
-    assert total.expr.as_dict() == {0: F(1), 1: F(1), 2: F(1), 3: F(1)}
-    assert total.rhs == F(7)
+    # x >= 0 is the solver's domain, not a row: only the universe equation
+    assert rows == [Constraint(LinearExpr.of({0: 1, 1: 1, 2: 1, 3: 1}), "==", 7)]
 
 
 def test_structural_rows_force_ratio_denominators_positive():
@@ -197,14 +195,19 @@ def test_compile_syllogism_assembles_everything():
     assert system.k == 4
     assert system.proportional_context
     assert system.objective.kind == "fractional"
-    # premise rows + strict some-row + 4 nonnegativity + 2 denominators
-    assert len(system.constraints) == 2 + 1 + 4 + 2
+    # premise rows + strict some-row + 2 denominators
+    assert len(system.constraints) == 2 + 1 + 2
 
 
 def test_linear_expr_helpers():
     expr = LinearExpr.of({0: F(2), 2: F(1)}, const=F(3))
-    assert expr.evaluate((1, 0, 4, 0)) == F(9)
-    assert expr.plus(expr).as_dict() == {0: F(4), 2: F(2)}
-    assert expr.scaled(F(1, 2)).const == F(3, 2)
-    assert not expr.is_constant
-    assert LinearExpr.of({}).is_constant
+    other = LinearExpr.of({1: F(4), 2: F(1)}, const=F(1))
+    assert expr.plus(other) == LinearExpr.of({0: 2, 1: 4, 2: 2}, const=4)
+    assert expr.plus(expr) == LinearExpr.of({0: 4, 2: 2}, const=6)
+    # a coefficient that cancels drops out of the sparse row
+    assert expr.plus(other, -1) == LinearExpr.of({0: 2, 1: -4}, const=2)
+    assert expr.plus(expr, -1) == LinearExpr.of({})
+    assert expr.plus(other, F(1, 2)) == LinearExpr.of(
+        {0: 2, 1: 2, 2: F(3, 2)}, const=F(7, 2)
+    )
+    assert expr.plus(other, F(1, 2)).coeffs == ((0, 2), (1, 2), (2, F(3, 2)))

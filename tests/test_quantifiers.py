@@ -110,18 +110,15 @@ def test_bound_at_level_reads_pairs_as_trapezoids():
 def test_fit_trapezoid_recovers_linear_cuts_exactly():
     tz = Trapezoid(2, 4, 8, 10)
     cuts = [(F(i, 4), alpha_cut(tz, F(i, 4))) for i in range(5)]
-    fitted, report = fit_trapezoid(cuts)
-    assert fitted == tz
-    assert report.max_residual == 0
-    assert report.normalized
+    assert fit_trapezoid(cuts) == tz
 
 
 def test_fit_trapezoid_tops_out_at_the_highest_given_level():
     cuts = [(0, Interval(0, 10)), (F(1, 2), Interval(2, 8))]
-    fitted, report = fit_trapezoid(cuts)
+    fitted = fit_trapezoid(cuts)
     assert fitted == Trapezoid(0, 2, 8, 10)
-    assert report.max_feasible_level == F(1, 2)
-    assert not report.normalized
+    # the kernel is the level-1/2 cut, not an extrapolation to level 1
+    assert fitted.kernel == cuts[-1][1]
 
 
 def test_fit_trapezoid_rejects_bad_collections():
