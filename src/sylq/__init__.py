@@ -30,7 +30,6 @@ from .inference import (
     infer,
 )
 from .optimizer import SolveOutcome, rewrite_strict, solve
-from .oracle import enumerate_range, statement_predicate
 from .quantifiers import (
     ABSOLUTE,
     COMPARATIVE_ABSOLUTE,
@@ -74,6 +73,17 @@ from .terms import (
 )
 
 __version__ = "0.1.0"
+
+# the oracle needs numpy; load it only when one of its names is asked for
+_ORACLE_NAMES = ("enumerate_range", "statement_predicate")
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 __all__ = [
     "ABSOLUTE",

@@ -35,7 +35,6 @@ from .inference import (
     infer,
     premise_bounds,
 )
-from .oracle import enumerate_range
 from .quantifiers import as_fraction
 from .simplex import PivotLimitError
 from .statements import Syllogism
@@ -227,6 +226,13 @@ def _print_csv(result: InferenceResult) -> None:
     print("\n".join(lines))
 
 
+def enumerate_range(syl: Syllogism, cap: int, bounds: tuple):
+    """The oracle's enumeration, imported on first use: only verify needs numpy."""
+    from . import oracle
+
+    return oracle.enumerate_range(syl, cap, premise_bounds=bounds)
+
+
 def _verify_doc(syl: Syllogism, cap: int, config: InferenceConfig) -> int:
     """Compare engine bounds with enumeration; 0 on agreement, 3 otherwise.
 
@@ -245,7 +251,7 @@ def _verify_doc(syl: Syllogism, cap: int, config: InferenceConfig) -> int:
         outcome = optimizer.solve(
             system, eps_count=config.eps_count, eps_prop=config.eps_prop
         )
-        exact = enumerate_range(syl, cap, premise_bounds=bounds)
+        exact = enumerate_range(syl, cap, bounds)
         lp_lo = outcome.attained_lo if outcome.attained_lo is not None else outcome.lo
         if exact is None:
             witness = "no integer witness up to cap %d" % cap

@@ -20,13 +20,18 @@ only the conclusion objective may be a ratio.  The structural layer adds
 denominator positivity for ratio statements and the universe cardinality
 equation when |E| is declared.  Nonnegativity x >= 0 is not a row: the
 solver works over x >= 0 already.
+
+A row is held as set terms: each term is one of the atom sets above with a
+rational coefficient, so building or combining rows costs one step per term,
+not per atom, and the K = 2**S atoms are only expanded when a caller reads
+per-atom coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .quantifiers import (
     ABSOLUTE,
@@ -68,21 +73,42 @@ class UnitMixingError(ValueError):
     """Count and proportion quantifiers mixed without a declared universe."""
 
 
-@dataclass(frozen=True)
-class LinearExpr:
-    """Sparse linear expression over atom cardinalities plus a constant."""
+# (atom indices, coefficient): the coefficient times the sum of x_k over the atoms
+Term = Tuple[FrozenSet[int], Fraction]
 
-    coeffs: Tuple[Tuple[int, Fraction], ...] = ()
+
+@dataclass(frozen=True, eq=False)
+class LinearExpr:
+    """Linear expression over atom cardinalities plus a constant.
+
+    Each term (atoms, c) adds c times the sum of x_k over a set of atoms, so
+    a row built from a few term sets holds a few terms however many atoms
+    the sets cover.  coeffs, as_dict() and equality read the per-atom
+    values the terms add up to.
+    """
+
+    terms: Tuple[Term, ...] = ()
     const: Fraction = Fraction(0)
 
     @staticmethod
     def of(coeffs: Dict[int, Fraction], const=0) -> "LinearExpr":
-        items = tuple(sorted((k, as_fraction(v)) for k, v in coeffs.items() if v != 0))
-        return LinearExpr(items, as_fraction(const))
+        terms = tuple((frozenset((k,)), as_fraction(v)) for k, v in coeffs.items() if v != 0)
+        return LinearExpr(terms, as_fraction(const))
 
     @staticmethod
-    def sum_over(atoms: AtomSet) -> "LinearExpr":
-        return LinearExpr.of({k: Fraction(1) for k in atoms})
+    def sum_over(atoms) -> "LinearExpr":
+        """The sum of x_k over an AtomSet or an iterable of atom indices."""
+        members = atoms.members if isinstance(atoms, AtomSet) else frozenset(atoms)
+        return LinearExpr(((members, Fraction(1)),) if members else ())
+
+    @property
+    def coeffs(self) -> Tuple[Tuple[int, Fraction], ...]:
+        """Nonzero per-atom coefficients, by atom index."""
+        out: Dict[int, Fraction] = {}
+        for atoms, v in self.terms:
+            for k in atoms:
+                out[k] = out.get(k, 0) + v
+        return tuple(sorted((k, v) for k, v in out.items() if v != 0))
 
     def as_dict(self) -> Dict[int, Fraction]:
         return dict(self.coeffs)
@@ -90,13 +116,22 @@ class LinearExpr:
     def plus(self, other: "LinearExpr", factor=1) -> "LinearExpr":
         """self + factor * other."""
         f = as_fraction(factor)
-        out = self.as_dict()
-        for k, v in other.coeffs:
-            out[k] = out.get(k, 0) + f * v
-        return LinearExpr.of(out, self.const + f * other.const)
+        if f == 0:
+            return self
+        terms = self.terms + tuple((atoms, f * v) for atoms, v in other.terms)
+        return LinearExpr(terms, self.const + f * other.const)
 
     def max_index(self) -> int:
-        return max((k for k, _ in self.coeffs), default=-1)
+        """Highest atom index any term names."""
+        return max((max(atoms) for atoms, _ in self.terms if atoms), default=-1)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LinearExpr):
+            return NotImplemented
+        return self.const == other.const and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs, self.const))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,12 @@ y = t*x, which turns a linear-fractional program into a plain LP with one
 extra variable; because every constraint here is homogeneous or carries the
 scaling variable, the substitution is exact, not approximate.
 
+The solver sees atom classes, not atoms.  Rows arrive as a few (atom set,
+coefficient) terms, so atoms that lie in exactly the same referenced sets
+have equal columns; each such class becomes one variable, the sum of its
+atoms (in a chain of premises on p0, every atom outside p0 is one class).
+Each row reaches the simplex as int numerators over one denominator.
+
 Reporting convention: a measure with a nonnegative objective that is
 unbounded above is reported with lo = 0 (the bracket conveys no lower
 information in that case); the minimum the program actually attains is kept
@@ -17,10 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from itertools import chain
+from math import lcm
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import simplex
-from .compiler import EQ, GE, GT, LE, Constraint, ConstraintSystem, LinearExpr
+from .compiler import EQ, GE, GT, LE, Constraint, ConstraintSystem, LinearExpr, Term
 
 __all__ = [
     "BOUNDED",
@@ -98,38 +106,58 @@ def rewrite_strict(
     return out
 
 
-def _dense(expr: LinearExpr, n: int) -> List[Fraction]:
-    row = [_ZERO] * n
-    for i, f in expr.coeffs:
-        row[i] = f
-    return row
-
+# an LP row over atoms: (terms, relation, rhs net of the constant)
+_AtomRow = Tuple[Tuple[Term, ...], str, Fraction]
 
 _ORDER = {LE: lambda a, b: a <= b, GE: lambda a, b: a >= b, EQ: lambda a, b: a == b}
 
 
-def _prepare_rows(
-    constraints: Sequence[Constraint], n: int
-) -> Tuple[Optional[List[simplex.Row]], bool]:
-    """Dense rows for the solver; (None, False) on a constant contradiction.
+def _class_lp(
+    rows: Sequence[_AtomRow], cost_terms: Tuple[Term, ...]
+) -> Optional[Tuple[List[Fraction], List[simplex.Row]]]:
+    """Costs and integer rows over atom classes; None on a constant contradiction.
 
-    The checks read the sparse coefficients; only kept rows are densified.
+    Atoms that lie in the same referenced sets have equal columns, so each
+    class of them is one variable (their sum), ordered by its smallest atom.
+    Equal columns stay equal under pivoting and the simplex breaks every tie
+    by smallest index, so it makes the same choices on the classes as on the
+    atoms.  Each row becomes int numerators over one lcm.  Constant rows and
+    rows implied by x >= 0 are dropped.  Atoms in no set, and classes no kept
+    row or cost touches, get no column: a zero column never enters.
     """
-    rows: List[simplex.Row] = []
-    for c in constraints:
-        coeffs = [v for _, v in c.expr.coeffs]
-        rhs = c.rhs - c.expr.const
-        if all(v == 0 for v in coeffs):
-            if not _ORDER[c.rel](_ZERO, rhs):
-                return None, False
+    bits: Dict[FrozenSet[int], int] = {}
+    for atoms, _ in chain(*(terms for terms, _, _ in rows), cost_terms):
+        bits.setdefault(atoms, 1 << len(bits))
+    member: Dict[int, int] = {}
+    for atoms, bit in bits.items():
+        for k in atoms:
+            member[k] = member.get(k, 0) | bit
+    classes = list(dict.fromkeys(member[k] for k in sorted(member)))
+
+    kept: List[simplex.Row] = []
+    for terms, rel, rhs in rows:
+        den = lcm(rhs.denominator, *(v.denominator for _, v in terms))
+        ints = [(bits[atoms], v.numerator * (den // v.denominator)) for atoms, v in terms]
+        nums = [sum(a for bit, a in ints if sig & bit) for sig in classes]
+        b = rhs.numerator * (den // rhs.denominator)
+        if not any(nums):
+            if not _ORDER[rel](0, b):
+                return None
             continue
         # rows already implied by x >= 0 only add simplex columns
-        if c.rel == GE and rhs <= 0 and all(v >= 0 for v in coeffs):
+        if rel == GE and b <= 0 and min(nums) >= 0:
             continue
-        if c.rel == LE and rhs >= 0 and all(v <= 0 for v in coeffs):
+        if rel == LE and b >= 0 and max(nums) <= 0:
             continue
-        rows.append((_dense(c.expr, n), c.rel, rhs))
-    return rows, True
+        kept.append((nums + [b], den, rel))
+
+    fracs = [(bits[atoms], v) for atoms, v in cost_terms]
+    costs = [sum((v for bit, v in fracs if sig & bit), _ZERO) for sig in classes]
+    live = [j for j, c in enumerate(costs) if c or any(nums[j] for nums, _, _ in kept)]
+    if len(live) < len(classes):
+        costs = [costs[j] for j in live]
+        kept = [([nums[j] for j in live] + nums[-1:], den, rel) for nums, den, rel in kept]
+    return costs, kept
 
 
 def _bracket(
@@ -175,31 +203,22 @@ def solve(
     )
     obj = system.objective
     if obj.kind == "linear":
-        rows, ok = _prepare_rows(rewritten, system.k)
-        if not ok:
-            return SolveOutcome(INFEASIBLE, None, None)
-        costs = _dense(obj.numerator, system.k)
-        sign_definite = all(v >= 0 for v in costs) and obj.numerator.const >= 0
-        return _bracket(costs, obj.numerator.const, rows, sign_definite)
-
-    # linear-fractional: substitute y = t*x with t = 1/denominator.
-    # Row a.x rel b becomes a.y - b*t rel 0, plus the normalization
-    # den.y + den_const*t == 1; t >= 0 admits limits along recession
-    # directions, so suprema that are only approached are still found.
-    n = system.k + 1
-    t = system.k
-    cc_rows: List[Constraint] = []
-    for c in rewritten:
-        shifted = LinearExpr.of({**c.expr.as_dict(), t: c.expr.const - c.rhs})
-        cc_rows.append(Constraint(shifted, c.rel, _ZERO))
-    den = obj.denominator
-    norm = LinearExpr.of({**den.as_dict(), t: den.const})
-    cc_rows.append(Constraint(norm, EQ, Fraction(1)))
-
-    rows, ok = _prepare_rows(cc_rows, n)
-    if not ok:
+        rows = [(c.expr.terms, c.rel, c.rhs - c.expr.const) for c in rewritten]
+        cost_terms, const = obj.numerator.terms, obj.numerator.const
+    else:
+        # linear-fractional: substitute y = t*x with t = 1/denominator.
+        # Row a.x rel b becomes a.y - b*t rel 0, plus the normalization
+        # den.y + den_const*t == 1; t >= 0 admits limits along recession
+        # directions, so suprema that are only approached are still found.
+        # t is atom index k, so it forms the last class.
+        t = frozenset((system.k,))
+        rows = [(c.expr.terms + ((t, c.expr.const - c.rhs),), c.rel, _ZERO) for c in rewritten]
+        den, num = obj.denominator, obj.numerator
+        rows.append((den.terms + ((t, den.const),), EQ, Fraction(1)))
+        cost_terms, const = num.terms + ((t, num.const),), _ZERO
+    lp = _class_lp(rows, cost_terms)
+    if lp is None:
         return SolveOutcome(INFEASIBLE, None, None)
-    num = obj.numerator
-    costs = _dense(LinearExpr.of({**num.as_dict(), t: num.const}), n)
-    sign_definite = all(v >= 0 for v in costs)
-    return _bracket(costs, _ZERO, rows, sign_definite)
+    costs, int_rows = lp
+    sign_definite = all(v >= 0 for v in costs) and const >= 0
+    return _bracket(costs, const, int_rows, sign_definite)

@@ -1,8 +1,9 @@
 """Exact two-phase simplex over rational arithmetic.
 
-Solves  min c.x  subject to  rows of (a, rel, b) with rel in {<=, >=, ==}
-and x >= 0 exactly, so optima, infeasibility and unboundedness are
-certificates rather than tolerance calls.
+Solves  min c.x  subject to  rows a.x rel b with rel in {<=, >=, ==} and
+x >= 0 exactly, so optima, infeasibility and unboundedness are certificates
+rather than tolerance calls.  Each row arrives as the int numerators of a
+and b over one positive denominator; the costs c are rationals.
 
 Every tableau row, the reduced-cost row included, is a list of Python ints
 over one positive int denominator, kept in lowest terms.  A pivot is
@@ -25,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 __all__ = ["LpSolution", "minimize", "maximize"]
@@ -52,13 +52,12 @@ class LpSolution:
     pivots: int = 0
 
 
-Row = Tuple[Sequence[Fraction], str, Fraction]
-
 # an exact row: (numerators, positive denominator) in lowest terms
 IntRow = Tuple[List[int], int]
 
-_numerator = attrgetter("numerator")
-_denominator = attrgetter("denominator")
+# an input row: the int numerators of its n coefficients and then of its
+# rhs, their common positive denominator, and the relation
+Row = Tuple[List[int], int, str]
 
 
 def _reduced(nums: List[int], den: int) -> IntRow:
@@ -70,10 +69,8 @@ def _reduced(nums: List[int], den: int) -> IntRow:
 
 def _int_row(values: Sequence) -> IntRow:
     """Exact int numerators over one denominator for a sequence of rationals."""
-    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    den = lcm(*map(_denominator, fracs))
-    if den == 1:
-        return list(map(_numerator, fracs)), 1
+    fracs = [Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in fracs))
     return _reduced([v.numerator * (den // v.denominator) for v in fracs], den)
 
 
@@ -157,17 +154,19 @@ def _iterate(
 
 
 def minimize(costs: Sequence, rows: Sequence[Row]) -> LpSolution:
-    """Minimize costs.x over {x >= 0 : every row holds}."""
+    """Minimize costs.x over {x >= 0 : every row holds}; costs are rationals."""
     n = len(costs)
 
     # normalize rows to nonnegative rhs and count extra columns
     norm: List[Tuple[List[int], int, str]] = []
-    for coeffs, rel, rhs in rows:
-        if len(coeffs) != n:
+    for nums, den, rel in rows:
+        if len(nums) != n + 1:
             raise ValueError("row length does not match variable count")
         if rel not in ("<=", ">=", "=="):
             raise ValueError("relation must be <=, >= or == (rewrite strict first)")
-        nums, den = _int_row([*coeffs, rhs])
+        if den <= 0:
+            raise ValueError("row denominator must be positive")
+        nums, den = _reduced(nums, den)
         if nums[-1] < 0:
             nums = [-v for v in nums]
             rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
@@ -247,7 +246,7 @@ def minimize(costs: Sequence, rows: Sequence[Row]) -> LpSolution:
 
 def maximize(costs: Sequence, rows: Sequence[Row]) -> LpSolution:
     """Maximize costs.x; same contract as minimize."""
-    sol = minimize([-Fraction(c) for c in costs], rows)
+    sol = minimize([-c for c in costs], rows)
     if sol.status == OPTIMAL:
         sol.value = -sol.value
     return sol

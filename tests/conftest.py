@@ -4,6 +4,7 @@ acceptance summary printed after a full run."""
 import random
 import re
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,16 @@ RATIO = (PROPORTIONAL, COMPARATIVE_PROPORTIONAL, SIMILARITY)
 
 def load_fixture(name):
     return parse((FIXTURE_DIR / name).read_text())
+
+
+def int_rows(rows):
+    """Rational rows (a, rel, b) as the solver's (numerators, denominator, rel)."""
+    out = []
+    for coeffs, rel, rhs in rows:
+        values = [Fraction(v) for v in (*coeffs, rhs)]
+        den = lcm(*(v.denominator for v in values))
+        out.append(([v.numerator * (den // v.denominator) for v in values], den, rel))
+    return out
 
 
 @pytest.fixture(scope="session")

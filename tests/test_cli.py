@@ -1,12 +1,12 @@
 """End-to-end checks of the command-line front end.
 
 Everything drives ``sylq.cli.main`` in process so exit codes and streams are
-observable through capsys, except a subprocess test of a closed stdout and
-two subprocess tests of the wiring.  One runs from a checkout: it runs
-``python -m sylq.cli`` and the ``sylq`` target named in ``[project.scripts]``
-the way the generated console script does, and both must print the same
-answer.  The other runs the installed ``sylq`` script and is skipped where no
-such script is on PATH.
+observable through capsys, except a subprocess test of a closed stdout, one
+of what importing the CLI loads, and two subprocess tests of the wiring.
+One runs from a checkout: it runs ``python -m sylq.cli`` and the ``sylq``
+target named in ``[project.scripts]`` the way the generated console script
+does, and both must print the same answer.  The other runs the installed
+``sylq`` script and is skipped where no such script is on PATH.
 """
 
 import io
@@ -369,3 +369,16 @@ def test_closed_stdout_exits_with_code_1_without_traceback():
         os.close(write_end)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    # only `sylq verify` enumerates populations, so only it may pay for numpy
+    code = (
+        "import sys, sylq.cli\n"
+        "assert 'numpy' not in sys.modules, 'import sylq.cli loaded numpy'\n"
+        "import sylq\n"
+        "assert callable(sylq.enumerate_range) and callable(sylq.statement_predicate)\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    proc = run_checkout([sys.executable, "-c", code])
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,9 @@
+import random
 from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sylq import (
     ABSOLUTE,
@@ -7,17 +12,23 @@ from sylq import (
     PROPORTIONAL,
     Conclusion,
     Constraint,
+    ConstraintSystem,
     Interval,
     LinearExpr,
+    Objective,
     Prop,
     QuantifierSpec,
+    SolveOutcome,
     Statement,
     Syllogism,
     compile_syllogism,
+    parse,
     rewrite_strict,
+    simplex,
     solve,
 )
-from conftest import load_fixture
+from sylq.inference import premise_bounds
+from conftest import FIXTURE_DIR, int_rows, load_fixture
 
 F = Fraction
 P, Q = Prop("p"), Prop("q")
@@ -136,3 +147,133 @@ def test_fractional_bounds_scale_with_nothing():
     )
     outcome = solve(system)
     assert (outcome.lo, outcome.hi) == (F(1, 3), F(1, 2))
+
+
+# ------------------------------------------- classes against the dense atom LP
+
+
+def _holds(lhs, rel, rhs):
+    return lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
+
+
+def dense_solve(system):
+    """solve() rebuilt with one column per atom (and t), from as_dict().
+
+    The same zero-row and implied-row rules apply; no column is merged or
+    dropped.
+    """
+    rewritten = rewrite_strict(
+        system.constraints,
+        k=system.k,
+        proportional_context=system.proportional_context,
+        universe_size=system.universe_size,
+    )
+    obj, t = system.objective, system.k
+    if obj.kind == "linear":
+        n, const = system.k, obj.numerator.const
+        rows = [(c.expr.as_dict(), c.rel, c.rhs - c.expr.const) for c in rewritten]
+        cost = obj.numerator.as_dict()
+    else:
+        n, const = system.k + 1, F(0)
+        rows = [({**c.expr.as_dict(), t: c.expr.const - c.rhs}, c.rel, F(0)) for c in rewritten]
+        rows.append(({**obj.denominator.as_dict(), t: obj.denominator.const}, "==", F(1)))
+        cost = {**obj.numerator.as_dict(), t: obj.numerator.const}
+    dense = []
+    for coeffs, rel, rhs in rows:
+        values = [coeffs.get(j, F(0)) for j in range(n)]
+        if not any(values):
+            if not _holds(0, rel, rhs):
+                return SolveOutcome("infeasible", None, None)
+        elif not (rel == ">=" and rhs <= 0 and min(values) >= 0) and not (
+            rel == "<=" and rhs >= 0 and max(values) <= 0
+        ):
+            dense.append((values, rel, rhs))
+    costs = [cost.get(j, F(0)) for j in range(n)]
+    lo_sol = simplex.minimize(costs, int_rows(dense))
+    if lo_sol.status == simplex.INFEASIBLE:
+        return SolveOutcome("infeasible", None, None, pivots=lo_sol.pivots)
+    hi_sol = simplex.maximize(costs, int_rows(dense))
+    pivots = lo_sol.pivots + hi_sol.pivots
+    lo = lo_sol.value + const if lo_sol.status == simplex.OPTIMAL else None
+    hi = hi_sol.value + const if hi_sol.status == simplex.OPTIMAL else None
+    if lo is None:
+        status = "unbounded" if hi is None else "unbounded-below"
+        return SolveOutcome(status, None, hi, pivots=pivots)
+    if hi is None:
+        if min(costs) >= 0 and const >= 0:
+            return SolveOutcome("unbounded-above", F(0), None, attained_lo=lo, pivots=pivots)
+        return SolveOutcome("unbounded-above", lo, None, pivots=pivots)
+    return SolveOutcome("bounded", lo, hi, pivots=pivots)
+
+
+def _readings(syl, levels):
+    grid = {F(0), F(1)} | {F(i, levels - 1) for i in range(levels)}
+    found = []
+    for level in sorted(grid):
+        bounds = premise_bounds(syl, level)
+        if bounds not in found:
+            found.append(bounds)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURE_DIR.glob("*.syl")), ids=lambda p: p.stem)
+def test_class_lp_equals_the_dense_atom_lp_on_bundled_documents(path):
+    doc = parse(path.read_text())
+    syl = doc.to_syllogism()
+    for bounds in _readings(syl, doc.options.get("levels", 11)):
+        system = compile_syllogism(syl, bounds)
+        assert solve(system) == dense_solve(system)
+
+
+def test_class_lp_equals_the_dense_atom_lp_on_chains():
+    rng = random.Random(11)
+    for s in range(3, 7):
+        for _ in range(3):
+            names = ["p%d" % i for i in range(s)]
+            lines = ["terms: " + ", ".join(names)]
+            for name in names[1:]:
+                lo = rng.randint(40, 95)
+                hi = min(100, lo + rng.randint(0, 30))
+                lines.append("premise: prop[%d/100, %d/100] p0 -> %s" % (lo, hi, name))
+            lines.append("conclude: prop? p0 -> " + " & ".join(names[1:]))
+            syl = parse("\n".join(lines) + "\n").to_syllogism()
+            system = compile_syllogism(syl, [p.quantifier.shape for p in syl.premises])
+            assert solve(system) == dense_solve(system)
+
+
+small = st.builds(F, st.integers(-6, 6), st.integers(1, 2))
+
+
+@st.composite
+def class_systems(draw):
+    """Systems over 8 atoms in which atom 6 copies atom 0 and atom 7 is in no
+    term set, so there are always duplicate and all-zero atom columns."""
+    k = 8
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        atoms = set(draw(st.sets(st.integers(0, 5), min_size=1)))
+        if 0 in atoms:
+            atoms.add(6)
+        pool.append(frozenset(atoms))
+
+    def expr(coefficients=small):
+        picked = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        return LinearExpr(tuple((atoms, draw(coefficients)) for atoms in picked), draw(small))
+
+    constraints = [
+        Constraint(expr(), draw(st.sampled_from(("<=", ">=", "==", "<", ">"))), draw(small))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    if draw(st.booleans()):
+        positive = st.builds(F, st.integers(1, 6), st.integers(1, 2))
+        den = expr(positive)
+        objective = Objective("fractional", expr(), LinearExpr(den.terms, abs(den.const)))
+    else:
+        objective = Objective("linear", expr())
+    return ConstraintSystem(k, constraints, objective, proportional_context=draw(st.booleans()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(class_systems())
+def test_class_lp_equals_the_dense_atom_lp_with_duplicate_and_zero_columns(system):
+    assert solve(system) == dense_solve(system)
