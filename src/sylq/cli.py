@@ -50,8 +50,21 @@ def _number(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _cap(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("cap must be a nonnegative integer, got %r" % text)
+    return int(text)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # a usage error is an input error: main() reports it with exit code 1
+        # (argparse would exit with 2, which means infeasible premises here)
+        raise ValueError(message)
+
+
 def _run_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="sylq",
         description="Interval bounds for syllogisms with generalized quantifiers.",
     )
@@ -87,7 +100,7 @@ def _run_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument(
         "--verify",
-        type=int,
+        type=_cap,
         default=None,
         metavar="CAP",
         help="also cross-check against enumeration of populations up to CAP",
@@ -96,12 +109,12 @@ def _run_parser() -> argparse.ArgumentParser:
 
 
 def _verify_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="sylq verify",
         description="Cross-check engine bounds against brute-force enumeration.",
     )
     p.add_argument("file", nargs="?", default="-", help="syllogism document ('-' for stdin)")
-    p.add_argument("--cap", type=int, default=10, help="largest universe size to enumerate")
+    p.add_argument("--cap", type=_cap, default=10, help="largest universe size to enumerate")
     p.add_argument("--epsilon-count", type=_number, default=None, metavar="X")
     p.add_argument("--epsilon-prop", type=_number, default=None, metavar="X")
     return p

@@ -51,7 +51,7 @@ from .quantifiers import (
     check_unit,
 )
 from .statements import Conclusion, Statement, Syllogism
-from .terms import AtomSet, atoms_of
+from .terms import atoms_of
 
 __all__ = [
     "UnitMixingError",
@@ -63,7 +63,6 @@ __all__ = [
     "structural_constraints",
     "build_objective",
     "compile_syllogism",
-    "denominator_atoms",
 ]
 
 LE, GE, EQ, LT, GT = "<=", ">=", "==", "<", ">"
@@ -79,7 +78,7 @@ Term = Tuple[FrozenSet[int], Fraction]
 
 @dataclass(frozen=True, eq=False)
 class LinearExpr:
-    """Linear expression over atom cardinalities plus a constant.
+    """Linear expression over atom cardinalities.
 
     Each term (atoms, c) adds c times the sum of x_k over a set of atoms, so
     a row built from a few term sets holds a few terms however many atoms
@@ -88,17 +87,17 @@ class LinearExpr:
     """
 
     terms: Tuple[Term, ...] = ()
-    const: Fraction = Fraction(0)
 
     @staticmethod
-    def of(coeffs: Dict[int, Fraction], const=0) -> "LinearExpr":
-        terms = tuple((frozenset((k,)), as_fraction(v)) for k, v in coeffs.items() if v != 0)
-        return LinearExpr(terms, as_fraction(const))
+    def of(coeffs: Dict[int, Fraction]) -> "LinearExpr":
+        return LinearExpr(
+            tuple((frozenset((k,)), as_fraction(v)) for k, v in coeffs.items() if v != 0)
+        )
 
     @staticmethod
     def sum_over(atoms) -> "LinearExpr":
-        """The sum of x_k over an AtomSet or an iterable of atom indices."""
-        members = atoms.members if isinstance(atoms, AtomSet) else frozenset(atoms)
+        """The sum of x_k over a set of atom indices."""
+        members = frozenset(atoms)
         return LinearExpr(((members, Fraction(1)),) if members else ())
 
     @property
@@ -118,8 +117,7 @@ class LinearExpr:
         f = as_fraction(factor)
         if f == 0:
             return self
-        terms = self.terms + tuple((atoms, f * v) for atoms, v in other.terms)
-        return LinearExpr(terms, self.const + f * other.const)
+        return LinearExpr(self.terms + tuple((atoms, f * v) for atoms, v in other.terms))
 
     def max_index(self) -> int:
         """Highest atom index any term names."""
@@ -128,10 +126,10 @@ class LinearExpr:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearExpr):
             return NotImplemented
-        return self.const == other.const and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.coeffs, self.const))
+        return hash(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -158,22 +156,15 @@ class Constraint:
 
 @dataclass(frozen=True)
 class Objective:
-    """Linear sum or ratio of two linear sums to be minimized and maximized."""
+    """Linear sum to be minimized and maximized, or a ratio of two when
+    ``denominator`` is set."""
 
-    kind: str  # "linear" | "fractional"
     numerator: LinearExpr
     denominator: Optional[LinearExpr] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("linear", "fractional"):
-            raise ValueError("objective kind must be linear or fractional")
-        if self.kind == "fractional":
-            if self.denominator is None:
-                raise ValueError("fractional objective needs a denominator")
-            if any(v < 0 for _, v in self.denominator.coeffs):
-                raise ValueError("ratio denominators are nonnegative atom sums")
-        elif self.denominator is not None:
-            raise ValueError("linear objective carries no denominator")
+        if self.denominator is not None and any(v < 0 for _, v in self.denominator.coeffs):
+            raise ValueError("ratio denominators are nonnegative atom sums")
 
 
 @dataclass
@@ -201,78 +192,66 @@ class ConstraintSystem:
                 raise ValueError("objective references atom index >= K")
 
 
-def _term_sets(stmt, properties: Sequence[str]):
-    a = atoms_of(stmt.restriction, properties)
-    b = atoms_of(stmt.scope, properties)
-    return a, b
+def _term_sets(stmt, properties: Sequence[str]) -> Tuple[frozenset, frozenset]:
+    return atoms_of(stmt.restriction, properties), atoms_of(stmt.scope, properties)
 
 
-def _band(expr: LinearExpr, bound: Interval) -> List[Constraint]:
-    """lo <= expr <= hi as one or two rows; unbounded hi emits no upper row."""
-    rows = [Constraint(expr, GE, bound.lo)]
-    if bound.hi is not None:
-        rows.append(Constraint(expr, LE, bound.hi))
-    return rows
+def _measure(family: str, a: frozenset, b: frozenset) -> Tuple[LinearExpr, Optional[frozenset]]:
+    """A numeric family's measure over term sets a and b.
+
+    Returns (numerator, denominator atoms), with None as the denominator of
+    a count family.
+    """
+    if family == ABSOLUTE:
+        return LinearExpr.sum_over(a & b), None
+    if family == EXCEPTION:
+        return LinearExpr.sum_over(a - b), None
+    if family == COMPARATIVE_ABSOLUTE:
+        return LinearExpr.sum_over(a).plus(LinearExpr.sum_over(b), -1), None
+    if family == PROPORTIONAL:
+        return LinearExpr.sum_over(a & b), a
+    if family == COMPARATIVE_PROPORTIONAL:
+        return LinearExpr.sum_over(a), b
+    if family == SIMILARITY:
+        return LinearExpr.sum_over(a & b), a | b
+    raise ValueError("family %r has no numeric measure" % family)
 
 
-def _ratio_band(num: LinearExpr, den: LinearExpr, bound: Interval) -> List[Constraint]:
-    """lo*den <= num <= hi*den, cross-multiplied to stay linear."""
-    rows = [Constraint(num.plus(den, -bound.lo), GE, 0)]
-    if bound.hi is not None:
-        rows.append(Constraint(num.plus(den, -bound.hi), LE, 0))
-    return rows
+# a logical family is a fixed relation on a count measure: (family, rel) of 0
+_LOGICAL_ROWS = {
+    LOGICAL_ALL: (EXCEPTION, EQ),
+    LOGICAL_NONE: (ABSOLUTE, EQ),
+    LOGICAL_SOME: (ABSOLUTE, GT),
+    LOGICAL_NOT_ALL: (EXCEPTION, GT),
+}
 
 
 def compile_statement(
-    stmt: Statement, bound: Interval, properties: Sequence[str]
+    stmt: Statement, bound: Optional[Interval], properties: Sequence[str]
 ) -> List[Constraint]:
     """Constraints equivalent to ``stmt`` holding with the given crisp bound.
 
     ``bound`` is supplied separately from the statement because fuzzy
     statements are compiled once per alpha-cut level.  Logical families ignore
-    it (pass None).
+    it (pass None).  An unbounded hi emits no upper row.
     """
     a, b = _term_sets(stmt, properties)
-    family = stmt.family
-
-    if family == LOGICAL_ALL:
-        return [Constraint(LinearExpr.sum_over(a - b), EQ, 0)]
-    if family == LOGICAL_NONE:
-        return [Constraint(LinearExpr.sum_over(a & b), EQ, 0)]
-    if family == LOGICAL_SOME:
-        return [Constraint(LinearExpr.sum_over(a & b), GT, 0)]
-    if family == LOGICAL_NOT_ALL:
-        return [Constraint(LinearExpr.sum_over(a - b), GT, 0)]
-
+    if stmt.family in _LOGICAL_ROWS:
+        family, rel = _LOGICAL_ROWS[stmt.family]
+        return [Constraint(_measure(family, a, b)[0], rel, 0)]
     if bound is None:
-        raise ValueError("family %s needs a crisp bound to compile" % family)
-    check_unit(family, bound.lo, bound.hi)
-
-    if family == ABSOLUTE:
-        return _band(LinearExpr.sum_over(a & b), bound)
-    if family == EXCEPTION:
-        return _band(LinearExpr.sum_over(a - b), bound)
-    if family == COMPARATIVE_ABSOLUTE:
-        return _band(LinearExpr.sum_over(a).plus(LinearExpr.sum_over(b), -1), bound)
-    if family == PROPORTIONAL:
-        return _ratio_band(LinearExpr.sum_over(a & b), LinearExpr.sum_over(a), bound)
-    if family == COMPARATIVE_PROPORTIONAL:
-        return _ratio_band(LinearExpr.sum_over(a), LinearExpr.sum_over(b), bound)
-    if family == SIMILARITY:
-        return _ratio_band(LinearExpr.sum_over(a & b), LinearExpr.sum_over(a | b), bound)
-    raise ValueError("cannot compile family %r" % family)
-
-
-def denominator_atoms(stmt, properties: Sequence[str]) -> Optional[AtomSet]:
-    """Atom set whose cardinality divides in the statement's ratio, if any."""
-    if stmt.family not in RATIO_FAMILIES:
-        return None
-    a, b = _term_sets(stmt, properties)
-    if stmt.family == PROPORTIONAL:
-        return a
-    if stmt.family == COMPARATIVE_PROPORTIONAL:
-        return b
-    return a | b
+        raise ValueError("family %s needs a crisp bound to compile" % stmt.family)
+    check_unit(stmt.family, bound.lo, bound.hi)
+    num, den = _measure(stmt.family, a, b)
+    rows = []
+    for rel, value in ((GE, bound.lo), (LE, bound.hi)):
+        if value is None:
+            continue
+        if den is None:
+            rows.append(Constraint(num, rel, value))
+        else:
+            rows.append(Constraint(num.plus(LinearExpr.sum_over(den), -value), rel, 0))
+    return rows
 
 
 def structural_constraints(
@@ -300,11 +279,10 @@ def structural_constraints(
         )
 
     rows: List[Constraint] = []
-    if has_ratio:
-        for stmt in statements:
-            atoms = denominator_atoms(stmt, properties)
-            if atoms is not None:
-                rows.append(Constraint(LinearExpr.sum_over(atoms), GT, 0))
+    for stmt in statements:
+        if stmt.family in RATIO_FAMILIES:
+            _, den = _measure(stmt.family, *_term_sets(stmt, properties))
+            rows.append(Constraint(LinearExpr.sum_over(den), GT, 0))
     if universe_size is not None:
         full = LinearExpr.sum_over(range(1 << len(properties)))
         rows.append(Constraint(full, EQ, universe_size))
@@ -313,30 +291,8 @@ def structural_constraints(
 
 def build_objective(conclusion: Conclusion, properties: Sequence[str]) -> Objective:
     """Objective whose min/max over the feasible region is the conclusion bound."""
-    a, b = _term_sets(conclusion, properties)
-    family = conclusion.family
-    if family == ABSOLUTE:
-        return Objective("linear", LinearExpr.sum_over(a & b))
-    if family == EXCEPTION:
-        return Objective("linear", LinearExpr.sum_over(a - b))
-    if family == COMPARATIVE_ABSOLUTE:
-        expr = LinearExpr.sum_over(a).plus(LinearExpr.sum_over(b), -1)
-        return Objective("linear", expr)
-    if family == PROPORTIONAL:
-        return Objective(
-            "fractional", LinearExpr.sum_over(a & b), LinearExpr.sum_over(a)
-        )
-    if family == COMPARATIVE_PROPORTIONAL:
-        return Objective(
-            "fractional", LinearExpr.sum_over(a), LinearExpr.sum_over(b)
-        )
-    if family == SIMILARITY:
-        return Objective(
-            "fractional", LinearExpr.sum_over(a & b), LinearExpr.sum_over(a | b)
-        )
-    raise ValueError(
-        "no objective for family %r; conclusions declare a numeric family" % family
-    )
+    num, den = _measure(conclusion.family, *_term_sets(conclusion, properties))
+    return Objective(num, None if den is None else LinearExpr.sum_over(den))
 
 
 def compile_syllogism(

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from .inference import MODES
 from .quantifiers import (
     ABSOLUTE,
     COMPARATIVE_ABSOLUTE,
@@ -97,8 +98,14 @@ _TZ_SHAPE = re.compile(
     r"\s*tz\(\s*(%s)\s*,\s*(%s)\s*,\s*(%s)\s*,\s*(%s)\s*\)" % ((_NUM,) * 4)
 )
 _RIM_SHAPE = re.compile(r"\s*rim\(\s*(%s)\s*\)" % _NUM)
+# an "inf" upper bound reaches Interval as None
+_SHAPES = ((_INTERVAL_SHAPE, Interval), (_TZ_SHAPE, Trapezoid), (_RIM_SHAPE, RimQuantifier))
 _CONCLUDE_HEAD = re.compile(r"\s*(cmpprop|cmpabs|prop|abs|exc|sim)\?")
 _OPTION_ITEM = re.compile(r"\s*([a-z-]+)\s*=\s*([^\s,]+)\s*$")
+# deepest term accepted: each !, &, | and pair of parentheses is one level;
+# deeper terms would exhaust Python's recursion limit in the parser and in
+# every later walk over the term tree
+MAX_TERM_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -165,46 +172,57 @@ class _TermParser:
     def _fail(self, message: str, tok) -> None:
         raise DslError(message, self.line, self.base_col + tok[2] + 1)
 
+    def _level(self, depth: int, tok) -> int:
+        if depth > MAX_TERM_DEPTH:
+            self._fail("term nests deeper than %d levels" % MAX_TERM_DEPTH, tok)
+        return depth
+
+    # Each method takes the number of open '(' and '!' around it, which
+    # bounds the recursion, and returns its node with the node's height,
+    # which bounds a left-nested chain such as a & b & c & ...
     def parse(self):
-        expr = self._or()
+        expr, _ = self._or(0)
         tok = self._peek()
         if tok[0] != "end":
             self._fail("unexpected %r after term" % tok[1], tok)
         return expr
 
-    def _or(self):
-        left = self._and()
+    def _or(self, depth: int):
+        left, height = self._and(depth)
         while self._peek()[0] == "|":
-            self._take()
-            left = Or(left, self._and())
-        return left
+            tok = self._take()
+            right, right_height = self._and(depth)
+            left, height = Or(left, right), self._level(max(height, right_height) + 1, tok)
+        return left, height
 
-    def _and(self):
-        left = self._unary()
+    def _and(self, depth: int):
+        left, height = self._unary(depth)
         while self._peek()[0] == "&":
-            self._take()
-            left = And(left, self._unary())
-        return left
+            tok = self._take()
+            right, right_height = self._unary(depth)
+            left, height = And(left, right), self._level(max(height, right_height) + 1, tok)
+        return left, height
 
-    def _unary(self):
+    def _unary(self, depth: int):
         tok = self._peek()
         if tok[0] == "!":
             self._take()
-            return Not(self._unary())
-        return self._atom()
+            arg, height = self._unary(self._level(depth + 1, tok))
+            return Not(arg), self._level(height + 1, tok)
+        return self._atom(depth)
 
-    def _atom(self):
+    def _atom(self, depth: int):
         tok = self._take()
         if tok[0] == "name":
-            return Prop(tok[1])
+            return Prop(tok[1]), 0
         if tok[0] == "*":
-            return UNIVERSE
+            return UNIVERSE, 0
         if tok[0] == "(":
-            expr = self._or()
+            expr, height = self._or(self._level(depth + 1, tok))
             closing = self._take()
             if closing[0] != ")":
                 self._fail("expected ')'", closing)
-            return expr
+            return expr, self._level(height + 1, tok)
         self._fail("expected a term, got %r" % (tok[1] or "end of line"), tok)
 
 
@@ -222,35 +240,23 @@ def _parse_quantifier(rest: str, line: int, col0: int) -> Tuple[QuantifierSpec, 
     if keyword in _LOGICAL_KEYWORDS:
         return QuantifierSpec(family), rest[pos:], col0 + pos
 
-    shape = None
-    im = _INTERVAL_SHAPE.match(rest, pos)
-    if im:
-        lo = _parse_number(im.group(1), line)
-        hi = None if im.group(2) == "inf" else _parse_number(im.group(2), line)
-        shape = Interval(lo, hi)
-        pos = im.end()
+    for pattern, make in _SHAPES:
+        sm = pattern.match(rest, pos)
+        if sm:
+            break
     else:
-        tm = _TZ_SHAPE.match(rest, pos)
-        if tm:
-            shape = Trapezoid(*(_parse_number(g, line) for g in tm.groups()))
-            pos = tm.end()
-        else:
-            rm = _RIM_SHAPE.match(rest, pos)
-            if rm:
-                shape = RimQuantifier(_parse_number(rm.group(1), line))
-                pos = rm.end()
-    if shape is None:
         raise DslError(
             "quantifier %s needs a shape: %s[a, b], %s tz(a, b, c, d) or "
             "%s rim(e)" % (keyword, keyword, keyword, keyword),
             line,
             col0 + pos + 1,
         )
+    values = [None if g == "inf" else _parse_number(g, line) for g in sm.groups()]
     try:
-        spec = QuantifierSpec(family, shape)
+        spec = QuantifierSpec(family, make(*values))
     except ValueError as exc:
         raise DslError(str(exc), line, col0 + 1)
-    return spec, rest[pos:], col0 + pos
+    return spec, rest[sm.end():], col0 + sm.end()
 
 
 def _split_terms(rest: str, family: str, line: int, col0: int):
@@ -302,7 +308,7 @@ def _parse_options(body: str, line: int) -> Dict[str, object]:
             raise DslError("malformed option %r; expected key=value" % chunk.strip(), line)
         key, value = m.group(1), m.group(2)
         if key == "mode":
-            if value not in ("auto", "crisp", "kersup", "alpha"):
+            if value not in MODES:
                 raise DslError("unknown mode %r" % value, line)
             options["mode"] = value
         elif key == "levels":

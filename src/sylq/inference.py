@@ -33,11 +33,9 @@ from .quantifiers import (
     RimQuantifier,
     Trapezoid,
     as_fraction,
-    bound_at_level,
+    cut,
     fit_trapezoid,
     interpolate_membership,
-    kernel_of,
-    support_of,
 )
 from .statements import Syllogism
 
@@ -143,23 +141,11 @@ class InferenceResult:
 
 
 def premise_bounds(syl: Syllogism, level: Fraction) -> Bounds:
-    """Each premise's crisp bound at a membership level.
-
-    Level 0 reads the support, level 1 the kernel, and levels in between the
-    alpha cut.
-    """
-    bounds: List[Optional[Interval]] = []
-    for premise in syl.premises:
-        q = premise.quantifier
-        if q.shape is None:
-            bounds.append(None)
-        elif level == 0:
-            bounds.append(support_of(q))
-        elif level == 1:
-            bounds.append(kernel_of(q))
-        else:
-            bounds.append(bound_at_level(q, level))
-    return tuple(bounds)
+    """Each premise's crisp bound at a membership level (None when logical)."""
+    return tuple(
+        None if p.quantifier.shape is None else cut(p.quantifier.shape, level)
+        for p in syl.premises
+    )
 
 
 def _solve_at(

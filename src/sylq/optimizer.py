@@ -106,7 +106,7 @@ def rewrite_strict(
     return out
 
 
-# an LP row over atoms: (terms, relation, rhs net of the constant)
+# an LP row over atoms: (terms, relation, rhs)
 _AtomRow = Tuple[Tuple[Term, ...], str, Fraction]
 
 _ORDER = {LE: lambda a, b: a <= b, GE: lambda a, b: a >= b, EQ: lambda a, b: a == b}
@@ -161,10 +161,7 @@ def _class_lp(
 
 
 def _bracket(
-    costs: List[Fraction],
-    const: Fraction,
-    rows: List[simplex.Row],
-    sign_definite: bool,
+    costs: List[Fraction], rows: List[simplex.Row], sign_definite: bool
 ) -> SolveOutcome:
     lo_sol = simplex.minimize(costs, rows)
     if lo_sol.status == simplex.INFEASIBLE:
@@ -172,8 +169,8 @@ def _bracket(
     hi_sol = simplex.maximize(costs, rows)
     pivots = lo_sol.pivots + hi_sol.pivots
 
-    lo = lo_sol.value + const if lo_sol.status == simplex.OPTIMAL else None
-    hi = hi_sol.value + const if hi_sol.status == simplex.OPTIMAL else None
+    lo = lo_sol.value if lo_sol.status == simplex.OPTIMAL else None
+    hi = hi_sol.value if hi_sol.status == simplex.OPTIMAL else None
 
     if lo is None and hi is None:
         return SolveOutcome(UNBOUNDED, None, None, pivots=pivots)
@@ -201,24 +198,20 @@ def solve(
         eps_count=eps_count,
         eps_prop=eps_prop,
     )
-    obj = system.objective
-    if obj.kind == "linear":
-        rows = [(c.expr.terms, c.rel, c.rhs - c.expr.const) for c in rewritten]
-        cost_terms, const = obj.numerator.terms, obj.numerator.const
+    den = system.objective.denominator
+    if den is None:
+        rows = [(c.expr.terms, c.rel, c.rhs) for c in rewritten]
     else:
         # linear-fractional: substitute y = t*x with t = 1/denominator.
         # Row a.x rel b becomes a.y - b*t rel 0, plus the normalization
-        # den.y + den_const*t == 1; t >= 0 admits limits along recession
-        # directions, so suprema that are only approached are still found.
-        # t is atom index k, so it forms the last class.
+        # den.y == 1; t >= 0 admits limits along recession directions, so
+        # suprema that are only approached are still found.  t is atom
+        # index k, so it forms the last class.
         t = frozenset((system.k,))
-        rows = [(c.expr.terms + ((t, c.expr.const - c.rhs),), c.rel, _ZERO) for c in rewritten]
-        den, num = obj.denominator, obj.numerator
-        rows.append((den.terms + ((t, den.const),), EQ, Fraction(1)))
-        cost_terms, const = num.terms + ((t, num.const),), _ZERO
-    lp = _class_lp(rows, cost_terms)
+        rows = [(c.expr.terms + ((t, -c.rhs),), c.rel, _ZERO) for c in rewritten]
+        rows.append((den.terms, EQ, Fraction(1)))
+    lp = _class_lp(rows, system.objective.numerator.terms)
     if lp is None:
         return SolveOutcome(INFEASIBLE, None, None)
     costs, int_rows = lp
-    sign_definite = all(v >= 0 for v in costs) and const >= 0
-    return _bracket(costs, const, int_rows, sign_definite)
+    return _bracket(costs, int_rows, all(v >= 0 for v in costs))

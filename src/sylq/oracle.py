@@ -25,7 +25,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .compiler import denominator_atoms
 from .quantifiers import (
     ABSOLUTE,
     COMPARATIVE_ABSOLUTE,
@@ -43,7 +42,7 @@ from .quantifiers import (
 from .statements import Syllogism
 from .terms import SizeGuardError, atoms_of
 
-__all__ = ["COMPOSITION_GUARD", "enumerate_range", "statement_predicate"]
+__all__ = ["COMPOSITION_GUARD", "enumerate_range"]
 
 # refuse to enumerate more compositions than this
 COMPOSITION_GUARD = 10**7
@@ -54,7 +53,7 @@ _FLOAT_SLACK = 1e-9
 
 
 def _sum_over(counts: np.ndarray, atoms) -> np.ndarray:
-    idx = list(atoms)
+    idx = sorted(atoms)
     if not idx:
         return np.zeros(len(counts), dtype=np.int64)
     return counts[:, idx].sum(axis=1)
@@ -76,6 +75,31 @@ def _band_mask(num: np.ndarray, den: Optional[np.ndarray], bound: Interval) -> n
     return mask
 
 
+def _term_sets(stmt, properties: Sequence[str]) -> Tuple[frozenset, frozenset]:
+    return atoms_of(stmt.restriction, properties), atoms_of(stmt.scope, properties)
+
+
+def _measure(family: str, a: frozenset, b: frozenset) -> tuple:
+    """A numeric family's measure over term sets a and b.
+
+    Returns (counted atoms, subtracted atoms, denominator atoms); the last
+    two are None where the measure has no such part.
+    """
+    if family == ABSOLUTE:
+        return a & b, None, None
+    if family == EXCEPTION:
+        return a - b, None, None
+    if family == COMPARATIVE_ABSOLUTE:
+        return a, b, None
+    if family == PROPORTIONAL:
+        return a & b, None, a
+    if family == COMPARATIVE_PROPORTIONAL:
+        return a, None, b
+    if family == SIMILARITY:
+        return a & b, None, a | b
+    raise ValueError("unknown family %r" % family)
+
+
 def statement_predicate(
     stmt, bound: Optional[Interval], properties: Sequence[str], counts: np.ndarray
 ) -> np.ndarray:
@@ -87,8 +111,7 @@ def statement_predicate(
     with an empty second term holds only if the first term is empty too
     (cross-multiplied reading).  ``counts`` is an (n, K) integer matrix.
     """
-    a = atoms_of(stmt.restriction, properties)
-    b = atoms_of(stmt.scope, properties)
+    a, b = _term_sets(stmt, properties)
     family = stmt.family
 
     if family == LOGICAL_ALL:
@@ -102,20 +125,11 @@ def statement_predicate(
 
     if bound is None:
         raise ValueError("family %s needs a crisp bound" % family)
-    if family == ABSOLUTE:
-        return _band_mask(_sum_over(counts, a & b), None, bound)
-    if family == EXCEPTION:
-        return _band_mask(_sum_over(counts, a - b), None, bound)
-    if family == COMPARATIVE_ABSOLUTE:
-        diff = _sum_over(counts, a) - _sum_over(counts, b)
-        return _band_mask(diff, None, bound)
-    if family == PROPORTIONAL:
-        return _band_mask(_sum_over(counts, a & b), _sum_over(counts, a), bound)
-    if family == COMPARATIVE_PROPORTIONAL:
-        return _band_mask(_sum_over(counts, a), _sum_over(counts, b), bound)
-    if family == SIMILARITY:
-        return _band_mask(_sum_over(counts, a & b), _sum_over(counts, a | b), bound)
-    raise ValueError("unknown family %r" % family)
+    counted, subtracted, den = _measure(family, a, b)
+    num = _sum_over(counts, counted)
+    if subtracted is not None:
+        num = num - _sum_over(counts, subtracted)
+    return _band_mask(num, None if den is None else _sum_over(counts, den), bound)
 
 
 def _compositions(
@@ -232,26 +246,13 @@ def enumerate_range(
     # denominators that must be nonempty, conclusion included
     statements = list(syl.premises) + [syl.conclusion]
     positivity = [
-        denominator_atoms(stmt, syl.properties)
+        _measure(stmt.family, *_term_sets(stmt, syl.properties))[2]
         for stmt in statements
         if stmt.family in RATIO_FAMILIES
     ]
-
-    conc = syl.conclusion
-    a = atoms_of(conc.restriction, syl.properties)
-    b = atoms_of(conc.scope, syl.properties)
-    if conc.family == ABSOLUTE:
-        num_atoms, den_atoms, signed = a & b, None, None
-    elif conc.family == EXCEPTION:
-        num_atoms, den_atoms, signed = a - b, None, None
-    elif conc.family == COMPARATIVE_ABSOLUTE:
-        num_atoms, den_atoms, signed = a, None, b
-    elif conc.family == PROPORTIONAL:
-        num_atoms, den_atoms, signed = a & b, a, None
-    elif conc.family == COMPARATIVE_PROPORTIONAL:
-        num_atoms, den_atoms, signed = a, b, None
-    else:
-        num_atoms, den_atoms, signed = a & b, a | b, None
+    num_atoms, signed, den_atoms = _measure(
+        syl.conclusion.family, *_term_sets(syl.conclusion, syl.properties)
+    )
 
     int_lo: Optional[int] = None
     int_hi: Optional[int] = None

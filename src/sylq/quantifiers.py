@@ -45,10 +45,7 @@ __all__ = [
     "KernelSupportPair",
     "RimQuantifier",
     "QuantifierSpec",
-    "alpha_cut",
-    "kernel_of",
-    "support_of",
-    "bound_at_level",
+    "cut",
     "fit_trapezoid",
     "interpolate_membership",
 ]
@@ -290,73 +287,36 @@ def _rim_cut_lo(exponent: Fraction, level: Fraction) -> Fraction:
     return Fraction(value).limit_denominator(_SNAP_DENOMINATOR)
 
 
-def alpha_cut(q, level: Real) -> Interval:
-    """Crisp interval of values whose membership is at least ``level``.
+def cut(shape: Shape, level: Real) -> Interval:
+    """Crisp interval of values whose membership in ``shape`` is at least ``level``.
 
-    ``q`` may be a QuantifierSpec with a fuzzy shape, or a bare Trapezoid or
-    RimQuantifier.  Level 0 returns the closed support.
+    Level 0 returns the closed support, level 1 the kernel, and levels in
+    between the alpha cut.  A crisp interval is its own cut at every level;
+    a kernel/support pair is read as the trapezoid it determines (linear
+    interpolation between support and kernel).
     """
     lam = as_fraction(level)
     if lam < 0 or lam > 1:
-        raise ValueError("alpha-cut level must lie in [0, 1], got %s" % _fmt(lam))
-    shape = q.shape if isinstance(q, QuantifierSpec) else q
+        raise ValueError("cut level must lie in [0, 1], got %s" % _fmt(lam))
+    if isinstance(shape, Interval):
+        return shape
+    if isinstance(shape, KernelSupportPair):
+        if lam == 0:
+            return shape.support
+        if lam == 1:
+            return shape.kernel
+        if shape.support.hi is None or shape.kernel.hi is None:
+            raise ValueError("cannot interpolate an unbounded kernel/support pair")
+        shape = Trapezoid(
+            shape.support.lo, shape.kernel.lo, shape.kernel.hi, shape.support.hi
+        )
     if isinstance(shape, Trapezoid):
         lo = shape.a + lam * (shape.b - shape.a)
         hi = shape.d - lam * (shape.d - shape.c)
         return Interval(lo, hi)
     if isinstance(shape, RimQuantifier):
         return Interval(_rim_cut_lo(shape.exponent, lam), Fraction(1))
-    raise TypeError(
-        "alpha_cut needs a fuzzy shape (Trapezoid or RimQuantifier), got %r"
-        % (shape,)
-    )
-
-
-def kernel_of(q) -> Interval:
-    """Level-1 cut of a quantifier shape (crisp intervals are their own kernel)."""
-    shape = q.shape if isinstance(q, QuantifierSpec) else q
-    if isinstance(shape, Interval):
-        return shape
-    if isinstance(shape, Trapezoid):
-        return shape.kernel
-    if isinstance(shape, KernelSupportPair):
-        return shape.kernel
-    if isinstance(shape, RimQuantifier):
-        return Interval(1, 1)
-    raise TypeError("no kernel for shape %r" % (shape,))
-
-
-def support_of(q) -> Interval:
-    """Level-0 cut (closed support) of a quantifier shape."""
-    shape = q.shape if isinstance(q, QuantifierSpec) else q
-    if isinstance(shape, Interval):
-        return shape
-    if isinstance(shape, Trapezoid):
-        return shape.support
-    if isinstance(shape, KernelSupportPair):
-        return shape.support
-    if isinstance(shape, RimQuantifier):
-        return Interval(0, 1)
-    raise TypeError("no support for shape %r" % (shape,))
-
-
-def bound_at_level(q: QuantifierSpec, level: Real) -> Interval:
-    """Crisp bound of a premise quantifier at a membership level.
-
-    Crisp shapes pass through unchanged; trapezoids and RIM shapes are alpha
-    cut; a kernel/support pair is read as the trapezoid it determines (linear
-    interpolation between support at level 0 and kernel at level 1).
-    """
-    shape = q.shape
-    if isinstance(shape, Interval):
-        return shape
-    if isinstance(shape, KernelSupportPair):
-        if shape.support.hi is None or shape.kernel.hi is None:
-            raise ValueError("cannot interpolate an unbounded kernel/support pair")
-        shape = Trapezoid(
-            shape.support.lo, shape.kernel.lo, shape.kernel.hi, shape.support.hi
-        )
-    return alpha_cut(shape, level)
+    raise TypeError("no cut for shape %r" % (shape,))
 
 
 def fit_trapezoid(cuts: Sequence[tuple]) -> Trapezoid:

@@ -23,7 +23,6 @@ __all__ = [
     "Or",
     "Universe",
     "UNIVERSE",
-    "AtomSet",
     "atoms_of",
     "term_names",
 ]
@@ -99,53 +98,6 @@ def term_names(expr: TermExpr) -> Iterator[str]:
         raise TypeError("not a term expression: %r" % (expr,))
 
 
-@dataclass(frozen=True)
-class AtomSet:
-    """A subset of the 2**s Venn atoms, identified by index."""
-
-    s: int
-    members: frozenset
-
-    def __post_init__(self) -> None:
-        k = 1 << self.s
-        bad = [i for i in self.members if not (0 <= i < k)]
-        if bad:
-            raise ValueError("atom indices %r out of range for S=%d" % (bad, self.s))
-
-    @property
-    def universe_size(self) -> int:
-        return 1 << self.s
-
-    def complement(self) -> "AtomSet":
-        full = range(1 << self.s)
-        return AtomSet(self.s, frozenset(i for i in full if i not in self.members))
-
-    def _check(self, other: "AtomSet") -> None:
-        if self.s != other.s:
-            raise ValueError("atom sets over different property counts")
-
-    def __and__(self, other: "AtomSet") -> "AtomSet":
-        self._check(other)
-        return AtomSet(self.s, self.members & other.members)
-
-    def __or__(self, other: "AtomSet") -> "AtomSet":
-        self._check(other)
-        return AtomSet(self.s, self.members | other.members)
-
-    def __sub__(self, other: "AtomSet") -> "AtomSet":
-        self._check(other)
-        return AtomSet(self.s, self.members - other.members)
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, index: int) -> bool:
-        return index in self.members
-
-
 def _validate_s(s: int, s_max: int) -> None:
     if s < 1:
         raise ValueError("need at least one declared property")
@@ -156,7 +108,7 @@ def _validate_s(s: int, s_max: int) -> None:
         )
 
 
-def atoms_of(expr: TermExpr, properties: Sequence[str], s_max: int = S_MAX) -> AtomSet:
+def atoms_of(expr: TermExpr, properties: Sequence[str], s_max: int = S_MAX) -> frozenset:
     """Exact atom set denoted by a term expression.
 
     Respects De Morgan laws by construction (complement/intersection/union on
@@ -189,4 +141,4 @@ def atoms_of(expr: TermExpr, properties: Sequence[str], s_max: int = S_MAX) -> A
             return walk(node.left) | walk(node.right)
         raise TypeError("not a term expression: %r" % (node,))
 
-    return AtomSet(s, walk(expr))
+    return walk(expr)

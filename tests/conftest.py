@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from sylq import (
+from sylq import Interval, Syllogism, Trapezoid, parse
+from sylq.quantifiers import (
     ABSOLUTE,
     COMPARATIVE_ABSOLUTE,
     COMPARATIVE_PROPORTIONAL,
@@ -20,20 +21,11 @@ from sylq import (
     LOGICAL_SOME,
     PROPORTIONAL,
     SIMILARITY,
-    UNIVERSE,
-    And,
-    Conclusion,
-    Interval,
-    Not,
-    Or,
-    Prop,
     QuantifierSpec,
     RimQuantifier,
-    Statement,
-    Syllogism,
-    Trapezoid,
-    parse,
 )
+from sylq.statements import Conclusion, Statement
+from sylq.terms import UNIVERSE, And, Not, Or, Prop
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "syllogisms"
 

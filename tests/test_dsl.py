@@ -3,13 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from sylq import (
-    DslError,
-    SyllogismDoc,
-    conclusion_text,
-    parse,
-    print_doc,
-)
+from sylq import DslError, SyllogismDoc, parse
+from sylq.dsl import conclusion_text, print_doc
 from conftest import (
     load_fixture,
     random_crisp_syllogism,
@@ -148,6 +143,16 @@ def test_unit_errors_carry_positions():
         parse(
             "terms: p, q\npremise: prop[0.5, 2] p -> q\nconclude: abs? p -> q\n"
         )
+
+
+@pytest.mark.parametrize(
+    "quantifier", ["prop[0.5, 0.2]", "prop tz(0.5, 0.2, 0.6, 0.7)", "prop rim(0)"]
+)
+def test_shape_errors_carry_positions(quantifier):
+    with pytest.raises(DslError) as err:
+        parse("terms: p, q\npremise: %s p -> q\nconclude: prop? p -> q\n" % quantifier)
+    assert err.value.line == 2
+    assert str(err.value).startswith("line 2, column ")
 
 
 def test_comments_and_blank_lines_are_ignored():

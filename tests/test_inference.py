@@ -3,22 +3,18 @@ from fractions import Fraction
 import pytest
 
 from sylq import (
-    ABSOLUTE,
-    PROPORTIONAL,
-    Conclusion,
-    InferenceConfig,
     InfeasiblePremisesError,
+    InferenceConfig,
     Interval,
     KernelSupportPair,
-    Prop,
-    QuantifierSpec,
-    RimQuantifier,
-    Statement,
     Syllogism,
     Trapezoid,
     infer,
     parse,
 )
+from sylq.quantifiers import ABSOLUTE, PROPORTIONAL, QuantifierSpec, RimQuantifier
+from sylq.statements import Conclusion, Statement
+from sylq.terms import Prop
 from conftest import load_fixture
 
 F = Fraction

@@ -5,28 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sylq import (
+from sylq import Interval, SolveOutcome, Syllogism, parse, simplex
+from sylq.compiler import (
+    Constraint,
+    ConstraintSystem,
+    LinearExpr,
+    Objective,
+    compile_syllogism,
+)
+from sylq.optimizer import rewrite_strict, solve
+from sylq.quantifiers import (
     ABSOLUTE,
     COMPARATIVE_ABSOLUTE,
     LOGICAL_SOME,
     PROPORTIONAL,
-    Conclusion,
-    Constraint,
-    ConstraintSystem,
-    Interval,
-    LinearExpr,
-    Objective,
-    Prop,
     QuantifierSpec,
-    SolveOutcome,
-    Statement,
-    Syllogism,
-    compile_syllogism,
-    parse,
-    rewrite_strict,
-    simplex,
-    solve,
 )
+from sylq.statements import Conclusion, Statement
+from sylq.terms import Prop
 from sylq.inference import premise_bounds
 from conftest import FIXTURE_DIR, int_rows, load_fixture
 
@@ -128,7 +124,8 @@ def test_difference_objective_can_be_unbounded_both_ways():
 
 
 def test_empty_denominator_is_infeasible_not_vacuous():
-    from sylq import LOGICAL_NONE, UNIVERSE
+    from sylq.quantifiers import LOGICAL_NONE
+    from sylq.terms import UNIVERSE
 
     system = build(
         [stmt(LOGICAL_NONE, None, P, UNIVERSE)],  # p is empty
@@ -169,15 +166,14 @@ def dense_solve(system):
         universe_size=system.universe_size,
     )
     obj, t = system.objective, system.k
-    if obj.kind == "linear":
-        n, const = system.k, obj.numerator.const
-        rows = [(c.expr.as_dict(), c.rel, c.rhs - c.expr.const) for c in rewritten]
-        cost = obj.numerator.as_dict()
+    if obj.denominator is None:
+        n = system.k
+        rows = [(c.expr.as_dict(), c.rel, c.rhs) for c in rewritten]
     else:
-        n, const = system.k + 1, F(0)
-        rows = [({**c.expr.as_dict(), t: c.expr.const - c.rhs}, c.rel, F(0)) for c in rewritten]
-        rows.append(({**obj.denominator.as_dict(), t: obj.denominator.const}, "==", F(1)))
-        cost = {**obj.numerator.as_dict(), t: obj.numerator.const}
+        n = system.k + 1
+        rows = [({**c.expr.as_dict(), t: -c.rhs}, c.rel, F(0)) for c in rewritten]
+        rows.append((obj.denominator.as_dict(), "==", F(1)))
+    cost = obj.numerator.as_dict()
     dense = []
     for coeffs, rel, rhs in rows:
         values = [coeffs.get(j, F(0)) for j in range(n)]
@@ -194,13 +190,13 @@ def dense_solve(system):
         return SolveOutcome("infeasible", None, None, pivots=lo_sol.pivots)
     hi_sol = simplex.maximize(costs, int_rows(dense))
     pivots = lo_sol.pivots + hi_sol.pivots
-    lo = lo_sol.value + const if lo_sol.status == simplex.OPTIMAL else None
-    hi = hi_sol.value + const if hi_sol.status == simplex.OPTIMAL else None
+    lo = lo_sol.value if lo_sol.status == simplex.OPTIMAL else None
+    hi = hi_sol.value if hi_sol.status == simplex.OPTIMAL else None
     if lo is None:
         status = "unbounded" if hi is None else "unbounded-below"
         return SolveOutcome(status, None, hi, pivots=pivots)
     if hi is None:
-        if min(costs) >= 0 and const >= 0:
+        if min(costs) >= 0:
             return SolveOutcome("unbounded-above", F(0), None, attained_lo=lo, pivots=pivots)
         return SolveOutcome("unbounded-above", lo, None, pivots=pivots)
     return SolveOutcome("bounded", lo, hi, pivots=pivots)
@@ -258,18 +254,19 @@ def class_systems(draw):
 
     def expr(coefficients=small):
         picked = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
-        return LinearExpr(tuple((atoms, draw(coefficients)) for atoms in picked), draw(small))
+        return LinearExpr(tuple((atoms, draw(coefficients)) for atoms in picked))
 
-    constraints = [
-        Constraint(expr(), draw(st.sampled_from(("<=", ">=", "==", "<", ">"))), draw(small))
-        for _ in range(draw(st.integers(1, 4)))
-    ]
+    constraints = []
+    for _ in range(draw(st.integers(1, 4))):
+        # a drawn row constant moves to the right-hand side
+        row, const = expr(), draw(small)
+        rel = draw(st.sampled_from(("<=", ">=", "==", "<", ">")))
+        constraints.append(Constraint(row, rel, draw(small) - const))
     if draw(st.booleans()):
-        positive = st.builds(F, st.integers(1, 6), st.integers(1, 2))
-        den = expr(positive)
-        objective = Objective("fractional", expr(), LinearExpr(den.terms, abs(den.const)))
+        den = expr(st.builds(F, st.integers(1, 6), st.integers(1, 2)))
+        objective = Objective(expr(), den)
     else:
-        objective = Objective("linear", expr())
+        objective = Objective(expr())
     return ConstraintSystem(k, constraints, objective, proportional_context=draw(st.booleans()))
 
 

@@ -3,22 +3,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sylq import (
+from sylq import Interval, SizeGuardError, Syllogism, Trapezoid, enumerate_range
+from sylq.oracle import statement_predicate
+from sylq.quantifiers import (
     ABSOLUTE,
     COMPARATIVE_PROPORTIONAL,
     PROPORTIONAL,
     SIMILARITY,
-    Conclusion,
-    Interval,
-    Prop,
     QuantifierSpec,
-    SizeGuardError,
-    Statement,
-    Syllogism,
-    Trapezoid,
-    enumerate_range,
-    statement_predicate,
 )
+from sylq.statements import Conclusion, Statement
+from sylq.terms import Prop
 from conftest import load_fixture
 
 F = Fraction
@@ -41,7 +36,7 @@ def test_no_premises_ranges_over_everything():
 
 
 def test_declared_universe_fixes_the_total():
-    from sylq import UNIVERSE
+    from sylq.terms import UNIVERSE
 
     syl = Syllogism(
         NAMES, (), Conclusion(ABSOLUTE, UNIVERSE, UNIVERSE), universe_size=F(4)
@@ -72,7 +67,8 @@ def test_fractional_measure_is_exact():
 def test_ratio_premises_never_read_vacuously():
     # |q|/|p| = 1 plus an empty p: no population qualifies, matching the
     # solver's infeasibility instead of a vacuous-truth reading
-    from sylq import LOGICAL_NONE, UNIVERSE
+    from sylq.quantifiers import LOGICAL_NONE
+    from sylq.terms import UNIVERSE
 
     syl = Syllogism(
         NAMES,
@@ -86,7 +82,8 @@ def test_ratio_premises_never_read_vacuously():
 
 
 def test_conclusion_denominator_counts_too():
-    from sylq import LOGICAL_NONE, UNIVERSE
+    from sylq.quantifiers import LOGICAL_NONE
+    from sylq.terms import UNIVERSE
 
     syl = Syllogism(
         NAMES,

@@ -4,21 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sylq import (
-    PROPORTIONAL,
-    Interval,
-    KernelSupportPair,
-    QuantifierSpec,
-    RimQuantifier,
-    Trapezoid,
-    alpha_cut,
-    as_fraction,
-    bound_at_level,
-    fit_trapezoid,
-    interpolate_membership,
-    kernel_of,
-    support_of,
-)
+from sylq import Interval, KernelSupportPair, Trapezoid
+from sylq.quantifiers import RimQuantifier, as_fraction, cut, fit_trapezoid, interpolate_membership
 
 F = Fraction
 
@@ -71,45 +58,50 @@ def test_rim_quantifier_needs_positive_exponent():
 
 def test_alpha_cut_trapezoid_interpolates_sides():
     tz = Trapezoid(0, 10, 20, 40)
-    assert alpha_cut(tz, 0) == Interval(0, 40)
-    assert alpha_cut(tz, F(1, 2)) == Interval(5, 30)
-    assert alpha_cut(tz, 1) == Interval(10, 20)
+    assert cut(tz, 0) == Interval(0, 40)
+    assert cut(tz, F(1, 2)) == Interval(5, 30)
+    assert cut(tz, 1) == Interval(10, 20)
     with pytest.raises(ValueError):
-        alpha_cut(tz, F(3, 2))
+        cut(tz, F(3, 2))
 
 
 def test_alpha_cut_rim_inverts_the_power():
     linear = RimQuantifier(1)
-    assert alpha_cut(linear, F(3, 10)) == Interval(F(3, 10), 1)
+    assert cut(linear, F(3, 10)) == Interval(F(3, 10), 1)
     sqrt_like = RimQuantifier(F(1, 2))  # membership p**0.5, cut lo = level**2
-    assert alpha_cut(sqrt_like, F(1, 2)) == Interval(F(1, 4), 1)
+    assert cut(sqrt_like, F(1, 2)) == Interval(F(1, 4), 1)
     most = RimQuantifier(2)  # cut lo = sqrt(level), snapped when irrational
-    lo = alpha_cut(most, F(1, 4)).lo
+    lo = cut(most, F(1, 4)).lo
     assert lo == F(1, 2)
 
 
-def test_kernel_and_support_accept_specs_and_bare_shapes():
-    spec = QuantifierSpec(PROPORTIONAL, Trapezoid(F(1, 10), F(2, 10), F(3, 10), F(4, 10)))
-    assert kernel_of(spec) == Interval(F(2, 10), F(3, 10))
-    assert support_of(spec) == Interval(F(1, 10), F(4, 10))
-    assert kernel_of(Interval(1, 2)) == Interval(1, 2)
-    assert kernel_of(RimQuantifier(1)) == Interval(1, 1)
-    assert support_of(RimQuantifier(1)) == Interval(0, 1)
+def test_cut_reads_support_at_0_and_kernel_at_1():
+    tz = Trapezoid(F(1, 10), F(2, 10), F(3, 10), F(4, 10))
+    assert cut(tz, 1) == tz.kernel == Interval(F(2, 10), F(3, 10))
+    assert cut(tz, 0) == tz.support == Interval(F(1, 10), F(4, 10))
+    assert cut(Interval(1, 2), 1) == cut(Interval(1, 2), F(1, 2)) == Interval(1, 2)
+    assert cut(RimQuantifier(1), 1) == Interval(1, 1)
+    assert cut(RimQuantifier(1), 0) == Interval(0, 1)
+    with pytest.raises(ValueError):
+        cut(Interval(1, 2), -1)
 
 
-def test_bound_at_level_reads_pairs_as_trapezoids():
-    spec = QuantifierSpec(
-        PROPORTIONAL,
-        KernelSupportPair(Interval(F(1, 2), F(3, 4)), Interval(F(1, 4), 1)),
-    )
-    assert bound_at_level(spec, 0) == Interval(F(1, 4), 1)
-    assert bound_at_level(spec, 1) == Interval(F(1, 2), F(3, 4))
-    assert bound_at_level(spec, F(1, 2)) == Interval(F(3, 8), F(7, 8))
+def test_cut_reads_pairs_as_trapezoids():
+    pair = KernelSupportPair(Interval(F(1, 2), F(3, 4)), Interval(F(1, 4), 1))
+    assert cut(pair, 0) == Interval(F(1, 4), 1)
+    assert cut(pair, 1) == Interval(F(1, 2), F(3, 4))
+    assert cut(pair, F(1, 2)) == Interval(F(3, 8), F(7, 8))
+    # an unbounded pair has a support and a kernel but nothing in between
+    open_pair = KernelSupportPair(Interval(2, None), Interval(1, None))
+    assert cut(open_pair, 0) == Interval(1, None)
+    assert cut(open_pair, 1) == Interval(2, None)
+    with pytest.raises(ValueError):
+        cut(open_pair, F(1, 2))
 
 
 def test_fit_trapezoid_recovers_linear_cuts_exactly():
     tz = Trapezoid(2, 4, 8, 10)
-    cuts = [(F(i, 4), alpha_cut(tz, F(i, 4))) for i in range(5)]
+    cuts = [(F(i, 4), cut(tz, F(i, 4))) for i in range(5)]
     assert fit_trapezoid(cuts) == tz
 
 
@@ -136,7 +128,7 @@ def test_fit_trapezoid_rejects_bad_collections():
 
 def test_interpolate_membership_ramps_between_cuts():
     tz = Trapezoid(0, 4, 6, 10)
-    cuts = [(F(i, 2), alpha_cut(tz, F(i, 2))) for i in range(3)]
+    cuts = [(F(i, 2), cut(tz, F(i, 2))) for i in range(3)]
     assert interpolate_membership(cuts, 5) == 1
     assert interpolate_membership(cuts, 2) == F(1, 2)
     assert interpolate_membership(cuts, 1) == F(1, 4)
@@ -163,12 +155,12 @@ levels = st.fractions(min_value=0, max_value=1, max_denominator=16)
 def test_alpha_cuts_nest_by_construction(knots, lam1, lam2):
     tz = Trapezoid(*knots)
     low, high = min(lam1, lam2), max(lam1, lam2)
-    assert alpha_cut(tz, high).subset_of(alpha_cut(tz, low))
+    assert cut(tz, high).subset_of(cut(tz, low))
 
 
 @given(knots=knots)
 def test_membership_at_kernel_edges_is_one(knots):
     tz = Trapezoid(*knots)
-    cuts = [(F(i, 10), alpha_cut(tz, F(i, 10))) for i in range(11)]
+    cuts = [(F(i, 10), cut(tz, F(i, 10))) for i in range(11)]
     assert interpolate_membership(cuts, tz.b) == 1
     assert interpolate_membership(cuts, tz.c) == 1
