@@ -1,7 +1,6 @@
 """Command-line front end.
 
-    sylq FILE [--mode M] [--levels N] [--format text|json|csv]
-              [--epsilon-count X] [--epsilon-prop X] [--verify CAP]
+    sylq FILE [--mode M] [--levels N] [--format text|json|csv] [--verify CAP]
     sylq verify FILE [--cap N]
 
 Reads a syllogism document (or stdin when FILE is ``-``), runs inference, and
@@ -43,13 +42,6 @@ from .terms import SizeGuardError
 __all__ = ["main"]
 
 
-def _number(text: str) -> Fraction:
-    try:
-        return as_fraction(text)
-    except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
 def _cap(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError("cap must be a nonnegative integer, got %r" % text)
@@ -81,22 +73,6 @@ def _run_parser() -> argparse.ArgumentParser:
         default=None,
         help="alpha grid size (default %d)" % InferenceConfig.levels,
     )
-    p.add_argument(
-        "--epsilon-count",
-        type=_number,
-        default=None,
-        metavar="X",
-        help="margin replacing strict count inequalities (default %s)"
-        % _num_text(InferenceConfig.eps_count),
-    )
-    p.add_argument(
-        "--epsilon-prop",
-        type=_number,
-        default=None,
-        metavar="X",
-        help="relative margin for strict rows in proportion contexts (default %s)"
-        % _num_text(InferenceConfig.eps_prop),
-    )
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument(
         "--verify",
@@ -115,8 +91,6 @@ def _verify_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("file", nargs="?", default="-", help="syllogism document ('-' for stdin)")
     p.add_argument("--cap", type=_cap, default=10, help="largest universe size to enumerate")
-    p.add_argument("--epsilon-count", type=_number, default=None, metavar="X")
-    p.add_argument("--epsilon-prop", type=_number, default=None, metavar="X")
     return p
 
 
@@ -125,22 +99,6 @@ def _read_text(path: str) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
-
-
-def _config(doc_options, args) -> InferenceConfig:
-    """A CLI flag beats the document option; unset knobs keep their defaults."""
-    given = {}
-    for key, flag in (
-        ("levels", "levels"),
-        ("eps_count", "epsilon_count"),
-        ("eps_prop", "epsilon_prop"),
-    ):
-        value = getattr(args, flag, None)
-        if value is None:
-            value = doc_options.get(key)
-        if value is not None:
-            given[key] = value
-    return InferenceConfig(**given)
 
 
 def _num(value) -> Optional[object]:
@@ -246,7 +204,7 @@ def enumerate_range(syl: Syllogism, cap: int, bounds: tuple):
     return oracle.enumerate_range(syl, cap, premise_bounds=bounds)
 
 
-def _verify_doc(syl: Syllogism, cap: int, config: InferenceConfig) -> int:
+def _verify_doc(syl: Syllogism, cap: int) -> int:
     """Compare engine bounds with enumeration; 0 on agreement, 3 otherwise.
 
     Audits the distinct premise readings at levels 0 and 1: one for crisp
@@ -260,10 +218,7 @@ def _verify_doc(syl: Syllogism, cap: int, config: InferenceConfig) -> int:
     names = ("crisp",) if len(readings) == 1 else ("support", "kernel")
     failures = 0
     for name, bounds in zip(names, readings):
-        system = compile_syllogism(syl, bounds)
-        outcome = optimizer.solve(
-            system, eps_count=config.eps_count, eps_prop=config.eps_prop
-        )
+        outcome = optimizer.solve(compile_syllogism(syl, bounds))
         exact = enumerate_range(syl, cap, bounds)
         lp_lo = outcome.attained_lo if outcome.attained_lo is not None else outcome.lo
         if exact is None:
@@ -294,9 +249,12 @@ def _cmd_run(argv: Sequence[str]) -> int:
     args = _run_parser().parse_args(list(argv))
     doc = parse(_read_text(args.file))
     syl = doc.to_syllogism()
-    config = _config(doc.options, args)
+    # a flag beats the document option
+    levels = args.levels
+    if levels is None:
+        levels = doc.options.get("levels", InferenceConfig.levels)
     mode = args.mode or doc.options.get("mode", "auto")
-    result = infer(syl, mode=mode, config=config)
+    result = infer(syl, mode=mode, config=InferenceConfig(levels))
 
     if args.format == "json":
         print(json.dumps(_json_payload(result, syl), indent=2))
@@ -306,14 +264,14 @@ def _cmd_run(argv: Sequence[str]) -> int:
         _print_text(result, syl)
 
     if args.verify is not None:
-        return _verify_doc(syl, args.verify, config)
+        return _verify_doc(syl, args.verify)
     return 0
 
 
 def _cmd_verify(argv: Sequence[str]) -> int:
     args = _verify_parser().parse_args(list(argv))
     doc = parse(_read_text(args.file))
-    return _verify_doc(doc.to_syllogism(), args.cap, _config(doc.options, args))
+    return _verify_doc(doc.to_syllogism(), args.cap)
 
 
 # exit code of each error a command reports as one "error: ..." line; DslError

@@ -1,7 +1,8 @@
 """Line-oriented syllogism documents.
 
 A document declares its properties, optionally a universe size, premises,
-exactly one conclusion template, and optional engine options:
+exactly one conclusion template, and optional engine options (``mode`` and
+``levels``):
 
     # pets at home
     terms: dog, cat, parrot
@@ -232,7 +233,7 @@ def _parse_quantifier(rest: str, line: int, col0: int) -> Tuple[QuantifierSpec, 
     if not m:
         raise DslError(
             "expected a quantifier (all/none/some/not-all or a family with a "
-            "shape)", line, col0 + 1
+            "shape)", line, col0 + len(rest) - len(rest.lstrip()) + 1
         )
     keyword = m.group(1)
     family = _KEYWORD_TO_FAMILY[keyword]
@@ -255,7 +256,7 @@ def _parse_quantifier(rest: str, line: int, col0: int) -> Tuple[QuantifierSpec, 
     try:
         spec = QuantifierSpec(family, make(*values))
     except ValueError as exc:
-        raise DslError(str(exc), line, col0 + 1)
+        raise DslError(str(exc), line, col0 + m.start(1) + 1)
     return spec, rest[sm.end():], col0 + sm.end()
 
 
@@ -312,19 +313,11 @@ def _parse_options(body: str, line: int) -> Dict[str, object]:
                 raise DslError("unknown mode %r" % value, line)
             options["mode"] = value
         elif key == "levels":
-            if not value.isdigit() or int(value) < 2:
+            if not value.isdecimal() or int(value) < 2:
                 raise DslError("levels must be an integer >= 2", line)
             options["levels"] = int(value)
-        elif key == "epsilon-count":
-            options["eps_count"] = _parse_number(value, line)
-        elif key == "epsilon-prop":
-            options["eps_prop"] = _parse_number(value, line)
         else:
-            raise DslError(
-                "unknown option %r (mode, levels, epsilon-count, epsilon-prop)"
-                % key,
-                line,
-            )
+            raise DslError("unknown option %r (mode, levels)" % key, line)
     return options
 
 
@@ -513,14 +506,6 @@ def conclusion_text(conclusion: Conclusion) -> str:
     )
 
 
-_OPTION_SPELLING = {
-    "mode": "mode",
-    "levels": "levels",
-    "eps_count": "epsilon-count",
-    "eps_prop": "epsilon-prop",
-}
-
-
 def print_doc(doc: SyllogismDoc) -> str:
     """Canonical text of a document; parsing it again gives an equal doc."""
     lines = ["terms: %s" % ", ".join(doc.properties)]
@@ -530,11 +515,8 @@ def print_doc(doc: SyllogismDoc) -> str:
         lines.append("premise: %s" % _statement_text(premise))
     lines.append("conclude: %s" % conclusion_text(doc.conclusion))
     if doc.options:
-        parts = []
-        for key in ("mode", "levels", "eps_count", "eps_prop"):
-            if key in doc.options:
-                value = doc.options[key]
-                text = _fmt_number(value) if isinstance(value, Fraction) else str(value)
-                parts.append("%s=%s" % (_OPTION_SPELLING[key], text))
+        parts = [
+            "%s=%s" % (key, doc.options[key]) for key in ("mode", "levels") if key in doc.options
+        ]
         lines.append("options: %s" % ", ".join(parts))
     return "\n".join(lines) + "\n"

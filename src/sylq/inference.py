@@ -32,10 +32,9 @@ from .quantifiers import (
     KernelSupportPair,
     RimQuantifier,
     Trapezoid,
-    as_fraction,
+    _fmt,
     cut,
     fit_trapezoid,
-    interpolate_membership,
 )
 from .statements import Syllogism
 
@@ -59,25 +58,13 @@ class InfeasiblePremisesError(RuntimeError):
 
 @dataclass(frozen=True)
 class InferenceConfig:
-    """Knobs shared by all inference modes.
-
-    levels is the size of the alpha grid (11 means 0, 0.1, ..., 1).
-    eps_count is the margin replacing strict count inequalities; the default
-    of one is exact for integer cardinalities.  eps_prop is the relative
-    margin used when any premise or the conclusion speaks in proportions.
-    """
+    """levels is the size of the alpha grid (11 means 0, 0.1, ..., 1)."""
 
     levels: int = 11
-    eps_count: Fraction = optimizer.DEFAULT_EPS_COUNT
-    eps_prop: Fraction = optimizer.DEFAULT_EPS_PROP
 
     def __post_init__(self) -> None:
         if not isinstance(self.levels, int) or self.levels < 2:
             raise ValueError("levels must be an integer >= 2")
-        object.__setattr__(self, "eps_count", as_fraction(self.eps_count))
-        object.__setattr__(self, "eps_prop", as_fraction(self.eps_prop))
-        if self.eps_count <= 0 or self.eps_prop <= 0:
-            raise ValueError("epsilon margins must be positive")
 
 
 @dataclass
@@ -92,7 +79,8 @@ class InferenceResult:
             level 1 (never in crisp mode);
     max_feasible_level  highest grid level at which the premises are jointly
             satisfiable;
-    epsilon_kind, epsilon  the strictness margin the solves used.
+    epsilon_kind, epsilon  the strictness margin the solves used (see
+            optimizer.EPS_COUNT and optimizer.EPS_PROP).
     """
 
     mode: str
@@ -120,41 +108,12 @@ class InferenceResult:
             return None
         return KernelSupportPair(kernel=kernel, support=support)
 
-    def membership(self, value) -> Fraction:
-        """Highest level whose computed cut provably contains ``value``.
-
-        This is a lower bound on the conclusion's membership: levels without
-        a closed cut contribute nothing.
-        """
-        usable = [(lam, iv) for lam, iv in self.cuts if iv is not None]
-        if not usable:
-            raise ValueError("result carries no cut information")
-        return interpolate_membership(usable, value)
-
-    @property
-    def bounds(self) -> Tuple[Optional[Fraction], Optional[Fraction]]:
-        """(lo, hi) of the widest bracket computed; None marks an open side."""
-        usable = [iv for _, iv in self.cuts if iv is not None]
-        if usable:
-            return usable[0].lo, usable[0].hi
-        return self.outcomes[0].lo, self.outcomes[0].hi
-
 
 def premise_bounds(syl: Syllogism, level: Fraction) -> Bounds:
     """Each premise's crisp bound at a membership level (None when logical)."""
     return tuple(
         None if p.quantifier.shape is None else cut(p.quantifier.shape, level)
         for p in syl.premises
-    )
-
-
-def _solve_at(
-    syl: Syllogism, bounds: Bounds, config: InferenceConfig
-) -> optimizer.SolveOutcome:
-    """Bound the conclusion with every premise read at the given bounds."""
-    system = compile_syllogism(syl, bounds)
-    return optimizer.solve(
-        system, eps_count=config.eps_count, eps_prop=config.eps_prop
     )
 
 
@@ -165,10 +124,6 @@ def _auto_mode(syl: Syllogism) -> str:
     if any(isinstance(s, KernelSupportPair) for s in shapes):
         return "kersup"
     return "crisp"
-
-
-def _level_text(level: Fraction) -> str:
-    return str(int(level)) if level.denominator == 1 else str(float(level))
 
 
 def infer(
@@ -200,7 +155,7 @@ def infer(
     for lam in grid:
         bounds = premise_bounds(syl, lam)
         if bounds not in solved:
-            solved[bounds] = _solve_at(syl, bounds, config)
+            solved[bounds] = optimizer.solve(compile_syllogism(syl, bounds))
         outcome = solved[bounds]
         outcomes.append(outcome)
         if outcome.status == optimizer.INFEASIBLE:
@@ -217,9 +172,9 @@ def infer(
 
     families = {p.family for p in syl.premises} | {syl.conclusion.family}
     if families & RATIO_FAMILIES:
-        kind, epsilon = "proportion", config.eps_prop
+        kind, epsilon = "proportion", optimizer.EPS_PROP
     else:
-        kind, epsilon = "count", config.eps_count
+        kind, epsilon = "count", optimizer.EPS_COUNT
     warnings = []
     if families & COUNT_FAMILIES and families & RATIO_FAMILIES:
         warnings.append(
@@ -231,7 +186,7 @@ def infer(
     if max_feasible < 1:
         warnings.append(
             "premises become contradictory above level %s; no trapezoid "
-            "is fitted" % _level_text(max_feasible)
+            "is fitted" % _fmt(max_feasible)
         )
     elif mode != "crisp" and all(iv is not None and iv.hi is not None for _, iv in cuts):
         fitted = fit_trapezoid(cuts)

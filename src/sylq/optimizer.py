@@ -1,7 +1,7 @@
 """Bounding conclusion measures by linear programming.
 
 Takes a compiled constraint system, rewrites strict inequalities into weak
-ones with an explicit epsilon, and minimizes/maximizes the conclusion
+ones with a fixed margin, and minimizes/maximizes the conclusion
 objective.  Ratio objectives go through the Charnes-Cooper substitution
 y = t*x, which turns a linear-fractional program into a plain LP with one
 extra variable; because every constraint here is homogeneous or carries the
@@ -47,8 +47,11 @@ UNBOUNDED_BELOW = "unbounded-below"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
-DEFAULT_EPS_COUNT = Fraction(1)
-DEFAULT_EPS_PROP = Fraction(1, 10**6)
+# strictness margins: a strict count row moves by one, which is exact for
+# integer cardinalities; a strict proportion row moves by EPS_PROP relative
+# to the universe, an approximation kept until strictness is decided exactly
+EPS_COUNT = Fraction(1)
+EPS_PROP = Fraction(1, 10**6)
 
 _ZERO = Fraction(0)
 
@@ -75,20 +78,16 @@ def rewrite_strict(
     k: int,
     proportional_context: bool,
     universe_size: Optional[Fraction] = None,
-    eps_count: Fraction = DEFAULT_EPS_COUNT,
-    eps_prop: Fraction = DEFAULT_EPS_PROP,
 ) -> List[Constraint]:
-    """Replace strict rows with weak rows at an explicit margin.
+    """Replace strict rows with weak rows at a fixed margin.
 
-    Count context: a strict count bound moves by eps_count (cardinalities
-    are integers, so the default margin of one is exact).  Proportion
-    context: the margin is eps_prop at the scale of the universe; without a
-    declared universe size the margin eps_prop * sum(x) is folded into the
-    row itself, which keeps the rewritten system invariant under rescaling
-    all cardinalities.
+    Count context: a strict count bound moves by EPS_COUNT (cardinalities
+    are integers, so a margin of one is exact).  Proportion context: the
+    margin is EPS_PROP at the scale of the universe; without a declared
+    universe size the margin EPS_PROP * sum(x) is folded into the row
+    itself, which keeps the rewritten system invariant under rescaling all
+    cardinalities.
     """
-    eps_count = Fraction(eps_count)
-    eps_prop = Fraction(eps_prop)
     total = LinearExpr.sum_over(range(k))
     out: List[Constraint] = []
     for c in constraints:
@@ -98,11 +97,11 @@ def rewrite_strict(
         sign = 1 if c.rel == GT else -1
         weak = GE if c.rel == GT else LE
         if not proportional_context:
-            out.append(Constraint(c.expr, weak, c.rhs + sign * eps_count))
+            out.append(Constraint(c.expr, weak, c.rhs + sign * EPS_COUNT))
         elif universe_size is not None:
-            out.append(Constraint(c.expr, weak, c.rhs + sign * eps_prop * universe_size))
+            out.append(Constraint(c.expr, weak, c.rhs + sign * EPS_PROP * universe_size))
         else:
-            out.append(Constraint(c.expr.plus(total, -sign * eps_prop), weak, c.rhs))
+            out.append(Constraint(c.expr.plus(total, -sign * EPS_PROP), weak, c.rhs))
     return out
 
 
@@ -183,20 +182,13 @@ def _bracket(
     return SolveOutcome(BOUNDED, lo, hi, pivots=pivots)
 
 
-def solve(
-    system: ConstraintSystem,
-    *,
-    eps_count: Fraction = DEFAULT_EPS_COUNT,
-    eps_prop: Fraction = DEFAULT_EPS_PROP,
-) -> SolveOutcome:
+def solve(system: ConstraintSystem) -> SolveOutcome:
     """Min/max the system's objective over its feasible cardinalities."""
     rewritten = rewrite_strict(
         system.constraints,
         k=system.k,
         proportional_context=system.proportional_context,
         universe_size=system.universe_size,
-        eps_count=eps_count,
-        eps_prop=eps_prop,
     )
     den = system.objective.denominator
     if den is None:

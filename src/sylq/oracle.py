@@ -210,8 +210,10 @@ def enumerate_range(
     all premises; the conclusion measure is evaluated on the survivors.
     Returns None when no population qualifies.  Premises must carry crisp
     interval bounds, or ``premise_bounds`` must supply them (one entry per
-    premise, None for logical premises).
+    premise, None for logical premises).  A negative cap raises ValueError.
     """
+    if universe_cap < 0:
+        raise ValueError("cap must be a nonnegative integer, got %r" % (universe_cap,))
     k = 1 << syl.s
     if premise_bounds is None:
         premise_bounds = []

@@ -47,7 +47,6 @@ __all__ = [
     "QuantifierSpec",
     "cut",
     "fit_trapezoid",
-    "interpolate_membership",
 ]
 
 LOGICAL_ALL = "logical-all"
@@ -125,14 +124,6 @@ class Interval:
                     "interval lower bound %s exceeds upper bound %s"
                     % (_fmt(self.lo), _fmt(self.hi))
                 )
-
-    @property
-    def hi_unbounded(self) -> bool:
-        return self.hi is None
-
-    def contains(self, value: Real) -> bool:
-        v = as_fraction(value)
-        return self.lo <= v and (self.hi is None or v <= self.hi)
 
     def subset_of(self, other: "Interval") -> bool:
         """True when every point of this interval lies in ``other``."""
@@ -356,39 +347,3 @@ def fit_trapezoid(cuts: Sequence[tuple]) -> Trapezoid:
 
     support, kernel = intervals[0], intervals[-1]
     return Trapezoid(support.lo, kernel.lo, kernel.hi, support.hi)
-
-
-def interpolate_membership(cuts: Sequence[tuple], value: Real) -> Fraction:
-    """Piecewise-linear membership of ``value`` in a nested cut collection.
-
-    Between two computed levels the membership ramps linearly along the cut
-    boundary; inside the highest cut it equals the highest level; outside the
-    level-0 cut it is 0.  Unbounded upper endpoints are treated as +infinity
-    (no upper ramp on that side).
-    """
-    if not cuts:
-        raise ValueError("no cuts to interpolate")
-    v = as_fraction(value)
-    pairs = [(as_fraction(level), iv) for level, iv in cuts]
-    pairs.sort(key=lambda p: p[0])
-
-    base = pairs[0][1]
-    if v < base.lo or (base.hi is not None and v > base.hi):
-        return Fraction(0)
-
-    membership = pairs[0][0]
-    for (lam_a, iv_a), (lam_b, iv_b) in zip(pairs, pairs[1:]):
-        inside_b = v >= iv_b.lo and (iv_b.hi is None or v <= iv_b.hi)
-        if inside_b:
-            membership = lam_b
-            continue
-        # v sits between cut a and cut b; ramp on whichever side it fell out
-        if v < iv_b.lo:
-            gap = iv_b.lo - iv_a.lo
-            frac = (v - iv_a.lo) / gap if gap > 0 else Fraction(0)
-        else:
-            assert iv_a.hi is not None and iv_b.hi is not None
-            gap = iv_a.hi - iv_b.hi
-            frac = (iv_a.hi - v) / gap if gap > 0 else Fraction(0)
-        return lam_a + frac * (lam_b - lam_a)
-    return membership

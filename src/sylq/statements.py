@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .quantifiers import (
     COMPARATIVE_ABSOLUTE,
@@ -107,12 +107,3 @@ class Syllogism:
     @property
     def s(self) -> int:
         return len(self.properties)
-
-    def with_premises(self, premises: Sequence[Statement]) -> "Syllogism":
-        """Same syllogism with a different premise list (fixture slicing)."""
-        return Syllogism(
-            properties=self.properties,
-            premises=tuple(premises),
-            conclusion=self.conclusion,
-            universe_size=self.universe_size,
-        )

@@ -98,24 +98,20 @@ def term_names(expr: TermExpr) -> Iterator[str]:
         raise TypeError("not a term expression: %r" % (expr,))
 
 
-def _validate_s(s: int, s_max: int) -> None:
-    if s < 1:
-        raise ValueError("need at least one declared property")
-    if s > s_max:
-        raise SizeGuardError(
-            "S=%d properties would create %d atoms (cap %d); "
-            "the constraint system would be too large" % (s, 2**s, 2**s_max)
-        )
-
-
-def atoms_of(expr: TermExpr, properties: Sequence[str], s_max: int = S_MAX) -> frozenset:
+def atoms_of(expr: TermExpr, properties: Sequence[str]) -> frozenset:
     """Exact atom set denoted by a term expression.
 
     Respects De Morgan laws by construction (complement/intersection/union on
     index sets).  Raises ValueError for leaves naming undeclared properties.
     """
     s = len(properties)
-    _validate_s(s, s_max)
+    if s < 1:
+        raise ValueError("need at least one declared property")
+    if s > S_MAX:
+        raise SizeGuardError(
+            "S=%d properties would create %d atoms (cap %d); "
+            "the constraint system would be too large" % (s, 2**s, 2**S_MAX)
+        )
     bit_of = {name: bit for bit, name in enumerate(properties)}
     if len(bit_of) != s:
         raise ValueError("property names must be unique")

@@ -5,6 +5,7 @@ PASS/FAIL verdict per criterion after the run.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -54,13 +55,13 @@ def test_criterion_1_pets_crisp_counts():
     assert full.outcomes[0].status == "bounded"
 
     # drop the two closure premises (every animal is a dog, cat or parrot)
-    opened = syl.with_premises(syl.premises[:3] + syl.premises[5:])
+    opened = replace(syl, premises=syl.premises[:3] + syl.premises[5:])
     part = infer(opened, mode="crisp")
     assert abs(part.crisp.lo - 2) <= 1e-9
     assert abs(part.crisp.hi - 3) <= 1e-9
 
     # the three exception premises alone leave the total unbounded
-    bare = syl.with_premises(syl.premises[:3])
+    bare = replace(syl, premises=syl.premises[:3])
     loose = infer(bare, mode="crisp")
     assert loose.outcomes[0].status == "unbounded-above"
     assert loose.crisp.lo == 0
@@ -378,7 +379,7 @@ def test_criterion_9d_premise_permutation(rng):
         syl = random_crisp_syllogism(rng)
         order = list(syl.premises)
         rng.shuffle(order)
-        shuffled = syl.with_premises(tuple(order))
+        shuffled = replace(syl, premises=tuple(order))
         try:
             base = infer(syl, mode="crisp")
         except InfeasiblePremisesError:
@@ -394,7 +395,7 @@ def test_criterion_9d_premise_permutation(rng):
         syl = random_fuzzy_syllogism(rng)
         order = list(syl.premises)
         rng.shuffle(order)
-        shuffled = syl.with_premises(tuple(order))
+        shuffled = replace(syl, premises=tuple(order))
         try:
             base = infer(syl, mode="alpha", config=config)
         except InfeasiblePremisesError:

@@ -15,12 +15,13 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import sylq
-from sylq import cli, simplex
+from sylq import SolveOutcome, cli, simplex
 from sylq.cli import main
 from sylq.inference import infer
 
@@ -41,12 +42,12 @@ premise: abs[2, 3] p -> q
 conclude: abs? p -> q
 """
 
-# strict |p & q| > 0 inflated to >= 5 by the epsilon flag, while integer
-# populations attain 1; the cross-check must flag that
-OVERTIGHT_DOC = """\
+# the strictness margins are constants; asking for one is a usage error
+EPSILON_OPTION_DOC = """\
 terms: p, q
 premise: some p -> q
 conclude: abs? p & q -> *
+options: epsilon-prop=0.001
 """
 
 
@@ -233,10 +234,23 @@ def test_deeply_nested_term_is_an_input_error(capsys, term):
         ["verify", PETS, "--cap", "x"],
         ["verify", PETS, "--cap", "-3"],
         [PETS, "--verify", "-3"],
+        [PETS, "--epsilon-prop", "0.001"],
+        ["verify", "-", "--epsilon-count", "5"],
+        ["-"],
     ],
-    ids=["mode", "format", "cap", "negative-cap", "negative-verify"],
+    ids=[
+        "mode",
+        "format",
+        "cap",
+        "negative-cap",
+        "negative-verify",
+        "epsilon-flag",
+        "verify-epsilon-flag",
+        "epsilon-option",
+    ],
 )
 def test_usage_errors_exit_1_with_one_error_line(capsys, argv):
+    sys.stdin = io.StringIO(EPSILON_OPTION_DOC)
     code, out, err = run_cli(capsys, argv)
     assert code == 1
     assert out == ""
@@ -303,13 +317,16 @@ def test_verify_checks_both_cut_levels(capsys):
     assert all(line.endswith("OK") for line in lines)
 
 
-def test_verify_flags_overtight_epsilon(capsys):
-    sys.stdin = io.StringIO(OVERTIGHT_DOC)
-    code, _, err = run_cli(
-        capsys, ["verify", "-", "--cap", "6", "--epsilon-count", "5"]
-    )
+def test_verify_reports_disagreement(capsys, monkeypatch):
+    # an engine bracket [4, 4] excludes the enumerated [3, 3]
+    def wrong(system):
+        return SolveOutcome("bounded", Fraction(4), Fraction(4))
+
+    monkeypatch.setattr(cli.optimizer, "solve", wrong)
+    code, out, err = run_cli(capsys, ["verify", PETS, "--cap", "10"])
     assert code == 3
-    assert "DISAGREE" in err
+    assert out == ""
+    assert err.strip() == "verify crisp: engine [4, 4]; enumerated [3, 3]: DISAGREE"
 
 
 def test_run_with_verify_flag(capsys):
@@ -339,13 +356,6 @@ def test_crisp_mode_rejects_fuzzy_document(capsys):
     code, _, err = run_cli(capsys, [COURSE_FUZZY, "--mode", "crisp"])
     assert code == 1
     assert err.startswith("error:")
-
-
-def test_epsilon_prop_flag_changes_margin(capsys):
-    _, out, _ = run_cli(
-        capsys, [COURSE_CRISP, "--epsilon-prop", "0.001", "--format", "json"]
-    )
-    assert json.loads(out)["epsilon"] == {"kind": "proportion", "value": 0.001}
 
 
 def checkout_env():

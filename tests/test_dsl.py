@@ -37,10 +37,6 @@ def doc_from(syl, rng):
         options["mode"] = rng.choice(("auto", "crisp", "kersup", "alpha"))
     if rng.random() < 0.3:
         options["levels"] = rng.randint(2, 21)
-    if rng.random() < 0.2:
-        options["eps_count"] = F(1, rng.choice((1, 2, 10)))
-    if rng.random() < 0.2:
-        options["eps_prop"] = F(1, 10 ** rng.randint(3, 9))
     return SyllogismDoc(
         properties=syl.properties,
         premises=syl.premises,
@@ -81,6 +77,10 @@ def test_error_positions_are_reported():
         parse("terms: p, q\npremise: all p -> (q\nconclude: abs? p -> q\n")
     assert err.value.line == 2
     assert "line 2" in str(err.value)
+    # a missing quantifier is reported at the body's first non-blank
+    with pytest.raises(DslError, match="expected a quantifier") as err:
+        parse("terms: p, q\npremise:   many p -> q\nconclude: abs? p -> q\n")
+    assert (err.value.line, err.value.column) == (2, 12)
 
 
 def test_connector_must_match_the_family():
@@ -139,10 +139,12 @@ def test_shape_spellings():
 
 
 def test_unit_errors_carry_positions():
-    with pytest.raises(DslError):
+    # reported at the quantifier keyword, not at the blank before it
+    with pytest.raises(DslError) as err:
         parse(
             "terms: p, q\npremise: prop[0.5, 2] p -> q\nconclude: abs? p -> q\n"
         )
+    assert (err.value.line, err.value.column) == (2, 10)
 
 
 @pytest.mark.parametrize(
@@ -152,7 +154,7 @@ def test_shape_errors_carry_positions(quantifier):
     with pytest.raises(DslError) as err:
         parse("terms: p, q\npremise: %s p -> q\nconclude: prop? p -> q\n" % quantifier)
     assert err.value.line == 2
-    assert str(err.value).startswith("line 2, column ")
+    assert str(err.value).startswith("line 2, column 10: ")
 
 
 def test_comments_and_blank_lines_are_ignored():
@@ -169,6 +171,9 @@ def test_option_validation():
         parse(base + "options: levels=1\n")
     with pytest.raises(DslError):
         parse(base + "options: colour=red\n")
+    # a superscript digit passes str.isdigit but not int()
+    with pytest.raises(DslError, match="line 4: levels must be an integer >= 2"):
+        parse(base + "options: levels=\u00b2\n")
     doc = parse(base + "options: mode=alpha, levels=7\n")
     assert doc.options == {"mode": "alpha", "levels": 7}
 

@@ -97,11 +97,14 @@ def test_unbounded_above_floors_the_reported_lo():
     assert outcome.attained_lo == 1  # true minimum under the count margin
 
 
-def test_margin_choice_does_not_move_the_pets_answer():
+def test_margin_choice_does_not_move_the_pets_answer(monkeypatch):
+    import sylq.optimizer
+
     syl = load_fixture("pets_at_home.syl").to_syllogism()
     system = compile_syllogism(syl, crisp_bounds(syl))
     for eps in (F(1), F(1, 10**6)):
-        outcome = solve(system, eps_count=eps)
+        monkeypatch.setattr(sylq.optimizer, "EPS_COUNT", eps)
+        outcome = solve(system)
         assert (outcome.lo, outcome.hi) == (F(3), F(3))
 
 

@@ -111,6 +111,13 @@ def test_population_guard_trips_before_blowing_up():
         enumerate_range(syl, 60)
 
 
+def test_negative_cap_is_rejected():
+    # a negative cap is a caller error, not "no population"
+    syl = load_fixture("pets_at_home.syl").to_syllogism()
+    with pytest.raises(ValueError, match="cap must be a nonnegative integer"):
+        enumerate_range(syl, -1)
+
+
 def test_statement_predicate_edge_conventions():
     counts = np.array(
         [

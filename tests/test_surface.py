@@ -1,10 +1,17 @@
 """The package root exports the entry points and the types they take and
-return; everything else is imported from its own module."""
+return; everything else is imported from its own module.  The values a
+caller can set are pinned too: the config field, the command-line flags and
+the document options."""
 
+import dataclasses
 import importlib
 import pkgutil
 
+import pytest
+
 import sylq
+from sylq import DslError, InferenceConfig, parse
+from sylq.cli import _run_parser, _verify_parser
 
 ENTRY_POINTS = {
     "parse",
@@ -39,3 +46,24 @@ def test_every_exported_name_resolves():
     for module in modules:
         for name in module.__all__:
             assert hasattr(module, name), "%s.%s" % (module.__name__, name)
+
+
+def option_strings(parser):
+    return {flag for action in parser._actions for flag in action.option_strings}
+
+
+def test_settable_surface_is_pinned():
+    assert [f.name for f in dataclasses.fields(InferenceConfig)] == ["levels"]
+    assert option_strings(_run_parser()) == {
+        "-h", "--help", "--mode", "--levels", "--format", "--verify"
+    }
+    assert option_strings(_verify_parser()) == {"-h", "--help", "--cap"}
+
+
+def test_document_options_are_mode_and_levels():
+    base = "terms: p, q\npremise: all p -> q\nconclude: abs? p -> q\n"
+    doc = parse(base + "options: mode=alpha, levels=5\n")
+    assert set(doc.options) == {"mode", "levels"}
+    for key in ("epsilon-count", "epsilon-prop"):
+        with pytest.raises(DslError, match=r"unknown option .* \(mode, levels\)"):
+            parse(base + "options: %s=1\n" % key)
