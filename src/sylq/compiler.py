@@ -235,7 +235,13 @@ def compile_statement(
     statements are compiled once per alpha-cut level.  Logical families ignore
     it (pass None).  An unbounded hi emits no upper row.
     """
-    a, b = _term_sets(stmt, properties)
+    return _statement_rows(stmt, bound, *_term_sets(stmt, properties))
+
+
+def _statement_rows(
+    stmt: Statement, bound: Optional[Interval], a: frozenset, b: frozenset
+) -> List[Constraint]:
+    """compile_statement over the statement's term sets a and b."""
     if stmt.family in _LOGICAL_ROWS:
         family, rel = _LOGICAL_ROWS[stmt.family]
         return [Constraint(_measure(family, a, b)[0], rel, 0)]
@@ -268,7 +274,15 @@ def structural_constraints(
     mix is refused here.
     """
     statements = list(premises) + [conclusion]
-    families = [s.family for s in statements]
+    sets = [_term_sets(stmt, properties) for stmt in statements]
+    return _structural_rows(statements, sets, len(properties), universe_size)
+
+
+def _structural_rows(
+    statements: Sequence, sets: Sequence[Tuple[frozenset, frozenset]], s: int, universe_size
+) -> Tuple[List[Constraint], bool]:
+    """structural_constraints over each statement's term sets and S = s."""
+    families = [stmt.family for stmt in statements]
     has_ratio = any(f in RATIO_FAMILIES for f in families)
     has_count = any(f in COUNT_FAMILIES for f in families)
     if has_ratio and has_count and universe_size is None:
@@ -279,19 +293,23 @@ def structural_constraints(
         )
 
     rows: List[Constraint] = []
-    for stmt in statements:
-        if stmt.family in RATIO_FAMILIES:
-            _, den = _measure(stmt.family, *_term_sets(stmt, properties))
+    for family, (a, b) in zip(families, sets):
+        if family in RATIO_FAMILIES:
+            _, den = _measure(family, a, b)
             rows.append(Constraint(LinearExpr.sum_over(den), GT, 0))
     if universe_size is not None:
-        full = LinearExpr.sum_over(range(1 << len(properties)))
+        full = LinearExpr.sum_over(range(1 << s))
         rows.append(Constraint(full, EQ, universe_size))
     return rows, has_ratio
 
 
 def build_objective(conclusion: Conclusion, properties: Sequence[str]) -> Objective:
     """Objective whose min/max over the feasible region is the conclusion bound."""
-    num, den = _measure(conclusion.family, *_term_sets(conclusion, properties))
+    return _objective(conclusion.family, *_term_sets(conclusion, properties))
+
+
+def _objective(family: str, a: frozenset, b: frozenset) -> Objective:
+    num, den = _measure(family, a, b)
     return Objective(num, None if den is None else LinearExpr.sum_over(den))
 
 
@@ -302,18 +320,20 @@ def compile_syllogism(
 
     ``premise_bounds`` supplies the crisp interval for each premise in order
     (None for logical premises); fuzzy quantifiers are expected to have been
-    cut to intervals by the caller.
+    cut to intervals by the caller.  The term sets come from
+    ``syl.term_sets``, so every level of one inference shares them.
     """
     if len(premise_bounds) != len(syl.premises):
         raise ValueError("need exactly one bound per premise")
+    *premise_sets, conclusion_sets = syl.term_sets
     rows: List[Constraint] = []
-    for stmt, bound in zip(syl.premises, premise_bounds):
-        rows.extend(compile_statement(stmt, bound, syl.properties))
-    structural, has_ratio = structural_constraints(
-        syl.premises, syl.conclusion, syl.properties, syl.universe_size
+    for stmt, bound, (a, b) in zip(syl.premises, premise_bounds, premise_sets):
+        rows.extend(_statement_rows(stmt, bound, a, b))
+    structural, has_ratio = _structural_rows(
+        (*syl.premises, syl.conclusion), syl.term_sets, syl.s, syl.universe_size
     )
     rows.extend(structural)
-    objective = build_objective(syl.conclusion, syl.properties)
+    objective = _objective(syl.conclusion.family, *conclusion_sets)
     return ConstraintSystem(
         k=1 << syl.s,
         constraints=rows,

@@ -89,6 +89,7 @@ _NUMERIC_KEYWORDS = ("cmpprop", "cmpabs", "prop", "abs", "exc", "sim")
 _RESERVED_NAMES = frozenset({"vs", "inf"})
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUM = r"-?(?:\d+\.\d+|\d+(?:/\d+)?)"
+_NUMBER = re.compile(_NUM)
 _QSPEC_HEAD = re.compile(
     r"\s*(not-all|cmpprop|cmpabs|prop|abs|exc|sim|all|none|some)\b"
 )
@@ -129,6 +130,10 @@ class SyllogismDoc:
 
 
 def _parse_number(text: str, line: int) -> Fraction:
+    # Fraction alone would also take exponents and underscores, and builds
+    # 10**n for "1en" before any check could refuse it
+    if not _NUMBER.fullmatch(text):
+        raise DslError("malformed number %r" % text, line)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -120,9 +120,12 @@ def _class_lp(
     class of them is one variable (their sum), ordered by its smallest atom.
     Equal columns stay equal under pivoting and the simplex breaks every tie
     by smallest index, so it makes the same choices on the classes as on the
-    atoms.  Each row becomes int numerators over one lcm.  Constant rows and
-    rows implied by x >= 0 are dropped.  Atoms in no set, and classes no kept
-    row or cost touches, get no column: a zero column never enters.
+    atoms.  Each referenced set is mapped once to the class positions it
+    covers; a row is then built by adding each term's coefficient into its
+    set's positions, as int numerators over the lcm of the row's
+    denominators.  Constant rows and rows implied by x >= 0 are dropped.
+    Atoms in no set, and classes no kept row or cost touches, get no column:
+    a zero column never enters.
     """
     bits: Dict[FrozenSet[int], int] = {}
     for atoms, _ in chain(*(terms for terms, _, _ in rows), cost_terms):
@@ -132,12 +135,18 @@ def _class_lp(
         for k in atoms:
             member[k] = member.get(k, 0) | bit
     classes = list(dict.fromkeys(member[k] for k in sorted(member)))
+    covers = {
+        atoms: [j for j, sig in enumerate(classes) if sig & bit] for atoms, bit in bits.items()
+    }
 
     kept: List[simplex.Row] = []
     for terms, rel, rhs in rows:
         den = lcm(rhs.denominator, *(v.denominator for _, v in terms))
-        ints = [(bits[atoms], v.numerator * (den // v.denominator)) for atoms, v in terms]
-        nums = [sum(a for bit, a in ints if sig & bit) for sig in classes]
+        nums = [0] * len(classes)
+        for atoms, v in terms:
+            a = v.numerator * (den // v.denominator)
+            for j in covers[atoms]:
+                nums[j] += a
         b = rhs.numerator * (den // rhs.denominator)
         if not any(nums):
             if not _ORDER[rel](0, b):
@@ -150,8 +159,10 @@ def _class_lp(
             continue
         kept.append((nums + [b], den, rel))
 
-    fracs = [(bits[atoms], v) for atoms, v in cost_terms]
-    costs = [sum((v for bit, v in fracs if sig & bit), _ZERO) for sig in classes]
+    costs = [_ZERO] * len(classes)
+    for atoms, v in cost_terms:
+        for j in covers[atoms]:
+            costs[j] += v
     live = [j for j, c in enumerate(costs) if c or any(nums[j] for nums, _, _ in kept)]
     if len(live) < len(classes):
         costs = [costs[j] for j in live]

@@ -6,14 +6,22 @@ rather than tolerance calls.  Each row arrives as the int numerators of a
 and b over one positive denominator; the costs c are rationals.
 
 Every tableau row, the reduced-cost row included, is a list of Python ints
-over one positive int denominator, kept in lowest terms.  A pivot is
-fraction-free elimination (Bareiss, Math. Comp. 1968): row i becomes
-(d*row_i - f*prow) / (den_i*d), where prow/d is the pivot row scaled so its
-pivot entry is one and f = row_i[col]; rows with f == 0 are left alone.
-Because denominators are positive, signs and orderings read straight off
-the numerators, and ratios compare by cross-multiplication, so every choice
-is the one exact rational arithmetic makes.  Fractions appear only at the
-input and result boundaries.
+over one positive int denominator.  A pivot is fraction-free elimination
+(Bareiss, Math. Comp. 1968): row i becomes (d*row_i - f*prow) / (den_i*d),
+where prow/d is the pivot row scaled so its pivot entry is one and
+f = row_i[col]; rows with f == 0 are left alone.  Because denominators are
+positive, signs and orderings read straight off the numerators, and ratios
+compare by cross-multiplication, so every choice is the one exact rational
+arithmetic makes.  Fractions appear only at the input and result boundaries.
+
+Rows are exact but not always in lowest terms.  The pivot row is reduced;
+an eliminated row is reduced only once its denominator is longer than
+_REDUCE_BITS bits, because a gcd over the whole row after every elimination
+costs more than the bits it saves.  No choice depends on a row's scale: the
+entering rule reads signs and the order of numerators within the one
+reduced-cost row, the ratio test compares rhs/coef of each row (its scale
+cancels) by cross-multiplication, and phase 1 reads a sign.  So pivots,
+values and points are those of rows kept in lowest terms throughout.
 
 Pivoting: entering variable by most negative reduced cost (Dantzig) for
 speed, switching permanently to Bland's smallest-index rule once an iteration
@@ -38,6 +46,9 @@ INFEASIBLE = "infeasible"
 _DANTZIG_BUDGET = 500
 # absolute ceiling; exceeding it means the implementation is broken
 _MAX_PIVOTS = 50_000
+# an eliminated row is reduced to lowest terms once its denominator is
+# longer than this; any bound from 45 to 90 bits runs about as fast
+_REDUCE_BITS = 60
 
 
 class PivotLimitError(RuntimeError):
@@ -52,7 +63,7 @@ class LpSolution:
     pivots: int = 0
 
 
-# an exact row: (numerators, positive denominator) in lowest terms
+# an exact row: (numerators, positive denominator), not always in lowest terms
 IntRow = Tuple[List[int], int]
 
 # an input row: the int numerators of its n coefficients and then of its
@@ -81,7 +92,9 @@ def _support(nums: List[int]) -> List[int]:
 def _eliminate(row: IntRow, col: int, prow: IntRow, support: List[int]) -> IntRow:
     """row - row[col] * prow, where prow's entry at col equals one.
 
-    support lists prow's nonzero columns; only those entries change.
+    support lists prow's nonzero columns; only those entries change.  The
+    result is reduced to lowest terms only once its denominator is longer
+    than _REDUCE_BITS bits.
     """
     nums, den = row
     pnums, pden = prow
@@ -91,7 +104,10 @@ def _eliminate(row: IntRow, col: int, prow: IntRow, support: List[int]) -> IntRo
     new = nums[:] if a == 1 else [a * v for v in nums]
     for j in support:
         new[j] -= b * pnums[j]
-    return _reduced(new, den * a)
+    den *= a
+    if den.bit_length() > _REDUCE_BITS:
+        return _reduced(new, den)
+    return new, den
 
 
 def _pivot(tableau: List[IntRow], basis: List[int], row: int, col: int) -> List[int]:

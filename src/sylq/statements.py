@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import FrozenSet, Optional, Tuple
 
 from .quantifiers import (
     COMPARATIVE_ABSOLUTE,
@@ -22,7 +23,7 @@ from .quantifiers import (
     QuantifierSpec,
     as_fraction,
 )
-from .terms import TermExpr, term_names
+from .terms import TermExpr, atoms_of, term_names
 
 __all__ = ["COMPARED_FAMILIES", "Statement", "Conclusion", "Syllogism"]
 
@@ -107,3 +108,16 @@ class Syllogism:
     @property
     def s(self) -> int:
         return len(self.properties)
+
+    @cached_property
+    def term_sets(self) -> Tuple[Tuple[FrozenSet[int], FrozenSet[int]], ...]:
+        """(restriction atoms, scope atoms) of each premise, then of the
+        conclusion.
+
+        Computed on first use and kept on this object only, so every level
+        of one inference reads the same sets.
+        """
+        return tuple(
+            (atoms_of(st.restriction, self.properties), atoms_of(st.scope, self.properties))
+            for st in (*self.premises, self.conclusion)
+        )

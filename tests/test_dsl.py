@@ -72,6 +72,22 @@ def test_numbers_parse_exactly():
     assert (shape.lo, shape.hi) == (F(1, 3), F(2, 3))
 
 
+def universe_doc(size):
+    return "terms: p, q\nuniverse: %s\npremise: all p -> q\nconclude: abs? p -> q\n" % size
+
+
+@pytest.mark.parametrize("size", ["1e5", "1_000", "1e999999999"])
+def test_universe_takes_only_document_numbers(size):
+    # an exponent must be refused before any power of ten is built
+    with pytest.raises(DslError, match=r"line 2: malformed number '%s'" % size):
+        parse(universe_doc(size))
+
+
+def test_fractional_universes_parse_exactly():
+    assert parse(universe_doc("9/2")).universe_size == F(9, 2)
+    assert parse(universe_doc("2.5")).universe_size == F(5, 2)
+
+
 def test_error_positions_are_reported():
     with pytest.raises(DslError) as err:
         parse("terms: p, q\npremise: all p -> (q\nconclude: abs? p -> q\n")

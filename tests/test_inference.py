@@ -194,3 +194,31 @@ def test_levels_with_equal_premise_bounds_share_one_solve(monkeypatch):
     calls.clear()
     infer(one_premise(Trapezoid(1, 2, 4, 5)), mode="alpha", config=InferenceConfig(levels=5))
     assert len(calls) == 5
+
+
+def test_atom_sets_are_computed_once_per_document(monkeypatch):
+    import importlib
+    import pkgutil
+
+    import sylq
+    from sylq import terms
+
+    calls = []
+    real = terms.atoms_of
+
+    def counting(expr, properties):
+        calls.append(expr)
+        return real(expr, properties)
+
+    for info in pkgutil.iter_modules(sylq.__path__):
+        module = importlib.import_module("sylq." + info.name)
+        if getattr(module, "atoms_of", None) is real:
+            monkeypatch.setattr(module, "atoms_of", counting)
+    counts = []
+    for levels in (2, 21):
+        calls.clear()
+        doc = load_fixture("course_passrates_fuzzy.syl")
+        infer(doc.to_syllogism(), mode="alpha", config=InferenceConfig(levels=levels))
+        counts.append(len(calls))
+    # a restriction and a scope set for each premise and the conclusion
+    assert counts == [2 * (len(doc.premises) + 1)] * 2

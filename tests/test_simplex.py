@@ -1,4 +1,5 @@
 import itertools
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -190,9 +191,32 @@ def boxed_lps(draw):
     return costs, rows
 
 
+@contextmanager
+def reduce_bits(bits):
+    """Run the simplex with eliminated rows reduced past `bits` bits."""
+    saved = simplex._REDUCE_BITS
+    simplex._REDUCE_BITS = bits
+    try:
+        yield
+    finally:
+        simplex._REDUCE_BITS = saved
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(boxed_lps())
 def test_minimize_matches_vertex_enumeration(lp):
+    _check_against_vertices(lp)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(boxed_lps())
+def test_minimize_matches_vertex_enumeration_reducing_every_row(lp):
+    # bound 0 reduces every eliminated row to lowest terms
+    with reduce_bits(0):
+        _check_against_vertices(lp)
+
+
+def _check_against_vertices(lp):
     costs, rows = lp
     expected = _brute_minimum(costs, rows)
     sol = minimize(costs, rows)
@@ -204,3 +228,37 @@ def test_minimize_matches_vertex_enumeration(lp):
     assert all(v >= 0 for v in sol.point)
     assert all(_holds(sum(c * v for c, v in zip(a, sol.point)), rel, b) for a, rel, b in rows)
     assert sum(c * v for c, v in zip(costs, sol.point)) == expected
+
+
+# large coprime denominators, so that rows pass the default bound too
+PRIMES = (1, 3, 7, 2**31 - 1, 2**61 - 1, 1_000_000_007, 998_244_353)
+wide = st.builds(F, st.integers(-40, 40), st.sampled_from(PRIMES))
+
+
+@st.composite
+def wide_lps(draw):
+    n = draw(st.integers(1, 4))
+    costs = draw(st.lists(wide, min_size=n, max_size=n))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.lists(wide, min_size=n, max_size=n),
+                st.sampled_from(RELATIONS),
+                st.one_of(st.just(F(0)), wide),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    if draw(st.booleans()):
+        rows += [([F(int(i == j)) for j in range(n)], "<=", draw(wide)) for i in range(n)]
+    return costs, rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(wide_lps())
+def test_lazy_reduction_changes_no_solution(lp):
+    costs, rows = lp
+    with reduce_bits(0):
+        eager = minimize(costs, rows)
+    assert minimize(costs, rows) == eager
