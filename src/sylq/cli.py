@@ -42,9 +42,20 @@ from .terms import SizeGuardError
 __all__ = ["main"]
 
 
+def _digits(text: str) -> bool:
+    # isdecimal() alone also takes the decimal digits of other scripts
+    return text.isascii() and text.isdecimal()
+
+
 def _cap(text: str) -> int:
-    if not text.isdecimal():
+    if not _digits(text):
         raise argparse.ArgumentTypeError("cap must be a nonnegative integer, got %r" % text)
+    return int(text)
+
+
+def _levels(text: str) -> int:
+    if not _digits(text):
+        raise argparse.ArgumentTypeError("levels must be an integer >= 2, got %r" % text)
     return int(text)
 
 
@@ -69,7 +80,7 @@ def _run_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--levels",
-        type=int,
+        type=_levels,
         default=None,
         help="alpha grid size (default %d)" % InferenceConfig.levels,
     )

@@ -163,8 +163,11 @@ class Objective:
     denominator: Optional[LinearExpr] = None
 
     def __post_init__(self) -> None:
-        if self.denominator is not None and any(v < 0 for _, v in self.denominator.coeffs):
-            raise ValueError("ratio denominators are nonnegative atom sums")
+        # per-atom coefficients can only be negative if some term's is
+        den = self.denominator
+        if den is not None and any(v < 0 for _, v in den.terms):
+            if any(v < 0 for _, v in den.coeffs):
+                raise ValueError("ratio denominators are nonnegative atom sums")
 
 
 @dataclass

@@ -88,7 +88,8 @@ _NUMERIC_KEYWORDS = ("cmpprop", "cmpabs", "prop", "abs", "exc", "sim")
 
 _RESERVED_NAMES = frozenset({"vs", "inf"})
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUM = r"-?(?:\d+\.\d+|\d+(?:/\d+)?)"
+# [0-9], not \d: \d also matches the decimal digits of other scripts
+_NUM = r"-?(?:[0-9]+\.[0-9]+|[0-9]+(?:/[0-9]+)?)"
 _NUMBER = re.compile(_NUM)
 _QSPEC_HEAD = re.compile(
     r"\s*(not-all|cmpprop|cmpabs|prop|abs|exc|sim|all|none|some)\b"
@@ -318,7 +319,7 @@ def _parse_options(body: str, line: int) -> Dict[str, object]:
                 raise DslError("unknown mode %r" % value, line)
             options["mode"] = value
         elif key == "levels":
-            if not value.isdecimal() or int(value) < 2:
+            if not (value.isascii() and value.isdecimal()) or int(value) < 2:
                 raise DslError("levels must be an integer >= 2", line)
             options["levels"] = int(value)
         else:

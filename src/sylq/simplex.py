@@ -27,6 +27,13 @@ Pivoting: entering variable by most negative reduced cost (Dantzig) for
 speed, switching permanently to Bland's smallest-index rule once an iteration
 budget is exhausted, which guarantees termination; the leaving row always
 breaks ratio ties by smallest basis variable, as Bland requires.
+
+Phase 1 never reads the costs: its end state depends only on the variable
+count n and the normalized rows.  minimize keeps that state for the last
+system it saw, so maximize(c, rows) after minimize(c, rows), which is how a
+conclusion is bracketed, runs phase 1 once and phase 2 twice.  Each
+solution's pivots still count the whole path from the slack/artificial
+start basis, phase 1 included, so both solutions of one system count it.
 """
 
 from __future__ import annotations
@@ -69,6 +76,12 @@ IntRow = Tuple[List[int], int]
 # an input row: the int numerators of its n coefficients and then of its
 # rhs, their common positive denominator, and the relation
 Row = Tuple[List[int], int, str]
+
+# a normalized row: as Row, in lowest terms with rhs >= 0, numerators copied
+_NormRow = Tuple[Tuple[int, ...], int, str]
+
+# phase 1's end state: tableau (None if infeasible), basis, pivots, columns
+_Phase1 = Tuple[Optional[List[IntRow]], List[int], int, int]
 
 
 def _reduced(nums: List[int], den: int) -> IntRow:
@@ -169,25 +182,14 @@ def _iterate(
             raise PivotLimitError("simplex did not terminate within the pivot cap")
 
 
-def minimize(costs: Sequence, rows: Sequence[Row]) -> LpSolution:
-    """Minimize costs.x over {x >= 0 : every row holds}; costs are rationals."""
-    n = len(costs)
+def _phase1(n: int, norm: List[_NormRow]) -> _Phase1:
+    """Phase 1 over normalized rows (rhs >= 0, lowest terms).
 
-    # normalize rows to nonnegative rhs and count extra columns
-    norm: List[Tuple[List[int], int, str]] = []
-    for nums, den, rel in rows:
-        if len(nums) != n + 1:
-            raise ValueError("row length does not match variable count")
-        if rel not in ("<=", ">=", "=="):
-            raise ValueError("relation must be <=, >= or == (rewrite strict first)")
-        if den <= 0:
-            raise ValueError("row denominator must be positive")
-        nums, den = _reduced(nums, den)
-        if nums[-1] < 0:
-            nums = [-v for v in nums]
-            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        norm.append((nums, den, rel))
-
+    Returns the feasible tableau without its artificial columns, its basis,
+    the pivots taken and the column count; the tableau is None when the
+    rows are infeasible.  The costs play no part, so the result depends
+    only on (n, norm).
+    """
     n_slack = sum(1 for *_, rel in norm if rel != "==")
     n_art = sum(1 for *_, rel in norm if rel != "<=")
     ncols = n + n_slack + n_art
@@ -197,7 +199,7 @@ def minimize(costs: Sequence, rows: Sequence[Row]) -> LpSolution:
     slack_at = n
     art_at = n + n_slack
     for nums, den, rel in norm:
-        row = nums[:-1] + [0] * (n_slack + n_art) + nums[-1:]
+        row = [*nums[:-1], *[0] * (n_slack + n_art), nums[-1]]
         if rel != "==":
             row[slack_at] = den if rel == "<=" else -den
             slack_at += 1
@@ -211,36 +213,80 @@ def minimize(costs: Sequence, rows: Sequence[Row]) -> LpSolution:
 
     pivots = 0
     art_start = n + n_slack
+    if not n_art:
+        return tableau, basis, pivots, ncols
 
-    # phase 1: drive artificial variables to zero
-    if n_art:
-        # obj = sum of artificial columns minus their basic rows, over the
-        # lcm of those rows' denominators
-        art_rows = [tableau[i] for i, b in enumerate(basis) if b >= art_start]
-        oden = lcm(*(den for _, den in art_rows))
-        onums = [0] * art_start + [oden] * n_art + [0]
-        for nums, den in art_rows:
-            m = oden // den
-            onums = [o - m * v for o, v in zip(onums, nums)]
-        status, pivots, obj = _iterate(tableau, basis, _reduced(onums, oden), ncols, pivots)
-        assert status == OPTIMAL  # phase 1 objective is bounded below by 0
-        if obj[0][-1] < 0:
-            return LpSolution(INFEASIBLE, pivots=pivots)
-        # pivot lingering artificials out of the basis, dropping empty rows
-        for i in reversed(range(len(basis))):
-            if basis[i] < art_start:
-                continue
-            nums = tableau[i][0]
-            entry = next((j for j in range(art_start) if nums[j]), None)
-            if entry is None:
-                del tableau[i]
-                del basis[i]
-            else:
-                _pivot(tableau, basis, i, entry)
-                pivots += 1
-        # artificial columns are zero from here on and never re-enter: drop them
-        tableau = [_reduced(nums[:art_start] + nums[-1:], den) for nums, den in tableau]
-        ncols = art_start
+    # drive artificial variables to zero: obj = sum of artificial columns
+    # minus their basic rows, over the lcm of those rows' denominators
+    art_rows = [tableau[i] for i, b in enumerate(basis) if b >= art_start]
+    oden = lcm(*(den for _, den in art_rows))
+    onums = [0] * art_start + [oden] * n_art + [0]
+    for nums, den in art_rows:
+        m = oden // den
+        onums = [o - m * v for o, v in zip(onums, nums)]
+    status, pivots, obj = _iterate(tableau, basis, _reduced(onums, oden), ncols, pivots)
+    assert status == OPTIMAL  # phase 1 objective is bounded below by 0
+    if obj[0][-1] < 0:
+        return None, basis, pivots, ncols
+    # pivot lingering artificials out of the basis, dropping empty rows
+    for i in reversed(range(len(basis))):
+        if basis[i] < art_start:
+            continue
+        nums = tableau[i][0]
+        entry = next((j for j in range(art_start) if nums[j]), None)
+        if entry is None:
+            del tableau[i]
+            del basis[i]
+        else:
+            _pivot(tableau, basis, i, entry)
+            pivots += 1
+    # artificial columns are zero from here on and never re-enter: drop them
+    tableau = [_reduced(nums[:art_start] + nums[-1:], den) for nums, den in tableau]
+    return tableau, basis, pivots, art_start
+
+
+# the last system's key (n, normalized rows) and its phase-1 end state
+_last_phase1: Optional[Tuple[Tuple[int, List[_NormRow]], _Phase1]] = None
+
+
+def minimize(costs: Sequence, rows: Sequence[Row]) -> LpSolution:
+    """Minimize costs.x over {x >= 0 : every row holds}; costs are rationals.
+
+    The phase-1 end state is reused when (n, normalized rows) equals the
+    last call's, compared by value; the key copies the rows, so changing
+    the caller's lists cannot make a stale state match.  A reuse takes
+    shallow copies of the tableau and basis lists.  That is enough because
+    no row list is ever changed in place: _reduced, _eliminate and _pivot
+    build new lists and only store them into the tableau, so callers that
+    interleave systems each get a fresh answer too.
+    """
+    global _last_phase1
+    n = len(costs)
+
+    # normalize rows to nonnegative rhs; the tuples are the memo key's copies
+    norm: List[_NormRow] = []
+    for nums, den, rel in rows:
+        if len(nums) != n + 1:
+            raise ValueError("row length does not match variable count")
+        if rel not in ("<=", ">=", "=="):
+            raise ValueError("relation must be <=, >= or == (rewrite strict first)")
+        if den <= 0:
+            raise ValueError("row denominator must be positive")
+        nums, den = _reduced(nums, den)
+        if nums[-1] < 0:
+            nums = [-v for v in nums]
+            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
+        norm.append((tuple(nums), den, rel))
+
+    # one read of the global: a thread that replaces it meanwhile cannot
+    # hand this call another system's state
+    key, memo = (n, norm), _last_phase1
+    if memo is None or memo[0] != key:
+        memo = _last_phase1 = (key, _phase1(n, norm))
+    tableau, basis, pivots, ncols = memo[1]
+    if tableau is None:
+        return LpSolution(INFEASIBLE, pivots=pivots)
+    tableau, basis = list(tableau), list(basis)
 
     # phase 2: reduced costs c - sum of c_b * (basic row b)
     obj = _int_row([*costs, *[0] * (ncols - n), 0])

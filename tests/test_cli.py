@@ -234,6 +234,8 @@ def test_deeply_nested_term_is_an_input_error(capsys, term):
         ["verify", PETS, "--cap", "x"],
         ["verify", PETS, "--cap", "-3"],
         [PETS, "--verify", "-3"],
+        [PETS, "--levels", "\u0661\u0661"],
+        ["verify", PETS, "--cap", "\u0661\u0661"],
         [PETS, "--epsilon-prop", "0.001"],
         ["verify", "-", "--epsilon-count", "5"],
         ["-"],
@@ -244,6 +246,8 @@ def test_deeply_nested_term_is_an_input_error(capsys, term):
         "cap",
         "negative-cap",
         "negative-verify",
+        "non-ascii-levels",
+        "non-ascii-cap",
         "epsilon-flag",
         "verify-epsilon-flag",
         "epsilon-option",

@@ -6,6 +6,7 @@ from sylq import Interval, Syllogism, UnitMixingError
 from sylq.compiler import (
     Constraint,
     LinearExpr,
+    Objective,
     build_objective,
     compile_statement,
     compile_syllogism,
@@ -167,6 +168,15 @@ def test_objectives():
 
     with pytest.raises(ValueError):
         Conclusion(LOGICAL_ALL, P, Q)
+
+
+def test_ratio_denominator_signs_read_per_atom():
+    # 2*S_A - S_B is a nonnegative atom sum exactly when B lies inside A
+    a = frozenset({1, 3})
+    numerator = LinearExpr.sum_over({3})
+    Objective(numerator, LinearExpr(((a, F(2)), (frozenset({3}), F(-1)))))
+    with pytest.raises(ValueError, match="nonnegative atom sums"):
+        Objective(numerator, LinearExpr(((a, F(2)), (frozenset({2, 3}), F(-1)))))
 
 
 def test_compile_syllogism_checks_bound_count():

@@ -76,11 +76,17 @@ def universe_doc(size):
     return "terms: p, q\nuniverse: %s\npremise: all p -> q\nconclude: abs? p -> q\n" % size
 
 
-@pytest.mark.parametrize("size", ["1e5", "1_000", "1e999999999"])
+@pytest.mark.parametrize("size", ["1e5", "1_000", "1e999999999", "\u0663"])
 def test_universe_takes_only_document_numbers(size):
     # an exponent must be refused before any power of ten is built
     with pytest.raises(DslError, match=r"line 2: malformed number '%s'" % size):
         parse(universe_doc(size))
+
+
+def test_bounds_take_only_ascii_digits():
+    # \d also matches other scripts' digits, and Fraction reads them
+    with pytest.raises(DslError, match="line 2, column 14: quantifier prop needs a shape"):
+        parse("terms: p, q\npremise: prop[\u0660.5, 1] p -> q\nconclude: prop? p -> q\n")
 
 
 def test_fractional_universes_parse_exactly():
@@ -190,6 +196,9 @@ def test_option_validation():
     # a superscript digit passes str.isdigit but not int()
     with pytest.raises(DslError, match="line 4: levels must be an integer >= 2"):
         parse(base + "options: levels=\u00b2\n")
+    # an Arabic-Indic 11 passes str.isdecimal and int(), but is not ASCII
+    with pytest.raises(DslError, match="line 4: levels must be an integer >= 2"):
+        parse(base + "options: levels=\u0661\u0661\n")
     doc = parse(base + "options: mode=alpha, levels=7\n")
     assert doc.options == {"mode": "alpha", "levels": 7}
 

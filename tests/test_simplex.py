@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sylq import cli, simplex
+from sylq import cli, infer, optimizer, parse, simplex
 from sylq.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 from conftest import FIXTURE_DIR, int_rows
@@ -192,12 +192,27 @@ def boxed_lps(draw):
 
 
 @contextmanager
+def cleared_phase1():
+    """Run the simplex with no phase-1 end state kept from an earlier call."""
+    simplex._last_phase1 = None
+    try:
+        yield
+    finally:
+        simplex._last_phase1 = None
+
+
+@contextmanager
 def reduce_bits(bits):
-    """Run the simplex with eliminated rows reduced past `bits` bits."""
+    """Run the simplex with eliminated rows reduced past `bits` bits.
+
+    No phase-1 end state crosses the change of bound either way, so every
+    call inside, and the first call after, runs its own phase 1.
+    """
     saved = simplex._REDUCE_BITS
     simplex._REDUCE_BITS = bits
     try:
-        yield
+        with cleared_phase1():
+            yield
     finally:
         simplex._REDUCE_BITS = saved
 
@@ -262,3 +277,90 @@ def test_lazy_reduction_changes_no_solution(lp):
     with reduce_bits(0):
         eager = minimize(costs, rows)
     assert minimize(costs, rows) == eager
+
+
+# ---------------------------------------------------- one phase 1 per system
+
+
+@contextmanager
+def counting(name):
+    """Count the calls of simplex.<name>, looked up by the module at call time."""
+    calls = []
+    original = getattr(simplex, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    setattr(simplex, name, wrapper)
+    try:
+        yield calls
+    finally:
+        setattr(simplex, name, original)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.one_of(boxed_lps(), wide_lps()))
+def test_shared_phase1_changes_no_solution(lp):
+    costs, rows = lp
+    rows = int_rows(rows)
+    with cleared_phase1():
+        fresh_lo = simplex.minimize(costs, rows)
+    with cleared_phase1():
+        fresh_hi = simplex.maximize(costs, rows)
+    with cleared_phase1(), counting("_phase1") as runs:
+        lo = simplex.minimize(costs, rows)
+        hi = simplex.maximize(costs, rows)
+    assert (lo, hi) == (fresh_lo, fresh_hi)
+    assert len(runs) == 1
+
+
+def test_interleaved_systems_get_their_own_phase1():
+    a_costs, a_rows = [1, 1], int_rows([([1, 2], ">=", 4), ([3, 1], ">=", 6)])
+    b_costs, b_rows = [1, 0], int_rows([([1, 1], "==", 2), ([1, -1], "==", 0)])
+    with cleared_phase1():
+        fresh = [simplex.minimize(a_costs, a_rows), simplex.minimize(b_costs, b_rows)]
+    with cleared_phase1(), counting("_phase1") as runs:
+        got = [
+            simplex.minimize(a_costs, a_rows),
+            simplex.minimize(b_costs, b_rows),
+            simplex.minimize(a_costs, a_rows),
+        ]
+    assert got == [fresh[0], fresh[1], fresh[0]]
+    assert len(runs) == 3
+
+
+def test_zero_row_systems_of_different_width_do_not_share_phase1():
+    with cleared_phase1():
+        assert simplex.minimize([1], []) == simplex.LpSolution(OPTIMAL, F(0), [F(0)], 0)
+        # the second column can grow without bound; a width-1 tableau cannot see it
+        assert simplex.minimize([0, -1], []).status == UNBOUNDED
+
+
+def test_rows_changed_in_place_are_solved_again():
+    rows = int_rows([([1, 1], ">=", 2), ([1, 0], "<=", 5)])
+    with cleared_phase1():
+        assert simplex.minimize([1, 1], rows).value == 2
+        rows[0][0][-1] = 3  # the first row's rhs, in the caller's own list
+        assert simplex.minimize([1, 1], rows).value == 3
+        rows[1][0][-1] = -1  # x0 <= -1 with x0 >= 0
+        assert simplex.minimize([1, 1], rows).status == INFEASIBLE
+
+
+def test_one_phase1_per_feasible_solve(monkeypatch):
+    syl = parse((FIXTURE_DIR / "pets_at_home.syl").read_text()).to_syllogism()
+    outcomes = []
+    original = optimizer.solve
+
+    def recording_solve(system):
+        outcomes.append(original(system))
+        return outcomes[-1]
+
+    monkeypatch.setattr(optimizer, "solve", recording_solve)
+    with cleared_phase1(), counting("_phase1") as runs, counting("_iterate") as iterations:
+        infer(syl)
+    feasible = sum(o.status != optimizer.INFEASIBLE for o in outcomes)
+    assert feasible == len(outcomes) == 1
+    # one phase-1 run of the iterations, then phase 2 for min and for max
+    assert len(runs) == feasible
+    assert len(iterations) == 3 * feasible
