@@ -17,6 +17,7 @@ upper end renders as ``null`` in JSON and an empty CSV cell.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -66,6 +67,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+# each parser is built on the first call that needs it, then reused: parsing
+# keeps nothing in the parser, and importing the module stays cheap
+@functools.cache
 def _run_parser() -> argparse.ArgumentParser:
     p = _ArgumentParser(
         prog="sylq",
@@ -95,6 +99,7 @@ def _run_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
 def _verify_parser() -> argparse.ArgumentParser:
     p = _ArgumentParser(
         prog="sylq verify",

@@ -21,18 +21,30 @@ denominator positivity for ratio statements and the universe cardinality
 equation when |E| is declared.  Nonnegativity x >= 0 is not a row: the
 solver works over x >= 0 already.
 
-A row is held as set terms: each term is one of the atom sets above with a
-rational coefficient, so building or combining rows costs one step per term,
-not per atom, and the K = 2**S atoms are only expanded when a caller reads
-per-atom coefficients.
+From one crisp reading of a syllogism to the next only the numeric
+premises' bounds move, so the LP is built in two steps.  build_skeleton
+runs once per Syllogism (kept as Syllogism.skeleton).  It splits the
+K = 2**S atoms into classes, the atoms that lie in exactly the same
+referenced sets (in a chain of premises on p0, every atom outside p0 is one
+class), and makes each class one LP column, the sum of its atoms.  Over
+those columns it writes the logical and structural rows, with the strict
+rewrite and the Charnes-Cooper substitution already applied, the objective
+costs, and each numeric premise's measure as int vectors: U for the
+numerator and, for a ratio family, W for the denominator.  compile_syllogism
+then writes each bound p/q of a reading as one int row: q*U - p*W rel 0 for
+a ratio family, q*U rel p for a count family (q*U - p*t rel 0 under
+Charnes-Cooper).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from math import lcm
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from . import optimizer
+from .optimizer import EQ, GE, GT, LE, SetRow, Term
 from .quantifiers import (
     ABSOLUTE,
     COMPARATIVE_ABSOLUTE,
@@ -47,176 +59,96 @@ from .quantifiers import (
     RATIO_FAMILIES,
     SIMILARITY,
     Interval,
-    as_fraction,
     check_unit,
 )
-from .statements import Conclusion, Statement, Syllogism
-from .terms import atoms_of
+
+if TYPE_CHECKING:
+    from .statements import Syllogism
 
 __all__ = [
     "UnitMixingError",
-    "LinearExpr",
-    "Constraint",
-    "Objective",
+    "Skeleton",
     "ConstraintSystem",
-    "compile_statement",
-    "structural_constraints",
-    "build_objective",
+    "build_skeleton",
     "compile_syllogism",
 ]
 
-LE, GE, EQ, LT, GT = "<=", ">=", "==", "<", ">"
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class UnitMixingError(ValueError):
     """Count and proportion quantifiers mixed without a declared universe."""
 
 
-# (atom indices, coefficient): the coefficient times the sum of x_k over the atoms
-Term = Tuple[FrozenSet[int], Fraction]
+# an LP row over atom classes: (class numerators, rhs numerator, their
+# positive denominator, relation)
+ClassRow = Tuple[Sequence[int], int, int, str]
 
 
-@dataclass(frozen=True, eq=False)
-class LinearExpr:
-    """Linear expression over atom cardinalities.
+class _Measure(NamedTuple):
+    """A numeric premise's measure over the classes: U, and W for ratios."""
 
-    Each term (atoms, c) adds c times the sum of x_k over a set of atoms, so
-    a row built from a few term sets holds a few terms however many atoms
-    the sets cover.  coeffs, as_dict() and equality read the per-atom
-    values the terms add up to.
-    """
-
-    terms: Tuple[Term, ...] = ()
-
-    @staticmethod
-    def of(coeffs: Dict[int, Fraction]) -> "LinearExpr":
-        return LinearExpr(
-            tuple((frozenset((k,)), as_fraction(v)) for k, v in coeffs.items() if v != 0)
-        )
-
-    @staticmethod
-    def sum_over(atoms) -> "LinearExpr":
-        """The sum of x_k over a set of atom indices."""
-        members = frozenset(atoms)
-        return LinearExpr(((members, Fraction(1)),) if members else ())
-
-    @property
-    def coeffs(self) -> Tuple[Tuple[int, Fraction], ...]:
-        """Nonzero per-atom coefficients, by atom index."""
-        out: Dict[int, Fraction] = {}
-        for atoms, v in self.terms:
-            for k in atoms:
-                out[k] = out.get(k, 0) + v
-        return tuple(sorted((k, v) for k, v in out.items() if v != 0))
-
-    def as_dict(self) -> Dict[int, Fraction]:
-        return dict(self.coeffs)
-
-    def plus(self, other: "LinearExpr", factor=1) -> "LinearExpr":
-        """self + factor * other."""
-        f = as_fraction(factor)
-        if f == 0:
-            return self
-        return LinearExpr(self.terms + tuple((atoms, f * v) for atoms, v in other.terms))
-
-    def max_index(self) -> int:
-        """Highest atom index any term names."""
-        return max((max(atoms) for atoms, _ in self.terms if atoms), default=-1)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LinearExpr):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
+    family: str
+    u: Tuple[int, ...]
+    w: Optional[Tuple[int, ...]]
 
 
 @dataclass(frozen=True)
-class Constraint:
-    """expr REL rhs, with REL one of <=, >=, ==, <, >.
+class Skeleton:
+    """The part of a syllogism's LP that no premise bound changes.
 
-    Strict relations come only from logical-some/not-all translations and
-    denominator positivity; the optimizer rewrites them before solving.
+    classes   the atoms of each column, ordered by smallest atom; under
+              Charnes-Cooper the last column is t, written as atom K
+    premises  per premise, a logical premise's row or a numeric one's measure
+    fixed     the structural rows, then the Charnes-Cooper normalization
+    costs     the objective numerator per column
     """
 
-    expr: LinearExpr
-    rel: str
-    rhs: Fraction
-
-    def __post_init__(self) -> None:
-        if self.rel not in (LE, GE, EQ, LT, GT):
-            raise ValueError("unknown relation %r" % self.rel)
-        object.__setattr__(self, "rhs", as_fraction(self.rhs))
-
-    @property
-    def is_strict(self) -> bool:
-        return self.rel in (LT, GT)
+    classes: Tuple[Tuple[int, ...], ...]
+    premises: Tuple[object, ...]
+    fixed: Tuple[ClassRow, ...]
+    costs: Tuple[int, ...]
+    charnes_cooper: bool
 
 
 @dataclass(frozen=True)
-class Objective:
-    """Linear sum to be minimized and maximized, or a ratio of two when
-    ``denominator`` is set."""
-
-    numerator: LinearExpr
-    denominator: Optional[LinearExpr] = None
-
-    def __post_init__(self) -> None:
-        # per-atom coefficients can only be negative if some term's is
-        den = self.denominator
-        if den is not None and any(v < 0 for _, v in den.terms):
-            if any(v < 0 for _, v in den.coeffs):
-                raise ValueError("ratio denominators are nonnegative atom sums")
-
-
-@dataclass
 class ConstraintSystem:
-    """Everything one crisp solve needs.
+    """One crisp reading's LP over its syllogism's atom classes.
 
-    ``proportional_context`` records whether any statement in the syllogism
-    is a ratio one; the strict-inequality rewrite keys off it.
+    constraints holds the premise rows in premise order, then the
+    skeleton's fixed rows; costs are the skeleton's; k is the atom count.
     """
 
     k: int
-    constraints: List[Constraint]
-    objective: Objective
-    universe_size: Optional[Fraction] = None
-    proportional_context: bool = False
-
-    def __post_init__(self) -> None:
-        for con in self.constraints:
-            if con.expr.max_index() >= self.k:
-                raise ValueError("constraint references atom index >= K")
-        if self.objective.numerator.max_index() >= self.k:
-            raise ValueError("objective references atom index >= K")
-        if self.objective.denominator is not None:
-            if self.objective.denominator.max_index() >= self.k:
-                raise ValueError("objective references atom index >= K")
+    constraints: List[ClassRow]
+    costs: Tuple[int, ...]
 
 
-def _term_sets(stmt, properties: Sequence[str]) -> Tuple[frozenset, frozenset]:
-    return atoms_of(stmt.restriction, properties), atoms_of(stmt.scope, properties)
+def _sum(atoms: frozenset, coefficient: Fraction = _ONE) -> Tuple[Term, ...]:
+    """coefficient * S_atoms as terms; none for the empty set."""
+    return ((atoms, coefficient),) if atoms else ()
 
 
-def _measure(family: str, a: frozenset, b: frozenset) -> Tuple[LinearExpr, Optional[frozenset]]:
+def _measure(
+    family: str, a: frozenset, b: frozenset
+) -> Tuple[Tuple[Term, ...], Optional[frozenset]]:
     """A numeric family's measure over term sets a and b.
 
-    Returns (numerator, denominator atoms), with None as the denominator of
-    a count family.
+    Returns (numerator terms, denominator atoms), with None as the
+    denominator of a count family.
     """
     if family == ABSOLUTE:
-        return LinearExpr.sum_over(a & b), None
+        return _sum(a & b), None
     if family == EXCEPTION:
-        return LinearExpr.sum_over(a - b), None
+        return _sum(a - b), None
     if family == COMPARATIVE_ABSOLUTE:
-        return LinearExpr.sum_over(a).plus(LinearExpr.sum_over(b), -1), None
+        return _sum(a) + _sum(b, -_ONE), None
     if family == PROPORTIONAL:
-        return LinearExpr.sum_over(a & b), a
+        return _sum(a & b), a
     if family == COMPARATIVE_PROPORTIONAL:
-        return LinearExpr.sum_over(a), b
+        return _sum(a), b
     if family == SIMILARITY:
-        return LinearExpr.sum_over(a & b), a | b
+        return _sum(a & b), a | b
     raise ValueError("family %r has no numeric measure" % family)
 
 
@@ -229,118 +161,144 @@ _LOGICAL_ROWS = {
 }
 
 
-def compile_statement(
-    stmt: Statement, bound: Optional[Interval], properties: Sequence[str]
-) -> List[Constraint]:
-    """Constraints equivalent to ``stmt`` holding with the given crisp bound.
+def _class_row(row: SetRow, covers: Dict[frozenset, List[int]], n: int) -> ClassRow:
+    """A set row as int numerators over the lcm of its denominators."""
+    terms, rel, rhs = row
+    den = lcm(rhs.denominator, *(v.denominator for _, v in terms))
+    nums = [0] * n
+    for atoms, v in terms:
+        a = v.numerator * (den // v.denominator)
+        for j in covers[atoms]:
+            nums[j] += a
+    return tuple(nums), rhs.numerator * (den // rhs.denominator), den, rel
 
-    ``bound`` is supplied separately from the statement because fuzzy
-    statements are compiled once per alpha-cut level.  Logical families ignore
-    it (pass None).  An unbounded hi emits no upper row.
+
+def build_skeleton(syl: Syllogism) -> Skeleton:
+    """Everything of syl's LP but its numeric premises' bounds.
+
+    Count and proportion quantifiers may share a syllogism only when the
+    universe size is declared (the caller is expected to surface a warning
+    in that case); otherwise the mix is refused here.
     """
-    return _statement_rows(stmt, bound, *_term_sets(stmt, properties))
-
-
-def _statement_rows(
-    stmt: Statement, bound: Optional[Interval], a: frozenset, b: frozenset
-) -> List[Constraint]:
-    """compile_statement over the statement's term sets a and b."""
-    if stmt.family in _LOGICAL_ROWS:
-        family, rel = _LOGICAL_ROWS[stmt.family]
-        return [Constraint(_measure(family, a, b)[0], rel, 0)]
-    if bound is None:
-        raise ValueError("family %s needs a crisp bound to compile" % stmt.family)
-    check_unit(stmt.family, bound.lo, bound.hi)
-    num, den = _measure(stmt.family, a, b)
-    rows = []
-    for rel, value in ((GE, bound.lo), (LE, bound.hi)):
-        if value is None:
-            continue
-        if den is None:
-            rows.append(Constraint(num, rel, value))
-        else:
-            rows.append(Constraint(num.plus(LinearExpr.sum_over(den), -value), rel, 0))
-    return rows
-
-
-def structural_constraints(
-    premises: Sequence[Statement],
-    conclusion: Conclusion,
-    properties: Sequence[str],
-    universe_size=None,
-) -> Tuple[List[Constraint], bool]:
-    """Denominator positivity and the universe equation.
-
-    Returns (constraints, proportional_context).  Count and proportion
-    quantifiers may share a syllogism only when the universe size is declared
-    (the caller is expected to surface a warning in that case); otherwise the
-    mix is refused here.
-    """
-    statements = list(premises) + [conclusion]
-    sets = [_term_sets(stmt, properties) for stmt in statements]
-    return _structural_rows(statements, sets, len(properties), universe_size)
-
-
-def _structural_rows(
-    statements: Sequence, sets: Sequence[Tuple[frozenset, frozenset]], s: int, universe_size
-) -> Tuple[List[Constraint], bool]:
-    """structural_constraints over each statement's term sets and S = s."""
-    families = [stmt.family for stmt in statements]
-    has_ratio = any(f in RATIO_FAMILIES for f in families)
-    has_count = any(f in COUNT_FAMILIES for f in families)
-    if has_ratio and has_count and universe_size is None:
+    statements = (*syl.premises, syl.conclusion)
+    has_ratio = any(st.family in RATIO_FAMILIES for st in statements)
+    has_count = any(st.family in COUNT_FAMILIES for st in statements)
+    if has_ratio and has_count and syl.universe_size is None:
         raise UnitMixingError(
             "syllogism mixes count quantifiers (absolute/exception/"
             "comparative-absolute) with proportion quantifiers; declare "
             "'universe:' to make the units commensurable"
         )
+    k = 1 << syl.s
 
-    rows: List[Constraint] = []
-    for family, (a, b) in zip(families, sets):
-        if family in RATIO_FAMILIES:
-            _, den = _measure(family, a, b)
-            rows.append(Constraint(LinearExpr.sum_over(den), GT, 0))
-    if universe_size is not None:
-        full = LinearExpr.sum_over(range(1 << s))
-        rows.append(Constraint(full, EQ, universe_size))
-    return rows, has_ratio
+    # rows with no bound in them: logical premises, then the structural rows;
+    # a numeric premise's measure stands in its place
+    rows: List[SetRow] = []
+    measures = []
+    for stmt, (a, b) in zip(syl.premises, syl.term_sets):
+        if stmt.family in _LOGICAL_ROWS:
+            family, rel = _LOGICAL_ROWS[stmt.family]
+            rows.append((_measure(family, a, b)[0], rel, _ZERO))
+            measures.append(None)
+        else:
+            measures.append(_measure(stmt.family, a, b))
+    n_logical = len(rows)
+    for stmt, (a, b) in zip(statements, syl.term_sets):
+        if stmt.family in RATIO_FAMILIES:
+            rows.append((_sum(_measure(stmt.family, a, b)[1]), GT, _ZERO))
+    if syl.universe_size is not None:
+        rows.append((_sum(frozenset(range(k))), EQ, syl.universe_size))
+    rows = optimizer.rewrite_strict(
+        rows, k=k, proportional_context=has_ratio, universe_size=syl.universe_size
+    )
+    numerator, denominator = _measure(syl.conclusion.family, *syl.term_sets[-1])
+    referenced = [atoms for atoms, _ in numerator]
+    if denominator is not None:
+        # linear-fractional: substitute y = t*x with t = 1/denominator.
+        # Row a.x rel b becomes a.y - b*t rel 0, plus the normalization
+        # den.y == 1; t >= 0 admits limits along recession directions, so
+        # suprema that are only approached are still found.  t is atom
+        # index k, so it forms the last class.
+        t = frozenset((k,))
+        rows = [(terms + ((t, -rhs),), rel, _ZERO) for terms, rel, rhs in rows]
+        rows.append((_sum(denominator), EQ, _ONE))
+        referenced.append(t)
+    for num, den in filter(None, measures):
+        referenced += [atoms for atoms, _ in num]
+        if den:
+            referenced.append(den)
+    referenced += [atoms for terms, _, _ in rows for atoms, _ in terms]
 
+    # atoms in the same referenced sets have equal columns: one class each
+    bits: Dict[frozenset, int] = {}
+    for atoms in referenced:
+        bits.setdefault(atoms, 1 << len(bits))
+    member: Dict[int, int] = {}
+    for atoms, bit in bits.items():
+        for x in atoms:
+            member[x] = member.get(x, 0) | bit
+    classes: Dict[int, List[int]] = {}
+    for x in sorted(member):
+        classes.setdefault(member[x], []).append(x)
+    covers = {
+        atoms: [j for j, sig in enumerate(classes) if sig & bit] for atoms, bit in bits.items()
+    }
+    n = len(classes)
 
-def build_objective(conclusion: Conclusion, properties: Sequence[str]) -> Objective:
-    """Objective whose min/max over the feasible region is the conclusion bound."""
-    return _objective(conclusion.family, *_term_sets(conclusion, properties))
+    def vector(terms: Tuple[Term, ...]) -> Tuple[int, ...]:
+        # numerator terms have coefficients +-1, so the row's denominator is 1
+        return _class_row((terms, EQ, _ZERO), covers, n)[0]
 
-
-def _objective(family: str, a: frozenset, b: frozenset) -> Objective:
-    num, den = _measure(family, a, b)
-    return Objective(num, None if den is None else LinearExpr.sum_over(den))
+    class_rows = [_class_row(row, covers, n) for row in rows]
+    logical = iter(class_rows[:n_logical])
+    premises = []
+    for stmt, measure in zip(syl.premises, measures):
+        if measure is None:
+            premises.append(next(logical))
+        else:
+            num, den = measure
+            w = None if den is None else vector(_sum(den))
+            premises.append(_Measure(stmt.family, vector(num), w))
+    return Skeleton(
+        classes=tuple(map(tuple, classes.values())),
+        premises=tuple(premises),
+        fixed=tuple(class_rows[n_logical:]),
+        costs=vector(numerator),
+        charnes_cooper=denominator is not None,
+    )
 
 
 def compile_syllogism(
     syl: Syllogism, premise_bounds: Sequence[Optional[Interval]]
 ) -> ConstraintSystem:
-    """Assemble the full constraint system for one crisp reading.
+    """The LP of one crisp reading: the skeleton plus each bound's rows.
 
     ``premise_bounds`` supplies the crisp interval for each premise in order
     (None for logical premises); fuzzy quantifiers are expected to have been
-    cut to intervals by the caller.  The term sets come from
-    ``syl.term_sets``, so every level of one inference shares them.
+    cut to intervals by the caller.  An unbounded hi emits no upper row.
     """
     if len(premise_bounds) != len(syl.premises):
         raise ValueError("need exactly one bound per premise")
-    *premise_sets, conclusion_sets = syl.term_sets
-    rows: List[Constraint] = []
-    for stmt, bound, (a, b) in zip(syl.premises, premise_bounds, premise_sets):
-        rows.extend(_statement_rows(stmt, bound, a, b))
-    structural, has_ratio = _structural_rows(
-        (*syl.premises, syl.conclusion), syl.term_sets, syl.s, syl.universe_size
-    )
-    rows.extend(structural)
-    objective = _objective(syl.conclusion.family, *conclusion_sets)
-    return ConstraintSystem(
-        k=1 << syl.s,
-        constraints=rows,
-        objective=objective,
-        universe_size=syl.universe_size,
-        proportional_context=has_ratio,
-    )
+    skeleton = syl.skeleton
+    rows: List[ClassRow] = []
+    for premise, bound in zip(skeleton.premises, premise_bounds):
+        if not isinstance(premise, _Measure):
+            rows.append(premise)
+            continue
+        family, u, w = premise
+        if bound is None:
+            raise ValueError("family %s needs a crisp bound to compile" % family)
+        check_unit(family, bound.lo, bound.hi)
+        for rel, value in ((GE, bound.lo), (LE, bound.hi)):
+            if value is None:
+                continue
+            p, q = value.numerator, value.denominator
+            if w is not None:
+                rows.append(([q * x - p * y for x, y in zip(u, w)], 0, q, rel))
+            elif skeleton.charnes_cooper:
+                # t is the last column, where U is zero
+                rows.append(([q * x for x in u[:-1]] + [-p], 0, q, rel))
+            else:
+                rows.append(([q * x for x in u], p, q, rel))
+    rows.extend(skeleton.fixed)
+    return ConstraintSystem(1 << syl.s, rows, skeleton.costs)

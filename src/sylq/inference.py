@@ -8,7 +8,9 @@ family of resulting intervals is reassembled into a fuzzy answer (a fitted
 trapezoid when the cuts are bounded and reach level 1).  The mode only picks
 the level grid: crisp and kersup read levels 0 and 1 (support and kernel),
 alpha an evenly spaced grid.  A level whose premise bounds equal an earlier
-level's reuses that level's outcome, so crisp premises cost one solve.
+level's reuses that level's outcome, so crisp premises cost one solve.  The
+rest of the LP is the same at every level: it is built once per syllogism
+(compiler.build_skeleton), and a level only writes its premise bounds' rows.
 
 Premise cuts shrink as the level rises, so the feasible region shrinks too;
 consequently conclusion cuts are nested and feasibility is monotone.  A

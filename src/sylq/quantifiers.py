@@ -12,12 +12,13 @@ quantifier allows at a given membership level).  Four shapes are supported:
 Everything here is exact: numeric inputs are normalized to ``Fraction`` (floats
 are snapped to the nearest rational with denominator <= 10**9, so 0.7 means
 7/10), and alpha cuts of trapezoids are computed without rounding.  Only RIM
-cuts with a non-integral inverse exponent go through floats, and those are
-snapped back immediately.
+cuts whose inverse exponent is not an integer up to _RIM_EXACT_POWER go
+through floats, and those are snapped back immediately.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -71,6 +72,10 @@ NUMERIC_FAMILIES = COUNT_FAMILIES | RATIO_FAMILIES
 FAMILIES = LOGICAL_FAMILIES | NUMERIC_FAMILIES
 
 _SNAP_DENOMINATOR = 10**9
+# a RIM cut level ** n is exact for an integer n up to this; past it the
+# exact power has n times the level's digits, which every solve then pays
+# for (rim(0.00001) took a minute), so it is snapped like a non-integer n
+_RIM_EXACT_POWER = 64
 
 Real = Union[int, float, str, Fraction]
 
@@ -272,9 +277,14 @@ def _rim_cut_lo(exponent: Fraction, level: Fraction) -> Fraction:
     if level == 1:
         return Fraction(1)
     inv = 1 / exponent
-    if inv.denominator == 1:
+    if inv.denominator == 1 and inv.numerator <= _RIM_EXACT_POWER:
         return level ** inv.numerator
-    value = float(level) ** float(inv)
+    try:
+        power = float(inv)
+    except OverflowError:
+        # past the float range; a level below one then cuts at 0
+        power = math.inf
+    value = float(level) ** power
     return Fraction(value).limit_denominator(_SNAP_DENOMINATOR)
 
 

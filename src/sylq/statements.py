@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import FrozenSet, Optional, Tuple
 
+from . import compiler
 from .quantifiers import (
     COMPARATIVE_ABSOLUTE,
     COMPARATIVE_PROPORTIONAL,
@@ -121,3 +122,12 @@ class Syllogism:
             (atoms_of(st.restriction, self.properties), atoms_of(st.scope, self.properties))
             for st in (*self.premises, self.conclusion)
         )
+
+    @cached_property
+    def skeleton(self) -> "compiler.Skeleton":
+        """The part of this syllogism's LP that no premise bound changes.
+
+        Built by compiler.build_skeleton on first use and kept on this
+        object only, so every level of one inference shares it.
+        """
+        return compiler.build_skeleton(self)

@@ -19,7 +19,7 @@ from sylq import (
     enumerate_range,
     infer,
 )
-from sylq.compiler import compile_statement, compile_syllogism
+from sylq.compiler import compile_syllogism
 from sylq.optimizer import solve
 from sylq.oracle import _compositions, statement_predicate
 from sylq.quantifiers import cut
@@ -29,6 +29,7 @@ from conftest import (
     random_crisp_syllogism,
     random_fuzzy_syllogism,
 )
+from reference_lp import compile_statement
 
 F = Fraction
 
@@ -234,7 +235,9 @@ def test_criterion_8_decreasing_results_match_oracle(acceptance_notes):
 
 
 # ---------------------------------------------------------------------------
-# criterion 9a: compiled rows mean exactly what the definitions say
+# criterion 9a: compiled rows mean exactly what the definitions say.  The
+# rows are the reference build's (reference_lp.py); test_compiler checks
+# that the LP compile_syllogism writes equals that build's at every reading.
 
 
 def populations(k, cap):

@@ -15,6 +15,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -259,6 +260,32 @@ def test_usage_errors_exit_1_with_one_error_line(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_consecutive_calls_share_no_parsed_values(capsys):
+    # the parsers are built once per process; each call parses afresh
+    alone = run_cli(capsys, [COURSE_FUZZY])
+    assert cli._run_parser() is cli._run_parser()
+    flagged = run_cli(
+        capsys, [COURSE_FUZZY, "--mode", "kersup", "--levels", "5", "--format", "csv"]
+    )
+    assert flagged[0] == 0 and flagged[1].startswith("level,lo,hi")
+    assert run_cli(capsys, [PETS, "--format", "xml"])[0] == 1
+    assert run_cli(capsys, ["verify", PETS, "--cap", "x"])[0] == 1
+    assert run_cli(capsys, ["verify", PETS, "--cap", "3"])[0] == 0
+    assert run_cli(capsys, [COURSE_FUZZY]) == alone
+
+
+def test_tiny_rim_exponent_is_cut_fast(capsys):
+    # 1/e = 10**10 is past the exact-power bound, so its cuts are snapped
+    sys.stdin = io.StringIO(
+        "terms: p, q\npremise: prop rim(0.0000000001) p -> q\nconclude: prop? p -> q\n"
+    )
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["-", "--format", "csv"])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == ""
+    assert out.splitlines()[1:3] == ["0,0,1", "0.1,0,1"]
 
 
 def test_help_exits_0(capsys):

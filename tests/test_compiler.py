@@ -1,17 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from sylq import Interval, Syllogism, UnitMixingError
-from sylq.compiler import (
-    Constraint,
-    LinearExpr,
-    Objective,
-    build_objective,
-    compile_statement,
-    compile_syllogism,
-    structural_constraints,
-)
+from sylq import InferenceConfig, Interval, Syllogism, UnitMixingError, infer, parse, simplex
+from sylq import compiler, optimizer
+from sylq.compiler import compile_syllogism
+from sylq.inference import premise_bounds
 from sylq.quantifiers import (
     ABSOLUTE,
     COMPARATIVE_ABSOLUTE,
@@ -21,89 +16,119 @@ from sylq.quantifiers import (
     LOGICAL_NOT_ALL,
     LOGICAL_SOME,
     PROPORTIONAL,
+    RATIO_FAMILIES,
     SIMILARITY,
     QuantifierSpec,
 )
 from sylq.statements import Conclusion, Statement
 from sylq.terms import UNIVERSE, And, Not, Or, Prop
 
+from conftest import FIXTURE_DIR, load_fixture, random_crisp_syllogism, random_fuzzy_syllogism
+from reference_lp import LinearExpr, class_lp, reduced
+
 F = Fraction
 P, Q = Prop("p"), Prop("q")
 NAMES = ("p", "q")
-
-
-def row_dicts(rows):
-    return [(r.expr.as_dict(), r.rel, r.rhs) for r in rows]
+EPS = optimizer.EPS_PROP
 
 
 def stmt(family, shape, restriction=P, scope=Q):
     return Statement(QuantifierSpec(family, shape), restriction, scope)
 
 
+def compiled(premises, conclusion, universe=None, bounds=None):
+    syl = Syllogism(NAMES, tuple(premises), conclusion, universe_size=universe)
+    if bounds is None:
+        bounds = [p.quantifier.shape for p in premises]
+    return syl, compile_syllogism(syl, bounds)
+
+
+def per_atom(syl, values):
+    """Class values spread over the atoms of each class (t is atom K)."""
+    return {x: v for v, atoms in zip(values, syl.skeleton.classes) if v for x in atoms}
+
+
+def atom_rows(syl, system):
+    """A compiled reading's rows as (per-atom coefficients, relation, rhs)."""
+    return [
+        (per_atom(syl, [F(c, den) for c in coeffs]), rel, F(rhs, den))
+        for coeffs, rhs, den, rel in system.constraints
+    ]
+
+
+# over (p, q): p = {1, 3}, q = {2, 3}, and t = 4 under Charnes-Cooper
+COUNT_CONCLUSION = Conclusion(ABSOLUTE, P, Q)
+RATIO_CONCLUSION = Conclusion(PROPORTIONAL, P, Q)
+
+
 def test_logical_rows():
-    # over (p, q): p = {1, 3}, q = {2, 3}
-    [row] = compile_statement(stmt(LOGICAL_ALL, None), None, NAMES)
-    assert row_dicts([row]) == [({1: F(1)}, "==", F(0))]
-
-    [row] = compile_statement(stmt(LOGICAL_SOME, None), None, NAMES)
-    assert row_dicts([row]) == [({3: F(1)}, ">", F(0))]
-
-    [row] = compile_statement(stmt(LOGICAL_NOT_ALL, None), None, NAMES)
-    assert row_dicts([row]) == [({1: F(1)}, ">", F(0))]
-    assert row.is_strict
+    # a count context moves a strict row by one
+    for family, want in (
+        (LOGICAL_ALL, ({1: F(1)}, "==", F(0))),
+        (LOGICAL_SOME, ({3: F(1)}, ">=", F(1))),
+        (LOGICAL_NOT_ALL, ({1: F(1)}, ">=", F(1))),
+    ):
+        syl, system = compiled([stmt(family, None)], COUNT_CONCLUSION)
+        assert atom_rows(syl, system) == [want]
 
 
 def test_absolute_band_is_two_one_sided_rows():
-    lo_row, hi_row = compile_statement(stmt(ABSOLUTE, Interval(3, 6)), Interval(3, 6), NAMES)
-    assert (lo_row.rel, lo_row.rhs) == (">=", F(3))
-    assert (hi_row.rel, hi_row.rhs) == ("<=", F(6))
-    assert lo_row.expr.as_dict() == {3: F(1)}
+    syl, system = compiled([stmt(ABSOLUTE, Interval(3, 6))], COUNT_CONCLUSION)
+    assert atom_rows(syl, system) == [({3: F(1)}, ">=", F(3)), ({3: F(1)}, "<=", F(6))]
+
+
+def test_count_rows_under_charnes_cooper_carry_the_bound_on_t():
+    syl, system = compiled([stmt(ABSOLUTE, Interval(3, 6))], RATIO_CONCLUSION, universe=F(10))
+    assert atom_rows(syl, system)[:2] == [
+        ({3: F(1), 4: F(-3)}, ">=", F(0)),
+        ({3: F(1), 4: F(-6)}, "<=", F(0)),
+    ]
 
 
 def test_unbounded_hi_emits_only_the_lower_row():
-    rows = compile_statement(stmt(ABSOLUTE, Interval(3, None)), Interval(3, None), NAMES)
-    assert len(rows) == 1 and rows[0].rel == ">="
+    syl, system = compiled([stmt(ABSOLUTE, Interval(3, None))], COUNT_CONCLUSION)
+    assert [rel for _, rel, _ in atom_rows(syl, system)] == [">="]
 
 
 def test_exception_counts_the_left_difference():
-    rows = compile_statement(stmt(EXCEPTION, Interval(2, 2)), Interval(2, 2), NAMES)
-    assert [r.expr.as_dict() for r in rows] == [{1: F(1)}, {1: F(1)}]
-    assert [(r.rel, r.rhs) for r in rows] == [(">=", F(2)), ("<=", F(2))]
+    syl, system = compiled([stmt(EXCEPTION, Interval(2, 2))], COUNT_CONCLUSION)
+    assert atom_rows(syl, system) == [({1: F(1)}, ">=", F(2)), ({1: F(1)}, "<=", F(2))]
 
 
 def test_proportional_rows_cross_multiply():
     bound = Interval(F(1, 3), F(2, 3))
-    lo_row, hi_row = compile_statement(stmt(PROPORTIONAL, bound), bound, NAMES)
-    # num - lo*den >= 0 over num = x3, den = x1 + x3
-    assert lo_row.expr.as_dict() == {1: -F(1, 3), 3: F(2, 3)}
-    assert (lo_row.rel, lo_row.rhs) == (">=", F(0))
-    assert hi_row.expr.as_dict() == {1: -F(2, 3), 3: F(1, 3)}
-    assert (hi_row.rel, hi_row.rhs) == ("<=", F(0))
+    syl, system = compiled([stmt(PROPORTIONAL, bound)], RATIO_CONCLUSION)
+    # num - lo*den >= 0 over num = x3, den = x1 + x3; t's coefficient is 0
+    lo_row, hi_row = atom_rows(syl, system)[:2]
+    assert lo_row == ({1: -F(1, 3), 3: F(2, 3)}, ">=", F(0))
+    assert hi_row == ({1: -F(2, 3), 3: F(1, 3)}, "<=", F(0))
 
 
 def test_comparative_rows():
-    bound = Interval(-1, 2)
-    rows = compile_statement(stmt(COMPARATIVE_ABSOLUTE, bound), bound, NAMES)
-    assert rows[0].expr.as_dict() == {1: F(1), 2: -F(1)}
+    syl, system = compiled([stmt(COMPARATIVE_ABSOLUTE, Interval(-1, 2))], COUNT_CONCLUSION)
+    assert atom_rows(syl, system)[0][0] == {1: F(1), 2: -F(1)}
 
     bound = Interval(F(1, 2), 2)
-    rows = compile_statement(stmt(COMPARATIVE_PROPORTIONAL, bound), bound, NAMES)
+    syl, system = compiled([stmt(COMPARATIVE_PROPORTIONAL, bound)], RATIO_CONCLUSION)
     # |p| - lo*|q| >= 0
-    assert rows[0].expr.as_dict() == {1: F(1), 2: -F(1, 2), 3: F(1, 2)}
+    assert atom_rows(syl, system)[0][0] == {1: F(1), 2: -F(1, 2), 3: F(1, 2)}
 
 
 def test_similarity_rows_use_the_union_denominator():
-    bound = Interval(F(1, 2), 1)
-    lo_row, hi_row = compile_statement(stmt(SIMILARITY, bound), bound, NAMES)
-    assert lo_row.expr.as_dict() == {1: -F(1, 2), 2: -F(1, 2), 3: F(1, 2)}
-    assert hi_row.expr.as_dict() == {1: -F(1), 2: -F(1)}
+    syl, system = compiled([stmt(SIMILARITY, Interval(F(1, 2), 1))], RATIO_CONCLUSION)
+    lo_row, hi_row = atom_rows(syl, system)[:2]
+    assert lo_row[0] == {1: -F(1, 2), 2: -F(1, 2), 3: F(1, 2)}
+    assert hi_row[0] == {1: -F(1), 2: -F(1)}
 
 
 def test_bound_unit_checks():
-    with pytest.raises(ValueError):
-        compile_statement(stmt(PROPORTIONAL, Interval(0, 1)), Interval(0, 2), NAMES)
-    with pytest.raises(ValueError):
-        compile_statement(stmt(ABSOLUTE, Interval(0, 1)), Interval(-1, 1), NAMES)
+    for family, shape, bound in (
+        (PROPORTIONAL, Interval(0, 1), Interval(0, 2)),
+        (ABSOLUTE, Interval(0, 1), Interval(-1, 1)),
+    ):
+        syl = Syllogism(NAMES, (stmt(family, shape),), Conclusion(family, P, Q))
+        with pytest.raises(ValueError, match="bounds must"):
+            compile_syllogism(syl, [bound])
 
 
 def count_syllogism(universe=None):
@@ -117,29 +142,22 @@ def count_syllogism(universe=None):
 
 def test_structural_rows_nonnegativity_and_universe():
     syl = count_syllogism(universe=F(7))
-    rows, has_ratio = structural_constraints(
-        syl.premises, syl.conclusion, syl.properties, syl.universe_size
-    )
-    assert not has_ratio
+    rows = atom_rows(syl, compile_syllogism(syl, [Interval(1, 2)]))
     # x >= 0 is the solver's domain, not a row: only the universe equation
-    assert rows == [Constraint(LinearExpr.of({0: 1, 1: 1, 2: 1, 3: 1}), "==", 7)]
+    assert rows[2:] == [({0: F(1), 1: F(1), 2: F(1), 3: F(1)}, "==", F(7))]
 
 
 def test_structural_rows_force_ratio_denominators_positive():
-    syl = Syllogism(
-        NAMES,
-        (stmt(PROPORTIONAL, Interval(0, 1)),),
-        Conclusion(SIMILARITY, Q, Not(P)),
+    syl, system = compiled(
+        [stmt(PROPORTIONAL, Interval(0, 1))], Conclusion(SIMILARITY, Q, Not(P))
     )
-    rows, has_ratio = structural_constraints(
-        syl.premises, syl.conclusion, syl.properties, None
-    )
-    assert has_ratio
-    strict = [r for r in rows if r.rel == ">"]
-    # premise denominator |p|, conclusion denominator |q or not p|
-    assert [r.expr.as_dict() for r in strict] == [
-        {1: F(1), 3: F(1)},
-        {0: F(1), 2: F(1), 3: F(1)},
+    # premise denominator |p|, conclusion denominator |q or not p|, each
+    # > 0 as >= EPS_PROP of the total when no universe is declared; then
+    # the Charnes-Cooper normalization of |q or not p|
+    assert atom_rows(syl, system)[2:] == [
+        ({0: -EPS, 1: 1 - EPS, 2: -EPS, 3: 1 - EPS}, ">=", F(0)),
+        ({0: 1 - EPS, 1: -EPS, 2: 1 - EPS, 3: 1 - EPS}, ">=", F(0)),
+        ({0: F(1), 2: F(1), 3: F(1)}, "==", F(1)),
     ]
 
 
@@ -150,33 +168,37 @@ def test_unit_mixing_needs_a_declared_universe():
     )
     conclusion = Conclusion(ABSOLUTE, P, Q)
     with pytest.raises(UnitMixingError):
-        structural_constraints(premises, conclusion, NAMES, None)
-    rows, _ = structural_constraints(premises, conclusion, NAMES, F(5))
-    assert any(r.rel == "==" for r in rows)
+        compiled(premises, conclusion)
+    syl, system = compiled(premises, conclusion, universe=F(5))
+    assert any(rel == "==" for _, rel, _ in atom_rows(syl, system))
 
 
 def test_objectives():
-    objective = build_objective(Conclusion(ABSOLUTE, P, Q), NAMES)
-    assert objective.numerator.as_dict() == {3: F(1)}
-    assert objective.denominator is None
+    syl, system = compiled([], Conclusion(ABSOLUTE, P, Q))
+    assert per_atom(syl, system.costs) == {3: F(1)}
+    assert not syl.skeleton.charnes_cooper
 
-    objective = build_objective(Conclusion(PROPORTIONAL, P, Q), NAMES)
-    assert objective.denominator.as_dict() == {1: F(1), 3: F(1)}
+    syl, system = compiled([], Conclusion(PROPORTIONAL, P, Q))
+    assert per_atom(syl, system.costs) == {3: F(1)}
+    assert atom_rows(syl, system)[-1] == ({1: F(1), 3: F(1)}, "==", F(1))
 
-    objective = build_objective(Conclusion(COMPARATIVE_ABSOLUTE, P, Q), NAMES)
-    assert objective.numerator.as_dict() == {1: F(1), 2: -F(1)}
+    syl, system = compiled([], Conclusion(COMPARATIVE_ABSOLUTE, P, Q))
+    assert per_atom(syl, system.costs) == {1: F(1), 2: -F(1)}
 
     with pytest.raises(ValueError):
         Conclusion(LOGICAL_ALL, P, Q)
 
 
 def test_ratio_denominator_signs_read_per_atom():
-    # 2*S_A - S_B is a nonnegative atom sum exactly when B lies inside A
-    a = frozenset({1, 3})
-    numerator = LinearExpr.sum_over({3})
-    Objective(numerator, LinearExpr(((a, F(2)), (frozenset({3}), F(-1)))))
-    with pytest.raises(ValueError, match="nonnegative atom sums"):
-        Objective(numerator, LinearExpr(((a, F(2)), (frozenset({2, 3}), F(-1)))))
+    # the normalization row is the denominator's atom sum: one on each of
+    # its atoms, however the denominator's sets overlap the numerator's
+    for family, restriction, scope, den in (
+        (PROPORTIONAL, Or(P, Q), P, {1, 2, 3}),
+        (COMPARATIVE_PROPORTIONAL, P, Or(P, Q), {1, 2, 3}),
+        (SIMILARITY, P, Not(Q), {0, 1, 3}),
+    ):
+        syl, system = compiled([], Conclusion(family, restriction, scope))
+        assert atom_rows(syl, system)[-1] == ({x: F(1) for x in den}, "==", F(1))
 
 
 def test_compile_syllogism_checks_bound_count():
@@ -196,13 +218,17 @@ def test_compile_syllogism_assembles_everything():
     )
     system = compile_syllogism(syl, [Interval(F(1, 2), 1), None])
     assert system.k == 4
-    assert system.proportional_context
-    assert system.objective.denominator is not None
-    # premise rows + strict some-row + 2 denominators
-    assert len(system.constraints) == 2 + 1 + 2
+    assert syl.skeleton.charnes_cooper
+    # premise rows + strict some-row + 2 denominators + normalization
+    assert len(system.constraints) == 2 + 1 + 2 + 1
+    # another reading rewrites only the bound rows
+    other = compile_syllogism(syl, [Interval(0, F(3, 4)), None])
+    assert other.constraints[2:] == system.constraints[2:]
+    assert other.constraints[:2] != system.constraints[:2]
 
 
 def test_linear_expr_helpers():
+    # the reference build's expressions (tests/reference_lp.py)
     expr = LinearExpr.of({0: F(2), 2: F(1)})
     other = LinearExpr.of({1: F(4), 2: F(1)})
     assert expr.plus(other) == LinearExpr.of({0: 2, 1: 4, 2: 2})
@@ -212,3 +238,97 @@ def test_linear_expr_helpers():
     assert expr.plus(expr, -1) == LinearExpr.of({})
     assert expr.plus(other, F(1, 2)) == LinearExpr.of({0: 2, 1: 2, 2: F(3, 2)})
     assert expr.plus(other, F(1, 2)).coeffs == ((0, 2), (1, 2), (2, F(3, 2)))
+
+
+# ---------------------------------- the skeleton against the per-reading build
+
+
+def lp_reaching_simplex(monkeypatch, syl, bounds):
+    """The (costs, rows) solve() hands to simplex.minimize first, or None
+    when it hands nothing (a constant contradiction)."""
+    seen = []
+    real = simplex.minimize
+
+    def recording(costs, rows):
+        seen.append((list(costs), [(list(n), d, r) for n, d, r in rows]))
+        return real(costs, rows)
+
+    monkeypatch.setattr(simplex, "minimize", recording)
+    outcome = optimizer.solve(compile_syllogism(syl, bounds))
+    monkeypatch.setattr(simplex, "minimize", real)
+    assert (outcome.status == optimizer.INFEASIBLE) or seen
+    return seen[0] if seen else None
+
+
+def assert_equals_reference(monkeypatch, syl, bounds):
+    got = lp_reaching_simplex(monkeypatch, syl, bounds)
+    want = class_lp(syl, bounds)
+    if want is None:
+        assert got is None
+    else:
+        assert reduced(*got) == reduced(*want)
+    return want
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURE_DIR.glob("*.syl")), ids=lambda p: p.stem)
+def test_skeleton_lp_equals_the_reference_on_bundled_documents(monkeypatch, path):
+    doc = parse(path.read_text())
+    syl = doc.to_syllogism()
+    n = doc.options.get("levels", InferenceConfig.levels)
+    for level in sorted({F(0), F(1)} | {F(i, n - 1) for i in range(n)}):
+        assert_equals_reference(monkeypatch, syl, premise_bounds(syl, level))
+
+
+def test_skeleton_lp_equals_the_reference_on_random_readings(monkeypatch):
+    rng = random.Random(20)
+    readings = []
+    for _ in range(220):
+        syl = random_crisp_syllogism(rng)
+        readings.append((syl, [p.quantifier.shape for p in syl.premises]))
+    for _ in range(40):
+        syl = random_fuzzy_syllogism(rng)
+        for level in (F(0), F(1, 3), F(1)):
+            readings.append((syl, premise_bounds(syl, level)))
+    seen = dict.fromkeys(
+        ("logical", "zero bound", "unbounded hi", "universe", "strict count", "strict ratio",
+         "contradiction"), 0
+    )
+    for syl, bounds in readings:
+        seen["contradiction"] += assert_equals_reference(monkeypatch, syl, bounds) is None
+        families = {p.family for p in syl.premises} | {syl.conclusion.family}
+        strict = any(p.family in (LOGICAL_SOME, LOGICAL_NOT_ALL) for p in syl.premises)
+        seen["logical"] += any(b is None for b in bounds)
+        seen["zero bound"] += any(b is not None and b.lo == 0 for b in bounds)
+        seen["unbounded hi"] += any(b is not None and b.hi is None for b in bounds)
+        seen["universe"] += syl.universe_size is not None
+        seen["strict count"] += strict and not families & RATIO_FAMILIES
+        seen["strict ratio"] += bool(families & RATIO_FAMILIES)
+    assert len(readings) >= 300
+    assert min(seen.values()) > 0, seen
+
+
+def test_one_skeleton_per_inference(monkeypatch):
+    built, rewrites = [], []
+    real_build, real_rewrite = compiler.build_skeleton, optimizer.rewrite_strict
+
+    def counting_build(syl):
+        built.append(syl)
+        return real_build(syl)
+
+    def counting_rewrite(rows, **kwargs):
+        rewrites.append(rows)
+        return real_rewrite(rows, **kwargs)
+
+    monkeypatch.setattr(compiler, "build_skeleton", counting_build)
+    monkeypatch.setattr(optimizer, "rewrite_strict", counting_rewrite)
+    doc = load_fixture("course_passrates_nonnormalized.syl")
+    for levels in (2, 21):
+        built.clear()
+        rewrites.clear()
+        syl = doc.to_syllogism()
+        result = infer(syl, mode="alpha", config=InferenceConfig(levels=levels))
+        assert len(result.cuts) == levels
+        assert len(built) == len(rewrites) == 1
+    # nothing outlives the syllogism: a new one builds its own
+    infer(doc.to_syllogism(), mode="alpha")
+    assert len(built) == 2

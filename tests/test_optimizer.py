@@ -6,25 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sylq import Interval, SolveOutcome, Syllogism, parse, simplex
-from sylq.compiler import (
-    Constraint,
-    ConstraintSystem,
-    LinearExpr,
-    Objective,
-    compile_syllogism,
-)
+from sylq.compiler import compile_syllogism
 from sylq.optimizer import rewrite_strict, solve
 from sylq.quantifiers import (
     ABSOLUTE,
     COMPARATIVE_ABSOLUTE,
+    COUNT_FAMILIES,
     LOGICAL_SOME,
     PROPORTIONAL,
+    RATIO_FAMILIES,
     QuantifierSpec,
 )
 from sylq.statements import Conclusion, Statement
-from sylq.terms import Prop
+from sylq.terms import And, Not, Or, Prop
 from sylq.inference import premise_bounds
-from conftest import FIXTURE_DIR, int_rows, load_fixture
+from conftest import (
+    FIXTURE_DIR,
+    LOGICAL,
+    int_rows,
+    load_fixture,
+    random_count_interval,
+    random_ratio_interval,
+)
+from reference_lp import LinearExpr, atom_lp
 
 F = Fraction
 P, Q = Prop("p"), Prop("q")
@@ -44,32 +48,35 @@ def stmt(family, shape=None, restriction=P, scope=Q):
     return Statement(QuantifierSpec(family, shape), restriction, scope)
 
 
+def per_atom(terms):
+    return LinearExpr(terms).as_dict()
+
+
 def test_rewrite_strict_count_moves_by_one():
-    row = Constraint(LinearExpr.of({3: F(1)}), ">", F(0))
-    [out] = rewrite_strict([row], k=4, proportional_context=False)
-    assert (out.rel, out.rhs) == (">=", F(1))
-    assert out.expr.as_dict() == {3: F(1)}
+    terms = ((frozenset({3}), F(1)),)
+    [out] = rewrite_strict([(terms, ">", F(0))], k=4, proportional_context=False)
+    assert out == (terms, ">=", F(1))
 
 
 def test_rewrite_strict_proportion_with_declared_universe():
-    row = Constraint(LinearExpr.of({1: F(1), 3: F(1)}), ">", F(0))
-    [out] = rewrite_strict(
+    row = (((frozenset({1, 3}), F(1)),), ">", F(0))
+    [(_, rel, rhs)] = rewrite_strict(
         [row], k=4, proportional_context=True, universe_size=F(1)
     )
-    assert (out.rel, out.rhs) == (">=", F(1, 10**6))
+    assert (rel, rhs) == (">=", F(1, 10**6))
 
 
 def test_rewrite_strict_proportion_folds_total_when_universe_is_free():
     eps = F(1, 10**6)
-    row = Constraint(LinearExpr.of({1: F(1), 3: F(1)}), ">", F(0))
-    [out] = rewrite_strict([row], k=4, proportional_context=True)
-    assert out.rel == ">="
-    assert out.expr.as_dict() == {0: -eps, 1: 1 - eps, 2: -eps, 3: 1 - eps}
-    assert out.rhs == F(0)
+    row = (((frozenset({1, 3}), F(1)),), ">", F(0))
+    [(terms, rel, rhs)] = rewrite_strict([row], k=4, proportional_context=True)
+    assert rel == ">="
+    assert per_atom(terms) == {0: -eps, 1: 1 - eps, 2: -eps, 3: 1 - eps}
+    assert rhs == F(0)
 
 
 def test_rewrite_strict_keeps_weak_rows_untouched():
-    row = Constraint(LinearExpr.of({0: F(1)}), "<=", F(5))
+    row = (((frozenset({0}), F(1)),), "<=", F(5))
     assert rewrite_strict([row], k=4, proportional_context=False) == [row]
 
 
@@ -100,11 +107,11 @@ def test_unbounded_above_floors_the_reported_lo():
 def test_margin_choice_does_not_move_the_pets_answer(monkeypatch):
     import sylq.optimizer
 
-    syl = load_fixture("pets_at_home.syl").to_syllogism()
-    system = compile_syllogism(syl, crisp_bounds(syl))
     for eps in (F(1), F(1, 10**6)):
         monkeypatch.setattr(sylq.optimizer, "EPS_COUNT", eps)
-        outcome = solve(system)
+        # the margin is applied once per syllogism, when its skeleton is built
+        syl = load_fixture("pets_at_home.syl").to_syllogism()
+        outcome = solve(compile_syllogism(syl, crisp_bounds(syl)))
         assert (outcome.lo, outcome.hi) == (F(3), F(3))
 
 
@@ -156,27 +163,17 @@ def _holds(lhs, rel, rhs):
     return lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
 
 
-def dense_solve(system):
-    """solve() rebuilt with one column per atom (and t), from as_dict().
+def dense_solve(syl, bounds):
+    """solve() rebuilt with one column per atom (and t), from the reference
+    build's per-atom rows.
 
     The same zero-row and implied-row rules apply; no column is merged or
     dropped.
     """
-    rewritten = rewrite_strict(
-        system.constraints,
-        k=system.k,
-        proportional_context=system.proportional_context,
-        universe_size=system.universe_size,
-    )
-    obj, t = system.objective, system.k
-    if obj.denominator is None:
-        n = system.k
-        rows = [(c.expr.as_dict(), c.rel, c.rhs) for c in rewritten]
-    else:
-        n = system.k + 1
-        rows = [({**c.expr.as_dict(), t: -c.rhs}, c.rel, F(0)) for c in rewritten]
-        rows.append((obj.denominator.as_dict(), "==", F(1)))
-    cost = obj.numerator.as_dict()
+    lp = atom_lp(syl, bounds)
+    n = lp.k + (syl.conclusion.family in RATIO_FAMILIES)
+    rows = [(expr.as_dict(), rel, rhs) for expr, rel, rhs in lp.rows]
+    cost = lp.cost.as_dict()
     dense = []
     for coeffs, rel, rhs in rows:
         values = [coeffs.get(j, F(0)) for j in range(n)]
@@ -220,8 +217,7 @@ def test_class_lp_equals_the_dense_atom_lp_on_bundled_documents(path):
     doc = parse(path.read_text())
     syl = doc.to_syllogism()
     for bounds in _readings(syl, doc.options.get("levels", 11)):
-        system = compile_syllogism(syl, bounds)
-        assert solve(system) == dense_solve(system)
+        assert solve(compile_syllogism(syl, bounds)) == dense_solve(syl, bounds)
 
 
 def test_class_lp_equals_the_dense_atom_lp_on_chains():
@@ -236,44 +232,56 @@ def test_class_lp_equals_the_dense_atom_lp_on_chains():
                 lines.append("premise: prop[%d/100, %d/100] p0 -> %s" % (lo, hi, name))
             lines.append("conclude: prop? p0 -> " + " & ".join(names[1:]))
             syl = parse("\n".join(lines) + "\n").to_syllogism()
-            system = compile_syllogism(syl, [p.quantifier.shape for p in syl.premises])
-            assert solve(system) == dense_solve(system)
+            bounds = [p.quantifier.shape for p in syl.premises]
+            assert solve(compile_syllogism(syl, bounds)) == dense_solve(syl, bounds)
 
 
-small = st.builds(F, st.integers(-6, 6), st.integers(1, 2))
+PQR = ("p", "q", "r")
+
+
+def atom_term(atoms):
+    """A term whose atom set over (p, q, r) is exactly ``atoms``."""
+    cells = []
+    for x in sorted(atoms):
+        p, q, r = (Prop(n) if x >> i & 1 else Not(Prop(n)) for i, n in enumerate(PQR))
+        cells.append(And(And(p, q), r))
+    term = cells[0]
+    for cell in cells[1:]:
+        term = Or(term, cell)
+    return term
 
 
 @st.composite
-def class_systems(draw):
-    """Systems over 8 atoms in which atom 6 copies atom 0 and atom 7 is in no
-    term set, so there are always duplicate and all-zero atom columns."""
-    k = 8
+def class_readings(draw):
+    """Readings over 8 atoms in which atom 6 copies atom 0 and atom 7 is in
+    no drawn term set, so there are always duplicate atom columns and
+    usually all-zero ones."""
     pool = []
     for _ in range(draw(st.integers(1, 4))):
         atoms = set(draw(st.sets(st.integers(0, 5), min_size=1)))
         if 0 in atoms:
             atoms.add(6)
-        pool.append(frozenset(atoms))
-
-    def expr(coefficients=small):
-        picked = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
-        return LinearExpr(tuple((atoms, draw(coefficients)) for atoms in picked))
-
-    constraints = []
+        pool.append(atom_term(atoms))
+    term = st.sampled_from(pool)
+    rng = draw(st.randoms(use_true_random=False))
+    numeric = sorted(RATIO_FAMILIES if draw(st.booleans()) else COUNT_FAMILIES)
+    premises = []
     for _ in range(draw(st.integers(1, 4))):
-        # a drawn row constant moves to the right-hand side
-        row, const = expr(), draw(small)
-        rel = draw(st.sampled_from(("<=", ">=", "==", "<", ">")))
-        constraints.append(Constraint(row, rel, draw(small) - const))
-    if draw(st.booleans()):
-        den = expr(st.builds(F, st.integers(1, 6), st.integers(1, 2)))
-        objective = Objective(expr(), den)
-    else:
-        objective = Objective(expr())
-    return ConstraintSystem(k, constraints, objective, proportional_context=draw(st.booleans()))
+        family = draw(st.sampled_from(LOGICAL + tuple(numeric)))
+        if family in LOGICAL:
+            shape = None
+        elif family in RATIO_FAMILIES:
+            shape = random_ratio_interval(rng, family)
+        else:
+            shape = random_count_interval(rng, family)
+        premises.append(Statement(QuantifierSpec(family, shape), draw(term), draw(term)))
+    conclusion = Conclusion(draw(st.sampled_from(numeric)), draw(term), draw(term))
+    syl = Syllogism(PQR, tuple(premises), conclusion)
+    return syl, crisp_bounds(syl)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(class_systems())
-def test_class_lp_equals_the_dense_atom_lp_with_duplicate_and_zero_columns(system):
-    assert solve(system) == dense_solve(system)
+@given(class_readings())
+def test_class_lp_equals_the_dense_atom_lp_with_duplicate_and_zero_columns(reading):
+    syl, bounds = reading
+    assert solve(compile_syllogism(syl, bounds)) == dense_solve(syl, bounds)

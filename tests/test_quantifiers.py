@@ -71,6 +71,16 @@ def test_alpha_cut_rim_inverts_the_power():
     assert lo == F(1, 2)
 
 
+def test_rim_cut_is_exact_up_to_the_power_bound():
+    level = F(9, 10)
+    assert cut(RimQuantifier(F(1, 64)), level).lo == level**64
+    snapped = F(0.9**65).limit_denominator(10**9)
+    assert cut(RimQuantifier(F(1, 65)), level).lo == snapped
+    assert cut(RimQuantifier(F(1, 10**10)), level) == Interval(0, 1)
+    # 1/e past the float range
+    assert cut(RimQuantifier(F(1, 10**400)), level) == Interval(0, 1)
+
+
 def test_cut_reads_support_at_0_and_kernel_at_1():
     tz = Trapezoid(F(1, 10), F(2, 10), F(3, 10), F(4, 10))
     assert cut(tz, 1) == tz.kernel == Interval(F(2, 10), F(3, 10))
