@@ -1,0 +1,91 @@
+"""Print a JSON digest of what `sylq` prints for a fixed set of 140 runs.
+
+The runs are every bundled document in text, JSON and CSV, each in its own
+mode and with `--mode` crisp, kersup and alpha (96 runs); `sylq verify
+--cap 10` on every document (8 runs); and the 18 `scale_sweep` chains of
+`perfbench/bench_inputs.py` in text and JSON (36 runs).  For each run the
+digest records the exit code, a SHA-256 of stdout and of stderr, and the
+pivots of every `simplex.minimize` call in order.
+
+Run it in two checkouts and diff the results; identical files mean the two
+trees print the same bytes and take the same pivots:
+
+    python3 scripts/output_digest.py > digest.json
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "perfbench")]
+
+import bench_inputs  # noqa: E402
+from sylq import cli, simplex  # noqa: E402
+
+FORMATS = ("text", "json", "csv")
+MODES = (None, "crisp", "kersup", "alpha")
+
+
+def runs():
+    """(name, argv, stdin text or None) for every run, in a fixed order."""
+    docs = sorted(p.stem for p in (REPO_ROOT / "syllogisms").glob("*.syl"))
+    for doc in docs:
+        path = "syllogisms/%s.syl" % doc
+        for fmt in FORMATS:
+            for mode in MODES:
+                argv = [path, "--format", fmt] + (["--mode", mode] if mode else [])
+                yield "%s %s %s" % (doc, fmt, mode or "own"), argv, None
+    for doc in docs:
+        yield "%s verify" % doc, ["verify", "syllogisms/%s.syl" % doc, "--cap", "10"], None
+    for case in bench_inputs.scale_cases(0):
+        for fmt in ("text", "json"):
+            yield "%s %s" % (case.name, fmt), ["-", "--format", fmt], case.stdin
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def run_one(argv, stdin):
+    """Exit code, stdout, stderr and per-call pivots of one `sylq` run."""
+    pivots = []
+    original = simplex.minimize
+
+    def recording_minimize(costs, rows):
+        sol = original(costs, rows)
+        pivots.append(sol.pivots)
+        return sol
+
+    out, err = io.StringIO(), io.StringIO()
+    saved_stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin or "")
+    simplex.minimize = recording_minimize
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        simplex.minimize = original
+        sys.stdin = saved_stdin
+    return code, out.getvalue(), err.getvalue(), pivots
+
+
+def main() -> int:
+    os.chdir(REPO_ROOT)  # documents are named by relative path in every output
+    digest = {}
+    for name, argv, stdin in runs():
+        code, out, err, pivots = run_one(argv, stdin)
+        digest[name] = {"code": code, "stdout": _sha(out), "stderr": _sha(err), "pivots": pivots}
+    total = sum(sum(run["pivots"]) for run in digest.values())
+    print(json.dumps({"runs": len(digest), "pivots": total, "digest": digest}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -224,8 +224,12 @@ def _verify_doc(syl: Syllogism, cap: int) -> int:
     """Compare engine bounds with enumeration; 0 on agreement, 3 otherwise.
 
     Audits the distinct premise readings at levels 0 and 1: one for crisp
-    premises, else the support and the kernel.
+    premises, else the support and the kernel.  A document too large to
+    enumerate is refused before anything is solved.
     """
+    from . import oracle
+
+    oracle.population_totals(syl, cap)
     readings: List[tuple] = []
     for level in (Fraction(0), Fraction(1)):
         bounds = premise_bounds(syl, level)

@@ -35,8 +35,8 @@ from .quantifiers import (
     RimQuantifier,
     Trapezoid,
     _fmt,
-    cut,
     fit_trapezoid,
+    level_cut,
 )
 from .statements import Syllogism
 
@@ -112,11 +112,8 @@ class InferenceResult:
 
 
 def premise_bounds(syl: Syllogism, level: Fraction) -> Bounds:
-    """Each premise's crisp bound at a membership level (None when logical)."""
-    return tuple(
-        None if p.quantifier.shape is None else cut(p.quantifier.shape, level)
-        for p in syl.premises
-    )
+    """Each premise's crisp bound at a Fraction level in [0, 1] (None when logical)."""
+    return tuple(level_cut(p.quantifier.shape)(level) for p in syl.premises)
 
 
 def _auto_mode(syl: Syllogism) -> str:
@@ -154,8 +151,9 @@ def infer(
     cuts: List[Tuple[Fraction, Optional[Interval]]] = []
     outcomes: List[optimizer.SolveOutcome] = []
     max_feasible = Fraction(0)
+    cuts_at = [level_cut(p.quantifier.shape) for p in syl.premises]
     for lam in grid:
-        bounds = premise_bounds(syl, lam)
+        bounds = tuple(cut_at(lam) for cut_at in cuts_at)
         if bounds not in solved:
             solved[bounds] = optimizer.solve(compile_syllogism(syl, bounds))
         outcome = solved[bounds]

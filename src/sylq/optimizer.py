@@ -159,7 +159,7 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
             continue
         kept.append((coeffs, rhs, den, rel))
     costs = system.costs
-    live = [j for j, c in enumerate(costs) if c or any(row[0][j] for row in kept)]
+    live = [j for j, column in enumerate(zip(costs, *(row[0] for row in kept))) if any(column)]
     rows = [([coeffs[j] for j in live] + [rhs], den, rel) for coeffs, rhs, den, rel in kept]
     costs = [costs[j] for j in live]
     return _bracket(costs, rows, all(v >= 0 for v in costs))

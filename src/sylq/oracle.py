@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .quantifiers import (
 from .statements import Syllogism
 from .terms import SizeGuardError, atoms_of
 
-__all__ = ["COMPOSITION_GUARD", "enumerate_range"]
+__all__ = ["COMPOSITION_GUARD", "enumerate_range", "population_totals"]
 
 # refuse to enumerate more compositions than this
 COMPOSITION_GUARD = 10**7
@@ -198,6 +198,31 @@ class _Extrema:
                     self.hi = value
 
 
+def population_totals(syl: Syllogism, universe_cap: int) -> Optional[List[int]]:
+    """The population sizes enumerate_range tries, within the size guard.
+
+    None when the declared universe size is fractional, since no integer
+    population has that total.  Raises SizeGuardError when the populations
+    of those sizes number more than COMPOSITION_GUARD.  The answer depends
+    only on (syl.s, syl.universe_size, universe_cap), so a caller can check
+    it before any other work.
+    """
+    if syl.universe_size is not None:
+        if syl.universe_size.denominator != 1:
+            return None  # no integer population has a fractional total
+        totals = [int(syl.universe_size)]
+    else:
+        totals = list(range(universe_cap + 1))
+    k = 1 << syl.s
+    n_compositions = sum(math.comb(t + k - 1, k - 1) for t in totals)
+    if n_compositions > COMPOSITION_GUARD:
+        raise SizeGuardError(
+            "enumerating %d populations exceeds the %d guard; lower the cap"
+            % (n_compositions, COMPOSITION_GUARD)
+        )
+    return totals
+
+
 def enumerate_range(
     syl: Syllogism,
     universe_cap: int,
@@ -231,19 +256,9 @@ def enumerate_range(
     elif len(premise_bounds) != len(syl.premises):
         raise ValueError("need exactly one bound per premise")
 
-    if syl.universe_size is not None:
-        if syl.universe_size.denominator != 1:
-            return None  # no integer population has a fractional total
-        totals = [int(syl.universe_size)]
-    else:
-        totals = list(range(universe_cap + 1))
-
-    n_compositions = sum(math.comb(t + k - 1, k - 1) for t in totals)
-    if n_compositions > COMPOSITION_GUARD:
-        raise SizeGuardError(
-            "enumerating %d populations exceeds the %d guard; lower the cap"
-            % (n_compositions, COMPOSITION_GUARD)
-        )
+    totals = population_totals(syl, universe_cap)
+    if totals is None:
+        return None
 
     # denominators that must be nonempty, conclusion included
     statements = list(syl.premises) + [syl.conclusion]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 __all__ = [
     "LOGICAL_ALL",
@@ -48,6 +48,7 @@ __all__ = [
     "QuantifierSpec",
     "cut",
     "fit_trapezoid",
+    "level_cut",
 ]
 
 LOGICAL_ALL = "logical-all"
@@ -318,6 +319,37 @@ def cut(shape: Shape, level: Real) -> Interval:
     if isinstance(shape, RimQuantifier):
         return Interval(_rim_cut_lo(shape.exponent, lam), Fraction(1))
     raise TypeError("no cut for shape %r" % (shape,))
+
+
+def level_cut(shape: Shape) -> Callable[[Fraction], Optional[Interval]]:
+    """cut(shape, level) as a function of a Fraction level in [0, 1].
+
+    The shape is read once, so a grid of levels pays for no conversion or
+    range check: a trapezoid's ends, and a bounded kernel/support pair's,
+    are linear in the level, and an end that does not move costs nothing.
+    A logical premise's None shape cuts to None.
+    """
+    if shape is None or isinstance(shape, Interval):
+        return lambda level: shape
+    if isinstance(shape, RimQuantifier):
+        return lambda level: Interval(_rim_cut_lo(shape.exponent, level), Fraction(1))
+    if isinstance(shape, KernelSupportPair):
+        support, kernel = shape.support, shape.kernel
+        if support.hi is None or kernel.hi is None:
+
+            def ends_only(level: Fraction) -> Interval:
+                if level == 0:
+                    return support
+                if level == 1:
+                    return kernel
+                raise ValueError("cannot interpolate an unbounded kernel/support pair")
+
+            return ends_only
+        a, b, c, d = support.lo, kernel.lo, kernel.hi, support.hi
+    else:
+        a, b, c, d = shape.as_tuple()
+    rise, fall = b - a, d - c
+    return lambda level: Interval(a + level * rise if rise else a, d - level * fall if fall else d)
 
 
 def fit_trapezoid(cuts: Sequence[tuple]) -> Trapezoid:

@@ -28,6 +28,13 @@ speed, switching permanently to Bland's smallest-index rule once an iteration
 budget is exhausted, which guarantees termination; the leaving row always
 breaks ratio ties by smallest basis variable, as Bland requires.
 
+Phase 1 stores no artificial column: a basic artificial is only its index
+past the slacks in the basis, which is all that ratio ties and the final
+drive-out read, and one that leaves never comes back.  Fixing it at 0 only
+restricts the phase-1 LP, whose least sum of artificials is still 0 exactly
+when the rows are feasible; pivots change only where Dantzig's or Bland's
+rule would have brought an artificial back in.
+
 Phase 1 never reads the costs: its end state depends only on the variable
 count n and the normalized rows.  minimize keeps that state for the last
 system it saw, so maximize(c, rows) after minimize(c, rows), which is how a
@@ -185,49 +192,43 @@ def _iterate(
 def _phase1(n: int, norm: List[_NormRow]) -> _Phase1:
     """Phase 1 over normalized rows (rhs >= 0, lowest terms).
 
-    Returns the feasible tableau without its artificial columns, its basis,
-    the pivots taken and the column count; the tableau is None when the
-    rows are infeasible.  The costs play no part, so the result depends
-    only on (n, norm).
+    Returns the feasible tableau, its basis (artificials as indices past
+    the stored columns), the pivots taken and the column count; the tableau
+    is None when the rows are infeasible.  The costs play no part, so the
+    result depends only on (n, norm).
     """
-    n_slack = sum(1 for *_, rel in norm if rel != "==")
-    n_art = sum(1 for *_, rel in norm if rel != "<=")
-    ncols = n + n_slack + n_art
-
+    art_start = n + sum(1 for *_, rel in norm if rel != "==")
     tableau: List[IntRow] = []
     basis: List[int] = []
     slack_at = n
-    art_at = n + n_slack
+    art_at = art_start
     for nums, den, rel in norm:
-        row = [*nums[:-1], *[0] * (n_slack + n_art), nums[-1]]
+        row = [*nums[:-1], *[0] * (art_start - n), nums[-1]]
         if rel != "==":
             row[slack_at] = den if rel == "<=" else -den
             slack_at += 1
         if rel == "<=":
             basis.append(slack_at - 1)
         else:
-            row[art_at] = den
             basis.append(art_at)
             art_at += 1
         tableau.append((row, den))
+    if art_at == art_start:
+        return tableau, basis, 0, art_start
 
-    pivots = 0
-    art_start = n + n_slack
-    if not n_art:
-        return tableau, basis, pivots, ncols
-
-    # drive artificial variables to zero: obj = sum of artificial columns
-    # minus their basic rows, over the lcm of those rows' denominators
+    # drive artificial variables to zero: the reduced costs of their sum are
+    # minus the sum of their basic rows, over the lcm of those denominators
     art_rows = [tableau[i] for i, b in enumerate(basis) if b >= art_start]
     oden = lcm(*(den for _, den in art_rows))
-    onums = [0] * art_start + [oden] * n_art + [0]
+    onums = [0] * (art_start + 1)
     for nums, den in art_rows:
         m = oden // den
-        onums = [o - m * v for o, v in zip(onums, nums)]
-    status, pivots, obj = _iterate(tableau, basis, _reduced(onums, oden), ncols, pivots)
+        for j in _support(nums):
+            onums[j] -= m * nums[j]
+    status, pivots, obj = _iterate(tableau, basis, _reduced(onums, oden), art_start, 0)
     assert status == OPTIMAL  # phase 1 objective is bounded below by 0
     if obj[0][-1] < 0:
-        return None, basis, pivots, ncols
+        return None, basis, pivots, art_start
     # pivot lingering artificials out of the basis, dropping empty rows
     for i in reversed(range(len(basis))):
         if basis[i] < art_start:
@@ -240,8 +241,6 @@ def _phase1(n: int, norm: List[_NormRow]) -> _Phase1:
         else:
             _pivot(tableau, basis, i, entry)
             pivots += 1
-    # artificial columns are zero from here on and never re-enter: drop them
-    tableau = [_reduced(nums[:art_start] + nums[-1:], den) for nums, den in tableau]
     return tableau, basis, pivots, art_start
 
 
@@ -289,7 +288,8 @@ def minimize(costs: Sequence, rows: Sequence[Row]) -> LpSolution:
     tableau, basis = list(tableau), list(basis)
 
     # phase 2: reduced costs c - sum of c_b * (basic row b)
-    obj = _int_row([*costs, *[0] * (ncols - n), 0])
+    obj = [*costs, *[0] * (ncols - n), 0]
+    obj = (obj, 1) if all(type(c) is int for c in costs) else _int_row(obj)
     for i, b in enumerate(basis):
         if obj[0][b]:
             obj = _eliminate(obj, b, tableau[i], _support(tableau[i][0]))

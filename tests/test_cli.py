@@ -308,6 +308,23 @@ def test_size_guard_exit_code(capsys):
     assert "guard" in err
 
 
+def test_size_guard_refuses_before_any_solve(capsys, monkeypatch):
+    calls = []
+    original = simplex.minimize
+
+    def counting_minimize(costs, rows):
+        calls.append(rows)
+        return original(costs, rows)
+
+    monkeypatch.setattr(simplex, "minimize", counting_minimize)
+    code, out, err = run_cli(capsys, ["verify", COURSE_CRISP, "--cap", "20"])
+    assert (code, out, len(calls)) == (3, "", 0)
+    assert err == (
+        "error: enumerating 125994627894135 populations exceeds the 10000000 guard; "
+        "lower the cap\n"
+    )
+
+
 def test_pivot_limit_exits_with_code_3_without_traceback(capsys, monkeypatch):
     monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
     for argv in ([PETS], ["verify", PETS, "--cap", "10"]):

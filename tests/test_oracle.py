@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sylq import Interval, SizeGuardError, Syllogism, Trapezoid, enumerate_range
-from sylq.oracle import statement_predicate
+from sylq.oracle import population_totals, statement_predicate
 from sylq.quantifiers import (
     ABSOLUTE,
     COMPARATIVE_PROPORTIONAL,
@@ -109,6 +109,19 @@ def test_population_guard_trips_before_blowing_up():
     syl = Syllogism(("p", "q", "r"), (), Conclusion(ABSOLUTE, P, Q))
     with pytest.raises(SizeGuardError):
         enumerate_range(syl, 60)
+
+
+def test_population_guard_reads_only_the_size():
+    # S = 5 with no premises: 2^5 atoms, so cap 20 is refused and cap 3 is not
+    names = ("p", "q", "r", "s", "t")
+    syl = Syllogism(names, (), Conclusion(ABSOLUTE, P, Q))
+    with pytest.raises(SizeGuardError, match="enumerating 125994627894135 populations"):
+        population_totals(syl, 20)
+    assert population_totals(syl, 3) == [0, 1, 2, 3]
+    # a fractional universe has no integer population, whatever the cap
+    half = Syllogism(names, (), Conclusion(ABSOLUTE, P, Q), universe_size=F(21, 2))
+    assert population_totals(half, 20) is None
+    assert enumerate_range(half, 20) is None
 
 
 def test_negative_cap_is_rejected():

@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sylq import Interval, KernelSupportPair, Trapezoid
-from sylq.quantifiers import RimQuantifier, as_fraction, cut, fit_trapezoid
+from sylq.quantifiers import RimQuantifier, as_fraction, cut, fit_trapezoid, level_cut
 
 F = Fraction
 
@@ -145,3 +145,42 @@ def test_alpha_cuts_nest_by_construction(knots, lam1, lam2):
     tz = Trapezoid(*knots)
     low, high = min(lam1, lam2), max(lam1, lam2)
     assert cut(tz, high).subset_of(cut(tz, low))
+
+
+# ------------------------------------------------- premise cuts on a grid
+
+bound = st.fractions(min_value=0, max_value=5, max_denominator=20)
+
+
+@st.composite
+def shapes(draw):
+    kind = draw(st.sampled_from(("interval", "trapezoid", "kersup", "rim")))
+    if kind == "rim":
+        # 1/2 and 1/3 take the exact power, the rest the snapped float one
+        exponent = draw(st.one_of(st.sampled_from((F(1, 2), F(1, 3))), bound.filter(bool)))
+        return RimQuantifier(exponent)
+    ends = sorted(draw(st.lists(bound, min_size=4, max_size=4)))
+    if kind == "trapezoid":
+        return Trapezoid(*ends)
+    a, b, c, d = ends
+    if kind == "interval":
+        return Interval(a, draw(st.sampled_from((d, None))))
+    kernel_hi, support_hi = draw(st.sampled_from(((c, d), (c, None), (None, None))))
+    return KernelSupportPair(Interval(b, kernel_hi), Interval(a, support_hi))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(shapes(), st.sampled_from((2, 11, 21)))
+def test_level_cuts_equal_the_generic_cut(shape, levels):
+    cut_at = level_cut(shape)
+    for i in range(levels):
+        level = F(i, levels - 1)
+        try:
+            want = cut(shape, level)
+        except ValueError as exc:  # an unbounded pair between its ends
+            with pytest.raises(ValueError, match=str(exc)):
+                cut_at(level)
+            continue
+        got = cut_at(level)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+        assert all(type(v) is F for v in (got.lo, got.hi) if v is not None)

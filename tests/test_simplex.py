@@ -111,9 +111,43 @@ BUNDLED_PIVOTS = {
     "wine_exports_rim": (168, 22),
 }
 
+# (exit code, pivots of each minimize call in order) of `sylq FILE --mode M`
+# for every bundled document and mode; crisp mode refuses fuzzy premises
+_ALPHA_11 = " ".join(["18 15"] * 11)
+BUNDLED_PIVOT_PATHS = {
+    ("course_passrates_crisp", "crisp"): (0, "18 15"),
+    ("course_passrates_crisp", "kersup"): (0, "18 15"),
+    ("course_passrates_crisp", "alpha"): (0, "18 15"),
+    ("course_passrates_fuzzy", "crisp"): (1, ""),
+    ("course_passrates_fuzzy", "kersup"): (0, "18 15 18 15"),
+    ("course_passrates_fuzzy", "alpha"): (0, _ALPHA_11),
+    ("course_passrates_nonnormalized", "crisp"): (1, ""),
+    ("course_passrates_nonnormalized", "kersup"): (0, "20 16 12"),
+    ("course_passrates_nonnormalized", "alpha"): (
+        0,
+        "20 16 20 17 20 17 20 17 18 16 18 16 16 15 16 15 16 15 16 15 16 15 16 15 "
+        "16 15 16 15 14 13 14 13 14 13 14 13 14 13 14 13 12",
+    ),
+    ("hats_and_ties", "crisp"): (1, ""),
+    ("hats_and_ties", "kersup"): (0, "9 9 9 9"),
+    ("hats_and_ties", "alpha"): (0, " ".join(["9"] * 22)),
+    ("pets_at_home", "crisp"): (0, "14 12"),
+    ("pets_at_home", "kersup"): (0, "14 12"),
+    ("pets_at_home", "alpha"): (0, "14 12"),
+    ("warehouse_sales_mix", "crisp"): (1, ""),
+    ("warehouse_sales_mix", "kersup"): (0, "10 10 10 10"),
+    ("warehouse_sales_mix", "alpha"): (0, " ".join(["10"] * 22)),
+    ("wine_boxes_exception", "crisp"): (1, ""),
+    ("wine_boxes_exception", "kersup"): (0, "3 3 3 5"),
+    ("wine_boxes_exception", "alpha"): (0, " ".join(["3"] * 21 + ["5"])),
+    ("wine_exports_rim", "crisp"): (1, ""),
+    ("wine_exports_rim", "kersup"): (0, "4 6 6 8"),
+    ("wine_exports_rim", "alpha"): (0, "4 6 " + " ".join(["7 9"] * 9) + " 6 8"),
+}
 
-@pytest.mark.parametrize("name", sorted(BUNDLED_PIVOTS))
-def test_bundled_pivot_counts(name, monkeypatch, capsys):
+
+def _pivots_per_call(argv, monkeypatch, capsys):
+    """Exit code of `sylq argv` and the pivots of each minimize call in order."""
     seen = []
     original = simplex.minimize
 
@@ -123,9 +157,23 @@ def test_bundled_pivot_counts(name, monkeypatch, capsys):
         return sol
 
     monkeypatch.setattr(simplex, "minimize", counting_minimize)
-    assert cli.main([str(FIXTURE_DIR / ("%s.syl" % name))]) == 0
+    code = cli.main(argv)
     capsys.readouterr()
+    return code, seen
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_PIVOTS))
+def test_bundled_pivot_counts(name, monkeypatch, capsys):
+    code, seen = _pivots_per_call([str(FIXTURE_DIR / ("%s.syl" % name))], monkeypatch, capsys)
+    assert code == 0
     assert (sum(seen), len(seen)) == BUNDLED_PIVOTS[name]
+
+
+@pytest.mark.parametrize("name, mode", sorted(BUNDLED_PIVOT_PATHS))
+def test_bundled_pivots_per_call(name, mode, monkeypatch, capsys):
+    argv = [str(FIXTURE_DIR / ("%s.syl" % name)), "--mode", mode]
+    code, seen = _pivots_per_call(argv, monkeypatch, capsys)
+    assert (code, " ".join(map(str, seen))) == BUNDLED_PIVOT_PATHS[name, mode]
 
 
 # ------------------------------------------------- differential property test
@@ -277,6 +325,28 @@ def test_lazy_reduction_changes_no_solution(lp):
     with reduce_bits(0):
         eager = minimize(costs, rows)
     assert minimize(costs, rows) == eager
+
+
+def test_an_artificial_that_leaves_the_basis_never_comes_back():
+    # phase 1 first pivots x1 in for the artificial of `x1 == 0`; were that
+    # artificial's column kept, Dantzig's rule would take it back in and x1
+    # would have to enter again: four pivots instead of two
+    rows = [([3, 1], ">=", 2), ([-2, 0], "==", 0), ([1, 0], "==", 0)]
+    for solve in (minimize, maximize):
+        with cleared_phase1():
+            assert solve([-1, 0], rows) == simplex.LpSolution(OPTIMAL, F(0), [F(0), F(2)], 2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.one_of(boxed_lps(), wide_lps()), st.data())
+def test_int_costs_solve_like_equal_fraction_costs(lp, data):
+    # int costs are the phase-2 row as they are; Fractions go through _int_row
+    _, rows = lp
+    n = len(rows[0][0])
+    costs = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    rows = int_rows(rows)
+    for solve in (simplex.minimize, simplex.maximize):
+        assert solve(costs, rows) == solve([F(c) for c in costs], rows)
 
 
 # ---------------------------------------------------- one phase 1 per system
