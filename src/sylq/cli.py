@@ -28,6 +28,7 @@ from . import optimizer
 from .compiler import compile_syllogism
 from .dsl import conclusion_text, parse
 from .inference import (
+    MAX_LEVELS,
     MODES,
     InfeasiblePremisesError,
     InferenceConfig,
@@ -56,7 +57,9 @@ def _cap(text: str) -> int:
 
 def _levels(text: str) -> int:
     if not _digits(text):
-        raise argparse.ArgumentTypeError("levels must be an integer >= 2, got %r" % text)
+        raise argparse.ArgumentTypeError(
+            "levels must be an integer >= 2 and <= %d, got %r" % (MAX_LEVELS, text)
+        )
     return int(text)
 
 
@@ -86,7 +89,7 @@ def _run_parser() -> argparse.ArgumentParser:
         "--levels",
         type=_levels,
         default=None,
-        help="alpha grid size (default %d)" % InferenceConfig.levels,
+        help="alpha grid size, 2 to %d (default %d)" % (MAX_LEVELS, InferenceConfig.levels),
     )
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument(

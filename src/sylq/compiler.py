@@ -38,12 +38,12 @@ Charnes-Cooper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import optimizer
+from ._value import value
 from .optimizer import EQ, GE, GT, LE, SetRow, Term
 from .quantifiers import (
     ABSOLUTE,
@@ -93,7 +93,7 @@ class _Measure(NamedTuple):
     w: Optional[Tuple[int, ...]]
 
 
-@dataclass(frozen=True)
+@value
 class Skeleton:
     """The part of a syllogism's LP that no premise bound changes.
 
@@ -111,7 +111,7 @@ class Skeleton:
     charnes_cooper: bool
 
 
-@dataclass(frozen=True)
+@value
 class ConstraintSystem:
     """One crisp reading's LP over its syllogism's atom classes.
 
@@ -122,6 +122,11 @@ class ConstraintSystem:
     k: int
     constraints: List[ClassRow]
     costs: Tuple[int, ...]
+
+    def __init__(self, k: int, constraints: List[ClassRow], costs: Tuple[int, ...]) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "costs", costs)
 
 
 def _sum(atoms: frozenset, coefficient: Fraction = _ONE) -> Tuple[Term, ...]:

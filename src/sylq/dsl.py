@@ -28,11 +28,11 @@ canonical text; parsing that text yields an equal document.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .inference import MODES
+from ._value import factory, value
+from .inference import MAX_LEVELS, MODES
 from .quantifiers import (
     ABSOLUTE,
     COMPARATIVE_ABSOLUTE,
@@ -111,7 +111,7 @@ _OPTION_ITEM = re.compile(r"\s*([a-z-]+)\s*=\s*([^\s,]+)\s*$")
 MAX_TERM_DEPTH = 64
 
 
-@dataclass(frozen=True)
+@value
 class SyllogismDoc:
     """A parsed syllogism file: the syllogism plus presentation options."""
 
@@ -119,7 +119,7 @@ class SyllogismDoc:
     premises: Tuple[Statement, ...]
     conclusion: Conclusion
     universe_size: Optional[Fraction] = None
-    options: Dict[str, object] = field(default_factory=dict)
+    options: Dict[str, object] = factory(dict)
 
     def to_syllogism(self) -> Syllogism:
         return Syllogism(
@@ -319,8 +319,13 @@ def _parse_options(body: str, line: int) -> Dict[str, object]:
                 raise DslError("unknown mode %r" % value, line)
             options["mode"] = value
         elif key == "levels":
-            if not (value.isascii() and value.isdecimal()) or int(value) < 2:
-                raise DslError("levels must be an integer >= 2", line)
+            # the digit count keeps int() off numbers too long to convert
+            if (
+                not (value.isascii() and value.isdecimal())
+                or len(value.lstrip("0")) > len(str(MAX_LEVELS))
+                or not 2 <= int(value) <= MAX_LEVELS
+            ):
+                raise DslError("levels must be an integer >= 2 and <= %d" % MAX_LEVELS, line)
             options["levels"] = int(value)
         else:
             raise DslError("unknown option %r (mode, levels)" % key, line)

@@ -21,11 +21,11 @@ such non-normalized outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import optimizer
+from ._value import factory, value
 from .compiler import compile_syllogism
 from .quantifiers import (
     COUNT_FAMILIES,
@@ -41,6 +41,7 @@ from .quantifiers import (
 from .statements import Syllogism
 
 __all__ = [
+    "MAX_LEVELS",
     "MODES",
     "InferenceConfig",
     "InferenceResult",
@@ -50,6 +51,9 @@ __all__ = [
 ]
 
 MODES = ("auto", "crisp", "kersup", "alpha")
+# largest alpha grid: infer builds the whole grid before the first solve, so
+# this bounds what one call can allocate and solve
+MAX_LEVELS = 1001
 
 Bounds = Tuple[Optional[Interval], ...]
 
@@ -58,18 +62,18 @@ class InfeasiblePremisesError(RuntimeError):
     """No population satisfies the premises (even at membership level 0)."""
 
 
-@dataclass(frozen=True)
+@value
 class InferenceConfig:
     """levels is the size of the alpha grid (11 means 0, 0.1, ..., 1)."""
 
     levels: int = 11
 
     def __post_init__(self) -> None:
-        if not isinstance(self.levels, int) or self.levels < 2:
-            raise ValueError("levels must be an integer >= 2")
+        if not isinstance(self.levels, int) or not 2 <= self.levels <= MAX_LEVELS:
+            raise ValueError("levels must be an integer >= 2 and <= %d" % MAX_LEVELS)
 
 
-@dataclass
+@value(frozen=False)
 class InferenceResult:
     """Conclusion bounds at the precision the premises support.
 
@@ -92,7 +96,7 @@ class InferenceResult:
     epsilon_kind: str
     epsilon: Fraction
     fitted: Optional[Trapezoid] = None
-    warnings: List[str] = field(default_factory=list)
+    warnings: List[str] = factory(list)
 
     @property
     def crisp(self) -> Optional[Interval]:
@@ -154,9 +158,9 @@ def infer(
     cuts_at = [level_cut(p.quantifier.shape) for p in syl.premises]
     for lam in grid:
         bounds = tuple(cut_at(lam) for cut_at in cuts_at)
-        if bounds not in solved:
-            solved[bounds] = optimizer.solve(compile_syllogism(syl, bounds))
-        outcome = solved[bounds]
+        outcome = solved.get(bounds)
+        if outcome is None:
+            outcome = solved[bounds] = optimizer.solve(compile_syllogism(syl, bounds))
         outcomes.append(outcome)
         if outcome.status == optimizer.INFEASIBLE:
             if lam == 0:

@@ -20,11 +20,11 @@ in attained_lo so callers can still see it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import simplex
+from ._value import value
 
 if TYPE_CHECKING:
     from .compiler import ConstraintSystem
@@ -63,7 +63,7 @@ Term = Tuple[FrozenSet[int], Fraction]
 SetRow = Tuple[Tuple[Term, ...], str, Fraction]
 
 
-@dataclass(frozen=True)
+@value
 class SolveOutcome:
     """Bounds on the conclusion measure over the feasible region.
 
@@ -77,6 +77,20 @@ class SolveOutcome:
     hi: Optional[Fraction]
     attained_lo: Optional[Fraction] = None
     pivots: int = 0
+
+    def __init__(
+        self,
+        status: str,
+        lo: Optional[Fraction],
+        hi: Optional[Fraction],
+        attained_lo: Optional[Fraction] = None,
+        pivots: int = 0,
+    ) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "attained_lo", attained_lo)
+        object.__setattr__(self, "pivots", pivots)
 
 
 def rewrite_strict(

@@ -19,9 +19,10 @@ through floats, and those are snapped back immediately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
+
+from ._value import value
 
 __all__ = [
     "LOGICAL_ALL",
@@ -109,7 +110,7 @@ def _fmt(value: Fraction) -> str:
     return str(float(value))
 
 
-@dataclass(frozen=True)
+@value
 class Interval:
     """Closed numeric interval, possibly unbounded above.
 
@@ -121,15 +122,16 @@ class Interval:
     lo: Fraction
     hi: Optional[Fraction] = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", as_fraction(self.lo))
-        if self.hi is not None:
-            object.__setattr__(self, "hi", as_fraction(self.hi))
-            if self.lo > self.hi:
+    def __init__(self, lo: Real, hi: Optional[Real] = None) -> None:
+        lo = as_fraction(lo)
+        if hi is not None:
+            hi = as_fraction(hi)
+            if lo > hi:
                 raise ValueError(
-                    "interval lower bound %s exceeds upper bound %s"
-                    % (_fmt(self.lo), _fmt(self.hi))
+                    "interval lower bound %s exceeds upper bound %s" % (_fmt(lo), _fmt(hi))
                 )
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def subset_of(self, other: "Interval") -> bool:
         """True when every point of this interval lies in ``other``."""
@@ -147,7 +149,7 @@ class Interval:
         return "[%s, %s]" % (_fmt(self.lo), _fmt(self.hi))
 
 
-@dataclass(frozen=True)
+@value
 class Trapezoid:
     """Trapezoidal membership function with support [a, d] and kernel [b, c]."""
 
@@ -156,9 +158,11 @@ class Trapezoid:
     c: Fraction
     d: Fraction
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
+    def __init__(self, a: Real, b: Real, c: Real, d: Real) -> None:
+        object.__setattr__(self, "a", as_fraction(a))
+        object.__setattr__(self, "b", as_fraction(b))
+        object.__setattr__(self, "c", as_fraction(c))
+        object.__setattr__(self, "d", as_fraction(d))
         if not (self.a <= self.b <= self.c <= self.d):
             raise ValueError(
                 "trapezoid parameters must be ordered a <= b <= c <= d, got "
@@ -178,7 +182,7 @@ class Trapezoid:
         return (self.a, self.b, self.c, self.d)
 
 
-@dataclass(frozen=True)
+@value
 class KernelSupportPair:
     """Kernel and support intervals of a fuzzy quantifier; kernel ⊆ support."""
 
@@ -193,7 +197,7 @@ class KernelSupportPair:
             )
 
 
-@dataclass(frozen=True)
+@value
 class RimQuantifier:
     """Regular increasing monotone quantifier: membership p ** exponent on [0, 1]."""
 
@@ -236,7 +240,7 @@ def _shape_bounds(shape: Shape) -> tuple:
     raise TypeError("unsupported shape %r" % (shape,))
 
 
-@dataclass(frozen=True)
+@value
 class QuantifierSpec:
     """A quantifier family together with its bound shape.
 
@@ -249,7 +253,9 @@ class QuantifierSpec:
     family: str
     shape: Shape = None
 
-    def __post_init__(self) -> None:
+    def __init__(self, family: str, shape: Shape = None) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "shape", shape)
         if self.family not in FAMILIES:
             raise ValueError(
                 "unknown quantifier family %r; expected one of %s"

@@ -45,10 +45,11 @@ start basis, phase 1 included, so both solutions of one system count it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
+
+from ._value import value
 
 __all__ = ["LpSolution", "minimize", "maximize"]
 
@@ -69,12 +70,24 @@ class PivotLimitError(RuntimeError):
     """The simplex ran past its pivot cap without terminating."""
 
 
-@dataclass
+@value(frozen=False)
 class LpSolution:
     status: str  # optimal | unbounded | infeasible
     value: Optional[Fraction] = None
     point: Optional[List[Fraction]] = None
     pivots: int = 0
+
+    def __init__(
+        self,
+        status: str,
+        value: Optional[Fraction] = None,
+        point: Optional[List[Fraction]] = None,
+        pivots: int = 0,
+    ) -> None:
+        self.status = status
+        self.value = value
+        self.point = point
+        self.pivots = pivots
 
 
 # an exact row: (numerators, positive denominator), not always in lowest terms

@@ -9,12 +9,12 @@ family is declared but whose bound is the unknown to be inferred.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import FrozenSet, Optional, Tuple
 
 from . import compiler
+from ._value import value
 from .quantifiers import (
     COMPARATIVE_ABSOLUTE,
     COMPARATIVE_PROPORTIONAL,
@@ -32,7 +32,7 @@ __all__ = ["COMPARED_FAMILIES", "Statement", "Conclusion", "Syllogism"]
 COMPARED_FAMILIES = frozenset({COMPARATIVE_ABSOLUTE, COMPARATIVE_PROPORTIONAL, SIMILARITY})
 
 
-@dataclass(frozen=True)
+@value
 class Statement:
     """One quantified premise: quantifier plus two terms.
 
@@ -44,12 +44,17 @@ class Statement:
     restriction: TermExpr
     scope: TermExpr
 
+    def __init__(self, quantifier: QuantifierSpec, restriction: TermExpr, scope: TermExpr) -> None:
+        object.__setattr__(self, "quantifier", quantifier)
+        object.__setattr__(self, "restriction", restriction)
+        object.__setattr__(self, "scope", scope)
+
     @property
     def family(self) -> str:
         return self.quantifier.family
 
 
-@dataclass(frozen=True)
+@value
 class Conclusion:
     """Conclusion template: a declared numeric family with unknown bound."""
 
@@ -68,7 +73,7 @@ class Conclusion:
             raise ValueError("unknown conclusion family %r" % self.family)
 
 
-@dataclass(frozen=True)
+@value
 class Syllogism:
     """N premises, one conclusion template, over an ordered property list."""
 

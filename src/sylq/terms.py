@@ -10,8 +10,9 @@ a set of atom indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+from ._value import value
 
 __all__ = [
     "S_MAX",
@@ -50,31 +51,51 @@ class _Term:
         return Not(self)
 
 
-@dataclass(frozen=True)
+@value
 class Prop(_Term):
     """Leaf naming one declared property."""
 
     name: str
 
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
-@dataclass(frozen=True)
+
+@value
 class Not(_Term):
+    """Complement of a term."""
+
     arg: "TermExpr"
 
+    def __init__(self, arg: "TermExpr") -> None:
+        object.__setattr__(self, "arg", arg)
 
-@dataclass(frozen=True)
+
+@value
 class And(_Term):
+    """Intersection of two terms."""
+
     left: "TermExpr"
     right: "TermExpr"
 
+    def __init__(self, left: "TermExpr", right: "TermExpr") -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
-@dataclass(frozen=True)
+
+@value
 class Or(_Term):
+    """Union of two terms."""
+
     left: "TermExpr"
     right: "TermExpr"
 
+    def __init__(self, left: "TermExpr", right: "TermExpr") -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
-@dataclass(frozen=True)
+
+@value
 class Universe(_Term):
     """The whole referential; written ``*`` in the surface syntax."""
 

@@ -5,7 +5,6 @@ PASS/FAIL verdict per criterion after the run.
 """
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +14,7 @@ from sylq import (
     InfeasiblePremisesError,
     InferenceConfig,
     Interval,
+    Syllogism,
     Trapezoid,
     enumerate_range,
     infer,
@@ -32,6 +32,10 @@ from conftest import (
 from reference_lp import compile_statement
 
 F = Fraction
+
+
+def with_premises(syl, premises):
+    return Syllogism(syl.properties, tuple(premises), syl.conclusion, syl.universe_size)
 
 
 def crisp_bounds(syl):
@@ -56,13 +60,13 @@ def test_criterion_1_pets_crisp_counts():
     assert full.outcomes[0].status == "bounded"
 
     # drop the two closure premises (every animal is a dog, cat or parrot)
-    opened = replace(syl, premises=syl.premises[:3] + syl.premises[5:])
+    opened = with_premises(syl, syl.premises[:3] + syl.premises[5:])
     part = infer(opened, mode="crisp")
     assert abs(part.crisp.lo - 2) <= 1e-9
     assert abs(part.crisp.hi - 3) <= 1e-9
 
     # the three exception premises alone leave the total unbounded
-    bare = replace(syl, premises=syl.premises[:3])
+    bare = with_premises(syl, syl.premises[:3])
     loose = infer(bare, mode="crisp")
     assert loose.outcomes[0].status == "unbounded-above"
     assert loose.crisp.lo == 0
@@ -382,7 +386,7 @@ def test_criterion_9d_premise_permutation(rng):
         syl = random_crisp_syllogism(rng)
         order = list(syl.premises)
         rng.shuffle(order)
-        shuffled = replace(syl, premises=tuple(order))
+        shuffled = with_premises(syl, order)
         try:
             base = infer(syl, mode="crisp")
         except InfeasiblePremisesError:
@@ -398,7 +402,7 @@ def test_criterion_9d_premise_permutation(rng):
         syl = random_fuzzy_syllogism(rng)
         order = list(syl.premises)
         rng.shuffle(order)
-        shuffled = replace(syl, premises=tuple(order))
+        shuffled = with_premises(syl, order)
         try:
             base = infer(syl, mode="alpha", config=config)
         except InfeasiblePremisesError:

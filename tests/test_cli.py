@@ -24,7 +24,7 @@ import pytest
 import sylq
 from sylq import SolveOutcome, cli, simplex
 from sylq.cli import main
-from sylq.inference import infer
+from sylq.inference import MAX_LEVELS, infer
 
 from conftest import FIXTURE_DIR
 
@@ -325,6 +325,41 @@ def test_size_guard_refuses_before_any_solve(capsys, monkeypatch):
     )
 
 
+TRAPEZOID_DOC = """\
+terms: p, q
+premise: prop tz(0.1, 0.2, 0.3, 0.4) p -> q
+conclude: prop? p -> q
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["-", "--levels", str(MAX_LEVELS + 1)], TRAPEZOID_DOC),
+        (["-", "--levels", "1" + "0" * 10], TRAPEZOID_DOC),
+        (["-"], TRAPEZOID_DOC + "options: levels=%d\n" % (MAX_LEVELS + 1)),
+    ],
+    ids=["flag", "flag-1e10", "option"],
+)
+def test_levels_past_the_maximum_are_refused_before_any_solve(capsys, monkeypatch, argv, text):
+    calls = []
+    monkeypatch.setattr(simplex, "minimize", lambda costs, rows: calls.append(rows))
+    sys.stdin = io.StringIO(text)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, len(calls)) == (1, "", 0)
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "levels must be an integer >= 2 and <= %d" % MAX_LEVELS in err
+
+
+def test_the_largest_grid_is_solved(capsys):
+    sys.stdin = io.StringIO(TRAPEZOID_DOC)
+    code, out, err = run_cli(capsys, ["-", "--levels", str(MAX_LEVELS), "--format", "csv"])
+    assert (code, err) == (0, "")
+    rows = out.splitlines()
+    assert len(rows) == 1 + MAX_LEVELS
+    assert rows[1] == "0,0.1,0.4" and rows[-1] == "1,0.2,0.3"
+
+
 def test_pivot_limit_exits_with_code_3_without_traceback(capsys, monkeypatch):
     monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
     for argv in ([PETS], ["verify", PETS, "--cap", "10"]):
@@ -469,10 +504,13 @@ def test_closed_stdout_exits_with_code_1_without_traceback():
 
 
 def test_importing_the_cli_does_not_load_numpy():
-    # only `sylq verify` enumerates populations, so only it may pay for numpy
+    # only `sylq verify` enumerates populations, so only it may pay for numpy;
+    # the value classes are built without dataclasses, which loads inspect
     code = (
         "import sys, sylq.cli\n"
         "assert 'numpy' not in sys.modules, 'import sylq.cli loaded numpy'\n"
+        "assert 'dataclasses' not in sys.modules, 'import sylq.cli loaded dataclasses'\n"
+        "assert 'inspect' not in sys.modules, 'import sylq.cli loaded inspect'\n"
         "import sylq\n"
         "assert callable(sylq.enumerate_range)\n"
         "assert 'numpy' in sys.modules\n"

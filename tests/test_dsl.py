@@ -5,6 +5,7 @@ import pytest
 
 from sylq import DslError, SyllogismDoc, parse
 from sylq.dsl import conclusion_text, print_doc
+from sylq.inference import MAX_LEVELS
 from conftest import (
     load_fixture,
     random_crisp_syllogism,
@@ -201,6 +202,17 @@ def test_option_validation():
         parse(base + "options: levels=\u0661\u0661\n")
     doc = parse(base + "options: mode=alpha, levels=7\n")
     assert doc.options == {"mode": "alpha", "levels": 7}
+
+
+def test_levels_option_is_bounded():
+    base = "terms: p, q\npremise: all p -> q\nconclude: abs? p -> q\n"
+    assert parse(base + "options: levels=%d\n" % MAX_LEVELS).options == {"levels": MAX_LEVELS}
+    assert parse(base + "options: levels=00011\n").options == {"levels": 11}
+    # 5000 digits is past int()'s conversion limit; the refusal still names the line
+    refusal = "line 4: levels must be an integer >= 2 and <= %d" % MAX_LEVELS
+    for text in (str(MAX_LEVELS + 1), "9" * 5000):
+        with pytest.raises(DslError, match=refusal):
+            parse(base + "options: levels=%s\n" % text)
 
 
 def test_conclusion_text_spelling():

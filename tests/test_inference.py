@@ -12,6 +12,7 @@ from sylq import (
     infer,
     parse,
 )
+from sylq.inference import MAX_LEVELS
 from sylq.quantifiers import ABSOLUTE, PROPORTIONAL, QuantifierSpec, RimQuantifier
 from sylq.statements import Conclusion, Statement
 from sylq.terms import Prop
@@ -34,6 +35,13 @@ def one_premise(shape, family=ABSOLUTE, conclusion_family=ABSOLUTE, universe=Non
 def test_config_validation():
     with pytest.raises(ValueError):
         InferenceConfig(levels=1)
+
+
+def test_config_bounds_the_grid():
+    assert InferenceConfig(levels=MAX_LEVELS).levels == MAX_LEVELS
+    for levels in (MAX_LEVELS + 1, 10**10):
+        with pytest.raises(ValueError, match="<= %d" % MAX_LEVELS):
+            InferenceConfig(levels=levels)
 
 
 def test_auto_mode_follows_the_premise_shapes():

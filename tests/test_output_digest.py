@@ -1,0 +1,34 @@
+"""What `sylq` prints, and the pivots it takes, are pinned for 140 runs.
+
+`scripts/output_digest.py` digests the exit code, stdout, stderr and
+per-call pivots of every bundled document in each format and mode, of
+`sylq verify` on each, and of the `scale_sweep` chains.  A change that
+alters any of them on purpose regenerates the pin and says why:
+
+    python3 scripts/output_digest.py > tests/output_digest.json
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PIN = Path(__file__).resolve().parent / "output_digest.json"
+
+
+def test_output_digest_is_unchanged():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "output_digest.py")],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    got = json.loads(proc.stdout)
+    want = json.loads(PIN.read_text(encoding="utf-8"))
+    assert (got["runs"], got["pivots"]) == (want["runs"], want["pivots"])
+    changed = sorted(
+        name for name, run in want["digest"].items() if got["digest"].get(name) != run
+    )
+    assert not changed, "runs whose output or pivots changed: %s" % ", ".join(changed)
+    assert got == want

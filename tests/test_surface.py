@@ -3,7 +3,6 @@ return; everything else is imported from its own module.  The values a
 caller can set are pinned too: the config field, the command-line flags and
 the document options."""
 
-import dataclasses
 import importlib
 import pkgutil
 
@@ -11,6 +10,7 @@ import pytest
 
 import sylq
 from sylq import DslError, InferenceConfig, parse
+from sylq._value import fields
 from sylq.cli import _run_parser, _verify_parser
 
 ENTRY_POINTS = {
@@ -53,7 +53,7 @@ def option_strings(parser):
 
 
 def test_settable_surface_is_pinned():
-    assert [f.name for f in dataclasses.fields(InferenceConfig)] == ["levels"]
+    assert list(fields(InferenceConfig)) == ["levels"]
     assert option_strings(_run_parser()) == {
         "-h", "--help", "--mode", "--levels", "--format", "--verify"
     }
