@@ -4,11 +4,13 @@ The runs are every bundled document in text, JSON and CSV, each in its own
 mode and with `--mode` crisp, kersup and alpha (96 runs); `sylq verify
 --cap 10` on every document (8 runs); and the 18 `scale_sweep` chains of
 `perfbench/bench_inputs.py` in text and JSON (36 runs).  For each run the
-digest records the exit code, a SHA-256 of stdout and of stderr, and the
-pivots of every `simplex.minimize` call in order.
+digest records the exit code, a SHA-256 of stdout and of stderr, and for
+every `simplex.minimize` call in order its pivots and a SHA-256 of the LP it
+was given (costs and rows).
 
 Run it in two checkouts and diff the results; identical files mean the two
-trees print the same bytes and take the same pivots:
+trees print the same bytes and hand the simplex the same LPs, call for call,
+with the same pivots:
 
     python3 scripts/output_digest.py > digest.json
 """
@@ -53,12 +55,19 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def lp_sha(costs, rows) -> str:
+    """SHA-256 of one LP, the same for equal values in lists or tuples."""
+    lp = (tuple(costs), tuple((tuple(nums), den, rel) for nums, den, rel in rows))
+    return _sha(repr(lp))
+
+
 def run_one(argv, stdin):
-    """Exit code, stdout, stderr and per-call pivots of one `sylq` run."""
-    pivots = []
+    """Exit code, stdout, stderr, and per-call pivots and LP hashes of one run."""
+    pivots, lps = [], []
     original = simplex.minimize
 
     def recording_minimize(costs, rows):
+        lps.append(lp_sha(costs, rows))
         sol = original(costs, rows)
         pivots.append(sol.pivots)
         return sol
@@ -73,15 +82,21 @@ def run_one(argv, stdin):
     finally:
         simplex.minimize = original
         sys.stdin = saved_stdin
-    return code, out.getvalue(), err.getvalue(), pivots
+    return code, out.getvalue(), err.getvalue(), pivots, lps
 
 
 def main() -> int:
     os.chdir(REPO_ROOT)  # documents are named by relative path in every output
     digest = {}
     for name, argv, stdin in runs():
-        code, out, err, pivots = run_one(argv, stdin)
-        digest[name] = {"code": code, "stdout": _sha(out), "stderr": _sha(err), "pivots": pivots}
+        code, out, err, pivots, lps = run_one(argv, stdin)
+        digest[name] = {
+            "code": code,
+            "stdout": _sha(out),
+            "stderr": _sha(err),
+            "pivots": pivots,
+            "lps": lps,
+        }
     total = sum(sum(run["pivots"]) for run in digest.values())
     print(json.dumps({"runs": len(digest), "pivots": total, "digest": digest}, indent=1))
     return 0

@@ -1,8 +1,9 @@
-"""What `sylq` prints, and the pivots it takes, are pinned for 140 runs.
+"""What `sylq` prints, and the LPs it solves, are pinned for 140 runs.
 
-`scripts/output_digest.py` digests the exit code, stdout, stderr and
-per-call pivots of every bundled document in each format and mode, of
-`sylq verify` on each, and of the `scale_sweep` chains.  A change that
+`scripts/output_digest.py` digests the exit code, stdout, stderr and, per
+`simplex.minimize` call, the pivots and a hash of the LP of every bundled
+document in each format and mode, of `sylq verify` on each, and of the
+`scale_sweep` chains.  A change that
 alters any of them on purpose regenerates the pin and says why:
 
     python3 scripts/output_digest.py > tests/output_digest.json
@@ -30,5 +31,5 @@ def test_output_digest_is_unchanged():
     changed = sorted(
         name for name, run in want["digest"].items() if got["digest"].get(name) != run
     )
-    assert not changed, "runs whose output or pivots changed: %s" % ", ".join(changed)
+    assert not changed, "runs whose output, LPs or pivots changed: %s" % ", ".join(changed)
     assert got == want
