@@ -233,6 +233,8 @@ def _verify_doc(syl: Syllogism, cap: int) -> int:
     from . import oracle
 
     oracle.population_totals(syl, cap)
+    size = syl.universe_size  # when declared, only that size is enumerated
+    sizes = "up to cap %d" % cap if size is None else "of universe size %s" % _num_text(size)
     readings: List[tuple] = []
     for level in (Fraction(0), Fraction(1)):
         bounds = premise_bounds(syl, level)
@@ -245,7 +247,7 @@ def _verify_doc(syl: Syllogism, cap: int) -> int:
         exact = enumerate_range(syl, cap, bounds)
         lp_lo = outcome.attained_lo if outcome.attained_lo is not None else outcome.lo
         if exact is None:
-            witness = "no integer witness up to cap %d" % cap
+            witness = "no integer witness %s" % sizes
             ok = True
         else:
             witness = "enumerated [%s, %s]" % (_num_text(exact.lo), _num_text(exact.hi))

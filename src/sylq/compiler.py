@@ -39,8 +39,9 @@ Charnes-Cooper).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import lcm
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import optimizer
 from ._value import value
@@ -97,14 +98,14 @@ class _Measure(NamedTuple):
 class Skeleton:
     """The part of a syllogism's LP that no premise bound changes.
 
-    classes   the atoms of each column, ordered by smallest atom; under
+    classes   the atom mask of each column, ordered by smallest atom; under
               Charnes-Cooper the last column is t, written as atom K
     premises  per premise, a logical premise's row or a numeric one's measure
     fixed     the structural rows, then the Charnes-Cooper normalization
     costs     the objective numerator per column
     """
 
-    classes: Tuple[Tuple[int, ...], ...]
+    classes: Tuple[int, ...]
     premises: Tuple[object, ...]
     fixed: Tuple[ClassRow, ...]
     costs: Tuple[int, ...]
@@ -129,15 +130,13 @@ class ConstraintSystem:
         object.__setattr__(self, "costs", costs)
 
 
-def _sum(atoms: frozenset, coefficient: Fraction = _ONE) -> Tuple[Term, ...]:
+def _sum(atoms: int, coefficient: Fraction = _ONE) -> Tuple[Term, ...]:
     """coefficient * S_atoms as terms; none for the empty set."""
     return ((atoms, coefficient),) if atoms else ()
 
 
-def _measure(
-    family: str, a: frozenset, b: frozenset
-) -> Tuple[Tuple[Term, ...], Optional[frozenset]]:
-    """A numeric family's measure over term sets a and b.
+def _measure(family: str, a: int, b: int) -> Tuple[Tuple[Term, ...], Optional[int]]:
+    """A numeric family's measure over the atom masks a and b.
 
     Returns (numerator terms, denominator atoms), with None as the
     denominator of a count family.
@@ -145,7 +144,7 @@ def _measure(
     if family == ABSOLUTE:
         return _sum(a & b), None
     if family == EXCEPTION:
-        return _sum(a - b), None
+        return _sum(a & ~b), None
     if family == COMPARATIVE_ABSOLUTE:
         return _sum(a) + _sum(b, -_ONE), None
     if family == PROPORTIONAL:
@@ -164,18 +163,6 @@ _LOGICAL_ROWS = {
     LOGICAL_SOME: (ABSOLUTE, GT),
     LOGICAL_NOT_ALL: (EXCEPTION, GT),
 }
-
-
-def _class_row(row: SetRow, covers: Dict[frozenset, List[int]], n: int) -> ClassRow:
-    """A set row as int numerators over the lcm of its denominators."""
-    terms, rel, rhs = row
-    den = lcm(rhs.denominator, *(v.denominator for _, v in terms))
-    nums = [0] * n
-    for atoms, v in terms:
-        a = v.numerator * (den // v.denominator)
-        for j in covers[atoms]:
-            nums[j] += a
-    return tuple(nums), rhs.numerator * (den // rhs.denominator), den, rel
 
 
 def build_skeleton(syl: Syllogism) -> Skeleton:
@@ -212,49 +199,48 @@ def build_skeleton(syl: Syllogism) -> Skeleton:
         if stmt.family in RATIO_FAMILIES:
             rows.append((_sum(_measure(stmt.family, a, b)[1]), GT, _ZERO))
     if syl.universe_size is not None:
-        rows.append((_sum(frozenset(range(k))), EQ, syl.universe_size))
+        rows.append((_sum((1 << k) - 1), EQ, syl.universe_size))
     rows = optimizer.rewrite_strict(
         rows, k=k, proportional_context=has_ratio, universe_size=syl.universe_size
     )
     numerator, denominator = _measure(syl.conclusion.family, *syl.term_sets[-1])
-    referenced = [atoms for atoms, _ in numerator]
     if denominator is not None:
         # linear-fractional: substitute y = t*x with t = 1/denominator.
         # Row a.x rel b becomes a.y - b*t rel 0, plus the normalization
         # den.y == 1; t >= 0 admits limits along recession directions, so
         # suprema that are only approached are still found.  t is atom
         # index k, so it forms the last class.
-        t = frozenset((k,))
-        rows = [(terms + ((t, -rhs),), rel, _ZERO) for terms, rel, rhs in rows]
+        rows = [(terms + ((1 << k, -rhs),), rel, _ZERO) for terms, rel, rhs in rows]
         rows.append((_sum(denominator), EQ, _ONE))
-        referenced.append(t)
-    for num, den in filter(None, measures):
-        referenced += [atoms for atoms, _ in num]
-        if den:
-            referenced.append(den)
-    referenced += [atoms for terms, _, _ in rows for atoms, _ in terms]
 
-    # atoms in the same referenced sets have equal columns: one class each
-    bits: Dict[frozenset, int] = {}
-    for atoms in referenced:
-        bits.setdefault(atoms, 1 << len(bits))
-    member: Dict[int, int] = {}
-    for atoms, bit in bits.items():
-        for x in atoms:
-            member[x] = member.get(x, 0) | bit
-    classes: Dict[int, List[int]] = {}
-    for x in sorted(member):
-        classes.setdefault(member[x], []).append(x)
-    covers = {
-        atoms: [j for j, sig in enumerate(classes) if sig & bit] for atoms, bit in bits.items()
-    }
-    n = len(classes)
+    # atoms in the same referenced sets have equal columns: one class each,
+    # found by splitting the referenced atoms on every distinct set (rows
+    # reference each ratio denominator and t already)
+    sums = [numerator, *(num for num, _ in filter(None, measures)), *(r[0] for r in rows)]
+    masks = dict.fromkeys(atoms for terms in sums for atoms, _ in terms)
+    classes = [reduce(int.__or__, masks)] if masks else []
+    for mask in masks:
+        rest = ~mask
+        classes = [part for c in classes for part in (c & mask, c & rest) if part]
+    classes.sort(key=lambda c: c & -c)
+    covers = {mask: [j for j, c in enumerate(classes) if c & mask] for mask in masks}
+
+    def class_row(row: SetRow) -> ClassRow:
+        """A set row as int numerators over the lcm of its denominators."""
+        terms, rel, rhs = row
+        den = lcm(rhs.denominator, *(v.denominator for _, v in terms))
+        nums = [0] * len(classes)
+        for atoms, v in terms:
+            a = v.numerator * (den // v.denominator)
+            for j in covers[atoms]:
+                nums[j] += a
+        return tuple(nums), rhs.numerator * (den // rhs.denominator), den, rel
 
     def vector(terms: Tuple[Term, ...]) -> Tuple[int, ...]:
         # numerator terms have coefficients +-1, so the row's denominator is 1
-        return _class_row((terms, EQ, _ZERO), covers, n)[0]
+        return class_row((terms, EQ, _ZERO))[0]
 
-    class_rows = [_class_row(row, covers, n) for row in rows]
+    class_rows = [class_row(row) for row in rows]
     logical = iter(class_rows[:n_logical])
     premises = []
     for stmt, measure in zip(syl.premises, measures):
@@ -265,7 +251,7 @@ def build_skeleton(syl: Syllogism) -> Skeleton:
             w = None if den is None else vector(_sum(den))
             premises.append(_Measure(stmt.family, vector(num), w))
     return Skeleton(
-        classes=tuple(map(tuple, classes.values())),
+        classes=tuple(classes),
         premises=tuple(premises),
         fixed=tuple(class_rows[n_logical:]),
         costs=vector(numerator),

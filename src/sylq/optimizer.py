@@ -21,7 +21,7 @@ in attained_lo so callers can still see it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from . import simplex
 from ._value import value
@@ -56,8 +56,8 @@ EPS_PROP = Fraction(1, 10**6)
 
 _ZERO = Fraction(0)
 
-# (atom indices, coefficient): the coefficient times the sum of x_k over the atoms
-Term = Tuple[FrozenSet[int], Fraction]
+# (atom mask, coefficient): the coefficient times the sum of x_k over bits k
+Term = Tuple[int, Fraction]
 
 # a row over atom sets: (terms, relation, rhs)
 SetRow = Tuple[Tuple[Term, ...], str, Fraction]
@@ -121,7 +121,7 @@ def rewrite_strict(
         elif universe_size is not None:
             out.append((terms, weak, rhs + sign * EPS_PROP * universe_size))
         else:
-            total = (frozenset(range(k)), -sign * EPS_PROP)
+            total = ((1 << k) - 1, -sign * EPS_PROP)
             out.append((terms + (total,), weak, rhs))
     return out
 
@@ -129,9 +129,7 @@ def rewrite_strict(
 _ORDER = {LE: lambda a, b: a <= b, GE: lambda a, b: a >= b, EQ: lambda a, b: a == b}
 
 
-def _bracket(
-    costs: List[int], rows: List[simplex.Row], sign_definite: bool
-) -> SolveOutcome:
+def _bracket(costs: Sequence[int], rows: List[simplex.Row], sign_definite: bool) -> SolveOutcome:
     lo_sol = simplex.minimize(costs, rows)
     if lo_sol.status == simplex.INFEASIBLE:
         return SolveOutcome(INFEASIBLE, None, None, pivots=lo_sol.pivots)
@@ -174,6 +172,8 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
         kept.append((coeffs, rhs, den, rel))
     costs = system.costs
     live = [j for j, column in enumerate(zip(costs, *(row[0] for row in kept))) if any(column)]
-    rows = [([coeffs[j] for j in live] + [rhs], den, rel) for coeffs, rhs, den, rel in kept]
-    costs = [costs[j] for j in live]
+    if len(live) < len(costs):
+        kept = [([coeffs[j] for j in live], rhs, den, rel) for coeffs, rhs, den, rel in kept]
+        costs = [costs[j] for j in live]
+    rows = [([*coeffs, rhs], den, rel) for coeffs, rhs, den, rel in kept]
     return _bracket(costs, rows, all(v >= 0 for v in costs))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import FrozenSet, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import compiler
 from ._value import value
@@ -24,7 +24,7 @@ from .quantifiers import (
     QuantifierSpec,
     as_fraction,
 )
-from .terms import TermExpr, atoms_of, term_names
+from .terms import TermExpr, atom_mask, term_names
 
 __all__ = ["COMPARED_FAMILIES", "Statement", "Conclusion", "Syllogism"]
 
@@ -116,15 +116,15 @@ class Syllogism:
         return len(self.properties)
 
     @cached_property
-    def term_sets(self) -> Tuple[Tuple[FrozenSet[int], FrozenSet[int]], ...]:
+    def term_sets(self) -> Tuple[Tuple[int, int], ...]:
         """(restriction atoms, scope atoms) of each premise, then of the
-        conclusion.
+        conclusion, as atom masks (terms.atom_mask).
 
         Computed on first use and kept on this object only, so every level
         of one inference reads the same sets.
         """
         return tuple(
-            (atoms_of(st.restriction, self.properties), atoms_of(st.scope, self.properties))
+            (atom_mask(st.restriction, self.properties), atom_mask(st.scope, self.properties))
             for st in (*self.premises, self.conclusion)
         )
 

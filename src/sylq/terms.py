@@ -5,7 +5,7 @@ atoms.  Atom index k encodes membership bitwise: bit s of k is 1 exactly when
 the atom lies inside property s, with bit 0 the first declared property.  A
 term expression (any and/or/not combination of property names, plus the
 universe constant) denotes a subset of the universe, which reduces exactly to
-a set of atom indices.
+a set of atoms: an int with bit k set for atom k (atom_mask).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "Or",
     "Universe",
     "UNIVERSE",
+    "atom_mask",
     "atoms_of",
     "term_names",
 ]
@@ -119,11 +120,11 @@ def term_names(expr: TermExpr) -> Iterator[str]:
         raise TypeError("not a term expression: %r" % (expr,))
 
 
-def atoms_of(expr: TermExpr, properties: Sequence[str]) -> frozenset:
-    """Exact atom set denoted by a term expression.
+def atom_mask(expr: TermExpr, properties: Sequence[str]) -> int:
+    """Exact atom set denoted by a term expression, as an int: bit k is atom k.
 
     Respects De Morgan laws by construction (complement/intersection/union on
-    index sets).  Raises ValueError for leaves naming undeclared properties.
+    bitmasks).  Raises ValueError for leaves naming undeclared properties.
     """
     s = len(properties)
     if s < 1:
@@ -136,22 +137,27 @@ def atoms_of(expr: TermExpr, properties: Sequence[str]) -> frozenset:
     bit_of = {name: bit for bit, name in enumerate(properties)}
     if len(bit_of) != s:
         raise ValueError("property names must be unique")
-    full = frozenset(range(1 << s))
+    k = 1 << s
+    full = (1 << k) - 1
 
-    def walk(node: TermExpr) -> frozenset:
+    def walk(node: TermExpr) -> int:
         if isinstance(node, Prop):
             try:
-                bit = bit_of[node.name]
+                half = 1 << bit_of[node.name]
             except KeyError:
                 raise ValueError(
                     "undeclared property %r; declared: %s"
                     % (node.name, ", ".join(properties))
                 ) from None
-            return frozenset(i for i in full if i >> bit & 1)
+            # property b's atoms, by doubling: 2**b out, 2**b in, repeated
+            mask, period = ((1 << half) - 1) << half, 2 * half
+            while period < k:
+                mask, period = mask | mask << period, 2 * period
+            return mask
         if isinstance(node, Universe):
             return full
         if isinstance(node, Not):
-            return full - walk(node.arg)
+            return full & ~walk(node.arg)
         if isinstance(node, And):
             return walk(node.left) & walk(node.right)
         if isinstance(node, Or):
@@ -159,3 +165,9 @@ def atoms_of(expr: TermExpr, properties: Sequence[str]) -> frozenset:
         raise TypeError("not a term expression: %r" % (node,))
 
     return walk(expr)
+
+
+def atoms_of(expr: TermExpr, properties: Sequence[str]) -> frozenset:
+    """atom_mask as a set of atom indices."""
+    bits = bin(atom_mask(expr, properties))[:1:-1]
+    return frozenset(k for k, bit in enumerate(bits) if bit == "1")

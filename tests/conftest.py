@@ -48,6 +48,11 @@ def int_rows(rows):
     return out
 
 
+def mask_atoms(mask):
+    """The atom indices whose bits are set in an atom mask, ascending."""
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
 @pytest.fixture(scope="session")
 def fixture_doc():
     return load_fixture

@@ -412,6 +412,37 @@ def test_verify_reports_disagreement(capsys, monkeypatch):
     assert err.strip() == "verify crisp: engine [4, 4]; enumerated [3, 3]: DISAGREE"
 
 
+# a = 5 of the 10 members, so |a & b| would be 1.65 to 1.7
+UNIVERSE_DOC = """\
+terms: a, b
+universe: %s
+premise: prop[0.33, 0.34] a -> b
+premise: prop[0.5, 0.5] * -> a
+conclude: prop? a -> b
+"""
+
+
+@pytest.mark.parametrize("size", ["10", "10.5"])
+def test_verify_names_the_declared_universe_size(capsys, monkeypatch, size):
+    # only populations of exactly the declared size are enumerated, whatever
+    # the cap, and none when the size is fractional
+    monkeypatch.setattr(sys, "stdin", io.StringIO(UNIVERSE_DOC % size))
+    code, out, err = run_cli(capsys, ["verify", "-", "--cap", "3"])
+    assert code == 0
+    assert out == ""
+    want = "engine [0.33, 0.34]; no integer witness of universe size %s: OK" % size
+    assert err == "verify crisp: %s\n" % want
+
+
+def test_verify_without_a_universe_names_the_cap(capsys, monkeypatch):
+    doc = "terms: p, q\npremise: abs[2, 3] p -> q\npremise: abs[0, 1] p & q -> *\n"
+    doc += "conclude: abs? p -> q\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    code, _, err = run_cli(capsys, ["verify", "-", "--cap", "3"])
+    assert code == 0
+    assert err == "verify crisp: engine: infeasible; no integer witness up to cap 3: OK\n"
+
+
 def test_run_with_verify_flag(capsys):
     code, out, err = run_cli(capsys, [PETS, "--verify", "10"])
     assert code == 0

@@ -13,6 +13,7 @@ from sylq.quantifiers import (
     COMPARATIVE_PROPORTIONAL,
     EXCEPTION,
     LOGICAL_ALL,
+    LOGICAL_NONE,
     LOGICAL_NOT_ALL,
     LOGICAL_SOME,
     PROPORTIONAL,
@@ -21,9 +22,15 @@ from sylq.quantifiers import (
     QuantifierSpec,
 )
 from sylq.statements import Conclusion, Statement
-from sylq.terms import UNIVERSE, And, Not, Or, Prop
+from sylq.terms import UNIVERSE, And, Not, Or, Prop, atoms_of
 
-from conftest import FIXTURE_DIR, load_fixture, random_crisp_syllogism, random_fuzzy_syllogism
+from conftest import (
+    FIXTURE_DIR,
+    load_fixture,
+    mask_atoms,
+    random_crisp_syllogism,
+    random_fuzzy_syllogism,
+)
 from reference_lp import LinearExpr, class_lp, reduced
 
 F = Fraction
@@ -44,8 +51,8 @@ def compiled(premises, conclusion, universe=None, bounds=None):
 
 
 def per_atom(syl, values):
-    """Class values spread over the atoms of each class (t is atom K)."""
-    return {x: v for v, atoms in zip(values, syl.skeleton.classes) if v for x in atoms}
+    """Class values spread over the atoms of each class mask (t is atom K)."""
+    return {x: v for v, mask in zip(values, syl.skeleton.classes) if v for x in mask_atoms(mask)}
 
 
 def atom_rows(syl, system):
@@ -305,6 +312,72 @@ def test_skeleton_lp_equals_the_reference_on_random_readings(monkeypatch):
         seen["strict ratio"] += bool(families & RATIO_FAMILIES)
     assert len(readings) >= 300
     assert min(seen.values()) > 0, seen
+
+
+# the atom sets each family's measure reads: (counted or compared parts,
+# denominator or None), over restriction a and scope b
+MEASURE_SETS = {
+    LOGICAL_ALL: lambda a, b: ([a - b], None),
+    LOGICAL_NONE: lambda a, b: ([a & b], None),
+    LOGICAL_SOME: lambda a, b: ([a & b], None),
+    LOGICAL_NOT_ALL: lambda a, b: ([a - b], None),
+    ABSOLUTE: lambda a, b: ([a & b], None),
+    EXCEPTION: lambda a, b: ([a - b], None),
+    COMPARATIVE_ABSOLUTE: lambda a, b: ([a, b], None),
+    PROPORTIONAL: lambda a, b: ([a & b], a),
+    COMPARATIVE_PROPORTIONAL: lambda a, b: ([a], b),
+    SIMILARITY: lambda a, b: ([a & b], a | b),
+}
+
+
+def referenced_sets(syl):
+    """The nonempty atom sets a syllogism's LP reads, from its statements.
+
+    Every measure's parts and denominator; all K atoms when the universe is
+    declared or a ratio statement's strict denominator row folds the total
+    in; and t, atom K, under Charnes-Cooper.
+    """
+    k = 1 << syl.s
+    sets = []
+    ratio = False
+    for st in (*syl.premises, syl.conclusion):
+        a, b = atoms_of(st.restriction, syl.properties), atoms_of(st.scope, syl.properties)
+        parts, den = MEASURE_SETS[st.family](a, b)
+        sets += parts
+        if den is not None:
+            sets.append(den)
+            ratio = True
+    if ratio or syl.universe_size is not None:
+        sets.append(frozenset(range(k)))
+    if syl.conclusion.family in RATIO_FAMILIES:
+        sets.append(frozenset((k,)))
+    return [atoms for atoms in sets if atoms]
+
+
+def assert_classes_partition(syl):
+    classes = [frozenset(mask_atoms(mask)) for mask in syl.skeleton.classes]
+    sets = referenced_sets(syl)
+    assert all(classes)
+    assert sum(map(len, classes)) == len(frozenset().union(*classes))
+    assert frozenset().union(*classes) == frozenset().union(*sets)
+    for c in classes:
+        # every referenced set holds all of a class or none of it
+        assert all(c <= atoms or not c & atoms for atoms in sets)
+    for c, d in zip(classes, classes[1:]):
+        assert min(c) < min(d)
+    for i, c in enumerate(classes):
+        for d in classes[i + 1 :]:
+            # two classes are apart only where some referenced set parts them
+            assert any((c <= atoms) != (d <= atoms) for atoms in sets)
+
+
+def test_skeleton_classes_partition_the_referenced_atoms():
+    rng = random.Random(14)
+    syllogisms = [random_crisp_syllogism(rng) for _ in range(250)]
+    syllogisms += [random_fuzzy_syllogism(rng) for _ in range(50)]
+    syllogisms += [parse(path.read_text()).to_syllogism() for path in FIXTURE_DIR.glob("*.syl")]
+    for syl in syllogisms:
+        assert_classes_partition(syl)
 
 
 def test_one_skeleton_per_inference(monkeypatch):

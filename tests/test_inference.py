@@ -212,7 +212,7 @@ def test_atom_sets_are_computed_once_per_document(monkeypatch):
     from sylq import terms
 
     calls = []
-    real = terms.atoms_of
+    real = terms.atom_mask
 
     def counting(expr, properties):
         calls.append(expr)
@@ -220,8 +220,8 @@ def test_atom_sets_are_computed_once_per_document(monkeypatch):
 
     for info in pkgutil.iter_modules(sylq.__path__):
         module = importlib.import_module("sylq." + info.name)
-        if getattr(module, "atoms_of", None) is real:
-            monkeypatch.setattr(module, "atoms_of", counting)
+        if getattr(module, "atom_mask", None) is real:
+            monkeypatch.setattr(module, "atom_mask", counting)
     counts = []
     for levels in (2, 21):
         calls.clear()

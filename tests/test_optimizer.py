@@ -25,6 +25,7 @@ from conftest import (
     LOGICAL,
     int_rows,
     load_fixture,
+    mask_atoms,
     random_count_interval,
     random_ratio_interval,
 )
@@ -49,17 +50,18 @@ def stmt(family, shape=None, restriction=P, scope=Q):
 
 
 def per_atom(terms):
-    return LinearExpr(terms).as_dict()
+    """Per-atom coefficients of (atom mask, coefficient) terms."""
+    return LinearExpr(tuple((frozenset(mask_atoms(m)), v) for m, v in terms)).as_dict()
 
 
 def test_rewrite_strict_count_moves_by_one():
-    terms = ((frozenset({3}), F(1)),)
+    terms = ((0b1000, F(1)),)
     [out] = rewrite_strict([(terms, ">", F(0))], k=4, proportional_context=False)
     assert out == (terms, ">=", F(1))
 
 
 def test_rewrite_strict_proportion_with_declared_universe():
-    row = (((frozenset({1, 3}), F(1)),), ">", F(0))
+    row = (((0b1010, F(1)),), ">", F(0))
     [(_, rel, rhs)] = rewrite_strict(
         [row], k=4, proportional_context=True, universe_size=F(1)
     )
@@ -68,7 +70,7 @@ def test_rewrite_strict_proportion_with_declared_universe():
 
 def test_rewrite_strict_proportion_folds_total_when_universe_is_free():
     eps = F(1, 10**6)
-    row = (((frozenset({1, 3}), F(1)),), ">", F(0))
+    row = (((0b1010, F(1)),), ">", F(0))
     [(terms, rel, rhs)] = rewrite_strict([row], k=4, proportional_context=True)
     assert rel == ">="
     assert per_atom(terms) == {0: -eps, 1: 1 - eps, 2: -eps, 3: 1 - eps}
@@ -76,7 +78,7 @@ def test_rewrite_strict_proportion_folds_total_when_universe_is_free():
 
 
 def test_rewrite_strict_keeps_weak_rows_untouched():
-    row = (((frozenset({0}), F(1)),), "<=", F(5))
+    row = (((0b0001, F(1)),), "<=", F(5))
     assert rewrite_strict([row], k=4, proportional_context=False) == [row]
 
 
