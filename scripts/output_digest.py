@@ -1,8 +1,10 @@
-"""Print a JSON digest of what `sylq` prints for a fixed set of 140 runs.
+"""Print a JSON digest of what `sylq` prints for a fixed set of 148 runs.
 
 The runs are every bundled document in text, JSON and CSV, each in its own
-mode and with `--mode` crisp, kersup and alpha (96 runs); `sylq verify
---cap 10` on every document (8 runs); and the 18 `scale_sweep` chains of
+mode and with `--mode` crisp, kersup and alpha (96 runs); the four alpha
+documents in JSON on grids of 7 levels (cut levels such as 1/6, whose
+bounds are not decimal) and of 101 levels (8 runs); `sylq verify --cap 10`
+on every document (8 runs); and the 18 `scale_sweep` chains of
 `perfbench/bench_inputs.py` in text and JSON (36 runs).  For each run the
 digest records the exit code, a SHA-256 of stdout and of stderr, and for
 every `simplex.minimize` call in order its pivots and a SHA-256 of the LP it
@@ -33,6 +35,13 @@ from sylq import cli, simplex  # noqa: E402
 
 FORMATS = ("text", "json", "csv")
 MODES = (None, "crisp", "kersup", "alpha")
+GRID_DOCS = (
+    "course_passrates_fuzzy",
+    "course_passrates_nonnormalized",
+    "wine_exports_rim",
+    "wine_boxes_exception",
+)
+GRID_LEVELS = (7, 101)
 
 
 def runs():
@@ -44,6 +53,10 @@ def runs():
             for mode in MODES:
                 argv = [path, "--format", fmt] + (["--mode", mode] if mode else [])
                 yield "%s %s %s" % (doc, fmt, mode or "own"), argv, None
+    for doc in GRID_DOCS:
+        for levels in GRID_LEVELS:
+            argv = ["syllogisms/%s.syl" % doc, "--format", "json", "--levels", str(levels)]
+            yield "%s levels %d" % (doc, levels), argv, None
     for doc in docs:
         yield "%s verify" % doc, ["verify", "syllogisms/%s.syl" % doc, "--cap", "10"], None
     for case in bench_inputs.scale_cases(0):

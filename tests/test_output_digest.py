@@ -1,8 +1,9 @@
-"""What `sylq` prints, and the LPs it solves, are pinned for 140 runs.
+"""What `sylq` prints, and the LPs it solves, are pinned for 148 runs.
 
 `scripts/output_digest.py` digests the exit code, stdout, stderr and, per
 `simplex.minimize` call, the pivots and a hash of the LP of every bundled
-document in each format and mode, of `sylq verify` on each, and of the
+document in each format and mode, of the four alpha documents on 7- and
+101-level grids, of `sylq verify` on each document, and of the
 `scale_sweep` chains.  A change that
 alters any of them on purpose regenerates the pin and says why:
 
