@@ -39,9 +39,9 @@ Charnes-Cooper).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import lcm
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import optimizer
 from ._value import value
@@ -59,7 +59,9 @@ from .quantifiers import (
     PROPORTIONAL,
     RATIO_FAMILIES,
     SIMILARITY,
+    IntBound,
     Interval,
+    bound_ints,
     check_unit,
 )
 
@@ -111,23 +113,38 @@ class Skeleton:
     costs: Tuple[int, ...]
     charnes_cooper: bool
 
+    @cached_property
+    def solver_fixed(self) -> Optional[tuple]:
+        """optimizer.solve's reading of the fixed rows, made once per
+        syllogism since no level changes them (optimizer.fixed_rows)."""
+        return optimizer.fixed_rows(self.fixed, self.costs)
+
 
 @value
 class ConstraintSystem:
     """One crisp reading's LP over its syllogism's atom classes.
 
-    constraints holds the premise rows in premise order, then the
-    skeleton's fixed rows; costs are the skeleton's; k is the atom count.
+    rows holds the premise rows in premise order; the skeleton adds its
+    fixed rows after them (constraints) and the costs; k is the atom count.
     """
 
     k: int
-    constraints: List[ClassRow]
-    costs: Tuple[int, ...]
+    rows: List[ClassRow]
+    skeleton: Skeleton
 
-    def __init__(self, k: int, constraints: List[ClassRow], costs: Tuple[int, ...]) -> None:
+    def __init__(self, k: int, rows: List[ClassRow], skeleton: Skeleton) -> None:
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "costs", costs)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "skeleton", skeleton)
+
+    @property
+    def constraints(self) -> List[ClassRow]:
+        """Every row of the LP: the premise rows, then the fixed rows."""
+        return [*self.rows, *self.skeleton.fixed]
+
+    @property
+    def costs(self) -> Tuple[int, ...]:
+        return self.skeleton.costs
 
 
 def _sum(atoms: int, coefficient: Fraction = _ONE) -> Tuple[Term, ...]:
@@ -215,26 +232,48 @@ def build_skeleton(syl: Syllogism) -> Skeleton:
 
     # atoms in the same referenced sets have equal columns: one class each,
     # found by splitting the referenced atoms on every distinct set (rows
-    # reference each ratio denominator and t already)
+    # reference each ratio denominator and t already).  A class carries bit
+    # i when it lies inside the i-th set, so the split also decides which
+    # classes each set covers.
     sums = [numerator, *(num for num, _ in filter(None, measures)), *(r[0] for r in rows)]
-    masks = dict.fromkeys(atoms for terms in sums for atoms, _ in terms)
-    classes = [reduce(int.__or__, masks)] if masks else []
-    for mask in masks:
-        rest = ~mask
-        classes = [part for c in classes for part in (c & mask, c & rest) if part]
-    classes.sort(key=lambda c: c & -c)
-    covers = {mask: [j for j, c in enumerate(classes) if c & mask] for mask in masks}
+    masks = list(dict.fromkeys(atoms for terms in sums for atoms, _ in terms))
+    parts = [(reduce(int.__or__, masks), 0)] if masks else []
+    for i, mask in enumerate(masks):
+        bit = 1 << i
+        split = []
+        for c, inside in parts:
+            a = c & mask
+            if a:
+                split.append((a, inside | bit))
+                if a != c:
+                    split.append((c ^ a, inside))
+            else:
+                split.append((c, inside))
+        parts = split
+    parts.sort(key=lambda part: part[0] & -part[0])
+    classes = [c for c, _ in parts]
+    insides = [inside for _, inside in parts]
+    bits = {mask: 1 << i for i, mask in enumerate(masks)}
 
     def class_row(row: SetRow) -> ClassRow:
-        """A set row as int numerators over the lcm of its denominators."""
+        """A set row as int numerators over the lcm of its denominators.
+
+        A class's entry is the sum of the coefficients of the row's sets it
+        lies inside, so it depends only on its inside bits for those sets:
+        one table over their subsets gives every entry.
+        """
         terms, rel, rhs = row
         den = lcm(rhs.denominator, *(v.denominator for _, v in terms))
-        nums = [0] * len(classes)
+        coefficients: Dict[int, int] = {}
         for atoms, v in terms:
-            a = v.numerator * (den // v.denominator)
-            for j in covers[atoms]:
-                nums[j] += a
-        return tuple(nums), rhs.numerator * (den // rhs.denominator), den, rel
+            bit = bits[atoms]
+            coefficients[bit] = coefficients.get(bit, 0) + v.numerator * (den // v.denominator)
+        table = {0: 0}
+        for bit, a in coefficients.items():
+            table.update({key | bit: total + a for key, total in table.items()})
+        row_bits = sum(coefficients)
+        nums = tuple([table[inside & row_bits] for inside in insides])
+        return nums, rhs.numerator * (den // rhs.denominator), den, rel
 
     def vector(terms: Tuple[Term, ...]) -> Tuple[int, ...]:
         # numerator terms have coefficients +-1, so the row's denominator is 1
@@ -260,13 +299,15 @@ def build_skeleton(syl: Syllogism) -> Skeleton:
 
 
 def compile_syllogism(
-    syl: Syllogism, premise_bounds: Sequence[Optional[Interval]]
+    syl: Syllogism, premise_bounds: Sequence[Union[Interval, IntBound, None]]
 ) -> ConstraintSystem:
     """The LP of one crisp reading: the skeleton plus each bound's rows.
 
     ``premise_bounds`` supplies the crisp interval for each premise in order
-    (None for logical premises); fuzzy quantifiers are expected to have been
-    cut to intervals by the caller.  An unbounded hi emits no upper row.
+    (None for logical premises), as an Interval or as the ints of
+    quantifiers.bound_ints; fuzzy quantifiers are expected to have been cut
+    by the caller.  Each bound is checked against its family's unit.  An
+    unbounded hi emits no upper row.
     """
     if len(premise_bounds) != len(syl.premises):
         raise ValueError("need exactly one bound per premise")
@@ -279,11 +320,13 @@ def compile_syllogism(
         family, u, w = premise
         if bound is None:
             raise ValueError("family %s needs a crisp bound to compile" % family)
-        check_unit(family, bound.lo, bound.hi)
-        for rel, value in ((GE, bound.lo), (LE, bound.hi)):
-            if value is None:
+        if isinstance(bound, Interval):
+            bound = bound_ints(bound)
+        lo_p, lo_q, hi_p, hi_q = bound
+        check_unit(family, lo_p, hi_p, hi_q)
+        for rel, p, q in ((GE, lo_p, lo_q), (LE, hi_p, hi_q)):
+            if p is None:
                 continue
-            p, q = value.numerator, value.denominator
             if w is not None:
                 rows.append(([q * x - p * y for x, y in zip(u, w)], 0, q, rel))
             elif skeleton.charnes_cooper:
@@ -291,5 +334,4 @@ def compile_syllogism(
                 rows.append(([q * x for x in u[:-1]] + [-p], 0, q, rel))
             else:
                 rows.append(([q * x for x in u], p, q, rel))
-    rows.extend(skeleton.fixed)
-    return ConstraintSystem(1 << syl.s, rows, skeleton.costs)
+    return ConstraintSystem(1 << syl.s, rows, skeleton)

@@ -131,12 +131,17 @@ class SyllogismDoc:
 
 
 def _parse_number(text: str, line: int) -> Fraction:
-    # Fraction alone would also take exponents and underscores, and builds
-    # 10**n for "1en" before any check could refuse it
+    # built from the digits the guard admits: Fraction(text) would also take
+    # exponents and underscores, and builds 10**n for "1en" before any check
+    # could refuse it
     if not _NUMBER.fullmatch(text):
         raise DslError("malformed number %r" % text, line)
+    whole, point, decimals = text.partition(".")
+    num, slash, den = whole.partition("/")
     try:
-        return Fraction(text)
+        if point:
+            return Fraction(int(whole + decimals), 10 ** len(decimals))
+        return Fraction(int(num), int(den) if slash else 1)
     except (ValueError, ZeroDivisionError):
         raise DslError("malformed number %r" % text, line)
 

@@ -30,13 +30,15 @@ from .compiler import compile_syllogism
 from .quantifiers import (
     COUNT_FAMILIES,
     RATIO_FAMILIES,
+    IntBound,
     Interval,
     KernelSupportPair,
     RimQuantifier,
     Trapezoid,
     _fmt,
+    cut,
     fit_trapezoid,
-    level_cut,
+    grid_cuts,
 )
 from .statements import Syllogism
 
@@ -117,7 +119,8 @@ class InferenceResult:
 
 def premise_bounds(syl: Syllogism, level: Fraction) -> Bounds:
     """Each premise's crisp bound at a Fraction level in [0, 1] (None when logical)."""
-    return tuple(level_cut(p.quantifier.shape)(level) for p in syl.premises)
+    shapes = (p.quantifier.shape for p in syl.premises)
+    return tuple(None if shape is None else cut(shape, level) for shape in shapes)
 
 
 def _auto_mode(syl: Syllogism) -> str:
@@ -151,13 +154,14 @@ def infer(
     n = config.levels if mode == "alpha" else 2
     grid = [Fraction(i, n - 1) for i in range(n)]
 
-    solved: Dict[Bounds, optimizer.SolveOutcome] = {}
+    # premise bounds as exact ints, which key the reuse of a level's solve
+    solved: Dict[Tuple[Optional[IntBound], ...], optimizer.SolveOutcome] = {}
     cuts: List[Tuple[Fraction, Optional[Interval]]] = []
     outcomes: List[optimizer.SolveOutcome] = []
     max_feasible = Fraction(0)
-    cuts_at = [level_cut(p.quantifier.shape) for p in syl.premises]
-    for lam in grid:
-        bounds = tuple(cut_at(lam) for cut_at in cuts_at)
+    premise_cuts = [grid_cuts(p.quantifier.shape, n) for p in syl.premises]
+    for lam, *bounds in zip(grid, *premise_cuts):
+        bounds = tuple(bounds)
         outcome = solved.get(bounds)
         if outcome is None:
             outcome = solved[bounds] = optimizer.solve(compile_syllogism(syl, bounds))

@@ -10,7 +10,9 @@ approximate.
 solve() takes one compiled reading: integer rows and costs over atom
 classes.  It drops constant rows and rows implied by x >= 0, gives no
 column to a class that no kept row or cost touches, then minimizes and
-maximizes the conclusion objective.
+maximizes the conclusion objective.  The rows no premise bound changes are
+read once per syllogism (fixed_rows, kept on the skeleton), so a level
+pays only for its premise rows.
 
 Reporting convention: a measure with a nonnegative objective that is
 unbounded above is reported with lo = 0 (the bracket conveys no lower
@@ -27,7 +29,7 @@ from . import simplex
 from ._value import value
 
 if TYPE_CHECKING:
-    from .compiler import ConstraintSystem
+    from .compiler import ClassRow, ConstraintSystem
 
 __all__ = [
     "BOUNDED",
@@ -36,6 +38,7 @@ __all__ = [
     "UNBOUNDED_ABOVE",
     "UNBOUNDED_BELOW",
     "SolveOutcome",
+    "fixed_rows",
     "rewrite_strict",
     "solve",
 ]
@@ -150,30 +153,70 @@ def _bracket(costs: Sequence[int], rows: List[simplex.Row], sign_definite: bool)
     return SolveOutcome(BOUNDED, lo, hi, pivots=pivots)
 
 
+def _keep(rows: Sequence[ClassRow]) -> Optional[List[ClassRow]]:
+    """rows without constant rows and rows implied by x >= 0, which only add
+    simplex columns; None when a constant row is false."""
+    kept = []
+    for row in rows:
+        coeffs, rhs, _, rel = row
+        if not any(coeffs):
+            if not _ORDER[rel](0, rhs):
+                return None
+            continue
+        if rel == GE and rhs <= 0 and min(coeffs) >= 0:
+            continue
+        if rel == LE and rhs >= 0 and max(coeffs) <= 0:
+            continue
+        kept.append(row)
+    return kept
+
+
+def _simplex_rows(rows: Sequence[ClassRow], live: Optional[List[int]]) -> List[simplex.Row]:
+    """rows as the simplex takes them, over the columns in live (None: all)."""
+    if live is None:
+        return [([*coeffs, rhs], den, rel) for coeffs, rhs, den, rel in rows]
+    return [([*map(coeffs.__getitem__, live), rhs], den, rel) for coeffs, rhs, den, rel in rows]
+
+
+def fixed_rows(rows: Sequence[ClassRow], costs: Sequence[int]) -> Optional[tuple]:
+    """What solve reads of a skeleton's fixed rows, which no level changes.
+
+    None when a fixed row is a false constant; else the kept rows, the
+    columns that the costs and every kept row leave zero, whether the costs
+    are nonnegative, and a memo that solve fills: for the dead columns of a
+    reading, (its live columns or None for all, costs, kept rows as the
+    simplex takes them).
+    """
+    kept = _keep(rows)
+    if kept is None:
+        return None
+    columns = zip(costs, *(coeffs for coeffs, _, _, _ in kept))
+    dead = [j for j, column in enumerate(columns) if not any(column)]
+    return kept, dead, all(v >= 0 for v in costs), {}
+
+
 def solve(system: ConstraintSystem) -> SolveOutcome:
     """Min/max a compiled reading's objective over its feasible cardinalities.
 
     The system's columns are atom classes (see the compiler).  Equal
     columns stay equal under pivoting and the simplex breaks every tie by
     smallest index, so it makes the same choices on the classes as on the
-    atoms; a zero column never enters, so it gets no column at all.
+    atoms; a zero column never enters, so it gets no column at all.  The
+    skeleton's fixed rows are read once per syllogism (fixed_rows); only the
+    premise rows are filtered here.
     """
-    kept = []
-    for coeffs, rhs, den, rel in system.constraints:
-        if not any(coeffs):
-            if not _ORDER[rel](0, rhs):
-                return SolveOutcome(INFEASIBLE, None, None)
-            continue
-        # rows already implied by x >= 0 only add simplex columns
-        if rel == GE and rhs <= 0 and min(coeffs) >= 0:
-            continue
-        if rel == LE and rhs >= 0 and max(coeffs) <= 0:
-            continue
-        kept.append((coeffs, rhs, den, rel))
-    costs = system.costs
-    live = [j for j, column in enumerate(zip(costs, *(row[0] for row in kept))) if any(column)]
-    if len(live) < len(costs):
-        kept = [([coeffs[j] for j in live], rhs, den, rel) for coeffs, rhs, den, rel in kept]
-        costs = [costs[j] for j in live]
-    rows = [([*coeffs, rhs], den, rel) for coeffs, rhs, den, rel in kept]
-    return _bracket(costs, rows, all(v >= 0 for v in costs))
+    fixed = system.skeleton.solver_fixed
+    kept = _keep(system.rows)
+    if fixed is None or kept is None:
+        return SolveOutcome(INFEASIBLE, None, None)
+    fixed_kept, fixed_dead, sign_definite, memo = fixed
+    dead = tuple(j for j in fixed_dead if not any(coeffs[j] for coeffs, _, _, _ in kept))
+    view = memo.get(dead)
+    if view is None:
+        costs, live = system.skeleton.costs, None
+        if dead:
+            live = [j for j in range(len(costs)) if j not in dead]
+            costs = [costs[j] for j in live]
+        view = memo[dead] = live, costs, _simplex_rows(fixed_kept, live)
+    live, costs, fixed_simplex = view
+    return _bracket(costs, _simplex_rows(kept, live) + fixed_simplex, sign_definite)

@@ -101,7 +101,11 @@ def _measure(family: str, a: frozenset, b: frozenset) -> tuple:
 
 
 def statement_predicate(
-    stmt, bound: Optional[Interval], properties: Sequence[str], counts: np.ndarray
+    stmt,
+    bound: Optional[Interval],
+    properties: Sequence[str],
+    counts: np.ndarray,
+    term_sets: Optional[Tuple[frozenset, frozenset]] = None,
 ) -> np.ndarray:
     """Truth of one quantified statement on each row of a population matrix.
 
@@ -109,9 +113,11 @@ def statement_predicate(
     an empty-restriction proportional statement and an empty-union similarity
     statement are vacuously true, and a comparative-proportional statement
     with an empty second term holds only if the first term is empty too
-    (cross-multiplied reading).  ``counts`` is an (n, K) integer matrix.
+    (cross-multiplied reading).  ``counts`` is an (n, K) integer matrix;
+    ``term_sets`` are the statement's (restriction, scope) atoms when the
+    caller has them already.
     """
-    a, b = _term_sets(stmt, properties)
+    a, b = term_sets or _term_sets(stmt, properties)
     family = stmt.family
 
     if family == LOGICAL_ALL:
@@ -260,16 +266,16 @@ def enumerate_range(
     if totals is None:
         return None
 
-    # denominators that must be nonempty, conclusion included
-    statements = list(syl.premises) + [syl.conclusion]
+    # term sets once per call, not per block; denominators that must be
+    # nonempty, conclusion included
+    statements = [*syl.premises, syl.conclusion]
+    term_sets = [_term_sets(stmt, syl.properties) for stmt in statements]
     positivity = [
-        _measure(stmt.family, *_term_sets(stmt, syl.properties))[2]
-        for stmt in statements
+        _measure(stmt.family, *sets)[2]
+        for stmt, sets in zip(statements, term_sets)
         if stmt.family in RATIO_FAMILIES
     ]
-    num_atoms, signed, den_atoms = _measure(
-        syl.conclusion.family, *_term_sets(syl.conclusion, syl.properties)
-    )
+    num_atoms, signed, den_atoms = _measure(syl.conclusion.family, *term_sets[-1])
 
     int_lo: Optional[int] = None
     int_hi: Optional[int] = None
@@ -279,8 +285,8 @@ def enumerate_range(
     for total in totals:
         for counts in _blocks(total, k, cache):
             mask = np.ones(len(counts), dtype=bool)
-            for stmt, bound in zip(syl.premises, premise_bounds):
-                mask &= statement_predicate(stmt, bound, syl.properties, counts)
+            for stmt, bound, sets in zip(syl.premises, premise_bounds, term_sets):
+                mask &= statement_predicate(stmt, bound, syl.properties, counts, sets)
                 if not mask.any():
                     break
             if not mask.any():

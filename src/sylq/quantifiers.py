@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from itertools import repeat
+from math import gcd, lcm
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from ._value import value
 
@@ -47,9 +49,10 @@ __all__ = [
     "KernelSupportPair",
     "RimQuantifier",
     "QuantifierSpec",
+    "bound_ints",
     "cut",
     "fit_trapezoid",
-    "level_cut",
+    "grid_cuts",
 ]
 
 LOGICAL_ALL = "logical-all"
@@ -211,14 +214,22 @@ class RimQuantifier:
 
 Shape = Union[Interval, Trapezoid, KernelSupportPair, RimQuantifier, None]
 
+# a crisp bound as exact ints: (lo_num, lo_den, hi_num, hi_den), see bound_ints
+IntBound = Tuple[int, int, Optional[int], Optional[int]]
 
-def check_unit(family: str, lo: Fraction, hi: Optional[Fraction]) -> None:
-    """Validate that a bound is expressed in the family's unit."""
+
+def check_unit(family: str, lo, hi, hi_den=1) -> None:
+    """Validate that a bound is expressed in the family's unit.
+
+    lo and hi are the bound's ends (hi None when unbounded), or lo's
+    numerator and hi's numerator over hi_den: denominators are positive,
+    so each test reads a sign or compares hi with hi_den.
+    """
     if family in (ABSOLUTE, EXCEPTION):
         if lo < 0:
             raise ValueError("%s bounds must be nonnegative" % family)
     elif family in (PROPORTIONAL, SIMILARITY):
-        if lo < 0 or (hi is not None and hi > 1):
+        if lo < 0 or (hi is not None and hi > hi_den):
             raise ValueError("%s bounds must lie inside [0, 1]" % family)
     elif family == COMPARATIVE_PROPORTIONAL:
         # may exceed 1 ("double"), but a negative ratio of cardinalities is
@@ -327,35 +338,54 @@ def cut(shape: Shape, level: Real) -> Interval:
     raise TypeError("no cut for shape %r" % (shape,))
 
 
-def level_cut(shape: Shape) -> Callable[[Fraction], Optional[Interval]]:
-    """cut(shape, level) as a function of a Fraction level in [0, 1].
+def bound_ints(bound: Interval) -> IntBound:
+    """A crisp bound as exact ints (lo_num, lo_den, hi_num, hi_den), each
+    end in lowest terms with a positive denominator; hi_num and hi_den are
+    None when the bound is unbounded above."""
+    lo, hi = bound.lo, bound.hi
+    if hi is None:
+        return lo.numerator, lo.denominator, None, None
+    return lo.numerator, lo.denominator, hi.numerator, hi.denominator
 
-    The shape is read once, so a grid of levels pays for no conversion or
-    range check: a trapezoid's ends, and a bounded kernel/support pair's,
-    are linear in the level, and an end that does not move costs nothing.
-    A logical premise's None shape cuts to None.
+
+def _linear_ends(start: Fraction, end: Fraction, m: int) -> List[Tuple[int, int]]:
+    """start + (i/m) * (end - start) for i = 0..m, each in lowest terms."""
+    if start == end:
+        return [(start.numerator, start.denominator)] * (m + 1)
+    den = lcm(start.denominator, end.denominator)
+    s = start.numerator * (den // start.denominator)
+    e = end.numerator * (den // end.denominator)
+    den *= m
+    out = []
+    for i in range(m + 1):
+        num = s * (m - i) + e * i
+        g = gcd(num, den)
+        out.append((num // g, den // g))
+    return out
+
+
+def grid_cuts(shape: Shape, n: int) -> Iterator[Optional[IntBound]]:
+    """cut(shape, i/(n-1)) for i = 0..n-1 as bound_ints, level by level.
+
+    Trapezoid and bounded kernel/support ends are linear in the level, so
+    each is one int numerator over the level's denominator, reduced by one
+    gcd; RIM cuts read _rim_cut_lo.  An unbounded kernel/support pair goes
+    through cut, which raises between its ends at the level it is read.  A
+    logical premise's None shape cuts to None.
     """
     if shape is None or isinstance(shape, Interval):
-        return lambda level: shape
+        return repeat(None if shape is None else bound_ints(shape), n)
     if isinstance(shape, RimQuantifier):
-        return lambda level: Interval(_rim_cut_lo(shape.exponent, level), Fraction(1))
+        los = (_rim_cut_lo(shape.exponent, Fraction(i, n - 1)) for i in range(n))
+        return ((lo.numerator, lo.denominator, 1, 1) for lo in los)
     if isinstance(shape, KernelSupportPair):
         support, kernel = shape.support, shape.kernel
         if support.hi is None or kernel.hi is None:
-
-            def ends_only(level: Fraction) -> Interval:
-                if level == 0:
-                    return support
-                if level == 1:
-                    return kernel
-                raise ValueError("cannot interpolate an unbounded kernel/support pair")
-
-            return ends_only
-        a, b, c, d = support.lo, kernel.lo, kernel.hi, support.hi
-    else:
-        a, b, c, d = shape.as_tuple()
-    rise, fall = b - a, d - c
-    return lambda level: Interval(a + level * rise if rise else a, d - level * fall if fall else d)
+            return (bound_ints(cut(shape, Fraction(i, n - 1))) for i in range(n))
+        shape = Trapezoid(support.lo, kernel.lo, kernel.hi, support.hi)
+    a, b, c, d = shape.as_tuple()
+    ends = zip(_linear_ends(a, b, n - 1), _linear_ends(d, c, n - 1))
+    return (lo + hi for lo, hi in ends)
 
 
 def fit_trapezoid(cuts: Sequence[tuple]) -> Trapezoid:

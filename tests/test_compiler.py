@@ -20,6 +20,7 @@ from sylq.quantifiers import (
     RATIO_FAMILIES,
     SIMILARITY,
     QuantifierSpec,
+    bound_ints,
 )
 from sylq.statements import Conclusion, Statement
 from sylq.terms import UNIVERSE, And, Not, Or, Prop, atoms_of
@@ -129,13 +130,27 @@ def test_similarity_rows_use_the_union_denominator():
 
 
 def test_bound_unit_checks():
-    for family, shape, bound in (
-        (PROPORTIONAL, Interval(0, 1), Interval(0, 2)),
-        (ABSOLUTE, Interval(0, 1), Interval(-1, 1)),
+    for family, shape, bound, message in (
+        (PROPORTIONAL, Interval(0, 1), Interval(0, 2), "proportional bounds must lie inside"),
+        (PROPORTIONAL, Interval(0, 1), Interval(0, F(6, 5)), "proportional bounds must lie inside"),
+        (ABSOLUTE, Interval(0, 1), Interval(-1, 1), "absolute bounds must be nonnegative"),
     ):
         syl = Syllogism(NAMES, (stmt(family, shape),), Conclusion(family, P, Q))
-        with pytest.raises(ValueError, match="bounds must"):
-            compile_syllogism(syl, [bound])
+        # as an Interval or as its ints, a caller's bound is checked
+        for given_bound in (bound, bound_ints(bound)):
+            with pytest.raises(ValueError, match="^%s" % message):
+                compile_syllogism(syl, [given_bound])
+
+
+def test_int_bounds_compile_like_their_intervals():
+    syl = Syllogism(
+        NAMES,
+        (stmt(PROPORTIONAL, Interval(0, 1)), stmt(LOGICAL_SOME, None)),
+        Conclusion(PROPORTIONAL, UNIVERSE, Or(P, Q)),
+    )
+    for bound in (Interval(F(1, 3), F(5, 6)), Interval(F(2, 4))):
+        want = compile_syllogism(syl, [bound, None])
+        assert compile_syllogism(syl, [bound_ints(bound), None]) == want
 
 
 def count_syllogism(universe=None):

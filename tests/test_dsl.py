@@ -90,6 +90,53 @@ def test_bounds_take_only_ascii_digits():
         parse("terms: p, q\npremise: prop[\u0660.5, 1] p -> q\nconclude: prop? p -> q\n")
 
 
+# (number, where it stands) -> (message, line, column) of the error it raises
+NUMBER_ERRORS = {
+    ("1e3", "universe"): ("line 2: malformed number '1e3'", 2, None),
+    ("1_0", "universe"): ("line 2: malformed number '1_0'", 2, None),
+    ("\u0663", "universe"): ("line 2: malformed number '\u0663'", 2, None),
+    ("3/0", "universe"): ("line 2: malformed number '3/0'", 2, None),
+    ("3/0", "bound"): ("line 2: malformed number '3/0'", 2, None),
+    ("-3/0", "trapezoid"): ("line 2: malformed number '-3/0'", 2, None),
+    ("1e3", "bound"): ("line 2, column 13: quantifier abs needs a shape", 2, 13),
+    ("1_0", "trapezoid"): ("line 2, column 13: quantifier abs needs a shape", 2, 13),
+    ("\u0663", "bound"): ("line 2, column 13: quantifier abs needs a shape", 2, 13),
+}
+NUMBER_SITES = {
+    "universe": "terms: p, q\nuniverse: %s\npremise: all p -> q\nconclude: abs? p -> q\n",
+    "bound": "terms: p, q\npremise: abs[%s, 5] p -> q\nconclude: abs? p -> q\n",
+    "trapezoid": "terms: p, q\npremise: abs tz(0, %s, 5, 6) p -> q\nconclude: abs? p -> q\n",
+}
+
+
+@pytest.mark.parametrize("number, site", list(NUMBER_ERRORS))
+def test_malformed_numbers_keep_their_errors(number, site):
+    message, line, column = NUMBER_ERRORS[number, site]
+    with pytest.raises(DslError) as err:
+        parse(NUMBER_SITES[site] % number)
+    assert str(err.value).startswith(message)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_numbers_parse_like_fraction():
+    rng = random.Random(15)
+    texts = ["0", "-0", "007", "-0.05", "10.000", "0/5", "-6/4", "1/3"]
+    for _ in range(300):
+        digits = str(rng.randint(0, 10**rng.randint(0, 12)))
+        sign = rng.choice(("", "-"))
+        roll = rng.random()
+        if roll < 0.3:
+            texts.append(sign + digits)
+        elif roll < 0.7:
+            decimals = "0" * rng.randint(0, 3) + str(rng.randint(0, 999))
+            texts.append("%s%s.%s" % (sign, digits, decimals))
+        else:
+            texts.append("%s%s/%d" % (sign, digits, rng.randint(1, 10**6)))
+    for text in texts:
+        got = parse(universe_doc("1") + "premise: cmpabs[%s, inf] p vs q\n" % text).premises[1]
+        assert got.quantifier.shape.lo == F(text), text
+
+
 def test_fractional_universes_parse_exactly():
     assert parse(universe_doc("9/2")).universe_size == F(9, 2)
     assert parse(universe_doc("2.5")).universe_size == F(5, 2)

@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sylq import (
     InfeasiblePremisesError,
@@ -12,11 +15,13 @@ from sylq import (
     infer,
     parse,
 )
-from sylq.inference import MAX_LEVELS
+from sylq.compiler import compile_syllogism
+from sylq.inference import MAX_LEVELS, premise_bounds
+from sylq.optimizer import INFEASIBLE, solve
 from sylq.quantifiers import ABSOLUTE, PROPORTIONAL, QuantifierSpec, RimQuantifier
 from sylq.statements import Conclusion, Statement
 from sylq.terms import Prop
-from conftest import load_fixture
+from conftest import load_fixture, random_crisp_syllogism, random_fuzzy_syllogism
 
 F = Fraction
 P, Q = Prop("p"), Prop("q")
@@ -230,3 +235,63 @@ def test_atom_sets_are_computed_once_per_document(monkeypatch):
         counts.append(len(calls))
     # a restriction and a scope set for each premise and the conclusion
     assert counts == [2 * (len(doc.premises) + 1)] * 2
+
+
+# ------------------------------------------- infer against the plain level loop
+
+
+def reference_outcomes(syl, n):
+    """The level loop spelled out with Fractions: premise_bounds,
+    compile_syllogism and solve at each level i/(n-1), one solve per
+    distinct tuple of premise Intervals."""
+    solved, outcomes = {}, []
+    for i in range(n):
+        bounds = premise_bounds(syl, F(i, n - 1))
+        if bounds not in solved:
+            solved[bounds] = solve(compile_syllogism(syl, bounds))
+        outcomes.append(solved[bounds])
+        if i == 0 and outcomes[0].status == INFEASIBLE:
+            raise InfeasiblePremisesError("level 0")
+    return outcomes
+
+
+def as_kernel_support(statement, bounded):
+    """A trapezoid premise read as its kernel/support pair, either as it
+    is or with both upper ends dropped (legal at levels 0 and 1 only)."""
+    a, b, c, d = statement.quantifier.shape.as_tuple()
+    pair = KernelSupportPair(Interval(b, c if bounded else None), Interval(a, d if bounded else None))
+    spec = QuantifierSpec(statement.family, pair)
+    return Statement(spec, statement.restriction, statement.scope)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("alpha", "kersup")), st.integers(2, 21))
+def test_infer_equals_the_reference_loop(seed, mode, levels):
+    rng = random.Random(seed)
+    syl = random_fuzzy_syllogism(rng) if rng.random() < 0.7 else random_crisp_syllogism(rng)
+    premises = [
+        as_kernel_support(p, rng.random() < 0.5)
+        if isinstance(p.quantifier.shape, Trapezoid) and rng.random() < 0.3
+        else p
+        for p in syl.premises
+    ]
+    syl = Syllogism(syl.properties, tuple(premises), syl.conclusion, syl.universe_size)
+    n = levels if mode == "alpha" else 2
+    config = InferenceConfig(levels=levels)
+    try:
+        want = reference_outcomes(syl, n)
+    except (ValueError, InfeasiblePremisesError) as exc:
+        with pytest.raises(type(exc)) as err:
+            infer(syl, mode=mode, config=config)
+        if isinstance(exc, ValueError):
+            assert str(err.value) == str(exc)
+        return
+    result = infer(syl, mode=mode, config=config)
+    assert result.outcomes == want
+    assert solve_slots(result.outcomes) == solve_slots(want)
+
+
+def solve_slots(outcomes):
+    """Which solve each level's outcome came from, numbered in order."""
+    slots = {}
+    return [slots.setdefault(id(outcome), len(slots)) for outcome in outcomes]

@@ -161,3 +161,21 @@ def test_statement_predicate_edge_conventions():
         False,
         True,
     ]
+
+
+def test_term_sets_are_computed_once_per_enumeration(monkeypatch):
+    from sylq import terms
+
+    calls = []
+    real = terms.atom_mask
+
+    def counting(expr, properties):
+        calls.append(expr)
+        return real(expr, properties)
+
+    # atoms_of reads the module's atom_mask
+    monkeypatch.setattr(terms, "atom_mask", counting)
+    syl = load_fixture("pets_at_home.syl").to_syllogism()
+    assert enumerate_range(syl, 6) == Interval(F(3), F(3))
+    # a restriction and a scope set for each premise and the conclusion
+    assert len(calls) == 2 * (len(syl.premises) + 1)

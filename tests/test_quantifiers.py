@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sylq import Interval, KernelSupportPair, Trapezoid
-from sylq.quantifiers import RimQuantifier, as_fraction, cut, fit_trapezoid, level_cut
+from sylq.quantifiers import RimQuantifier, as_fraction, cut, fit_trapezoid, grid_cuts
 
 F = Fraction
 
@@ -154,7 +154,9 @@ bound = st.fractions(min_value=0, max_value=5, max_denominator=20)
 
 @st.composite
 def shapes(draw):
-    kind = draw(st.sampled_from(("interval", "trapezoid", "kersup", "rim")))
+    kind = draw(st.sampled_from(("logical", "interval", "trapezoid", "kersup", "rim")))
+    if kind == "logical":
+        return None
     if kind == "rim":
         # 1/2 and 1/3 take the exact power, the rest the snapped float one
         exponent = draw(st.one_of(st.sampled_from((F(1, 2), F(1, 3))), bound.filter(bool)))
@@ -170,17 +172,25 @@ def shapes(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(shapes(), st.sampled_from((2, 11, 21)))
+@given(shapes(), st.integers(2, 41))
 def test_level_cuts_equal_the_generic_cut(shape, levels):
-    cut_at = level_cut(shape)
+    # grid_cuts gives cut(shape, i/(levels-1)) as ints in lowest terms, so
+    # equal bounds are equal int tuples
+    cuts = grid_cuts(shape, levels)
     for i in range(levels):
-        level = F(i, levels - 1)
+        if shape is None:
+            assert next(cuts) is None
+            continue
         try:
-            want = cut(shape, level)
+            want = cut(shape, F(i, levels - 1))
         except ValueError as exc:  # an unbounded pair between its ends
             with pytest.raises(ValueError, match=str(exc)):
-                cut_at(level)
-            continue
-        got = cut_at(level)
-        assert (got.lo, got.hi) == (want.lo, want.hi)
-        assert all(type(v) is F for v in (got.lo, got.hi) if v is not None)
+                next(cuts)
+            return
+        lo_num, lo_den, hi_num, hi_den = next(cuts)
+        assert (lo_num, lo_den) == (want.lo.numerator, want.lo.denominator)
+        if want.hi is None:
+            assert (hi_num, hi_den) == (None, None)
+        else:
+            assert (hi_num, hi_den) == (want.hi.numerator, want.hi.denominator)
+    assert next(cuts, "done") == "done"

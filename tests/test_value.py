@@ -36,6 +36,7 @@ SPEC = QuantifierSpec("absolute", Interval(F(2)))
 STATEMENT = Statement(SPEC, P, Q)
 CONCLUSION = Conclusion("absolute", P, Q)
 OUTCOME = SolveOutcome("bounded", F(1), F(2))
+SKELETON = Skeleton(((0,), (1,)), (), (), (1, 0), False)
 
 # class -> (field values, values that differ in one field or None)
 CASES = {
@@ -53,7 +54,7 @@ CASES = {
     Conclusion: (("absolute", P, Q), ("proportional", P, Q)),
     Syllogism: ((("p", "q"), (STATEMENT,), CONCLUSION, None), (("p", "q"), (), CONCLUSION, None)),
     Skeleton: ((((0,), (1,)), (), (), (1, 0), False), (((0,), (1,)), (), (), (0, 1), False)),
-    ConstraintSystem: ((4, [((1, 0), 1, 1, ">=")], (1, 0)), (4, [], (1, 0))),
+    ConstraintSystem: ((4, [((1, 0), 1, 1, ">=")], SKELETON), (4, [], SKELETON)),
     SolveOutcome: (("bounded", F(1), F(2), None, 3), ("bounded", F(1), F(3), None, 3)),
     LpSolution: (("optimal", F(1), [F(0)], 3), ("optimal", F(2), [F(0)], 3)),
     InferenceConfig: ((5,), (7,)),
