@@ -41,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import optimizer
 from ._value import value
@@ -264,14 +264,19 @@ def build_skeleton(syl: Syllogism) -> Skeleton:
         """
         terms, rel, rhs = row
         den = lcm(rhs.denominator, *(v.denominator for _, v in terms))
-        coefficients: Dict[int, int] = {}
+        if len(terms) == 1:
+            (atoms, v), = terms
+            a, bit = v.numerator * (den // v.denominator), bits[atoms]
+            nums = tuple([a if inside & bit else 0 for inside in insides])
+            return nums, rhs.numerator * (den // rhs.denominator), den, rel
+        table, row_bits = {0: 0}, 0
         for atoms, v in terms:
-            bit = bits[atoms]
-            coefficients[bit] = coefficients.get(bit, 0) + v.numerator * (den // v.denominator)
-        table = {0: 0}
-        for bit, a in coefficients.items():
-            table.update({key | bit: total + a for key, total in table.items()})
-        row_bits = sum(coefficients)
+            a, bit = v.numerator * (den // v.denominator), bits[atoms]
+            if bit & row_bits:  # a set named twice in the row
+                table = {key: total + a if key & bit else total for key, total in table.items()}
+            else:
+                table.update({key | bit: total + a for key, total in table.items()})
+                row_bits |= bit
         nums = tuple([table[inside & row_bits] for inside in insides])
         return nums, rhs.numerator * (den // rhs.denominator), den, rel
 

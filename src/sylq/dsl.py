@@ -137,11 +137,11 @@ def _parse_number(text: str, line: int) -> Fraction:
     if not _NUMBER.fullmatch(text):
         raise DslError("malformed number %r" % text, line)
     whole, point, decimals = text.partition(".")
-    num, slash, den = whole.partition("/")
     try:
         if point:
             return Fraction(int(whole + decimals), 10 ** len(decimals))
-        return Fraction(int(num), int(den) if slash else 1)
+        num, _, den = text.partition("/")
+        return Fraction(int(num), int(den or 1))
     except (ValueError, ZeroDivisionError):
         raise DslError("malformed number %r" % text, line)
 
