@@ -260,12 +260,13 @@ def build_skeleton(syl: Syllogism) -> Skeleton:
 
         A class's entry is the sum of the coefficients of the row's sets it
         lies inside, so it depends only on its inside bits for those sets:
-        one table over their subsets gives every entry.
+        one set's bit gives it directly, and one table over the subsets of
+        several sets gives every entry.
         """
         terms, rel, rhs = row
         den = lcm(rhs.denominator, *(v.denominator for _, v in terms))
         if len(terms) == 1:
-            (atoms, v), = terms
+            atoms, v = terms[0]
             a, bit = v.numerator * (den // v.denominator), bits[atoms]
             nums = tuple([a if inside & bit else 0 for inside in insides])
             return nums, rhs.numerator * (den // rhs.denominator), den, rel
