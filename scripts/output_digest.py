@@ -79,9 +79,9 @@ def run_one(argv, stdin):
     pivots, lps = [], []
     original = simplex.minimize
 
-    def recording_minimize(costs, rows):
+    def recording_minimize(costs, rows, **kwargs):
         lps.append(lp_sha(costs, rows))
-        sol = original(costs, rows)
+        sol = original(costs, rows, **kwargs)
         pivots.append(sol.pivots)
         return sol
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+from json.encoder import encode_basestring_ascii as _json_str
 import os
 import sys
 from fractions import Fraction
@@ -114,10 +114,17 @@ def _verify_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str) -> str:
+    """A document's text, without one leading byte-order mark.
+
+    A file is read as bytes and decoded whole: parse splits lines itself,
+    so the text layer's newline translation is not needed.
+    """
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
+    return text[1:] if text.startswith("\ufeff") else text
 
 
 def _num(value) -> Optional[object]:
@@ -143,6 +150,27 @@ def _level_rows(result: InferenceResult) -> List[tuple]:
         (level, outcome.lo, outcome.hi, outcome.status != optimizer.INFEASIBLE)
         for (level, _), outcome in zip(result.cuts, result.outcomes)
     ]
+
+
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2) for a payload of dicts, lists, strings,
+    ints, finite floats (as _num makes them), booleans and None, built
+    directly: the standard encoder runs generators when it indents."""
+    if isinstance(value, (dict, list)):
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = [inner + _json_str(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+            return "{\n%s\n%s}" % (",\n".join(items), indent)
+        return "[\n%s\n%s]" % (",\n".join([inner + _json_text(v, inner) for v in value]), indent)
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    return repr(value)
 
 
 def _json_interval(iv) -> Optional[dict]:
@@ -282,7 +310,7 @@ def _cmd_run(argv: Sequence[str]) -> int:
     result = infer(syl, mode=mode, config=InferenceConfig(levels))
 
     if args.format == "json":
-        print(json.dumps(_json_payload(result, syl), indent=2))
+        print(_json_text(_json_payload(result, syl)))
     elif args.format == "csv":
         _print_csv(result)
     else:

@@ -89,11 +89,19 @@ ClassRow = Tuple[Sequence[int], int, int, str]
 
 
 class _Measure(NamedTuple):
-    """A numeric premise's measure over the classes: U, and W for ratios."""
+    """A numeric premise's measure U over the classes, and W.
+
+    A bound p/q is the row q*U - p*W rel 0 when the measure is homogeneous
+    (a ratio family's W is its denominator; under Charnes-Cooper a count
+    family's W is t), else q*U rel p (W is zero).  U and W are kept as
+    their few distinct column pairs (U_j, W_j) and each column's pair, so a
+    bound's row is one value per pair, spread over the columns.
+    """
 
     family: str
-    u: Tuple[int, ...]
-    w: Optional[Tuple[int, ...]]
+    pairs: Tuple[Tuple[int, int], ...]
+    index: Tuple[int, ...]
+    homogeneous: bool
 
 
 @value
@@ -255,21 +263,13 @@ def build_skeleton(syl: Syllogism) -> Skeleton:
     insides = [inside for _, inside in parts]
     bits = {mask: 1 << i for i, mask in enumerate(masks)}
 
-    def class_row(row: SetRow) -> ClassRow:
-        """A set row as int numerators over the lcm of its denominators.
+    def sums(terms: Tuple[Term, ...], den: int) -> Tuple[dict, int]:
+        """den times the sum of the coefficients of the sets a class lies
+        inside, by the class's inside bits for those sets; and those bits.
 
-        A class's entry is the sum of the coefficients of the row's sets it
-        lies inside, so it depends only on its inside bits for those sets:
-        one set's bit gives it directly, and one table over the subsets of
-        several sets gives every entry.
+        The entry depends only on those bits, so one table over the subsets
+        of the sets gives every class's entry.
         """
-        terms, rel, rhs = row
-        den = lcm(rhs.denominator, *(v.denominator for _, v in terms))
-        if len(terms) == 1:
-            atoms, v = terms[0]
-            a, bit = v.numerator * (den // v.denominator), bits[atoms]
-            nums = tuple([a if inside & bit else 0 for inside in insides])
-            return nums, rhs.numerator * (den // rhs.denominator), den, rel
         table, row_bits = {0: 0}, 0
         for atoms, v in terms:
             a, bit = v.numerator * (den // v.denominator), bits[atoms]
@@ -278,28 +278,43 @@ def build_skeleton(syl: Syllogism) -> Skeleton:
             else:
                 table.update({key | bit: total + a for key, total in table.items()})
                 row_bits |= bit
-        nums = tuple([table[inside & row_bits] for inside in insides])
-        return nums, rhs.numerator * (den // rhs.denominator), den, rel
+        return table, row_bits
 
-    def vector(terms: Tuple[Term, ...]) -> Tuple[int, ...]:
-        # numerator terms have coefficients +-1, so the row's denominator is 1
-        return class_row((terms, EQ, _ZERO))[0]
+    def class_row(row: SetRow) -> ClassRow:
+        """A set row as int numerators over the lcm of its denominators."""
+        terms, rel, rhs = row
+        den = lcm(rhs.denominator, *(v.denominator for _, v in terms))
+        if len(terms) == 1:
+            atoms, v = terms[0]
+            a, bit = v.numerator * (den // v.denominator), bits[atoms]
+            nums = tuple([a if inside & bit else 0 for inside in insides])
+        else:
+            table, row_bits = sums(terms, den)
+            nums = tuple([table[inside & row_bits] for inside in insides])
+        return nums, rhs.numerator * (den // rhs.denominator), den, rel
 
     class_rows = [class_row(row) for row in rows]
     logical = iter(class_rows[:n_logical])
+    # a count family's W: t under Charnes-Cooper, else zero
+    t = _sum(1 << k) if denominator is not None else ()
     premises = []
     for stmt, measure in zip(syl.premises, measures):
         if measure is None:
             premises.append(next(logical))
-        else:
-            num, den = measure
-            w = None if den is None else vector(_sum(den))
-            premises.append(_Measure(stmt.family, vector(num), w))
+            continue
+        # numerator terms have coefficients +-1, so their denominator is 1
+        num, den = measure
+        (u, u_bits), (w, w_bits) = sums(num, 1), sums(t if den is None else _sum(den), 1)
+        slots: dict = {}
+        index = [slots.setdefault(inside & (u_bits | w_bits), len(slots)) for inside in insides]
+        pairs = tuple([(u[key & u_bits], w[key & w_bits]) for key in slots])
+        homogeneous = den is not None or denominator is not None
+        premises.append(_Measure(stmt.family, pairs, tuple(index), homogeneous))
     return Skeleton(
         classes=tuple(classes),
         premises=tuple(premises),
         fixed=tuple(class_rows[n_logical:]),
-        costs=vector(numerator),
+        costs=class_row((numerator, EQ, _ZERO))[0],
         charnes_cooper=denominator is not None,
     )
 
@@ -323,7 +338,7 @@ def compile_syllogism(
         if not isinstance(premise, _Measure):
             rows.append(premise)
             continue
-        family, u, w = premise
+        family, pairs, index, homogeneous = premise
         if bound is None:
             raise ValueError("family %s needs a crisp bound to compile" % family)
         if isinstance(bound, Interval):
@@ -331,13 +346,7 @@ def compile_syllogism(
         lo_p, lo_q, hi_p, hi_q = bound
         check_unit(family, lo_p, hi_p, hi_q)
         for rel, p, q in ((GE, lo_p, lo_q), (LE, hi_p, hi_q)):
-            if p is None:
-                continue
-            if w is not None:
-                rows.append(([q * x - p * y for x, y in zip(u, w)], 0, q, rel))
-            elif skeleton.charnes_cooper:
-                # t is the last column, where U is zero
-                rows.append(([q * x for x in u[:-1]] + [-p], 0, q, rel))
-            else:
-                rows.append(([q * x for x in u], p, q, rel))
+            if p is not None:
+                values = [q * x - p * y for x, y in pairs]
+                rows.append((list(map(values.__getitem__, index)), 0 if homogeneous else p, q, rel))
     return ConstraintSystem(1 << syl.s, rows, skeleton)

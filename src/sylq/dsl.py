@@ -50,7 +50,7 @@ from .quantifiers import (
     Trapezoid,
 )
 from .statements import COMPARED_FAMILIES, Conclusion, Statement, Syllogism
-from .terms import UNIVERSE, And, Not, Or, Prop, Universe, term_names
+from .terms import UNIVERSE, And, Not, Or, Prop, Universe
 
 __all__ = ["DslError", "SyllogismDoc", "conclusion_text", "parse", "print_doc"]
 
@@ -88,9 +88,17 @@ _NUMERIC_KEYWORDS = ("cmpprop", "cmpabs", "prop", "abs", "exc", "sim")
 
 _RESERVED_NAMES = frozenset({"vs", "inf"})
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# a term's tokens: names, operators and parentheses; the text before any
+# other character; and what is not a name, with "" for the end of the term
+_TERM_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[!&|()*]")
+_TERM_TEXT = re.compile(r"(?:\s*(?:[A-Za-z_][A-Za-z0-9_]*|[!&|()*]))*\s*")
+_SYMBOLS = frozenset(["!", "&", "|", "(", ")", "*", ""])
+_LINE_HEAD = re.compile(r"\s*(terms|universe|premise|conclude|options)\s*:")
+_VS = re.compile(r"\bvs\b")
 # [0-9], not \d: \d also matches the decimal digits of other scripts
 _NUM = r"-?(?:[0-9]+\.[0-9]+|[0-9]+(?:/[0-9]+)?)"
-_NUMBER = re.compile(_NUM)
+# _NUM with its parts: digits before any point, after it, and after any /
+_NUMBER = re.compile(r"(-?[0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
 _QSPEC_HEAD = re.compile(
     r"\s*(not-all|cmpprop|cmpabs|prop|abs|exc|sim|all|none|some)\b"
 )
@@ -122,120 +130,108 @@ class SyllogismDoc:
     options: Dict[str, object] = factory(dict)
 
     def to_syllogism(self) -> Syllogism:
-        return Syllogism(
-            properties=self.properties,
-            premises=self.premises,
-            conclusion=self.conclusion,
-            universe_size=self.universe_size,
-        )
+        return Syllogism(self.properties, self.premises, self.conclusion, self.universe_size)
 
 
 def _parse_number(text: str, line: int) -> Fraction:
     # built from the digits the guard admits: Fraction(text) would also take
     # exponents and underscores, and builds 10**n for "1en" before any check
     # could refuse it
-    if not _NUMBER.fullmatch(text):
+    m = _NUMBER.fullmatch(text)
+    if not m:
         raise DslError("malformed number %r" % text, line)
-    whole, point, decimals = text.partition(".")
+    whole, decimals, den = m.groups()
     try:
-        if point:
+        if decimals:
             return Fraction(int(whole + decimals), 10 ** len(decimals))
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den or 1))
+        if den:
+            return Fraction(int(whole), int(den))
+        return Fraction(int(whole))
     except (ValueError, ZeroDivisionError):
         raise DslError("malformed number %r" % text, line)
 
 
 class _TermParser:
-    """Recursive-descent parser for term expressions (! over & over |)."""
+    """Recursive-descent parser for term expressions (! over & over |).
+
+    Tokens are strings: a name, an operator or parenthesis, and "" at the
+    end.  Their columns are found again only to report an error.
+    """
 
     def __init__(self, text: str, line: int, base_col: int):
+        self.text = text
         self.line = line
         self.base_col = base_col
-        self.tokens: List[Tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            ch = text[pos]
-            if ch.isspace():
-                pos += 1
-                continue
-            if ch in "!&|()*":
-                self.tokens.append((ch, ch, pos))
-                pos += 1
-                continue
-            m = _IDENT.match(text, pos)
-            if not m:
-                raise DslError(
-                    "unexpected character %r in term" % ch, line, base_col + pos + 1
-                )
-            self.tokens.append(("name", m.group(0), pos))
-            pos = m.end()
-        self.tokens.append(("end", "", len(text)))
+        end = _TERM_TEXT.match(text).end()
+        if end < len(text):
+            raise DslError(
+                "unexpected character %r in term" % text[end], line, base_col + end + 1
+            )
+        self.tokens: List[str] = _TERM_TOKEN.findall(text)
+        self.tokens.append("")
         self.at = 0
 
-    def _peek(self) -> Tuple[str, str, int]:
-        return self.tokens[self.at]
-
-    def _take(self) -> Tuple[str, str, int]:
+    def _take(self) -> str:
         tok = self.tokens[self.at]
         self.at += 1
         return tok
 
-    def _fail(self, message: str, tok) -> None:
-        raise DslError(message, self.line, self.base_col + tok[2] + 1)
+    def _fail(self, message: str, at: int) -> None:
+        """Report an error at the token with index at."""
+        starts = [m.start() for m in _TERM_TOKEN.finditer(self.text)] + [len(self.text)]
+        raise DslError(message, self.line, self.base_col + starts[at] + 1)
 
-    def _level(self, depth: int, tok) -> int:
+    def _level(self, depth: int, at: int) -> int:
         if depth > MAX_TERM_DEPTH:
-            self._fail("term nests deeper than %d levels" % MAX_TERM_DEPTH, tok)
+            self._fail("term nests deeper than %d levels" % MAX_TERM_DEPTH, at)
         return depth
 
     # Each method takes the number of open '(' and '!' around it, which
     # bounds the recursion, and returns its node with the node's height,
     # which bounds a left-nested chain such as a & b & c & ...
     def parse(self):
+        tokens = self.tokens
+        if len(tokens) == 2 and (tokens[0] == "*" or tokens[0] not in _SYMBOLS):
+            return self._unary(0)[0]  # a lone name or *, as most terms are
         expr, _ = self._or(0)
-        tok = self._peek()
-        if tok[0] != "end":
-            self._fail("unexpected %r after term" % tok[1], tok)
+        if tokens[self.at]:
+            self._fail("unexpected %r after term" % tokens[self.at], self.at)
         return expr
 
     def _or(self, depth: int):
         left, height = self._and(depth)
-        while self._peek()[0] == "|":
-            tok = self._take()
+        while self.tokens[self.at] == "|":
+            at = self.at
+            self.at += 1
             right, right_height = self._and(depth)
-            left, height = Or(left, right), self._level(max(height, right_height) + 1, tok)
+            left, height = Or(left, right), self._level(max(height, right_height) + 1, at)
         return left, height
 
     def _and(self, depth: int):
         left, height = self._unary(depth)
-        while self._peek()[0] == "&":
-            tok = self._take()
+        while self.tokens[self.at] == "&":
+            at = self.at
+            self.at += 1
             right, right_height = self._unary(depth)
-            left, height = And(left, right), self._level(max(height, right_height) + 1, tok)
+            left, height = And(left, right), self._level(max(height, right_height) + 1, at)
         return left, height
 
     def _unary(self, depth: int):
-        tok = self._peek()
-        if tok[0] == "!":
-            self._take()
-            arg, height = self._unary(self._level(depth + 1, tok))
-            return Not(arg), self._level(height + 1, tok)
-        return self._atom(depth)
-
-    def _atom(self, depth: int):
+        at = self.at
         tok = self._take()
-        if tok[0] == "name":
-            return Prop(tok[1]), 0
-        if tok[0] == "*":
+        if tok not in _SYMBOLS:
+            return Prop(tok), 0
+        if tok == "*":
             return UNIVERSE, 0
-        if tok[0] == "(":
-            expr, height = self._or(self._level(depth + 1, tok))
-            closing = self._take()
-            if closing[0] != ")":
-                self._fail("expected ')'", closing)
-            return expr, self._level(height + 1, tok)
-        self._fail("expected a term, got %r" % (tok[1] or "end of line"), tok)
+        if tok == "!":
+            arg, height = self._unary(self._level(depth + 1, at))
+            return Not(arg), self._level(height + 1, at)
+        if tok == "(":
+            expr, height = self._or(self._level(depth + 1, at))
+            if self._take() != ")":
+                self._fail("expected ')'", self.at - 1)
+            return expr, self._level(height + 1, at)
+        self._fail("expected a term, got %r" % (tok or "end of line"), at)
 
 
 def _parse_quantifier(rest: str, line: int, col0: int) -> Tuple[QuantifierSpec, str, int]:
@@ -271,10 +267,13 @@ def _parse_quantifier(rest: str, line: int, col0: int) -> Tuple[QuantifierSpec, 
     return spec, rest[sm.end():], col0 + sm.end()
 
 
-def _split_terms(rest: str, family: str, line: int, col0: int):
-    """Split 'TERM -> TERM' (or 'TERM vs TERM') and parse both sides."""
+def _split_terms(
+    rest: str, family: str, line: int, col0: int, properties: Tuple[str, ...], known: frozenset
+):
+    """Split 'TERM -> TERM' (or 'TERM vs TERM') and parse both sides, whose
+    tokens must be known: declared properties or _SYMBOLS."""
     arrow = rest.find("->")
-    vs = re.search(r"\bvs\b", rest)
+    vs = _VS.search(rest)
     wants_vs = family in COMPARED_FAMILIES
     keyword = _FAMILY_TO_KEYWORD[family]
     if wants_vs:
@@ -305,8 +304,13 @@ def _split_terms(rest: str, family: str, line: int, col0: int):
             )
         left, right = rest[:arrow], rest[arrow + 2:]
         right_col = col0 + arrow + 2
-    restriction = _TermParser(left, line, col0).parse()
-    scope = _TermParser(right, line, right_col).parse()
+    left, right = _TermParser(left, line, col0), _TermParser(right, line, right_col)
+    restriction, scope = left.parse(), right.parse()
+    if not (known.issuperset(left.tokens) and known.issuperset(right.tokens)):
+        leaf = next(tok for tok in left.tokens + right.tokens if tok not in known)
+        raise DslError(
+            "undeclared property %r (declared: %s)" % (leaf, ", ".join(properties)), line
+        )
     return restriction, scope
 
 
@@ -346,10 +350,10 @@ def parse(text: str) -> SyllogismDoc:
     options: Dict[str, object] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.partition("#")[0].rstrip()
+        if not line:
             continue
-        m = re.match(r"\s*(terms|universe|premise|conclude|options)\s*:", line)
+        m = _LINE_HEAD.match(line)
         if not m:
             raise DslError(
                 "expected 'terms:', 'universe:', 'premise:', 'conclude:' or "
@@ -357,9 +361,8 @@ def parse(text: str) -> SyllogismDoc:
                 line_no,
                 1,
             )
-        head = m.group(1)
-        body = line[m.end():]
-        col0 = m.end()
+        head, col0 = m.group(1), m.end()
+        body = line[col0:]
 
         if head == "terms":
             if properties is not None:
@@ -375,6 +378,7 @@ def parse(text: str) -> SyllogismDoc:
             if len(set(names)) != len(names):
                 raise DslError("duplicate property name", line_no)
             properties = tuple(names)
+            known = _SYMBOLS.union(names)
         elif head == "universe":
             if universe is not None:
                 raise DslError("duplicate universe declaration", line_no)
@@ -388,8 +392,10 @@ def parse(text: str) -> SyllogismDoc:
                 )
             if head == "premise":
                 spec, rest, col = _parse_quantifier(body, line_no, col0)
-                restriction, scope = _split_terms(rest, spec.family, line_no, col)
-                stmt = Statement(spec, restriction, scope)
+                restriction, scope = _split_terms(
+                    rest, spec.family, line_no, col, properties, known
+                )
+                premises.append(Statement(spec, restriction, scope))
             else:
                 if conclusion is not None:
                     raise DslError("duplicate conclusion", line_no)
@@ -403,21 +409,9 @@ def parse(text: str) -> SyllogismDoc:
                     )
                 family = _KEYWORD_TO_FAMILY[cm.group(1)]
                 restriction, scope = _split_terms(
-                    body[cm.end():], family, line_no, col0 + cm.end()
+                    body[cm.end():], family, line_no, col0 + cm.end(), properties, known
                 )
-                stmt = None
                 conclusion = Conclusion(family, restriction, scope)
-            if head == "premise":
-                premises.append(stmt)
-            declared = set(properties)
-            for term in (restriction, scope):
-                for leaf in term_names(term):
-                    if leaf not in declared:
-                        raise DslError(
-                            "undeclared property %r (declared: %s)"
-                            % (leaf, ", ".join(properties)),
-                            line_no,
-                        )
         else:
             options.update(_parse_options(body, line_no))
 
@@ -427,13 +421,7 @@ def parse(text: str) -> SyllogismDoc:
         raise DslError("a syllogism document needs at least one premise")
     if conclusion is None:
         raise DslError("missing conclude line")
-    return SyllogismDoc(
-        properties=properties,
-        premises=tuple(premises),
-        conclusion=conclusion,
-        universe_size=universe,
-        options=options,
-    )
+    return SyllogismDoc(properties, tuple(premises), conclusion, universe, options)
 
 
 def _fmt_number(value: Fraction) -> str:

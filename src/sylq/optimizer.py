@@ -112,20 +112,24 @@ def rewrite_strict(
     into the row itself, which keeps the rewritten system invariant under
     rescaling all cardinalities.
     """
+    if not proportional_context:
+        margin = EPS_COUNT
+    elif universe_size is not None:
+        margin = EPS_PROP * universe_size
+    else:
+        margin = None
+        full = (1 << k) - 1
+        totals = {GT: ((full, -EPS_PROP),), LT: ((full, EPS_PROP),)}
     out: List[SetRow] = []
     for terms, rel, rhs in rows:
         if rel not in (LT, GT):
             out.append((terms, rel, rhs))
-            continue
-        sign = 1 if rel == GT else -1
-        weak = GE if rel == GT else LE
-        if not proportional_context:
-            out.append((terms, weak, rhs + sign * EPS_COUNT))
-        elif universe_size is not None:
-            out.append((terms, weak, rhs + sign * EPS_PROP * universe_size))
+        elif margin is None:
+            out.append((terms + totals[rel], GE if rel == GT else LE, rhs))
+        elif rel == GT:
+            out.append((terms, GE, rhs + margin))
         else:
-            total = ((1 << k) - 1, -sign * EPS_PROP)
-            out.append((terms + (total,), weak, rhs))
+            out.append((terms, LE, rhs - margin))
     return out
 
 
@@ -136,7 +140,8 @@ def _bracket(costs: Sequence[int], rows: List[simplex.Row], sign_definite: bool)
     lo_sol = simplex.minimize(costs, rows)
     if lo_sol.status == simplex.INFEASIBLE:
         return SolveOutcome(INFEASIBLE, None, None, pivots=lo_sol.pivots)
-    hi_sol = simplex.maximize(costs, rows)
+    # the same rows: phase 1 and its normalization carry over
+    hi_sol = simplex.maximize(costs, rows, phase1=lo_sol.phase1)
     pivots = lo_sol.pivots + hi_sol.pivots
 
     lo = lo_sol.value if lo_sol.status == simplex.OPTIMAL else None

@@ -36,11 +36,13 @@ when the rows are feasible; pivots change only where Dantzig's or Bland's
 rule would have brought an artificial back in.
 
 Phase 1 never reads the costs: its end state depends only on the variable
-count n and the normalized rows.  minimize keeps that state for the last
-system it saw, so maximize(c, rows) after minimize(c, rows), which is how a
-conclusion is bracketed, runs phase 1 once and phase 2 twice.  Each
-solution's pivots still count the whole path from the slack/artificial
-start basis, phase 1 included, so both solutions of one system count it.
+count n and the normalized rows.  minimize returns that state with its
+solution, and takes it back for the same rows, so maximize(c, rows,
+phase1=...) after minimize(c, rows), which is how a conclusion is
+bracketed, normalizes and runs phase 1 once and phase 2 twice.  Nothing is
+kept between calls.  Each solution's pivots still count the whole path
+from the slack/artificial start basis, phase 1 included, so both solutions
+of one system count it.
 """
 
 from __future__ import annotations
@@ -72,6 +74,9 @@ class PivotLimitError(RuntimeError):
 
 @value(frozen=False)
 class LpSolution:
+    """A solve's answer; minimize also sets ``phase1``, the system's
+    phase-1 end state, which is not a field."""
+
     status: str  # optimal | unbounded | infeasible
     value: Optional[Fraction] = None
     point: Optional[List[Fraction]] = None
@@ -97,11 +102,9 @@ IntRow = Tuple[List[int], int]
 # rhs, their common positive denominator, and the relation
 Row = Tuple[List[int], int, str]
 
-# a normalized row: as Row, in lowest terms with rhs >= 0, numerators copied
-_NormRow = Tuple[Tuple[int, ...], int, str]
-
-# phase 1's end state: tableau (None if infeasible), basis, pivots, columns
-_Phase1 = Tuple[Optional[List[IntRow]], List[int], int, int]
+# phase 1's end state for one system: tableau (None if infeasible), basis,
+# pivots, columns, and the variable count n
+_Phase1 = Tuple[Optional[List[IntRow]], List[int], int, int, int]
 
 
 def _reduced(nums: List[int], den: int) -> IntRow:
@@ -202,13 +205,14 @@ def _iterate(
             raise PivotLimitError("simplex did not terminate within the pivot cap")
 
 
-def _phase1(n: int, norm: List[_NormRow]) -> _Phase1:
+def _phase1(n: int, norm: List[Row]) -> _Phase1:
     """Phase 1 over normalized rows (rhs >= 0, lowest terms).
 
     Returns the feasible tableau, its basis (artificials as indices past
-    the stored columns), the pivots taken and the column count; the tableau
-    is None when the rows are infeasible.  The costs play no part, so the
-    result depends only on (n, norm).
+    the stored columns), the pivots taken, the column count and n; the
+    tableau is None when the rows are infeasible.  The costs play no part,
+    so the result depends only on (n, norm).  No row of norm is changed or
+    kept.
     """
     art_start = n + sum(1 for *_, rel in norm if rel != "==")
     tableau: List[IntRow] = []
@@ -227,7 +231,7 @@ def _phase1(n: int, norm: List[_NormRow]) -> _Phase1:
             art_at += 1
         tableau.append((row, den))
     if art_at == art_start:
-        return tableau, basis, 0, art_start
+        return tableau, basis, 0, art_start, n
 
     # drive artificial variables to zero: the reduced costs of their sum are
     # minus the sum of their basic rows, over the lcm of those denominators
@@ -241,7 +245,7 @@ def _phase1(n: int, norm: List[_NormRow]) -> _Phase1:
     status, pivots, obj = _iterate(tableau, basis, _reduced(onums, oden), art_start, 0)
     assert status == OPTIMAL  # phase 1 objective is bounded below by 0
     if obj[0][-1] < 0:
-        return None, basis, pivots, art_start
+        return None, basis, pivots, art_start, n
     # pivot lingering artificials out of the basis, dropping empty rows
     for i in reversed(range(len(basis))):
         if basis[i] < art_start:
@@ -254,50 +258,49 @@ def _phase1(n: int, norm: List[_NormRow]) -> _Phase1:
         else:
             _pivot(tableau, basis, i, entry)
             pivots += 1
-    return tableau, basis, pivots, art_start
+    return tableau, basis, pivots, art_start, n
 
 
-# the last system's key (n, normalized rows) and its phase-1 end state
-_last_phase1: Optional[Tuple[Tuple[int, List[_NormRow]], _Phase1]] = None
+_FLIP = {"<=": ">=", ">=": "<=", "==": "=="}
 
 
-def minimize(costs: Sequence, rows: Sequence[Row]) -> LpSolution:
+def minimize(costs: Sequence, rows: Sequence[Row], phase1: Optional[_Phase1] = None) -> LpSolution:
     """Minimize costs.x over {x >= 0 : every row holds}; costs are rationals.
 
-    The phase-1 end state is reused when (n, normalized rows) equals the
-    last call's, compared by value; the key copies the rows, so changing
-    the caller's lists cannot make a stale state match.  A reuse takes
-    shallow copies of the tableau and basis lists.  That is enough because
-    no row list is ever changed in place: _reduced, _eliminate and _pivot
-    build new lists and only store them into the tableau, so callers that
-    interleave systems each get a fresh answer too.
+    The solution's ``phase1`` is the phase-1 end state of (n, rows), which
+    the costs play no part in.  Handed back as ``phase1=`` with the same
+    rows, as maximize after minimize does to bracket a conclusion, it
+    skips normalization and phase 1; the rows are then not read again, and
+    a state of another width is refused.  Each call takes shallow copies of
+    the state's tableau and basis lists.  That is enough because no row
+    list is ever changed in place: _reduced, _eliminate and _pivot build
+    new lists and only store them into the tableau, and phase 1 builds its
+    rows from copies, so a caller changing its row lists later leaves the
+    state as it was.
     """
-    global _last_phase1
     n = len(costs)
-
-    # normalize rows to nonnegative rhs; the tuples are the memo key's copies
-    norm: List[_NormRow] = []
-    for nums, den, rel in rows:
-        if len(nums) != n + 1:
-            raise ValueError("row length does not match variable count")
-        if rel not in ("<=", ">=", "=="):
-            raise ValueError("relation must be <=, >= or == (rewrite strict first)")
-        if den <= 0:
-            raise ValueError("row denominator must be positive")
-        nums, den = _reduced(nums, den)
-        if nums[-1] < 0:
-            nums = [-v for v in nums]
-            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        norm.append((tuple(nums), den, rel))
-
-    # one read of the global: a thread that replaces it meanwhile cannot
-    # hand this call another system's state
-    key, memo = (n, norm), _last_phase1
-    if memo is None or memo[0] != key:
-        memo = _last_phase1 = (key, _phase1(n, norm))
-    tableau, basis, pivots, ncols = memo[1]
+    if phase1 is None:
+        # normalize rows to lowest terms and nonnegative rhs
+        norm: List[Row] = []
+        for nums, den, rel in rows:
+            if len(nums) != n + 1:
+                raise ValueError("row length does not match variable count")
+            if rel not in _FLIP:
+                raise ValueError("relation must be <=, >= or == (rewrite strict first)")
+            if den <= 0:
+                raise ValueError("row denominator must be positive")
+            nums, den = _reduced(nums, den)
+            if nums[-1] < 0:
+                nums, rel = [-v for v in nums], _FLIP[rel]
+            norm.append((nums, den, rel))
+        phase1 = _phase1(n, norm)
+    elif phase1[-1] != n:
+        raise ValueError("phase-1 state is for %d variables, not %d" % (phase1[-1], n))
+    tableau, basis, pivots, ncols, _ = phase1
     if tableau is None:
-        return LpSolution(INFEASIBLE, pivots=pivots)
+        sol = LpSolution(INFEASIBLE, pivots=pivots)
+        sol.phase1 = phase1
+        return sol
     tableau, basis = list(tableau), list(basis)
 
     # phase 2: reduced costs c - sum of c_b * (basic row b)
@@ -308,20 +311,22 @@ def minimize(costs: Sequence, rows: Sequence[Row]) -> LpSolution:
             obj = _eliminate(obj, b, tableau[i], _support(tableau[i][0]))
     status, pivots, obj = _iterate(tableau, basis, obj, ncols, pivots)
     if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, pivots=pivots)
+        sol = LpSolution(UNBOUNDED, pivots=pivots)
+    else:
+        point = [Fraction(0)] * n
+        for (nums, den), b in zip(tableau, basis):
+            if b < n:
+                point[b] = Fraction(nums[-1], den)
+        # the reduced-cost row's rhs entry is -c.x
+        onums, oden = obj
+        sol = LpSolution(OPTIMAL, value=Fraction(-onums[-1], oden), point=point, pivots=pivots)
+    sol.phase1 = phase1
+    return sol
 
-    point = [Fraction(0)] * n
-    for (nums, den), b in zip(tableau, basis):
-        if b < n:
-            point[b] = Fraction(nums[-1], den)
-    # the reduced-cost row's rhs entry is -c.x
-    onums, oden = obj
-    return LpSolution(OPTIMAL, value=Fraction(-onums[-1], oden), point=point, pivots=pivots)
 
-
-def maximize(costs: Sequence, rows: Sequence[Row]) -> LpSolution:
+def maximize(costs: Sequence, rows: Sequence[Row], phase1: Optional[_Phase1] = None) -> LpSolution:
     """Maximize costs.x; same contract as minimize."""
-    sol = minimize([-c for c in costs], rows)
+    sol = minimize([-c for c in costs], rows, phase1=phase1)
     if sol.status == OPTIMAL:
         sol.value = -sol.value
     return sol

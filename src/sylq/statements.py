@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import compiler
 from ._value import value
@@ -24,7 +24,7 @@ from .quantifiers import (
     QuantifierSpec,
     as_fraction,
 )
-from .terms import TermExpr, atom_mask, term_names
+from .terms import S_MAX, TermExpr, property_masks, term_mask
 
 __all__ = ["COMPARED_FAMILIES", "Statement", "Conclusion", "Syllogism"]
 
@@ -96,20 +96,28 @@ class Syllogism:
             if size <= 0:
                 raise ValueError("universe size must be positive")
             object.__setattr__(self, "universe_size", size)
-        declared = set(self.properties)
-        for where, expr in self._term_sites():
-            for name in term_names(expr):
-                if name not in declared:
-                    raise ValueError(
-                        "%s references undeclared property %r" % (where, name)
-                    )
+        # one walk per term: its atom mask (term_sets), which also finds
+        # undeclared names.  Past S_MAX no mask can be built and term_sets
+        # raises SizeGuardError on use, so a walk over zeros checks the names.
+        if self.s <= S_MAX:
+            self.term_sets
+        else:
+            self._term_masks(dict.fromkeys(self.properties, 0), 0)
 
-    def _term_sites(self):
-        for i, premise in enumerate(self.premises, start=1):
-            yield "premise %d restriction" % i, premise.restriction
-            yield "premise %d scope" % i, premise.scope
-        yield "conclusion restriction", self.conclusion.restriction
-        yield "conclusion scope", self.conclusion.scope
+    def _term_masks(self, masks: Dict[str, int], full: int) -> Tuple[Tuple[int, int], ...]:
+        """term_mask of every premise's and the conclusion's two terms."""
+        statements = (*self.premises, self.conclusion)
+        sets = []
+        for i, st in enumerate(statements, start=1):
+            for side, expr in (("restriction", st.restriction), ("scope", st.scope)):
+                try:
+                    sets.append(term_mask(expr, masks, full))
+                except KeyError as exc:
+                    where = "premise %d" % i if i < len(statements) else "conclusion"
+                    raise ValueError(
+                        "%s %s references undeclared property %r" % (where, side, exc.args[0])
+                    ) from None
+        return tuple(zip(sets[::2], sets[1::2]))
 
     @property
     def s(self) -> int:
@@ -120,13 +128,11 @@ class Syllogism:
         """(restriction atoms, scope atoms) of each premise, then of the
         conclusion, as atom masks (terms.atom_mask).
 
-        Computed on first use and kept on this object only, so every level
-        of one inference reads the same sets.
+        __post_init__ computes them, from the property masks built once,
+        and keeps them on this object only, so every level of one
+        inference reads the same sets.
         """
-        return tuple(
-            (atom_mask(st.restriction, self.properties), atom_mask(st.scope, self.properties))
-            for st in (*self.premises, self.conclusion)
-        )
+        return self._term_masks(property_masks(self.properties), (1 << (1 << self.s)) - 1)
 
     @cached_property
     def skeleton(self) -> "compiler.Skeleton":

@@ -5,12 +5,14 @@ atoms.  Atom index k encodes membership bitwise: bit s of k is 1 exactly when
 the atom lies inside property s, with bit 0 the first declared property.  A
 term expression (any and/or/not combination of property names, plus the
 universe constant) denotes a subset of the universe, which reduces exactly to
-a set of atoms: an int with bit k set for atom k (atom_mask).
+a set of atoms: an int with bit k set for atom k (atom_mask).  A caller
+that reduces many terms over one property list builds the property masks
+once (property_masks) and walks each term over them (term_mask).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Dict, Sequence
 
 from ._value import value
 
@@ -26,7 +28,8 @@ __all__ = [
     "UNIVERSE",
     "atom_mask",
     "atoms_of",
-    "term_names",
+    "property_masks",
+    "term_mask",
 ]
 
 # ceiling on declared properties; 2**16 atoms is already a 65536-column system
@@ -105,27 +108,8 @@ TermExpr = object  # union of the five node classes above
 UNIVERSE = Universe()
 
 
-def term_names(expr: TermExpr) -> Iterator[str]:
-    """Yield every property name appearing in ``expr`` (with repeats)."""
-    if isinstance(expr, Prop):
-        yield expr.name
-    elif isinstance(expr, Not):
-        yield from term_names(expr.arg)
-    elif isinstance(expr, (And, Or)):
-        yield from term_names(expr.left)
-        yield from term_names(expr.right)
-    elif isinstance(expr, Universe):
-        return
-    else:
-        raise TypeError("not a term expression: %r" % (expr,))
-
-
-def atom_mask(expr: TermExpr, properties: Sequence[str]) -> int:
-    """Exact atom set denoted by a term expression, as an int: bit k is atom k.
-
-    Respects De Morgan laws by construction (complement/intersection/union on
-    bitmasks).  Raises ValueError for leaves naming undeclared properties.
-    """
+def property_masks(properties: Sequence[str]) -> Dict[str, int]:
+    """Each declared property's atom mask (see atom_mask), by name."""
     s = len(properties)
     if s < 1:
         raise ValueError("need at least one declared property")
@@ -134,37 +118,51 @@ def atom_mask(expr: TermExpr, properties: Sequence[str]) -> int:
             "S=%d properties would create %d atoms (cap %d); "
             "the constraint system would be too large" % (s, 2**s, 2**S_MAX)
         )
-    bit_of = {name: bit for bit, name in enumerate(properties)}
-    if len(bit_of) != s:
-        raise ValueError("property names must be unique")
     k = 1 << s
-    full = (1 << k) - 1
+    masks = {}
+    for bit, name in enumerate(properties):
+        # property bit's atoms, by doubling: 2**bit out, 2**bit in, repeated
+        half = 1 << bit
+        mask, period = ((1 << half) - 1) << half, 2 * half
+        while period < k:
+            mask, period = mask | mask << period, 2 * period
+        masks[name] = mask
+    if len(masks) != s:
+        raise ValueError("property names must be unique")
+    return masks
 
-    def walk(node: TermExpr) -> int:
-        if isinstance(node, Prop):
-            try:
-                half = 1 << bit_of[node.name]
-            except KeyError:
-                raise ValueError(
-                    "undeclared property %r; declared: %s"
-                    % (node.name, ", ".join(properties))
-                ) from None
-            # property b's atoms, by doubling: 2**b out, 2**b in, repeated
-            mask, period = ((1 << half) - 1) << half, 2 * half
-            while period < k:
-                mask, period = mask | mask << period, 2 * period
-            return mask
-        if isinstance(node, Universe):
-            return full
-        if isinstance(node, Not):
-            return full & ~walk(node.arg)
-        if isinstance(node, And):
-            return walk(node.left) & walk(node.right)
-        if isinstance(node, Or):
-            return walk(node.left) | walk(node.right)
-        raise TypeError("not a term expression: %r" % (node,))
 
-    return walk(expr)
+def term_mask(expr: TermExpr, masks: Dict[str, int], full: int) -> int:
+    """The atom set of a term from its properties' masks and the universe's.
+
+    Raises KeyError with the name of a leaf that masks lacks.
+    """
+    if isinstance(expr, Prop):
+        return masks[expr.name]
+    if isinstance(expr, Not):
+        return full & ~term_mask(expr.arg, masks, full)
+    if isinstance(expr, And):
+        return term_mask(expr.left, masks, full) & term_mask(expr.right, masks, full)
+    if isinstance(expr, Or):
+        return term_mask(expr.left, masks, full) | term_mask(expr.right, masks, full)
+    if isinstance(expr, Universe):
+        return full
+    raise TypeError("not a term expression: %r" % (expr,))
+
+
+def atom_mask(expr: TermExpr, properties: Sequence[str]) -> int:
+    """Exact atom set denoted by a term expression, as an int: bit k is atom k.
+
+    Respects De Morgan laws by construction (complement/intersection/union on
+    bitmasks).  Raises ValueError for leaves naming undeclared properties.
+    """
+    masks = property_masks(properties)
+    try:
+        return term_mask(expr, masks, (1 << (1 << len(properties))) - 1)
+    except KeyError as exc:
+        raise ValueError(
+            "undeclared property %r; declared: %s" % (exc.args[0], ", ".join(properties))
+        ) from None
 
 
 def atoms_of(expr: TermExpr, properties: Sequence[str]) -> frozenset:

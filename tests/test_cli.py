@@ -186,6 +186,42 @@ def test_reads_stdin_when_file_is_dash(capsys):
     assert "lo: 3" in out
 
 
+BOM_DOC = "\ufeffterms: a, b\npremise: all a -> b\nconclude: prop? a -> b\n"
+
+
+@pytest.mark.parametrize("command", [[], ["verify"]], ids=["run", "verify"])
+def test_a_byte_order_mark_is_dropped_from_a_file(tmp_path, capsys, command):
+    bom, plain = tmp_path / "bom.syl", tmp_path / "plain.syl"
+    bom.write_bytes(BOM_DOC.encode("utf-8"))
+    plain.write_bytes(BOM_DOC[1:].encode("utf-8"))
+    want = run_cli(capsys, command + [str(plain)])
+    assert want[0] == 0
+    assert run_cli(capsys, command + [str(bom)]) == want
+    # one mark only: a second one is the document's first character
+    bom.write_bytes(("\ufeff" + BOM_DOC).encode("utf-8"))
+    code, out, err = run_cli(capsys, command + [str(bom)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 1, column 1: expected 'terms:'")
+
+
+@pytest.mark.parametrize("command", [[], ["verify"]], ids=["run", "verify"])
+def test_a_byte_order_mark_is_dropped_from_stdin(capsys, command):
+    sys.stdin = io.StringIO(BOM_DOC[1:])
+    want = run_cli(capsys, command + ["-"])
+    assert want[0] == 0
+    sys.stdin = io.StringIO(BOM_DOC)
+    assert run_cli(capsys, command + ["-"]) == want
+
+
+def test_crlf_and_cr_line_ends_read_like_lf(tmp_path, capsys):
+    text = (FIXTURE_DIR / "hats_and_ties.syl").read_text()
+    want = run_cli(capsys, [str(FIXTURE_DIR / "hats_and_ties.syl"), "--format", "json"])
+    for end in ("\r\n", "\r"):
+        path = tmp_path / "doc.syl"
+        path.write_bytes(text.replace("\n", end).encode("utf-8"))
+        assert run_cli(capsys, [str(path), "--format", "json"]) == want
+
+
 def test_missing_file_is_input_error(capsys):
     code, out, err = run_cli(capsys, [str(FIXTURE_DIR / "no_such_doc.syl")])
     assert code == 1
@@ -312,9 +348,9 @@ def test_size_guard_refuses_before_any_solve(capsys, monkeypatch):
     calls = []
     original = simplex.minimize
 
-    def counting_minimize(costs, rows):
+    def counting_minimize(costs, rows, **kwargs):
         calls.append(rows)
-        return original(costs, rows)
+        return original(costs, rows, **kwargs)
 
     monkeypatch.setattr(simplex, "minimize", counting_minimize)
     code, out, err = run_cli(capsys, ["verify", COURSE_CRISP, "--cap", "20"])
@@ -343,7 +379,7 @@ conclude: prop? p -> q
 )
 def test_levels_past_the_maximum_are_refused_before_any_solve(capsys, monkeypatch, argv, text):
     calls = []
-    monkeypatch.setattr(simplex, "minimize", lambda costs, rows: calls.append(rows))
+    monkeypatch.setattr(simplex, "minimize", lambda costs, rows, **kwargs: calls.append(rows))
     sys.stdin = io.StringIO(text)
     code, out, err = run_cli(capsys, argv)
     assert (code, out, len(calls)) == (1, "", 0)

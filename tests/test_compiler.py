@@ -271,9 +271,9 @@ def lp_reaching_simplex(monkeypatch, syl, bounds):
     seen = []
     real = simplex.minimize
 
-    def recording(costs, rows):
+    def recording(costs, rows, **kwargs):
         seen.append((list(costs), [(list(n), d, r) for n, d, r in rows]))
-        return real(costs, rows)
+        return real(costs, rows, **kwargs)
 
     monkeypatch.setattr(simplex, "minimize", recording)
     outcome = optimizer.solve(compile_syllogism(syl, bounds))

@@ -216,25 +216,34 @@ def test_atom_sets_are_computed_once_per_document(monkeypatch):
     import sylq
     from sylq import terms
 
-    calls = []
-    real = terms.atom_mask
+    calls = {"property_masks": [], "term_mask": []}
 
-    def counting(expr, properties):
-        calls.append(expr)
-        return real(expr, properties)
+    def counting(name):
+        real = getattr(terms, name)
 
-    for info in pkgutil.iter_modules(sylq.__path__):
-        module = importlib.import_module("sylq." + info.name)
-        if getattr(module, "atom_mask", None) is real:
-            monkeypatch.setattr(module, "atom_mask", counting)
+        def wrapper(*args):
+            calls[name].append(args[0])
+            return real(*args)
+
+        return real, wrapper
+
+    # every caller outside terms, whose term_mask recurses through its own name
+    for name in calls:
+        real, wrapper = counting(name)
+        for info in pkgutil.iter_modules(sylq.__path__):
+            module = importlib.import_module("sylq." + info.name)
+            if module is not terms and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, wrapper)
     counts = []
     for levels in (2, 21):
-        calls.clear()
+        for seen in calls.values():
+            seen.clear()
         doc = load_fixture("course_passrates_fuzzy.syl")
         infer(doc.to_syllogism(), mode="alpha", config=InferenceConfig(levels=levels))
-        counts.append(len(calls))
-    # a restriction and a scope set for each premise and the conclusion
-    assert counts == [2 * (len(doc.premises) + 1)] * 2
+        counts.append((len(calls["property_masks"]), len(calls["term_mask"])))
+    # the property masks once, and one walk of the restriction and of the
+    # scope of each premise and the conclusion
+    assert counts == [(1, 2 * (len(doc.premises) + 1))] * 2
 
 
 # ------------------------------------------- infer against the plain level loop

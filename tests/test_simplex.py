@@ -151,8 +151,8 @@ def _pivots_per_call(argv, monkeypatch, capsys):
     seen = []
     original = simplex.minimize
 
-    def counting_minimize(costs, rows):
-        sol = original(costs, rows)
+    def counting_minimize(costs, rows, **kwargs):
+        sol = original(costs, rows, **kwargs)
         seen.append(sol.pivots)
         return sol
 
@@ -240,27 +240,12 @@ def boxed_lps(draw):
 
 
 @contextmanager
-def cleared_phase1():
-    """Run the simplex with no phase-1 end state kept from an earlier call."""
-    simplex._last_phase1 = None
-    try:
-        yield
-    finally:
-        simplex._last_phase1 = None
-
-
-@contextmanager
 def reduce_bits(bits):
-    """Run the simplex with eliminated rows reduced past `bits` bits.
-
-    No phase-1 end state crosses the change of bound either way, so every
-    call inside, and the first call after, runs its own phase 1.
-    """
+    """Run the simplex with eliminated rows reduced past `bits` bits."""
     saved = simplex._REDUCE_BITS
     simplex._REDUCE_BITS = bits
     try:
-        with cleared_phase1():
-            yield
+        yield
     finally:
         simplex._REDUCE_BITS = saved
 
@@ -333,8 +318,7 @@ def test_an_artificial_that_leaves_the_basis_never_comes_back():
     # would have to enter again: four pivots instead of two
     rows = [([3, 1], ">=", 2), ([-2, 0], "==", 0), ([1, 0], "==", 0)]
     for solve in (minimize, maximize):
-        with cleared_phase1():
-            assert solve([-1, 0], rows) == simplex.LpSolution(OPTIMAL, F(0), [F(0), F(2)], 2)
+        assert solve([-1, 0], rows) == simplex.LpSolution(OPTIMAL, F(0), [F(0), F(2)], 2)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -374,47 +358,59 @@ def counting(name):
 def test_shared_phase1_changes_no_solution(lp):
     costs, rows = lp
     rows = int_rows(rows)
-    with cleared_phase1():
-        fresh_lo = simplex.minimize(costs, rows)
-    with cleared_phase1():
-        fresh_hi = simplex.maximize(costs, rows)
-    with cleared_phase1(), counting("_phase1") as runs:
+    fresh_lo = simplex.minimize(costs, rows)
+    fresh_hi = simplex.maximize(costs, rows)
+    with counting("_phase1") as runs:
         lo = simplex.minimize(costs, rows)
-        hi = simplex.maximize(costs, rows)
-    assert (lo, hi) == (fresh_lo, fresh_hi)
+        hi = simplex.maximize(costs, rows, phase1=lo.phase1)
+        # a state serves any number of later calls, and any costs
+        again = simplex.minimize(costs, rows, phase1=hi.phase1)
+    assert (lo, hi, again) == (fresh_lo, fresh_hi, fresh_lo)
+    assert lo.phase1 is hi.phase1 is again.phase1
     assert len(runs) == 1
 
 
 def test_interleaved_systems_get_their_own_phase1():
     a_costs, a_rows = [1, 1], int_rows([([1, 2], ">=", 4), ([3, 1], ">=", 6)])
     b_costs, b_rows = [1, 0], int_rows([([1, 1], "==", 2), ([1, -1], "==", 0)])
-    with cleared_phase1():
-        fresh = [simplex.minimize(a_costs, a_rows), simplex.minimize(b_costs, b_rows)]
-    with cleared_phase1(), counting("_phase1") as runs:
+    fresh = [simplex.minimize(a_costs, a_rows), simplex.minimize(b_costs, b_rows)]
+    with counting("_phase1") as runs:
         got = [
             simplex.minimize(a_costs, a_rows),
             simplex.minimize(b_costs, b_rows),
             simplex.minimize(a_costs, a_rows),
         ]
+        # interleaved systems, each handed its own state
+        states = [sol.phase1 for sol in got]
+        again = [
+            simplex.minimize(b_costs, b_rows, phase1=states[1]),
+            simplex.minimize(a_costs, a_rows, phase1=states[0]),
+        ]
     assert got == [fresh[0], fresh[1], fresh[0]]
+    assert again == [fresh[1], fresh[0]]
     assert len(runs) == 3
 
 
 def test_zero_row_systems_of_different_width_do_not_share_phase1():
-    with cleared_phase1():
-        assert simplex.minimize([1], []) == simplex.LpSolution(OPTIMAL, F(0), [F(0)], 0)
-        # the second column can grow without bound; a width-1 tableau cannot see it
-        assert simplex.minimize([0, -1], []).status == UNBOUNDED
+    narrow = simplex.minimize([1], [])
+    assert narrow == simplex.LpSolution(OPTIMAL, F(0), [F(0)], 0)
+    # the second column can grow without bound; a width-1 tableau cannot see it
+    assert simplex.minimize([0, -1], []).status == UNBOUNDED
+    with pytest.raises(ValueError, match="phase-1 state is for 1 variables, not 2"):
+        simplex.minimize([0, -1], [], phase1=narrow.phase1)
 
 
 def test_rows_changed_in_place_are_solved_again():
     rows = int_rows([([1, 1], ">=", 2), ([1, 0], "<=", 5)])
-    with cleared_phase1():
-        assert simplex.minimize([1, 1], rows).value == 2
-        rows[0][0][-1] = 3  # the first row's rhs, in the caller's own list
-        assert simplex.minimize([1, 1], rows).value == 3
-        rows[1][0][-1] = -1  # x0 <= -1 with x0 >= 0
-        assert simplex.minimize([1, 1], rows).status == INFEASIBLE
+    first = simplex.minimize([1, 1], rows)
+    assert first.value == 2
+    rows[0][0][-1] = 3  # the first row's rhs, in the caller's own list
+    assert simplex.minimize([1, 1], rows).value == 3
+    # the earlier state still holds the rows as they were
+    assert simplex.minimize([1, 1], rows, phase1=first.phase1).value == 2
+    rows[1][0][-1] = -1  # x0 <= -1 with x0 >= 0
+    assert simplex.minimize([1, 1], rows).status == INFEASIBLE
+    assert simplex.maximize([1, 1], rows, phase1=first.phase1).status == UNBOUNDED
 
 
 def test_one_phase1_per_feasible_solve(monkeypatch):
@@ -427,7 +423,7 @@ def test_one_phase1_per_feasible_solve(monkeypatch):
         return outcomes[-1]
 
     monkeypatch.setattr(optimizer, "solve", recording_solve)
-    with cleared_phase1(), counting("_phase1") as runs, counting("_iterate") as iterations:
+    with counting("_phase1") as runs, counting("_iterate") as iterations:
         infer(syl)
     feasible = sum(o.status != optimizer.INFEASIBLE for o in outcomes)
     assert feasible == len(outcomes) == 1
