@@ -63,6 +63,9 @@ def _levels(text: str) -> int:
     return int(text)
 
 
+_FORMATS = ("text", "json", "csv")
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str):
         # a usage error is an input error: main() reports it with exit code 1
@@ -91,7 +94,7 @@ def _run_parser() -> argparse.ArgumentParser:
         default=None,
         help="alpha grid size, 2 to %d (default %d)" % (MAX_LEVELS, InferenceConfig.levels),
     )
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--format", choices=_FORMATS, default="text")
     p.add_argument(
         "--verify",
         type=_cap,
@@ -100,6 +103,37 @@ def _run_parser() -> argparse.ArgumentParser:
         help="also cross-check against enumeration of populations up to CAP",
     )
     return p
+
+
+# the value check of each option of a plain call (see _plain_args)
+_PLAIN = {"--mode": MODES, "--levels": _levels, "--format": _FORMATS, "--verify": _cap}
+
+
+def _plain_args(argv: List[str]) -> Optional[argparse.Namespace]:
+    """What _run_parser() reads from a plain argv, or None for any other.
+
+    A plain argv is FILE ("-" or not an option), then distinct options of
+    _PLAIN, each spelled in full with a value it accepts as its own.
+    argparse reads one in about 0.1 ms with cold caches, a tenth of a small
+    document's run; every other argv, usage errors included, goes to it.
+    """
+    if len(argv) % 2 == 0 or (argv[0].startswith("-") and argv[0] != "-"):
+        return None
+    flags = argv[1::2]
+    if len(set(flags)) < len(flags):
+        return None
+    args = argparse.Namespace(file=argv[0], mode=None, levels=None, format="text", verify=None)
+    for flag, text in zip(flags, argv[2::2]):
+        check = _PLAIN.get(flag, ())
+        if callable(check):
+            try:
+                text = check(text)
+            except (argparse.ArgumentTypeError, ValueError):
+                return None
+        elif text not in check:
+            return None
+        setattr(args, flag[2:], text)
+    return args
 
 
 @functools.cache
@@ -122,7 +156,7 @@ def _read_text(path: str) -> str:
     if path == "-":
         text = sys.stdin.read()
     else:
-        with open(path, "rb") as handle:
+        with open(path, "rb", buffering=0) as handle:
             text = handle.read().decode("utf-8")
     return text[1:] if text.startswith("\ufeff") else text
 
@@ -132,9 +166,10 @@ def _num(value) -> Optional[object]:
     if value is None:
         return None
     f = as_fraction(value)
-    if f.denominator == 1:
-        return int(f)
-    return float("%.12g" % float(f))
+    num, den = f.numerator, f.denominator
+    if den == 1:
+        return num
+    return float("%.12g" % (num / den))
 
 
 def _num_text(value) -> str:
@@ -299,7 +334,8 @@ def _verify_doc(syl: Syllogism, cap: int) -> int:
 
 
 def _cmd_run(argv: Sequence[str]) -> int:
-    args = _run_parser().parse_args(list(argv))
+    argv = list(argv)
+    args = _plain_args(argv) or _run_parser().parse_args(argv)
     doc = parse(_read_text(args.file))
     syl = doc.to_syllogism()
     # a flag beats the document option

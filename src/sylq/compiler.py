@@ -220,9 +220,15 @@ def build_skeleton(syl: Syllogism) -> Skeleton:
         else:
             measures.append(_measure(stmt.family, a, b))
     n_logical = len(rows)
-    for stmt, (a, b) in zip(statements, syl.term_sets):
-        if stmt.family in RATIO_FAMILIES:
-            rows.append((_sum(_measure(stmt.family, a, b)[1]), GT, _ZERO))
+    # a positivity row per ratio statement's denominator; equal ones are
+    # written once here and repeated in the fixed rows
+    dens = [
+        _measure(stmt.family, a, b)[1]
+        for stmt, (a, b) in zip(statements, syl.term_sets)
+        if stmt.family in RATIO_FAMILIES
+    ]
+    distinct = list(dict.fromkeys(dens))
+    rows.extend((_sum(den), GT, _ZERO) for den in distinct)
     if syl.universe_size is not None:
         rows.append((_sum((1 << k) - 1), EQ, syl.universe_size))
     rows = optimizer.rewrite_strict(
@@ -310,10 +316,11 @@ def build_skeleton(syl: Syllogism) -> Skeleton:
         pairs = tuple([(u[key & u_bits], w[key & w_bits]) for key in slots])
         homogeneous = den is not None or denominator is not None
         premises.append(_Measure(stmt.family, pairs, tuple(index), homogeneous))
+    den_rows = dict(zip(distinct, class_rows[n_logical:]))
     return Skeleton(
         classes=tuple(classes),
         premises=tuple(premises),
-        fixed=tuple(class_rows[n_logical:]),
+        fixed=(*[den_rows[den] for den in dens], *class_rows[n_logical + len(distinct):]),
         costs=class_row((numerator, EQ, _ZERO))[0],
         charnes_cooper=denominator is not None,
     )
@@ -348,5 +355,5 @@ def compile_syllogism(
         for rel, p, q in ((GE, lo_p, lo_q), (LE, hi_p, hi_q)):
             if p is not None:
                 values = [q * x - p * y for x, y in pairs]
-                rows.append((list(map(values.__getitem__, index)), 0 if homogeneous else p, q, rel))
+                rows.append(([values[i] for i in index], 0 if homogeneous else p, q, rel))
     return ConstraintSystem(1 << syl.s, rows, skeleton)

@@ -151,24 +151,31 @@ def _parse_number(text: str, line: int) -> Fraction:
         raise DslError("malformed number %r" % text, line)
 
 
+def _parse_term(text: str, line: int, base_col: int):
+    """The term written in text, and its tokens: names, operators and
+    parentheses as strings, and "" at the end."""
+    end = _TERM_TEXT.match(text).end()
+    if end < len(text):
+        raise DslError("unexpected character %r in term" % text[end], line, base_col + end + 1)
+    tokens = _TERM_TOKEN.findall(text)
+    tokens.append("")
+    if len(tokens) == 2 and (tokens[0] == "*" or tokens[0] not in _SYMBOLS):
+        # a lone name or *, as most terms are
+        return UNIVERSE if tokens[0] == "*" else Prop(tokens[0]), tokens
+    return _TermParser(text, line, base_col, tokens).parse(), tokens
+
+
 class _TermParser:
     """Recursive-descent parser for term expressions (! over & over |).
 
-    Tokens are strings: a name, an operator or parenthesis, and "" at the
-    end.  Their columns are found again only to report an error.
+    A token's column is found again only to report an error.
     """
 
-    def __init__(self, text: str, line: int, base_col: int):
+    def __init__(self, text: str, line: int, base_col: int, tokens: List[str]):
         self.text = text
         self.line = line
         self.base_col = base_col
-        end = _TERM_TEXT.match(text).end()
-        if end < len(text):
-            raise DslError(
-                "unexpected character %r in term" % text[end], line, base_col + end + 1
-            )
-        self.tokens: List[str] = _TERM_TOKEN.findall(text)
-        self.tokens.append("")
+        self.tokens = tokens
         self.at = 0
 
     def _take(self) -> str:
@@ -190,12 +197,9 @@ class _TermParser:
     # bounds the recursion, and returns its node with the node's height,
     # which bounds a left-nested chain such as a & b & c & ...
     def parse(self):
-        tokens = self.tokens
-        if len(tokens) == 2 and (tokens[0] == "*" or tokens[0] not in _SYMBOLS):
-            return self._unary(0)[0]  # a lone name or *, as most terms are
         expr, _ = self._or(0)
-        if tokens[self.at]:
-            self._fail("unexpected %r after term" % tokens[self.at], self.at)
+        if self.tokens[self.at]:
+            self._fail("unexpected %r after term" % self.tokens[self.at], self.at)
         return expr
 
     def _or(self, depth: int):
@@ -304,10 +308,10 @@ def _split_terms(
             )
         left, right = rest[:arrow], rest[arrow + 2:]
         right_col = col0 + arrow + 2
-    left, right = _TermParser(left, line, col0), _TermParser(right, line, right_col)
-    restriction, scope = left.parse(), right.parse()
-    if not (known.issuperset(left.tokens) and known.issuperset(right.tokens)):
-        leaf = next(tok for tok in left.tokens + right.tokens if tok not in known)
+    restriction, left = _parse_term(left, line, col0)
+    scope, right = _parse_term(right, line, right_col)
+    if not (known.issuperset(left) and known.issuperset(right)):
+        leaf = next(tok for tok in left + right if tok not in known)
         raise DslError(
             "undeclared property %r (declared: %s)" % (leaf, ", ".join(properties)), line
         )

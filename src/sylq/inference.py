@@ -155,16 +155,20 @@ def infer(
     grid = [Fraction(i, n - 1) for i in range(n)]
 
     # premise bounds as exact ints, which key the reuse of a level's solve
-    solved: Dict[Tuple[Optional[IntBound], ...], optimizer.SolveOutcome] = {}
+    # and of its interval
+    solved: Dict[Tuple[Optional[IntBound], ...], tuple] = {}
     cuts: List[Tuple[Fraction, Optional[Interval]]] = []
     outcomes: List[optimizer.SolveOutcome] = []
     max_feasible = Fraction(0)
     premise_cuts = [grid_cuts(p.quantifier.shape, n) for p in syl.premises]
     for lam, *bounds in zip(grid, *premise_cuts):
         bounds = tuple(bounds)
-        outcome = solved.get(bounds)
-        if outcome is None:
-            outcome = solved[bounds] = optimizer.solve(compile_syllogism(syl, bounds))
+        reading = solved.get(bounds)
+        if reading is None:
+            outcome = optimizer.solve(compile_syllogism(syl, bounds))
+            iv = None if outcome.lo is None else Interval(outcome.lo, outcome.hi)
+            reading = solved[bounds] = outcome, iv
+        outcome, iv = reading
         outcomes.append(outcome)
         if outcome.status == optimizer.INFEASIBLE:
             if lam == 0:
@@ -175,7 +179,6 @@ def infer(
             cuts.append((lam, None))
             continue
         max_feasible = lam
-        iv = None if outcome.lo is None else Interval(outcome.lo, outcome.hi)
         cuts.append((lam, iv))
 
     families = {p.family for p in syl.premises} | {syl.conclusion.family}
@@ -199,13 +202,4 @@ def infer(
     elif mode != "crisp" and all(iv is not None and iv.hi is not None for _, iv in cuts):
         fitted = fit_trapezoid(cuts)
 
-    return InferenceResult(
-        mode=mode,
-        cuts=cuts,
-        outcomes=outcomes,
-        max_feasible_level=max_feasible,
-        epsilon_kind=kind,
-        epsilon=epsilon,
-        fitted=fitted,
-        warnings=warnings,
-    )
+    return InferenceResult(mode, cuts, outcomes, max_feasible, kind, epsilon, fitted, warnings)

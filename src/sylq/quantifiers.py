@@ -223,18 +223,19 @@ def check_unit(family: str, lo, hi, hi_den=1) -> None:
 
     lo and hi are the bound's ends (hi None when unbounded), or lo's
     numerator and hi's numerator over hi_den: denominators are positive,
-    so each test reads a sign or compares hi with hi_den.
+    so each test reads the sign of a numerator or compares hi's numerator
+    with its denominator times hi_den, in ints either way.
     """
     if family in (ABSOLUTE, EXCEPTION):
-        if lo < 0:
+        if lo.numerator < 0:
             raise ValueError("%s bounds must be nonnegative" % family)
     elif family in (PROPORTIONAL, SIMILARITY):
-        if lo < 0 or (hi is not None and hi > hi_den):
+        if lo.numerator < 0 or (hi is not None and hi.numerator > hi.denominator * hi_den):
             raise ValueError("%s bounds must lie inside [0, 1]" % family)
     elif family == COMPARATIVE_PROPORTIONAL:
         # may exceed 1 ("double"), but a negative ratio of cardinalities is
         # meaningless
-        if lo < 0:
+        if lo.numerator < 0:
             raise ValueError("%s bounds must be nonnegative" % family)
     # comparative-absolute differences may be negative; nothing to check
 

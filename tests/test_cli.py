@@ -20,6 +20,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sylq
 from sylq import SolveOutcome, cli, simplex
@@ -584,3 +586,53 @@ def test_importing_the_cli_does_not_load_numpy():
     )
     proc = run_checkout([sys.executable, "-c", code])
     assert proc.returncode == 0, proc.stderr
+
+
+# every kind of token a run argv can hold; no help flag, which exits
+ARGV_TOKENS = [
+    "doc.syl", "-", "", "-x", "verify", "--mode", "--levels", "--format", "--verify",
+    "--form", "--format=json", "--cap", "--", "auto", "alpha", "bogus", "json", "csv",
+    "text", "11", "2", "0", "-3", "+4", "1_1", "\u0661\u0661", "1" * 5000,
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.lists(st.sampled_from(ARGV_TOKENS), max_size=7))
+def test_plain_args_read_like_argparse(argv):
+    plain = cli._plain_args(argv)
+    try:
+        want = vars(cli._run_parser().parse_args(argv))
+    except ValueError:
+        assert plain is None
+        return
+    assert plain is None or vars(plain) == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["doc.syl"],
+        ["-", "--format", "json"],
+        ["doc.syl", "--mode", "alpha", "--levels", "7", "--format", "csv", "--verify", "3"],
+    ],
+)
+def test_plain_calls_skip_argparse(argv):
+    assert vars(cli._plain_args(argv)) == vars(cli._run_parser().parse_args(argv))
+
+
+def test_json_text_matches_the_standard_encoder():
+    payload = {
+        "empty": [], "none": {}, "nested": {"a": [{"b": [1, -2.5e-07]}], "c": None},
+        "flags": [True, False], "text": "tab\t \"quote\" caf\u00e9 \u2028", "big": 10**30,
+    }
+    assert cli._json_text(payload) == json.dumps(payload, indent=2)
+    for path in sorted(FIXTURE_DIR.glob("*.syl")):
+        doc = sylq.parse(path.read_text())
+        syl = doc.to_syllogism()
+        for mode in ("crisp", "kersup", "alpha"):
+            try:
+                result = infer(syl, mode=mode)
+            except ValueError:  # crisp mode refuses fuzzy premises
+                continue
+            payload = cli._json_payload(result, syl)
+            assert cli._json_text(payload) == json.dumps(payload, indent=2)
