@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-from json.encoder import encode_basestring_ascii as _json_str
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import List, Optional, Sequence
 
 from . import optimizer
@@ -110,13 +110,10 @@ _PLAIN = {"--mode": MODES, "--levels": _levels, "--format": _FORMATS, "--verify"
 
 
 def _plain_args(argv: List[str]) -> Optional[argparse.Namespace]:
-    """What _run_parser() reads from a plain argv, or None for any other.
-
-    A plain argv is FILE ("-" or not an option), then distinct options of
-    _PLAIN, each spelled in full with a value it accepts as its own.
-    argparse reads one in about 0.1 ms with cold caches, a tenth of a small
-    document's run; every other argv, usage errors included, goes to it.
-    """
+    """What _run_parser() reads from a plain argv: FILE ("-" or not an
+    option), then distinct options of _PLAIN in full, each with a value it
+    accepts.  argparse takes about 0.1 ms for one with cold caches, a tenth
+    of a small document's run; None sends any other argv to argparse."""
     if len(argv) % 2 == 0 or (argv[0].startswith("-") and argv[0] != "-"):
         return None
     flags = argv[1::2]
@@ -148,11 +145,8 @@ def _verify_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str) -> str:
-    """A document's text, without one leading byte-order mark.
-
-    A file is read as bytes and decoded whole: parse splits lines itself,
-    so the text layer's newline translation is not needed.
-    """
+    """A document's text, without one leading byte-order mark (parse
+    splits lines itself, so a file is read as bytes and decoded whole)."""
     if path == "-":
         text = sys.stdin.read()
     else:
@@ -191,21 +185,17 @@ def _json_text(value, indent: str = "") -> str:
     """json.dumps(value, indent=2) for a payload of dicts, lists, strings,
     ints, finite floats (as _num makes them), booleans and None, built
     directly: the standard encoder runs generators when it indents."""
-    if isinstance(value, (dict, list)):
-        if not value:
-            return "{}" if isinstance(value, dict) else "[]"
-        inner = indent + "  "
-        if isinstance(value, dict):
-            items = [inner + _json_str(k) + ": " + _json_text(v, inner) for k, v in value.items()]
-            return "{\n%s\n%s}" % (",\n".join(items), indent)
+    inner = indent + "  "
+    if value and isinstance(value, dict):
+        items = [inner + _json_str(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{\n%s\n%s}" % (",\n".join(items), indent)
+    if value and isinstance(value, list):
         return "[\n%s\n%s]" % (",\n".join([inner + _json_text(v, inner) for v in value]), indent)
     if isinstance(value, str):
         return _json_str(value)
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
-    return repr(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    return repr(value)  # an int, a float, or an empty dict or list
 
 
 def _json_interval(iv) -> Optional[dict]:
@@ -262,10 +252,7 @@ def _print_text(result: InferenceResult, syl: Syllogism) -> None:
                 )
         out.append("max feasible level: %s" % _num_text(result.max_feasible_level))
         if result.fitted is not None:
-            out.append(
-                "fitted: tz(%s)"
-                % ", ".join(_num_text(v) for v in result.fitted.as_tuple())
-            )
+            out.append("fitted: tz(%s)" % ", ".join(_num_text(v) for v in result.fitted.as_tuple()))
     out.append("epsilon: %s (%s)" % (_num_text(result.epsilon), result.epsilon_kind))
     for warning in result.warnings:
         out.append("warning: %s" % warning)

@@ -89,14 +89,10 @@ ClassRow = Tuple[Sequence[int], int, int, str]
 
 
 class _Measure(NamedTuple):
-    """A numeric premise's measure U over the classes, and W.
-
-    A bound p/q is the row q*U - p*W rel 0 when the measure is homogeneous
-    (a ratio family's W is its denominator; under Charnes-Cooper a count
-    family's W is t), else q*U rel p (W is zero).  U and W are kept as
-    their few distinct column pairs (U_j, W_j) and each column's pair, so a
-    bound's row is one value per pair, spread over the columns.
-    """
+    """A numeric premise's measure: a bound p/q is the row q*U - p*W rel 0
+    when homogeneous (W is a ratio family's denominator, or t for a count
+    family under Charnes-Cooper), else q*U rel p.  U and W are kept as
+    their few distinct column pairs (U_j, W_j) and each column's pair."""
 
     family: str
     pairs: Tuple[Tuple[int, int], ...]
@@ -222,11 +218,8 @@ def build_skeleton(syl: Syllogism) -> Skeleton:
     n_logical = len(rows)
     # a positivity row per ratio statement's denominator; equal ones are
     # written once here and repeated in the fixed rows
-    dens = [
-        _measure(stmt.family, a, b)[1]
-        for stmt, (a, b) in zip(statements, syl.term_sets)
-        if stmt.family in RATIO_FAMILIES
-    ]
+    sets = zip(statements, syl.term_sets)
+    dens = [_measure(st.family, a, b)[1] for st, (a, b) in sets if st.family in RATIO_FAMILIES]
     distinct = list(dict.fromkeys(dens))
     rows.extend((_sum(den), GT, _ZERO) for den in distinct)
     if syl.universe_size is not None:

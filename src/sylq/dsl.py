@@ -99,15 +99,9 @@ _VS = re.compile(r"\bvs\b")
 _NUM = r"-?(?:[0-9]+\.[0-9]+|[0-9]+(?:/[0-9]+)?)"
 # _NUM with its parts: digits before any point, after it, and after any /
 _NUMBER = re.compile(r"(-?[0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
-_QSPEC_HEAD = re.compile(
-    r"\s*(not-all|cmpprop|cmpabs|prop|abs|exc|sim|all|none|some)\b"
-)
-_INTERVAL_SHAPE = re.compile(
-    r"\s*\[\s*(%s)\s*,\s*(%s|inf)\s*\]" % (_NUM, _NUM)
-)
-_TZ_SHAPE = re.compile(
-    r"\s*tz\(\s*(%s)\s*,\s*(%s)\s*,\s*(%s)\s*,\s*(%s)\s*\)" % ((_NUM,) * 4)
-)
+_QSPEC_HEAD = re.compile(r"\s*(not-all|cmpprop|cmpabs|prop|abs|exc|sim|all|none|some)\b")
+_INTERVAL_SHAPE = re.compile(r"\s*\[\s*(%s)\s*,\s*(%s|inf)\s*\]" % (_NUM, _NUM))
+_TZ_SHAPE = re.compile(r"\s*tz\(\s*(%s)\s*,\s*(%s)\s*,\s*(%s)\s*,\s*(%s)\s*\)" % ((_NUM,) * 4))
 _RIM_SHAPE = re.compile(r"\s*rim\(\s*(%s)\s*\)" % _NUM)
 # an "inf" upper bound reaches Interval as None
 _SHAPES = ((_INTERVAL_SHAPE, Interval), (_TZ_SHAPE, Trapezoid), (_RIM_SHAPE, RimQuantifier))
@@ -282,9 +276,7 @@ def _split_terms(
     keyword = _FAMILY_TO_KEYWORD[family]
     if wants_vs:
         if vs is None:
-            raise DslError(
-                "%s compares two terms; connect them with 'vs'" % keyword, line
-            )
+            raise DslError("%s compares two terms; connect them with 'vs'" % keyword, line)
         if arrow != -1 and arrow < vs.start():
             raise DslError(
                 "%s compares two terms; connect them with 'vs', not '->'"
@@ -296,9 +288,7 @@ def _split_terms(
         right_col = col0 + vs.end()
     else:
         if arrow == -1:
-            raise DslError(
-                "expected '->' between restriction and scope", line
-            )
+            raise DslError("expected '->' between restriction and scope", line)
         if vs is not None and vs.start() < arrow:
             raise DslError(
                 "%s restricts a scope; connect the terms with '->', not 'vs'"
@@ -391,9 +381,7 @@ def parse(text: str) -> SyllogismDoc:
                 raise DslError("universe size must be positive", line_no)
         elif head in ("premise", "conclude"):
             if properties is None:
-                raise DslError(
-                    "terms must be declared before any %s line" % head, line_no
-                )
+                raise DslError("terms must be declared before any %s line" % head, line_no)
             if head == "premise":
                 spec, rest, col = _parse_quantifier(body, line_no, col0)
                 restriction, scope = _split_terms(
@@ -458,16 +446,10 @@ def _term_text(term, parent: str = "or") -> str:
         return "!" + _term_text(term.arg, "not")
     if isinstance(term, And):
         # & is parsed left-associative, so a right-nested & needs parens
-        text = "%s & %s" % (
-            _term_text(term.left, "and"),
-            _term_text(term.right, "and-right"),
-        )
+        text = "%s & %s" % (_term_text(term.left, "and"), _term_text(term.right, "and-right"))
         return "(%s)" % text if parent in ("not", "and-right") else text
     if isinstance(term, Or):
-        text = "%s | %s" % (
-            _term_text(term.left, "or"),
-            _term_text(term.right, "or-right"),
-        )
+        text = "%s | %s" % (_term_text(term.left, "or"), _term_text(term.right, "or-right"))
         paren = parent in ("and", "and-right", "not", "or-right")
         return "(%s)" % text if paren else text
     raise TypeError("cannot print term %r" % (term,))
@@ -482,36 +464,20 @@ def _quantifier_text(spec: QuantifierSpec) -> str:
         hi = "inf" if shape.hi is None else _fmt_number(shape.hi)
         return "%s[%s, %s]" % (keyword, _fmt_number(shape.lo), hi)
     if isinstance(shape, Trapezoid):
-        return "%s tz(%s)" % (
-            keyword,
-            ", ".join(_fmt_number(v) for v in shape.as_tuple()),
-        )
+        return "%s tz(%s)" % (keyword, ", ".join(_fmt_number(v) for v in shape.as_tuple()))
     if isinstance(shape, RimQuantifier):
         return "%s rim(%s)" % (keyword, _fmt_number(shape.exponent))
-    raise TypeError(
-        "quantifier shape %s has no document spelling" % type(shape).__name__
-    )
+    raise TypeError("quantifier shape %s has no document spelling" % type(shape).__name__)
 
 
-def _statement_text(stmt: Statement) -> str:
+def _terms_text(head: str, stmt) -> str:
     connector = "vs" if stmt.family in COMPARED_FAMILIES else "->"
-    return "%s %s %s %s" % (
-        _quantifier_text(stmt.quantifier),
-        _term_text(stmt.restriction),
-        connector,
-        _term_text(stmt.scope),
-    )
+    return "%s %s %s %s" % (head, _term_text(stmt.restriction), connector, _term_text(stmt.scope))
 
 
 def conclusion_text(conclusion: Conclusion) -> str:
     """Document spelling of a conclusion template, e.g. 'abs? * -> *'."""
-    connector = "vs" if conclusion.family in COMPARED_FAMILIES else "->"
-    return "%s? %s %s %s" % (
-        _FAMILY_TO_KEYWORD[conclusion.family],
-        _term_text(conclusion.restriction),
-        connector,
-        _term_text(conclusion.scope),
-    )
+    return _terms_text(_FAMILY_TO_KEYWORD[conclusion.family] + "?", conclusion)
 
 
 def print_doc(doc: SyllogismDoc) -> str:
@@ -520,7 +486,7 @@ def print_doc(doc: SyllogismDoc) -> str:
     if doc.universe_size is not None:
         lines.append("universe: %s" % _fmt_number(doc.universe_size))
     for premise in doc.premises:
-        lines.append("premise: %s" % _statement_text(premise))
+        lines.append("premise: %s" % _terms_text(_quantifier_text(premise.quantifier), premise))
     lines.append("conclude: %s" % conclusion_text(doc.conclusion))
     if doc.options:
         parts = [

@@ -66,9 +66,7 @@ COMPARATIVE_ABSOLUTE = "comparative-absolute"
 COMPARATIVE_PROPORTIONAL = "comparative-proportional"
 SIMILARITY = "similarity"
 
-LOGICAL_FAMILIES = frozenset(
-    {LOGICAL_ALL, LOGICAL_NONE, LOGICAL_SOME, LOGICAL_NOT_ALL}
-)
+LOGICAL_FAMILIES = frozenset({LOGICAL_ALL, LOGICAL_NONE, LOGICAL_SOME, LOGICAL_NOT_ALL})
 # count units: the bound talks about cardinalities
 COUNT_FAMILIES = frozenset({ABSOLUTE, EXCEPTION, COMPARATIVE_ABSOLUTE})
 # proportion units: the bound talks about a ratio of cardinalities
@@ -275,16 +273,12 @@ class QuantifierSpec:
             )
         if self.family in LOGICAL_FAMILIES:
             if self.shape is not None:
-                raise ValueError(
-                    "logical quantifier %s carries no bound shape" % self.family
-                )
+                raise ValueError("logical quantifier %s carries no bound shape" % self.family)
             return
         if self.shape is None:
             raise ValueError("quantifier %s needs a bound shape" % self.family)
         if isinstance(self.shape, RimQuantifier) and self.family not in RATIO_FAMILIES:
-            raise ValueError(
-                "RIM shapes define proportions; family %s uses counts" % self.family
-            )
+            raise ValueError("RIM shapes define proportions; family %s uses counts" % self.family)
         lo, hi = _shape_bounds(self.shape)
         check_unit(self.family, lo, hi)
 
@@ -327,9 +321,7 @@ def cut(shape: Shape, level: Real) -> Interval:
             return shape.kernel
         if shape.support.hi is None or shape.kernel.hi is None:
             raise ValueError("cannot interpolate an unbounded kernel/support pair")
-        shape = Trapezoid(
-            shape.support.lo, shape.kernel.lo, shape.kernel.hi, shape.support.hi
-        )
+        shape = Trapezoid(shape.support.lo, shape.kernel.lo, shape.kernel.hi, shape.support.hi)
     if isinstance(shape, Trapezoid):
         lo = shape.a + lam * (shape.b - shape.a)
         hi = shape.d - lam * (shape.d - shape.c)

@@ -267,16 +267,12 @@ _FLIP = {"<=": ">=", ">=": "<=", "==": "=="}
 def minimize(costs: Sequence, rows: Sequence[Row], phase1: Optional[_Phase1] = None) -> LpSolution:
     """Minimize costs.x over {x >= 0 : every row holds}; costs are rationals.
 
-    The solution's ``phase1`` is the phase-1 end state of (n, rows), which
-    the costs play no part in.  Handed back as ``phase1=`` with the same
-    rows, as maximize after minimize does to bracket a conclusion, it
-    skips normalization and phase 1; the rows are then not read again, and
-    a state of another width is refused.  Each call takes shallow copies of
-    the state's tableau and basis lists.  That is enough because no row
-    list is ever changed in place: _reduced, _eliminate and _pivot build
-    new lists and only store them into the tableau, and phase 1 builds its
-    rows from copies, so a caller changing its row lists later leaves the
-    state as it was.
+    The solution's ``phase1`` is the phase-1 end state of (n, rows).  Handed
+    back as ``phase1=`` with the same rows, it skips normalization and
+    phase 1, and the rows are not read; a state of another width is refused.
+    Each call works on shallow copies of the state's tableau and basis,
+    which is enough because _reduced, _eliminate and _pivot never change a
+    row list in place, and phase 1 builds its rows from copies.
     """
     n = len(costs)
     if phase1 is None:

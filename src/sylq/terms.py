@@ -40,23 +40,8 @@ class SizeGuardError(RuntimeError):
     """A requested computation would exceed a configured size cap."""
 
 
-class _Term:
-    """Mixin giving term expressions composable operator syntax."""
-
-    __slots__ = ()
-
-    def __and__(self, other: "TermExpr") -> "And":
-        return And(self, other)
-
-    def __or__(self, other: "TermExpr") -> "Or":
-        return Or(self, other)
-
-    def __invert__(self) -> "Not":
-        return Not(self)
-
-
 @value
-class Prop(_Term):
+class Prop:
     """Leaf naming one declared property."""
 
     name: str
@@ -66,7 +51,7 @@ class Prop(_Term):
 
 
 @value
-class Not(_Term):
+class Not:
     """Complement of a term."""
 
     arg: "TermExpr"
@@ -76,7 +61,7 @@ class Not(_Term):
 
 
 @value
-class And(_Term):
+class And:
     """Intersection of two terms."""
 
     left: "TermExpr"
@@ -88,7 +73,7 @@ class And(_Term):
 
 
 @value
-class Or(_Term):
+class Or:
     """Union of two terms."""
 
     left: "TermExpr"
@@ -100,7 +85,7 @@ class Or(_Term):
 
 
 @value
-class Universe(_Term):
+class Universe:
     """The whole referential; written ``*`` in the surface syntax."""
 
 

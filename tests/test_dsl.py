@@ -2,14 +2,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sylq import DslError, SyllogismDoc, parse
+from sylq import DslError, Syllogism, SyllogismDoc, parse
 from sylq.dsl import conclusion_text, print_doc
 from sylq.inference import MAX_LEVELS
+from sylq.quantifiers import QuantifierSpec
+from sylq.statements import Conclusion, Statement
+from sylq.terms import UNIVERSE, And, Not, Or, Prop, Universe
 from conftest import (
+    COUNT,
+    LOGICAL,
+    RATIO,
     load_fixture,
+    random_count_interval,
     random_crisp_syllogism,
     random_fuzzy_syllogism,
+    random_ratio_interval,
 )
 
 F = Fraction
@@ -59,6 +69,102 @@ def test_random_documents_round_trip():
         text = print_doc(doc)
         assert parse(text) == doc, text
         assert print_doc(parse(text)) == text
+
+
+# ------------------------------------- one walk per term after the tokenizer
+
+
+@st.composite
+def front_end_docs(draw):
+    """A document over S <= 4 properties with premises of every family and
+    terms nested with !, &, | and parentheses."""
+    names = ("p0", "p1", "p2", "p3")[: draw(st.integers(1, 4))]
+    leaves = st.sampled_from([Prop(name) for name in names] + [UNIVERSE])
+    terms = st.recursive(
+        leaves,
+        lambda sub: st.one_of(sub.map(Not), st.builds(And, sub, sub), st.builds(Or, sub, sub)),
+        max_leaves=6,
+    )
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    premises = []
+    for family in draw(st.lists(st.sampled_from(LOGICAL + COUNT + RATIO), min_size=1, max_size=3)):
+        if family in LOGICAL:
+            spec = QuantifierSpec(family)
+        elif family in COUNT:
+            spec = QuantifierSpec(family, random_count_interval(rng, family))
+        else:
+            spec = QuantifierSpec(family, random_ratio_interval(rng, family))
+        premises.append(Statement(spec, draw(terms), draw(terms)))
+    conclusion = Conclusion(draw(st.sampled_from(COUNT + RATIO)), draw(terms), draw(terms))
+    universe = draw(st.sampled_from((None, F(6))))
+    return SyllogismDoc(names, tuple(premises), conclusion, universe, {})
+
+
+def truth_mask(expr, names):
+    """The atoms inside a term, one atom at a time: bit b of atom k tells
+    whether it lies inside the b-th property."""
+    def holds(node, atom):
+        if isinstance(node, Prop):
+            return bool(atom >> names.index(node.name) & 1)
+        if isinstance(node, Universe):
+            return True
+        if isinstance(node, Not):
+            return not holds(node.arg, atom)
+        if isinstance(node, And):
+            return holds(node.left, atom) and holds(node.right, atom)
+        return holds(node.left, atom) or holds(node.right, atom)
+
+    return sum(1 << atom for atom in range(1 << len(names)) if holds(expr, atom))
+
+
+def with_leaf(expr, index, leaf):
+    """expr with its index-th leaf (left to right) replaced; also the count
+    of leaves seen."""
+    if isinstance(expr, (Prop, Universe)):
+        return (leaf if index == 0 else expr), 1
+    if isinstance(expr, Not):
+        arg, seen = with_leaf(expr.arg, index, leaf)
+        return Not(arg), seen
+    left, seen = with_leaf(expr.left, index, leaf)
+    right, more = with_leaf(expr.right, index - seen, leaf)
+    return type(expr)(left, right), seen + more
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(front_end_docs(), st.data())
+def test_one_walk_gives_term_sets_and_refuses_undeclared_names(doc, data):
+    names = doc.properties
+    syl = parse(print_doc(doc)).to_syllogism()
+    statements = (*doc.premises, doc.conclusion)
+    assert syl.term_sets == tuple(
+        (truth_mask(st.restriction, names), truth_mask(st.scope, names)) for st in statements
+    )
+
+    # one leaf of one restriction or scope becomes an undeclared name
+    at = data.draw(st.integers(0, len(statements) - 1))
+    side = data.draw(st.sampled_from(("restriction", "scope")))
+    term = getattr(statements[at], side)
+    index = data.draw(st.integers(0, with_leaf(term, -1, None)[1] - 1))
+    bad = with_leaf(term, index, Prop("zz"))[0]
+    parts = [statements[at].restriction, statements[at].scope]
+    parts[side == "scope"] = bad
+    if at < len(doc.premises):
+        premises = list(doc.premises)
+        premises[at] = Statement(statements[at].quantifier, *parts)
+        premises, conclusion, where = tuple(premises), doc.conclusion, "premise %d" % (at + 1)
+    else:
+        premises, conclusion, where = doc.premises, Conclusion(doc.conclusion.family, *parts), "conclusion"
+    line = 2 + (doc.universe_size is not None) + at
+    with pytest.raises(DslError) as err:
+        parse(print_doc(SyllogismDoc(names, premises, conclusion, doc.universe_size, {})))
+    assert (err.value.line, err.value.column) == (line, None)
+    assert str(err.value) == "line %d: undeclared property 'zz' (declared: %s)" % (
+        line,
+        ", ".join(names),
+    )
+    with pytest.raises(ValueError) as err:
+        Syllogism(names, premises, conclusion, doc.universe_size)
+    assert str(err.value) == "%s %s references undeclared property 'zz'" % (where, side)
 
 
 def test_numbers_parse_exactly():
