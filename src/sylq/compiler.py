@@ -218,8 +218,8 @@ def build_skeleton(syl: Syllogism) -> Skeleton:
     n_logical = len(rows)
     # a positivity row per ratio statement's denominator; equal ones are
     # written once here and repeated in the fixed rows
-    sets = zip(statements, syl.term_sets)
-    dens = [_measure(st.family, a, b)[1] for st, (a, b) in sets if st.family in RATIO_FAMILIES]
+    stated = zip(statements, syl.term_sets)
+    dens = [_measure(st.family, a, b)[1] for st, (a, b) in stated if st.family in RATIO_FAMILIES]
     distinct = list(dict.fromkeys(dens))
     rows.extend((_sum(den), GT, _ZERO) for den in distinct)
     if syl.universe_size is not None:

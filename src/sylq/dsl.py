@@ -88,10 +88,11 @@ _NUMERIC_KEYWORDS = ("cmpprop", "cmpabs", "prop", "abs", "exc", "sim")
 
 _RESERVED_NAMES = frozenset({"vs", "inf"})
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# a term's tokens: names, operators and parentheses; the text before any
-# other character; and what is not a name, with "" for the end of the term
+# a term's tokens are names, operators and parentheses; _TERM_TEXT matches
+# a term up to the first other character
 _TERM_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[!&|()*]")
 _TERM_TEXT = re.compile(r"(?:\s*(?:[A-Za-z_][A-Za-z0-9_]*|[!&|()*]))*\s*")
+# the tokens that are not names, with "" for the end of a term
 _SYMBOLS = frozenset(["!", "&", "|", "(", ")", "*", ""])
 _LINE_HEAD = re.compile(r"\s*(terms|universe|premise|conclude|options)\s*:")
 _VS = re.compile(r"\bvs\b")
@@ -160,10 +161,8 @@ def _parse_term(text: str, line: int, base_col: int):
 
 
 class _TermParser:
-    """Recursive-descent parser for term expressions (! over & over |).
-
-    A token's column is found again only to report an error.
-    """
+    """Recursive-descent parser for term expressions (! over & over |); a
+    token's column is found again only to report an error."""
 
     def __init__(self, text: str, line: int, base_col: int, tokens: List[str]):
         self.text = text

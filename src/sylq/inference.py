@@ -156,7 +156,7 @@ def infer(
 
     # premise bounds as exact ints, which key the reuse of a level's solve
     # and of its interval
-    solved: Dict[Tuple[Optional[IntBound], ...], tuple] = {}
+    solved: Dict[Tuple[Optional[IntBound], ...], Tuple[optimizer.SolveOutcome, object]] = {}
     cuts: List[Tuple[Fraction, Optional[Interval]]] = []
     outcomes: List[optimizer.SolveOutcome] = []
     max_feasible = Fraction(0)

@@ -153,7 +153,8 @@ def test_one_walk_gives_term_sets_and_refuses_undeclared_names(doc, data):
         premises[at] = Statement(statements[at].quantifier, *parts)
         premises, conclusion, where = tuple(premises), doc.conclusion, "premise %d" % (at + 1)
     else:
-        premises, conclusion, where = doc.premises, Conclusion(doc.conclusion.family, *parts), "conclusion"
+        premises, where = doc.premises, "conclusion"
+        conclusion = Conclusion(doc.conclusion.family, *parts)
     line = 2 + (doc.universe_size is not None) + at
     with pytest.raises(DslError) as err:
         parse(print_doc(SyllogismDoc(names, premises, conclusion, doc.universe_size, {})))
