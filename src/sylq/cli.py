@@ -16,12 +16,11 @@ upper end renders as ``null`` in JSON and an empty CSV cell.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _json_str
+from types import SimpleNamespace
 from typing import List, Optional, Sequence
 
 from . import optimizer
@@ -49,35 +48,47 @@ def _digits(text: str) -> bool:
     return text.isascii() and text.isdecimal()
 
 
+# argparse (with gettext, about 3 ms) and json (about 3 ms) are imported where
+# first needed: a plain argv needs no argparse, and only --format json needs json
+
+
 def _cap(text: str) -> int:
-    if not _digits(text):
-        raise argparse.ArgumentTypeError("cap must be a nonnegative integer, got %r" % text)
-    return int(text)
+    return _whole(text, "cap must be a nonnegative integer, got %r")
 
 
 def _levels(text: str) -> int:
+    return _whole(text, "levels must be an integer >= 2 and <= %d, got %%r" % MAX_LEVELS)
+
+
+def _whole(text: str, message: str) -> int:
+    """The int that argparse reads for _cap and _levels."""
     if not _digits(text):
-        raise argparse.ArgumentTypeError(
-            "levels must be an integer >= 2 and <= %d, got %r" % (MAX_LEVELS, text)
-        )
+        import argparse
+
+        raise argparse.ArgumentTypeError(message % text)
     return int(text)
 
 
 _FORMATS = ("text", "json", "csv")
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message: str):
-        # a usage error is an input error: main() reports it with exit code 1
-        # (argparse would exit with 2, which means infeasible premises here)
-        raise ValueError(message)
+def _parser(**kwargs):
+    """An argparse parser whose usage errors raise ValueError: main() reports
+    them with exit code 1 (argparse's 2 means infeasible premises here)."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str):
+            raise ValueError(message)
+
+    return Parser(**kwargs)
 
 
 # each parser is built on the first call that needs it, then reused: parsing
 # keeps nothing in the parser, and importing the module stays cheap
 @functools.cache
-def _run_parser() -> argparse.ArgumentParser:
-    p = _ArgumentParser(
+def _run_parser():
+    p = _parser(
         prog="sylq",
         description="Interval bounds for syllogisms with generalized quantifiers.",
     )
@@ -105,11 +116,12 @@ def _run_parser() -> argparse.ArgumentParser:
     return p
 
 
-# the value check of each option of a plain call (see _plain_args)
-_PLAIN = {"--mode": MODES, "--levels": _levels, "--format": _FORMATS, "--verify": _cap}
+# the values each option of a plain call takes (see _plain_args); int stands
+# for what _levels and _cap accept
+_PLAIN = {"--mode": MODES, "--levels": int, "--format": _FORMATS, "--verify": int}
 
 
-def _plain_args(argv: List[str]) -> Optional[argparse.Namespace]:
+def _plain_args(argv: List[str]) -> Optional[SimpleNamespace]:
     """What _run_parser() reads from a plain argv: FILE ("-" or not an
     option), then distinct options of _PLAIN in full, each with a value it
     accepts.  argparse takes about 0.1 ms for one with cold caches, a tenth
@@ -119,23 +131,23 @@ def _plain_args(argv: List[str]) -> Optional[argparse.Namespace]:
     flags = argv[1::2]
     if len(set(flags)) < len(flags):
         return None
-    args = argparse.Namespace(file=argv[0], mode=None, levels=None, format="text", verify=None)
+    args = SimpleNamespace(file=argv[0], mode=None, levels=None, format="text", verify=None)
     for flag, text in zip(flags, argv[2::2]):
         check = _PLAIN.get(flag, ())
-        if callable(check):
+        if check is int and _digits(text):
             try:
-                text = check(text)
-            except (argparse.ArgumentTypeError, ValueError):
+                text = int(text)
+            except ValueError:  # past int()'s digit limit
                 return None
-        elif text not in check:
+        elif check is int or text not in check:
             return None
         setattr(args, flag[2:], text)
     return args
 
 
 @functools.cache
-def _verify_parser() -> argparse.ArgumentParser:
-    p = _ArgumentParser(
+def _verify_parser():
+    p = _parser(
         prog="sylq verify",
         description="Cross-check engine bounds against brute-force enumeration.",
     )
@@ -181,21 +193,26 @@ def _level_rows(result: InferenceResult) -> List[tuple]:
     ]
 
 
-def _json_text(value, indent: str = "") -> str:
-    """json.dumps(value, indent=2) for a payload of dicts, lists, strings,
+def _json_text(payload) -> str:
+    """json.dumps(payload, indent=2) for a payload of dicts, lists, strings,
     ints, finite floats (as _num makes them), booleans and None, built
     directly: the standard encoder runs generators when it indents."""
-    inner = indent + "  "
-    if value and isinstance(value, dict):
-        items = [inner + _json_str(k) + ": " + _json_text(v, inner) for k, v in value.items()]
-        return "{\n%s\n%s}" % (",\n".join(items), indent)
-    if value and isinstance(value, list):
-        return "[\n%s\n%s]" % (",\n".join([inner + _json_text(v, inner) for v in value]), indent)
-    if isinstance(value, str):
-        return _json_str(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    return repr(value)  # an int, a float, or an empty dict or list
+    from json.encoder import encode_basestring_ascii as quote
+
+    def text(value, indent: str) -> str:
+        inner = indent + "  "
+        if value and isinstance(value, dict):
+            items = [inner + quote(k) + ": " + text(v, inner) for k, v in value.items()]
+            return "{\n%s\n%s}" % (",\n".join(items), indent)
+        if value and isinstance(value, list):
+            return "[\n%s\n%s]" % (",\n".join([inner + text(v, inner) for v in value]), indent)
+        if isinstance(value, str):
+            return quote(value)
+        if value is None or value is True or value is False:
+            return "null" if value is None else "true" if value else "false"
+        return repr(value)  # an int, a float, or an empty dict or list
+
+    return text(payload, "")
 
 
 def _json_interval(iv) -> Optional[dict]:

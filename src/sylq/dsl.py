@@ -84,7 +84,6 @@ _KEYWORD_TO_FAMILY = {
 }
 _FAMILY_TO_KEYWORD = {v: k for k, v in _KEYWORD_TO_FAMILY.items()}
 _LOGICAL_KEYWORDS = ("all", "none", "some", "not-all")
-_NUMERIC_KEYWORDS = ("cmpprop", "cmpabs", "prop", "abs", "exc", "sim")
 
 _RESERVED_NAMES = frozenset({"vs", "inf"})
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -171,11 +170,6 @@ class _TermParser:
         self.tokens = tokens
         self.at = 0
 
-    def _take(self) -> str:
-        tok = self.tokens[self.at]
-        self.at += 1
-        return tok
-
     def _fail(self, message: str, at: int) -> None:
         """Report an error at the token with index at."""
         starts = [m.start() for m in _TERM_TOKEN.finditer(self.text)] + [len(self.text)]
@@ -215,7 +209,8 @@ class _TermParser:
 
     def _unary(self, depth: int):
         at = self.at
-        tok = self._take()
+        tok = self.tokens[at]
+        self.at += 1
         if tok not in _SYMBOLS:
             return Prop(tok), 0
         if tok == "*":
@@ -225,8 +220,9 @@ class _TermParser:
             return Not(arg), self._level(height + 1, at)
         if tok == "(":
             expr, height = self._or(self._level(depth + 1, at))
-            if self._take() != ")":
-                self._fail("expected ')'", self.at - 1)
+            if self.tokens[self.at] != ")":
+                self._fail("expected ')'", self.at)
+            self.at += 1
             return expr, self._level(height + 1, at)
         self._fail("expected a term, got %r" % (tok or "end of line"), at)
 
@@ -277,24 +273,16 @@ def _split_terms(
         if vs is None:
             raise DslError("%s compares two terms; connect them with 'vs'" % keyword, line)
         if arrow != -1 and arrow < vs.start():
-            raise DslError(
-                "%s compares two terms; connect them with 'vs', not '->'"
-                % keyword,
-                line,
-                col0 + arrow + 1,
-            )
+            message = "%s compares two terms; connect them with 'vs', not '->'" % keyword
+            raise DslError(message, line, col0 + arrow + 1)
         left, right = rest[: vs.start()], rest[vs.end():]
         right_col = col0 + vs.end()
     else:
         if arrow == -1:
             raise DslError("expected '->' between restriction and scope", line)
         if vs is not None and vs.start() < arrow:
-            raise DslError(
-                "%s restricts a scope; connect the terms with '->', not 'vs'"
-                % keyword,
-                line,
-                col0 + vs.start() + 1,
-            )
+            message = "%s restricts a scope; connect the terms with '->', not 'vs'" % keyword
+            raise DslError(message, line, col0 + vs.start() + 1)
         left, right = rest[:arrow], rest[arrow + 2:]
         right_col = col0 + arrow + 2
     restriction, left = _parse_term(left, line, col0)
@@ -348,12 +336,8 @@ def parse(text: str) -> SyllogismDoc:
             continue
         m = _LINE_HEAD.match(line)
         if not m:
-            raise DslError(
-                "expected 'terms:', 'universe:', 'premise:', 'conclude:' or "
-                "'options:'",
-                line_no,
-                1,
-            )
+            message = "expected 'terms:', 'universe:', 'premise:', 'conclude:' or 'options:'"
+            raise DslError(message, line_no, 1)
         head, col0 = m.group(1), m.end()
         body = line[col0:]
 

@@ -74,8 +74,7 @@ class PivotLimitError(RuntimeError):
 
 @value(frozen=False)
 class LpSolution:
-    """A solve's answer; minimize also sets ``phase1``, the system's
-    phase-1 end state, which is not a field."""
+    """A solve's answer; minimize also sets ``phase1`` (not a field) on it."""
 
     status: str  # optimal | unbounded | infeasible
     value: Optional[Fraction] = None

@@ -574,12 +574,15 @@ def test_closed_stdout_exits_with_code_1_without_traceback():
 
 def test_importing_the_cli_does_not_load_numpy():
     # only `sylq verify` enumerates populations, so only it may pay for numpy;
-    # the value classes are built without dataclasses, which loads inspect
+    # the value classes are built without dataclasses, which loads inspect;
+    # argparse reads only argv that are not plain, json renders only JSON
     code = (
         "import sys, sylq.cli\n"
         "assert 'numpy' not in sys.modules, 'import sylq.cli loaded numpy'\n"
         "assert 'dataclasses' not in sys.modules, 'import sylq.cli loaded dataclasses'\n"
         "assert 'inspect' not in sys.modules, 'import sylq.cli loaded inspect'\n"
+        "assert 'argparse' not in sys.modules, 'import sylq.cli loaded argparse'\n"
+        "assert 'json' not in sys.modules, 'import sylq.cli loaded json'\n"
         "import sylq\n"
         "assert callable(sylq.enumerate_range)\n"
         "assert 'numpy' in sys.modules\n"
