@@ -19,8 +19,8 @@ instead:
   one is unhashable.
 
 A frozen class's own ``__init__`` or ``__post_init__`` sets fields with
-``object.__setattr__``.  Instances keep a ``__dict__``, so
-``functools.cached_property`` works on frozen classes too.
+``object.__setattr__`` or straight into the instance ``__dict__``, which
+also lets ``functools.cached_property`` work on frozen classes.
 """
 
 from __future__ import annotations

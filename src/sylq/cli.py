@@ -167,15 +167,35 @@ def _read_text(path: str) -> str:
     return text[1:] if text.startswith("\ufeff") else text
 
 
+class _Digits(float):
+    """A value past the float range (inf or 0 as a float) whose repr, which
+    every format prints, is its 12 significant digits."""
+
+    def __repr__(self) -> str:
+        return self.digits
+
+
 def _num(value) -> Optional[object]:
-    """JSON-ready number: exact int when integral, else 12-significant float."""
+    """JSON-ready number: exact int when integral, else 12 significant
+    digits, as a float or, past the float range, as _Digits."""
     if value is None:
         return None
     f = as_fraction(value)
     num, den = f.numerator, f.denominator
     if den == 1:
         return num
-    return float("%.12g" % (num / den))
+    try:
+        short = float("%.12g" % (num / den))
+        if short:  # num is not 0, so 0.0 is an underflow
+            return short
+    except OverflowError:
+        pass
+    from decimal import MAX_EMAX, MIN_EMIN, Context
+
+    text = format(Context(prec=12, Emax=MAX_EMAX, Emin=MIN_EMIN).divide(num, den), ".12g")
+    digits = _Digits(text)
+    digits.digits = text
+    return digits
 
 
 def _num_text(value) -> str:

@@ -161,8 +161,7 @@ def infer(
     outcomes: List[optimizer.SolveOutcome] = []
     max_feasible = Fraction(0)
     premise_cuts = [grid_cuts(p.quantifier.shape, n) for p in syl.premises]
-    for lam, *bounds in zip(grid, *premise_cuts):
-        bounds = tuple(bounds)
+    for lam, bounds in zip(grid, zip(*premise_cuts)):
         reading = solved.get(bounds)
         if reading is None:
             outcome = optimizer.solve(compile_syllogism(syl, bounds))

@@ -8,11 +8,12 @@ homogeneous or carries the scaling variable, the substitution is exact, not
 approximate.
 
 solve() takes one compiled reading: integer rows and costs over atom
-classes.  It drops constant rows and rows implied by x >= 0, gives no
-column to a class that no kept row or cost touches, then minimizes and
-maximizes the conclusion objective.  The rows no premise bound changes are
-read once per syllogism (fixed_rows, kept on the skeleton), so a level
-pays only for its premise rows.
+classes.  It drops constant rows and rows implied by x >= 0 (kept_rows),
+gives no column to a class that no kept row or cost touches, then
+minimizes and maximizes the conclusion objective.  The rows no premise
+bound changes are read once per syllogism (fixed_rows, kept on the
+skeleton), and the compiler decides each premise row from its measure's
+few distinct values, so a level pays only for its premise rows.
 
 Reporting convention: a measure with a nonnegative objective that is
 unbounded above is reported with lo = 0 (the bracket conveys no lower
@@ -39,6 +40,7 @@ __all__ = [
     "UNBOUNDED_BELOW",
     "SolveOutcome",
     "fixed_rows",
+    "kept_rows",
     "rewrite_strict",
     "solve",
 ]
@@ -81,19 +83,9 @@ class SolveOutcome:
     attained_lo: Optional[Fraction] = None
     pivots: int = 0
 
-    def __init__(
-        self,
-        status: str,
-        lo: Optional[Fraction],
-        hi: Optional[Fraction],
-        attained_lo: Optional[Fraction] = None,
-        pivots: int = 0,
-    ) -> None:
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "attained_lo", attained_lo)
-        object.__setattr__(self, "pivots", pivots)
+    def __init__(self, status: str, lo, hi, attained_lo=None, pivots: int = 0) -> None:
+        # the frozen fields, written past __setattr__ (one outcome per solve)
+        self.__dict__.update(status=status, lo=lo, hi=hi, attained_lo=attained_lo, pivots=pivots)
 
 
 def rewrite_strict(
@@ -158,12 +150,13 @@ def _bracket(costs: Sequence[int], rows: List[simplex.Row], sign_definite: bool)
     return SolveOutcome(BOUNDED, lo, hi, pivots=pivots)
 
 
-def _keep(rows: Sequence[ClassRow]) -> Optional[List[ClassRow]]:
+def kept_rows(rows: Sequence[ClassRow], values: Sequence) -> Optional[List[ClassRow]]:
     """rows without constant rows and rows implied by x >= 0, which only add
-    simplex columns; None when a constant row is false."""
+    simplex columns; None when a constant row is false.  values[i] are the
+    coefficients of rows[i], or just their distinct values."""
     kept = []
-    for row in rows:
-        coeffs, rhs, _, rel = row
+    for row, coeffs in zip(rows, values):
+        _, rhs, _, rel = row
         if not any(coeffs):
             if not _ORDER[rel](0, rhs):
                 return None
@@ -192,7 +185,7 @@ def fixed_rows(rows: Sequence[ClassRow], costs: Sequence[int]) -> Optional[tuple
     reading, (its live columns or None for all, costs, kept rows as the
     simplex takes them).
     """
-    kept = _keep(rows)
+    kept = kept_rows(rows, [coeffs for coeffs, _, _, _ in rows])
     if kept is None:
         return None
     columns = zip(costs, *(coeffs for coeffs, _, _, _ in kept))
@@ -207,11 +200,11 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     columns stay equal under pivoting and the simplex breaks every tie by
     smallest index, so it makes the same choices on the classes as on the
     atoms; a zero column never enters, so it gets no column at all.  The
-    skeleton's fixed rows are read once per syllogism (fixed_rows); only the
-    premise rows are filtered here.
+    skeleton's fixed rows are read once per syllogism (fixed_rows), and the
+    compiler has already decided which premise rows are kept (kept_rows).
     """
     fixed = system.skeleton.solver_fixed
-    kept = _keep(system.rows)
+    kept = system.kept
     if fixed is None or kept is None:
         return SolveOutcome(INFEASIBLE, None, None)
     fixed_kept, fixed_dead, sign_definite, memo = fixed

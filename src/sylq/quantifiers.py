@@ -105,6 +105,11 @@ def as_fraction(value: Real) -> Fraction:
     raise TypeError("cannot interpret %r as a number" % (value,))
 
 
+def _below(a: Fraction, b: Fraction) -> bool:
+    """a < b in ints, past the Fraction comparison's abstract type check."""
+    return a.numerator * b.denominator < b.numerator * a.denominator
+
+
 def _fmt(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
@@ -127,22 +132,21 @@ class Interval:
         lo = as_fraction(lo)
         if hi is not None:
             hi = as_fraction(hi)
-            if lo > hi:
+            if _below(hi, lo):
                 raise ValueError(
                     "interval lower bound %s exceeds upper bound %s" % (_fmt(lo), _fmt(hi))
                 )
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        self.__dict__.update(lo=lo, hi=hi)
 
     def subset_of(self, other: "Interval") -> bool:
         """True when every point of this interval lies in ``other``."""
-        if self.lo < other.lo:
+        if _below(self.lo, other.lo):
             return False
         if other.hi is None:
             return True
         if self.hi is None:
             return False
-        return self.hi <= other.hi
+        return not _below(other.hi, self.hi)
 
     def __str__(self) -> str:
         if self.hi is None:
@@ -160,11 +164,9 @@ class Trapezoid:
     d: Fraction
 
     def __init__(self, a: Real, b: Real, c: Real, d: Real) -> None:
-        object.__setattr__(self, "a", as_fraction(a))
-        object.__setattr__(self, "b", as_fraction(b))
-        object.__setattr__(self, "c", as_fraction(c))
-        object.__setattr__(self, "d", as_fraction(d))
-        if not (self.a <= self.b <= self.c <= self.d):
+        a, b, c, d = as_fraction(a), as_fraction(b), as_fraction(c), as_fraction(d)
+        self.__dict__.update(a=a, b=b, c=c, d=d)
+        if _below(b, a) or _below(c, b) or _below(d, c):
             raise ValueError(
                 "trapezoid parameters must be ordered a <= b <= c <= d, got "
                 "[%s, %s, %s, %s]"
@@ -369,7 +371,12 @@ def grid_cuts(shape: Shape, n: int) -> Iterator[Optional[IntBound]]:
     if shape is None or isinstance(shape, Interval):
         return repeat(None if shape is None else bound_ints(shape), n)
     if isinstance(shape, RimQuantifier):
-        los = (_rim_cut_lo(shape.exponent, Fraction(i, n - 1)) for i in range(n))
+        inv, m = 1 / shape.exponent, n - 1
+        if inv.denominator == 1 and inv.numerator <= _RIM_EXACT_POWER:
+            # _rim_cut_lo's exact power of i/m, in ints: (i/g) ** k / (m/g) ** k
+            k, ends = inv.numerator, ((i, gcd(i, m)) for i in range(n))
+            return (((i // g) ** k, (m // g) ** k, 1, 1) for i, g in ends)
+        los = (_rim_cut_lo(shape.exponent, Fraction(i, m)) for i in range(n))
         return ((lo.numerator, lo.denominator, 1, 1) for lo in los)
     if isinstance(shape, KernelSupportPair):
         support, kernel = shape.support, shape.kernel
@@ -394,17 +401,14 @@ def fit_trapezoid(cuts: Sequence[tuple]) -> Trapezoid:
     """
     if not cuts:
         raise ValueError("need at least one cut to fit")
-    levels = []
-    intervals = []
-    for level, interval in cuts:
-        levels.append(as_fraction(level))
-        intervals.append(interval)
+    levels = [as_fraction(level) for level, _ in cuts]
+    intervals = [interval for _, interval in cuts]
     if levels[0] != 0:
         raise ValueError("cut collection must start at level 0")
     for i in range(1, len(levels)):
-        if levels[i] <= levels[i - 1]:
+        if not _below(levels[i - 1], levels[i]):
             raise ValueError("cut levels must be strictly increasing")
-        if levels[i] > 1:
+        if levels[i].numerator > levels[i].denominator:
             raise ValueError("cut levels must not exceed 1")
     for iv in intervals:
         if iv.hi is None:

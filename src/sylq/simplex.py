@@ -37,19 +37,18 @@ rule would have brought an artificial back in.
 
 Phase 1 never reads the costs: its end state depends only on the variable
 count n and the normalized rows.  minimize returns that state with its
-solution, and takes it back for the same rows, so maximize(c, rows,
-phase1=...) after minimize(c, rows), which is how a conclusion is
-bracketed, normalizes and runs phase 1 once and phase 2 twice.  Nothing is
-kept between calls.  Each solution's pivots still count the whole path
-from the slack/artificial start basis, phase 1 included, so both solutions
-of one system count it.
+solution and takes it back for the same rows, so a bracket (minimize, then
+maximize with phase1=) normalizes and runs phase 1 once, sets up the
+phase-2 objective once and runs phase 2 twice.  Each solution's pivots
+still count the whole path from the slack/artificial start basis, phase 1
+included, so both solutions of one system count it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._value import value
 
@@ -67,9 +66,27 @@ _MAX_PIVOTS = 50_000
 # longer than this; any bound from 45 to 90 bits runs about as fast
 _REDUCE_BITS = 60
 
+_ZERO = Fraction(0)
+
 
 class PivotLimitError(RuntimeError):
     """The simplex ran past its pivot cap without terminating."""
+
+
+class _Point:
+    """LpSolution.point: None on the class, the field's default.  minimize
+    leaves an optimal point in its final tableau, read off on first use."""
+
+    def __get__(self, sol, owner=None) -> Optional[List[Fraction]]:
+        point = None
+        if sol is not None and "_final" in sol.__dict__:
+            tableau, basis, n = sol.__dict__.pop("_final")
+            point = [_ZERO] * n
+            for (nums, den), b in zip(tableau, basis):
+                if b < n:
+                    point[b] = Fraction(nums[-1], den)
+            sol.point = point
+        return point
 
 
 @value(frozen=False)
@@ -78,19 +95,14 @@ class LpSolution:
 
     status: str  # optimal | unbounded | infeasible
     value: Optional[Fraction] = None
-    point: Optional[List[Fraction]] = None
+    point: Optional[List[Fraction]] = _Point()
     pivots: int = 0
 
-    def __init__(
-        self,
-        status: str,
-        value: Optional[Fraction] = None,
-        point: Optional[List[Fraction]] = None,
-        pivots: int = 0,
-    ) -> None:
+    def __init__(self, status: str, value=None, point=None, pivots: int = 0) -> None:
         self.status = status
         self.value = value
-        self.point = point
+        if point is not None:
+            self.point = point
         self.pivots = pivots
 
 
@@ -102,8 +114,9 @@ IntRow = Tuple[List[int], int]
 Row = Tuple[List[int], int, str]
 
 # phase 1's end state for one system: tableau (None if infeasible), basis,
-# pivots, columns, and the variable count n
-_Phase1 = Tuple[Optional[List[IntRow]], List[int], int, int, int]
+# pivots, columns, the reduced-cost rows set up at that basis by costs, and
+# the variable count n
+_Phase1 = Tuple[Optional[List[IntRow]], List[int], int, int, Dict[tuple, IntRow], int]
 
 
 def _reduced(nums: List[int], den: int) -> IntRow:
@@ -118,10 +131,6 @@ def _int_row(values: Sequence) -> IntRow:
     fracs = [Fraction(v) for v in values]
     den = lcm(*(v.denominator for v in fracs))
     return _reduced([v.numerator * (den // v.denominator) for v in fracs], den)
-
-
-def _support(nums: List[int]) -> List[int]:
-    return [j for j, v in enumerate(nums) if v]
 
 
 def _eliminate(row: IntRow, col: int, prow: IntRow, support: List[int]) -> IntRow:
@@ -155,7 +164,7 @@ def _pivot(tableau: List[IntRow], basis: List[int], row: int, col: int) -> List[
     if piv < 0:
         nums, piv = [-v for v in nums], -piv
     prow = tableau[row] = _reduced(nums, piv)
-    support = _support(prow[0])
+    support = [j for j, v in enumerate(prow[0]) if v]
     for i, other in enumerate(tableau):
         if i != row and other[0][col]:
             tableau[i] = _eliminate(other, col, prow, support)
@@ -177,7 +186,7 @@ def _iterate(
         if pivots >= _DANTZIG_BUDGET:
             col = next((j for j in range(ncols) if reduced[j] < 0), -1)
         else:
-            best = min(reduced[:ncols], default=0)
+            best = min(reduced[:ncols]) if ncols else 0
             col = reduced.index(best) if best < 0 else -1
         if col < 0:
             return OPTIMAL, pivots, obj
@@ -204,47 +213,58 @@ def _iterate(
             raise PivotLimitError("simplex did not terminate within the pivot cap")
 
 
-def _phase1(n: int, norm: List[Row]) -> _Phase1:
-    """Phase 1 over normalized rows (rhs >= 0, lowest terms).
+def _phase1(n: int, rows: Sequence[Row]) -> _Phase1:
+    """Phase 1 over the rows, each normalized to lowest terms and rhs >= 0.
 
     Returns the feasible tableau, its basis (artificials as indices past
-    the stored columns), the pivots taken, the column count and n; the
-    tableau is None when the rows are infeasible.  The costs play no part,
-    so the result depends only on (n, norm).  No row of norm is changed or
-    kept.
+    the stored columns), the pivots taken, the column count, an empty
+    table for the reduced-cost rows that minimize sets up at this basis,
+    and n; the tableau is None when the rows are infeasible.  The costs
+    play no part, so the result depends only on n and the rows' values.  No
+    row of the caller's is changed or kept.
     """
-    art_start = n + sum(1 for *_, rel in norm if rel != "==")
+    slacks = [0] * sum(1 for *_, rel in rows if rel != "==")
+    art_start = n + len(slacks)
     tableau: List[IntRow] = []
     basis: List[int] = []
+    art_rows: List[IntRow] = []
     slack_at = n
     art_at = art_start
-    for nums, den, rel in norm:
-        row = [*nums[:-1], *[0] * (art_start - n), nums[-1]]
+    for nums, den, rel in rows:
+        if len(nums) != n + 1:
+            raise ValueError("row length does not match variable count")
+        if rel not in _FLIP:
+            raise ValueError("relation must be <=, >= or == (rewrite strict first)")
+        if den <= 0:
+            raise ValueError("row denominator must be positive")
+        g = gcd(den, *nums)
+        if nums[-1] < 0:
+            g, rel = -g, _FLIP[rel]
+        if g != 1:
+            nums, den = [v // g for v in nums], den // abs(g)
+        row = [*nums[:n], *slacks, nums[n]], den
         if rel != "==":
-            row[slack_at] = den if rel == "<=" else -den
+            row[0][slack_at] = den if rel == "<=" else -den
             slack_at += 1
         if rel == "<=":
             basis.append(slack_at - 1)
         else:
             basis.append(art_at)
             art_at += 1
-        tableau.append((row, den))
-    if art_at == art_start:
-        return tableau, basis, 0, art_start, n
+            art_rows.append(row)
+        tableau.append(row)
+    if not art_rows:
+        return tableau, basis, 0, art_start, {}, n
 
     # drive artificial variables to zero: the reduced costs of their sum are
     # minus the sum of their basic rows, over the lcm of those denominators
-    art_rows = [tableau[i] for i, b in enumerate(basis) if b >= art_start]
     oden = lcm(*(den for _, den in art_rows))
-    onums = [0] * (art_start + 1)
-    for nums, den in art_rows:
-        m = oden // den
-        for j in _support(nums):
-            onums[j] -= m * nums[j]
-    status, pivots, obj = _iterate(tableau, basis, _reduced(onums, oden), art_start, 0)
+    scaled = [nums if den == oden else [oden // den * v for v in nums] for nums, den in art_rows]
+    obj = _reduced([-sum(column) for column in zip(*scaled)], oden)
+    status, pivots, obj = _iterate(tableau, basis, obj, art_start, 0)
     assert status == OPTIMAL  # phase 1 objective is bounded below by 0
     if obj[0][-1] < 0:
-        return None, basis, pivots, art_start, n
+        return None, basis, pivots, art_start, {}, n
     # pivot lingering artificials out of the basis, dropping empty rows
     for i in reversed(range(len(basis))):
         if basis[i] < art_start:
@@ -257,7 +277,7 @@ def _phase1(n: int, norm: List[Row]) -> _Phase1:
         else:
             _pivot(tableau, basis, i, entry)
             pivots += 1
-    return tableau, basis, pivots, art_start, n
+    return tableau, basis, pivots, art_start, {}, n
 
 
 _FLIP = {"<=": ">=", ">=": "<=", "==": "=="}
@@ -271,50 +291,41 @@ def minimize(costs: Sequence, rows: Sequence[Row], phase1: Optional[_Phase1] = N
     phase 1, and the rows are not read; a state of another width is refused.
     Each call works on shallow copies of the state's tableau and basis,
     which is enough because _reduced, _eliminate and _pivot never change a
-    row list in place, and phase 1 builds its rows from copies.
+    row list in place, and phase 1 builds its rows from copies.  The state
+    also keeps the reduced-cost rows set up at its basis, by costs; they are
+    linear in the costs, so the row for -c is the negated row for c.
     """
     n = len(costs)
     if phase1 is None:
-        # normalize rows to lowest terms and nonnegative rhs
-        norm: List[Row] = []
-        for nums, den, rel in rows:
-            if len(nums) != n + 1:
-                raise ValueError("row length does not match variable count")
-            if rel not in _FLIP:
-                raise ValueError("relation must be <=, >= or == (rewrite strict first)")
-            if den <= 0:
-                raise ValueError("row denominator must be positive")
-            nums, den = _reduced(nums, den)
-            if nums[-1] < 0:
-                nums, rel = [-v for v in nums], _FLIP[rel]
-            norm.append((nums, den, rel))
-        phase1 = _phase1(n, norm)
+        phase1 = _phase1(n, rows)
     elif phase1[-1] != n:
         raise ValueError("phase-1 state is for %d variables, not %d" % (phase1[-1], n))
-    tableau, basis, pivots, ncols, _ = phase1
+    tableau, basis, pivots, ncols, objectives, _ = phase1
     if tableau is None:
         sol = LpSolution(INFEASIBLE, pivots=pivots)
         sol.phase1 = phase1
         return sol
-    tableau, basis = list(tableau), list(basis)
 
     # phase 2: reduced costs c - sum of c_b * (basic row b)
-    obj = [*costs, *[0] * (ncols - n), 0]
-    obj = (obj, 1) if all(type(c) is int for c in costs) else _int_row(obj)
-    for i, b in enumerate(basis):
-        if obj[0][b]:
-            obj = _eliminate(obj, b, tableau[i], _support(tableau[i][0]))
+    key = tuple(costs)
+    obj = objectives.get(key)
+    if obj is None:
+        obj = [*costs, *[0] * (ncols - n), 0]
+        obj = (obj, 1) if all(type(c) is int for c in costs) else _int_row(obj)
+        for row, b in zip(tableau, basis):
+            if obj[0][b]:
+                obj = _eliminate(obj, b, row, [j for j, v in enumerate(row[0]) if v])
+        objectives[key] = obj
+        objectives[tuple([-c for c in costs])] = [-v for v in obj[0]], obj[1]
+    tableau, basis = list(tableau), list(basis)
     status, pivots, obj = _iterate(tableau, basis, obj, ncols, pivots)
     if status == UNBOUNDED:
         sol = LpSolution(UNBOUNDED, pivots=pivots)
     else:
-        point = [Fraction(0)] * n
-        for (nums, den), b in zip(tableau, basis):
-            if b < n:
-                point[b] = Fraction(nums[-1], den)
         # the reduced-cost row's rhs entry is -c.x
         onums, oden = obj
-        sol = LpSolution(OPTIMAL, value=Fraction(-onums[-1], oden), point=point, pivots=pivots)
+        sol = LpSolution(OPTIMAL, Fraction(-onums[-1], oden), pivots=pivots)
+        sol._final = tableau, basis, n
     sol.phase1 = phase1
     return sol
 

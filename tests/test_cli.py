@@ -181,6 +181,25 @@ def test_crisp_bounds_render_exactly_in_every_format(capsys):
     assert out.splitlines()[1:] == ["0,3,%d" % HUGE, "1,3,%d" % HUGE]
 
 
+# non-integral answers past the float range: 10**400 / 3 and 1 / 10**400
+PAST_FLOAT_DOCS = [
+    ("terms: a, b\npremise: abs[0, %s] a -> b\nconclude: abs? a -> b\n" % bound, digits)
+    for bound, digits in (("1%s/3" % ("0" * 400), "3.33333333333e+399"), ("1/1" + "0" * 400, "1e-400"))
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("doc, digits", PAST_FLOAT_DOCS, ids=["huge", "tiny"])
+def test_answers_past_the_float_range_print_12_digits(capsys, fmt, doc, digits):
+    sys.stdin = io.StringIO(doc)
+    code, out, err = run_cli(capsys, ["-", "--format", fmt])
+    assert (code, err) == (0, "")
+    # crisp text prints hi once; CSV once per level; JSON adds the top-level hi
+    assert out.count(digits) == {"text": 1, "csv": 2, "json": 3}[fmt]
+    if fmt == "json":
+        assert json.loads(out)["hi"] == float(digits)
+
+
 def test_reads_stdin_when_file_is_dash(capsys):
     sys.stdin = io.StringIO((FIXTURE_DIR / "pets_at_home.syl").read_text())
     code, out, _ = run_cli(capsys, ["-"])

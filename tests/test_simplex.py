@@ -267,15 +267,21 @@ def test_minimize_matches_vertex_enumeration_reducing_every_row(lp):
 def _check_against_vertices(lp):
     costs, rows = lp
     expected = _brute_minimum(costs, rows)
-    sol = minimize(costs, rows)
+    solver_rows = int_rows(rows)
+    lo = simplex.minimize(costs, solver_rows)
+    # the maximize half starts from the minimize half's phase-1 state, as a
+    # bracket does, so it also sets up its objective by negation
+    hi = simplex.maximize(costs, solver_rows, phase1=lo.phase1)
     if expected is None:
-        assert sol.status == INFEASIBLE
+        assert lo.status == hi.status == INFEASIBLE
         return
-    assert sol.status == OPTIMAL
-    assert sol.value == expected
-    assert all(v >= 0 for v in sol.point)
-    assert all(_holds(sum(c * v for c, v in zip(a, sol.point)), rel, b) for a, rel, b in rows)
-    assert sum(c * v for c, v in zip(costs, sol.point)) == expected
+    highest = -_brute_minimum([-c for c in costs], rows)
+    for sol, value in ((lo, expected), (hi, highest)):
+        assert sol.status == OPTIMAL
+        assert sol.value == value
+        assert all(v >= 0 for v in sol.point)
+        assert all(_holds(sum(c * v for c, v in zip(a, sol.point)), rel, b) for a, rel, b in rows)
+        assert sum(c * v for c, v in zip(costs, sol.point)) == value
 
 
 # large coprime denominators, so that rows pass the default bound too
