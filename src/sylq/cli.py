@@ -186,14 +186,15 @@ def _num(value) -> Optional[object]:
         return num
     try:
         short = float("%.12g" % (num / den))
-        if short:  # num is not 0, so 0.0 is an underflow
-            return short
     except OverflowError:
-        pass
+        short = 0.0
+    if short:  # num is not 0, so 0.0 is past the float range
+        return short
     from decimal import MAX_EMAX, MIN_EMIN, Context
 
-    text = format(Context(prec=12, Emax=MAX_EMAX, Emin=MIN_EMIN).divide(num, den), ".12g")
-    digits = _Digits(text)
+    # normalized, so trailing zeros go as they do from "%.12g"
+    context = Context(prec=12, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    digits = _Digits(text := format(context.divide(num, den).normalize(context), ".12g"))
     digits.digits = text
     return digits
 
@@ -215,8 +216,8 @@ def _level_rows(result: InferenceResult) -> List[tuple]:
 
 def _json_text(payload) -> str:
     """json.dumps(payload, indent=2) for a payload of dicts, lists, strings,
-    ints, finite floats (as _num makes them), booleans and None, built
-    directly: the standard encoder runs generators when it indents."""
+    ints, floats as _num makes them (finite, or _Digits), booleans and None,
+    built directly: the standard encoder runs generators when it indents."""
     from json.encoder import encode_basestring_ascii as quote
 
     def text(value, indent: str) -> str:

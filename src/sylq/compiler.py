@@ -139,12 +139,6 @@ class ConstraintSystem:
     def __init__(self, k: int, rows: List[ClassRow], skeleton: Skeleton) -> None:
         self.__dict__.update(k=k, rows=rows, skeleton=skeleton)
 
-    @cached_property
-    def kept(self) -> Optional[List[ClassRow]]:
-        """optimizer.kept_rows of the premise rows; compile_syllogism sets it
-        from each row's few distinct values instead of scanning the row."""
-        return optimizer.kept_rows(self.rows, [coeffs for coeffs, _, _, _ in self.rows])
-
     @property
     def constraints(self) -> List[ClassRow]:
         """Every row of the LP: the premise rows, then the fixed rows."""
@@ -338,11 +332,9 @@ def compile_syllogism(
         raise ValueError("need exactly one bound per premise")
     skeleton = syl.skeleton
     rows: List[ClassRow] = []
-    values = []  # each row's coefficients, or just their distinct values
     for premise, bound in zip(skeleton.premises, premise_bounds):
         if not isinstance(premise, _Measure):
             rows.append(premise)
-            values.append(premise[0])
             continue
         family, pairs, index, homogeneous = premise
         if bound is None:
@@ -353,9 +345,6 @@ def compile_syllogism(
         check_unit(family, lo_p, hi_p, hi_q)
         for rel, p, q in ((GE, lo_p, lo_q), (LE, hi_p, hi_q)):
             if p is not None:
-                distinct = [q * x - p * y for x, y in pairs]
-                rows.append(([distinct[i] for i in index], 0 if homogeneous else p, q, rel))
-                values.append(distinct)
-    system = ConstraintSystem(1 << syl.s, rows, skeleton)
-    system.__dict__["kept"] = optimizer.kept_rows(rows, values)
-    return system
+                values = [q * x - p * y for x, y in pairs]
+                rows.append(([values[i] for i in index], 0 if homogeneous else p, q, rel))
+    return ConstraintSystem(1 << syl.s, rows, skeleton)

@@ -161,7 +161,8 @@ def infer(
     outcomes: List[optimizer.SolveOutcome] = []
     max_feasible = Fraction(0)
     premise_cuts = [grid_cuts(p.quantifier.shape, n) for p in syl.premises]
-    for lam, bounds in zip(grid, zip(*premise_cuts)):
+    for lam, *bounds in zip(grid, *premise_cuts):
+        bounds = tuple(bounds)
         reading = solved.get(bounds)
         if reading is None:
             outcome = optimizer.solve(compile_syllogism(syl, bounds))

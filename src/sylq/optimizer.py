@@ -8,12 +8,11 @@ homogeneous or carries the scaling variable, the substitution is exact, not
 approximate.
 
 solve() takes one compiled reading: integer rows and costs over atom
-classes.  It drops constant rows and rows implied by x >= 0 (kept_rows),
-gives no column to a class that no kept row or cost touches, then
-minimizes and maximizes the conclusion objective.  The rows no premise
-bound changes are read once per syllogism (fixed_rows, kept on the
-skeleton), and the compiler decides each premise row from its measure's
-few distinct values, so a level pays only for its premise rows.
+classes.  It drops constant rows and rows implied by x >= 0, gives no
+column to a class that no kept row or cost touches, then minimizes and
+maximizes the conclusion objective.  The rows no premise bound changes are
+read once per syllogism (fixed_rows, kept on the skeleton), so a level
+pays only for its premise rows.
 
 Reporting convention: a measure with a nonnegative objective that is
 unbounded above is reported with lo = 0 (the bracket conveys no lower
@@ -40,7 +39,6 @@ __all__ = [
     "UNBOUNDED_BELOW",
     "SolveOutcome",
     "fixed_rows",
-    "kept_rows",
     "rewrite_strict",
     "solve",
 ]
@@ -150,13 +148,12 @@ def _bracket(costs: Sequence[int], rows: List[simplex.Row], sign_definite: bool)
     return SolveOutcome(BOUNDED, lo, hi, pivots=pivots)
 
 
-def kept_rows(rows: Sequence[ClassRow], values: Sequence) -> Optional[List[ClassRow]]:
+def _keep(rows: Sequence[ClassRow]) -> Optional[List[ClassRow]]:
     """rows without constant rows and rows implied by x >= 0, which only add
-    simplex columns; None when a constant row is false.  values[i] are the
-    coefficients of rows[i], or just their distinct values."""
+    simplex columns; None when a constant row is false."""
     kept = []
-    for row, coeffs in zip(rows, values):
-        _, rhs, _, rel = row
+    for row in rows:
+        coeffs, rhs, _, rel = row
         if not any(coeffs):
             if not _ORDER[rel](0, rhs):
                 return None
@@ -185,7 +182,7 @@ def fixed_rows(rows: Sequence[ClassRow], costs: Sequence[int]) -> Optional[tuple
     reading, (its live columns or None for all, costs, kept rows as the
     simplex takes them).
     """
-    kept = kept_rows(rows, [coeffs for coeffs, _, _, _ in rows])
+    kept = _keep(rows)
     if kept is None:
         return None
     columns = zip(costs, *(coeffs for coeffs, _, _, _ in kept))
@@ -200,11 +197,11 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     columns stay equal under pivoting and the simplex breaks every tie by
     smallest index, so it makes the same choices on the classes as on the
     atoms; a zero column never enters, so it gets no column at all.  The
-    skeleton's fixed rows are read once per syllogism (fixed_rows), and the
-    compiler has already decided which premise rows are kept (kept_rows).
+    skeleton's fixed rows are read once per syllogism (fixed_rows); only the
+    premise rows are filtered here.
     """
     fixed = system.skeleton.solver_fixed
-    kept = system.kept
+    kept = _keep(system.rows)
     if fixed is None or kept is None:
         return SolveOutcome(INFEASIBLE, None, None)
     fixed_kept, fixed_dead, sign_definite, memo = fixed

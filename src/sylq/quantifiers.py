@@ -371,12 +371,7 @@ def grid_cuts(shape: Shape, n: int) -> Iterator[Optional[IntBound]]:
     if shape is None or isinstance(shape, Interval):
         return repeat(None if shape is None else bound_ints(shape), n)
     if isinstance(shape, RimQuantifier):
-        inv, m = 1 / shape.exponent, n - 1
-        if inv.denominator == 1 and inv.numerator <= _RIM_EXACT_POWER:
-            # _rim_cut_lo's exact power of i/m, in ints: (i/g) ** k / (m/g) ** k
-            k, ends = inv.numerator, ((i, gcd(i, m)) for i in range(n))
-            return (((i // g) ** k, (m // g) ** k, 1, 1) for i, g in ends)
-        los = (_rim_cut_lo(shape.exponent, Fraction(i, m)) for i in range(n))
+        los = (_rim_cut_lo(shape.exponent, Fraction(i, n - 1)) for i in range(n))
         return ((lo.numerator, lo.denominator, 1, 1) for lo in los)
     if isinstance(shape, KernelSupportPair):
         support, kernel = shape.support, shape.kernel

@@ -181,15 +181,20 @@ def test_crisp_bounds_render_exactly_in_every_format(capsys):
     assert out.splitlines()[1:] == ["0,3,%d" % HUGE, "1,3,%d" % HUGE]
 
 
-# non-integral answers past the float range: 10**400 / 3 and 1 / 10**400
+# non-integral answers past the float range: 10**400 / 3, (10**400 + 1) / 2
+# (no trailing zeros, as "%.12g" prints 5e+300) and 1 / 10**400
 PAST_FLOAT_DOCS = [
     ("terms: a, b\npremise: abs[0, %s] a -> b\nconclude: abs? a -> b\n" % bound, digits)
-    for bound, digits in (("1%s/3" % ("0" * 400), "3.33333333333e+399"), ("1/1" + "0" * 400, "1e-400"))
+    for bound, digits in (
+        ("1%s/3" % ("0" * 400), "3.33333333333e+399"),
+        ("1%s1/2" % ("0" * 399), "5e+399"),
+        ("1/1" + "0" * 400, "1e-400"),
+    )
 ]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-@pytest.mark.parametrize("doc, digits", PAST_FLOAT_DOCS, ids=["huge", "tiny"])
+@pytest.mark.parametrize("doc, digits", PAST_FLOAT_DOCS, ids=["huge", "half", "tiny"])
 def test_answers_past_the_float_range_print_12_digits(capsys, fmt, doc, digits):
     sys.stdin = io.StringIO(doc)
     code, out, err = run_cli(capsys, ["-", "--format", fmt])

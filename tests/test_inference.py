@@ -304,3 +304,15 @@ def solve_slots(outcomes):
     """Which solve each level's outcome came from, numbered in order."""
     slots = {}
     return [slots.setdefault(id(outcome), len(slots)) for outcome in outcomes]
+
+
+@pytest.mark.parametrize("mode, levels", [("crisp", 2), ("kersup", 2), ("alpha", 5)])
+def test_zero_premises_bound_the_conclusion_at_every_level(mode, levels):
+    syl = Syllogism(NAMES, (), Conclusion(PROPORTIONAL, P, Q))
+    result = infer(syl, mode=mode, config=InferenceConfig(levels=levels))
+    n = levels if mode == "alpha" else 2
+    assert [lam for lam, _ in result.cuts] == [F(i, n - 1) for i in range(n)]
+    assert result.outcomes == reference_outcomes(syl, n)
+    assert all(iv == Interval(0, 1) for _, iv in result.cuts)
+    assert result.max_feasible_level == 1
+    assert not any("contradictory" in w for w in result.warnings)
