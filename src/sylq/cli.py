@@ -35,7 +35,7 @@ from .inference import (
     infer,
     premise_bounds,
 )
-from .quantifiers import as_fraction
+from .quantifiers import _sig_digits, as_fraction
 from .simplex import PivotLimitError
 from .statements import Syllogism
 from .terms import SizeGuardError
@@ -190,11 +190,7 @@ def _num(value) -> Optional[object]:
         short = 0.0
     if short:  # num is not 0, so 0.0 is past the float range
         return short
-    from decimal import MAX_EMAX, MIN_EMIN, Context
-
-    # normalized, so trailing zeros go as they do from "%.12g"
-    context = Context(prec=12, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    digits = _Digits(text := format(context.divide(num, den).normalize(context), ".12g"))
+    digits = _Digits(text := _sig_digits(f))
     digits.digits = text
     return digits
 

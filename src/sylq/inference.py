@@ -37,8 +37,8 @@ from .quantifiers import (
     Trapezoid,
     _fmt,
     cut,
+    cut_ints,
     fit_trapezoid,
-    grid_cuts,
 )
 from .statements import Syllogism
 
@@ -53,8 +53,7 @@ __all__ = [
 ]
 
 MODES = ("auto", "crisp", "kersup", "alpha")
-# largest alpha grid: infer builds the whole grid before the first solve, so
-# this bounds what one call can allocate and solve
+# largest alpha grid, which bounds what one infer call can solve
 MAX_LEVELS = 1001
 
 Bounds = Tuple[Optional[Interval], ...]
@@ -152,17 +151,17 @@ def infer(
                 )
     # crisp and kersup read levels 0 and 1 only
     n = config.levels if mode == "alpha" else 2
-    grid = [Fraction(i, n - 1) for i in range(n)]
 
     # premise bounds as exact ints, which key the reuse of a level's solve
     # and of its interval
+    shapes = [p.quantifier.shape for p in syl.premises]
     solved: Dict[Tuple[Optional[IntBound], ...], Tuple[optimizer.SolveOutcome, object]] = {}
     cuts: List[Tuple[Fraction, Optional[Interval]]] = []
     outcomes: List[optimizer.SolveOutcome] = []
     max_feasible = Fraction(0)
-    premise_cuts = [grid_cuts(p.quantifier.shape, n) for p in syl.premises]
-    for lam, *bounds in zip(grid, *premise_cuts):
-        bounds = tuple(bounds)
+    for i in range(n):
+        lam = Fraction(i, n - 1)
+        bounds = tuple([None if s is None else cut_ints(s, i, n - 1) for s in shapes])
         reading = solved.get(bounds)
         if reading is None:
             outcome = optimizer.solve(compile_syllogism(syl, bounds))

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
-from math import gcd, lcm
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from math import gcd
+from typing import Optional, Sequence, Tuple, Union
 
 from ._value import value
 
@@ -51,8 +50,8 @@ __all__ = [
     "QuantifierSpec",
     "bound_ints",
     "cut",
+    "cut_ints",
     "fit_trapezoid",
-    "grid_cuts",
 ]
 
 LOGICAL_ALL = "logical-all"
@@ -110,10 +109,24 @@ def _below(a: Fraction, b: Fraction) -> bool:
     return a.numerator * b.denominator < b.numerator * a.denominator
 
 
+def _sig_digits(value: Fraction) -> str:
+    """value to 12 significant digits as "%.12g" prints them, also past the
+    float range, where a float reads inf or 0."""
+    from decimal import MAX_EMAX, MIN_EMIN, Context
+
+    # normalized, so trailing zeros go as they do from "%.12g"
+    context = Context(prec=12, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    return format(context.divide(value.numerator, value.denominator).normalize(context), ".12g")
+
+
 def _fmt(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
-    return str(float(value))
+    try:
+        # value is not 0, so a float of 0.0 is past the float range
+        return str(float(value) or _sig_digits(value))
+    except OverflowError:
+        return _sig_digits(value)
 
 
 @value
@@ -218,38 +231,24 @@ Shape = Union[Interval, Trapezoid, KernelSupportPair, RimQuantifier, None]
 IntBound = Tuple[int, int, Optional[int], Optional[int]]
 
 
-def check_unit(family: str, lo, hi, hi_den=1) -> None:
+def check_unit(family: str, lo_num: int, hi_num: Optional[int], hi_den: Optional[int]) -> None:
     """Validate that a bound is expressed in the family's unit.
 
-    lo and hi are the bound's ends (hi None when unbounded), or lo's
-    numerator and hi's numerator over hi_den: denominators are positive,
-    so each test reads the sign of a numerator or compares hi's numerator
-    with its denominator times hi_den, in ints either way.
+    The bound is read as bound_ints gives it (hi_num and hi_den None when
+    unbounded above); denominators are positive, so each test is in ints.
     """
     if family in (ABSOLUTE, EXCEPTION):
-        if lo.numerator < 0:
+        if lo_num < 0:
             raise ValueError("%s bounds must be nonnegative" % family)
     elif family in (PROPORTIONAL, SIMILARITY):
-        if lo.numerator < 0 or (hi is not None and hi.numerator > hi.denominator * hi_den):
+        if lo_num < 0 or (hi_num is not None and hi_num > hi_den):
             raise ValueError("%s bounds must lie inside [0, 1]" % family)
     elif family == COMPARATIVE_PROPORTIONAL:
         # may exceed 1 ("double"), but a negative ratio of cardinalities is
         # meaningless
-        if lo.numerator < 0:
+        if lo_num < 0:
             raise ValueError("%s bounds must be nonnegative" % family)
     # comparative-absolute differences may be negative; nothing to check
-
-
-def _shape_bounds(shape: Shape) -> tuple:
-    if isinstance(shape, Interval):
-        return shape.lo, shape.hi
-    if isinstance(shape, Trapezoid):
-        return shape.a, shape.d
-    if isinstance(shape, KernelSupportPair):
-        return shape.support.lo, shape.support.hi
-    if isinstance(shape, RimQuantifier):
-        return Fraction(0), Fraction(1)
-    raise TypeError("unsupported shape %r" % (shape,))
 
 
 @value
@@ -281,8 +280,8 @@ class QuantifierSpec:
             raise ValueError("quantifier %s needs a bound shape" % self.family)
         if isinstance(self.shape, RimQuantifier) and self.family not in RATIO_FAMILIES:
             raise ValueError("RIM shapes define proportions; family %s uses counts" % self.family)
-        lo, hi = _shape_bounds(self.shape)
-        check_unit(self.family, lo, hi)
+        lo_num, _, hi_num, hi_den = cut_ints(self.shape, 0, 1)
+        check_unit(self.family, lo_num, hi_num, hi_den)
 
 
 def _rim_cut_lo(exponent: Fraction, level: Fraction) -> Fraction:
@@ -303,36 +302,6 @@ def _rim_cut_lo(exponent: Fraction, level: Fraction) -> Fraction:
     return Fraction(value).limit_denominator(_SNAP_DENOMINATOR)
 
 
-def cut(shape: Shape, level: Real) -> Interval:
-    """Crisp interval of values whose membership in ``shape`` is at least ``level``.
-
-    Level 0 returns the closed support, level 1 the kernel, and levels in
-    between the alpha cut.  A crisp interval is its own cut at every level;
-    a kernel/support pair is read as the trapezoid it determines (linear
-    interpolation between support and kernel).
-    """
-    lam = as_fraction(level)
-    if lam < 0 or lam > 1:
-        raise ValueError("cut level must lie in [0, 1], got %s" % _fmt(lam))
-    if isinstance(shape, Interval):
-        return shape
-    if isinstance(shape, KernelSupportPair):
-        if lam == 0:
-            return shape.support
-        if lam == 1:
-            return shape.kernel
-        if shape.support.hi is None or shape.kernel.hi is None:
-            raise ValueError("cannot interpolate an unbounded kernel/support pair")
-        shape = Trapezoid(shape.support.lo, shape.kernel.lo, shape.kernel.hi, shape.support.hi)
-    if isinstance(shape, Trapezoid):
-        lo = shape.a + lam * (shape.b - shape.a)
-        hi = shape.d - lam * (shape.d - shape.c)
-        return Interval(lo, hi)
-    if isinstance(shape, RimQuantifier):
-        return Interval(_rim_cut_lo(shape.exponent, lam), Fraction(1))
-    raise TypeError("no cut for shape %r" % (shape,))
-
-
 def bound_ints(bound: Interval) -> IntBound:
     """A crisp bound as exact ints (lo_num, lo_den, hi_num, hi_den), each
     end in lowest terms with a positive denominator; hi_num and hi_den are
@@ -343,44 +312,54 @@ def bound_ints(bound: Interval) -> IntBound:
     return lo.numerator, lo.denominator, hi.numerator, hi.denominator
 
 
-def _linear_ends(start: Fraction, end: Fraction, m: int) -> List[Tuple[int, int]]:
-    """start + (i/m) * (end - start) for i = 0..m, each in lowest terms."""
-    if start == end:
-        return [(start.numerator, start.denominator)] * (m + 1)
-    den = lcm(start.denominator, end.denominator)
-    s = start.numerator * (den // start.denominator)
-    e = end.numerator * (den // end.denominator)
-    den *= m
-    out = []
-    for i in range(m + 1):
-        num = s * (m - i) + e * i
-        g = gcd(num, den)
-        out.append((num // g, den // g))
-    return out
+def _between(start: Fraction, end: Fraction, p: int, q: int) -> Tuple[int, int]:
+    """start + (p/q) * (end - start) as ints in lowest terms."""
+    s, e = start.denominator, end.denominator
+    num = start.numerator * e * (q - p) + end.numerator * s * p
+    den = s * e * q
+    g = gcd(num, den)
+    return num // g, den // g
 
 
-def grid_cuts(shape: Shape, n: int) -> Iterator[Optional[IntBound]]:
-    """cut(shape, i/(n-1)) for i = 0..n-1 as bound_ints, level by level.
+def cut_ints(shape: Shape, p: int, q: int) -> IntBound:
+    """The cut of ``shape`` at level p/q (0 <= p <= q, q > 0) as bound_ints.
 
-    Trapezoid and bounded kernel/support ends are linear in the level, so
-    each is one int numerator over the level's denominator, reduced by one
-    gcd; RIM cuts read _rim_cut_lo.  An unbounded kernel/support pair goes
-    through cut, which raises between its ends at the level it is read.  A
-    logical premise's None shape cuts to None.
+    A crisp interval is its own cut at every level.  Trapezoid ends are
+    linear in the level, so each is one int numerator over the level's
+    denominator, reduced by one gcd; a kernel/support pair is read as the
+    trapezoid it determines, and an unbounded one only at level 0 (its
+    support) and level 1 (its kernel).  A RIM cut is [_rim_cut_lo, 1].
     """
-    if shape is None or isinstance(shape, Interval):
-        return repeat(None if shape is None else bound_ints(shape), n)
-    if isinstance(shape, RimQuantifier):
-        los = (_rim_cut_lo(shape.exponent, Fraction(i, n - 1)) for i in range(n))
-        return ((lo.numerator, lo.denominator, 1, 1) for lo in los)
-    if isinstance(shape, KernelSupportPair):
+    if isinstance(shape, Interval):
+        return bound_ints(shape)
+    if isinstance(shape, Trapezoid):
+        a, b, c, d = shape.as_tuple()
+    elif isinstance(shape, KernelSupportPair):
         support, kernel = shape.support, shape.kernel
         if support.hi is None or kernel.hi is None:
-            return (bound_ints(cut(shape, Fraction(i, n - 1))) for i in range(n))
-        shape = Trapezoid(support.lo, kernel.lo, kernel.hi, support.hi)
-    a, b, c, d = shape.as_tuple()
-    ends = zip(_linear_ends(a, b, n - 1), _linear_ends(d, c, n - 1))
-    return (lo + hi for lo, hi in ends)
+            if 0 < p < q:
+                raise ValueError("cannot interpolate an unbounded kernel/support pair")
+            return bound_ints(kernel if p else support)
+        a, b, c, d = support.lo, kernel.lo, kernel.hi, support.hi
+    elif isinstance(shape, RimQuantifier):
+        lo = _rim_cut_lo(shape.exponent, Fraction(p, q))
+        return lo.numerator, lo.denominator, 1, 1
+    else:
+        raise TypeError("no cut for shape %r" % (shape,))
+    return _between(a, b, p, q) + _between(d, c, p, q)
+
+
+def cut(shape: Shape, level: Real) -> Interval:
+    """Crisp interval of values whose membership in ``shape`` is at least ``level``.
+
+    Level 0 returns the closed support, level 1 the kernel, and levels in
+    between the alpha cut, as cut_ints computes it.
+    """
+    lam = as_fraction(level)
+    if lam < 0 or lam > 1:
+        raise ValueError("cut level must lie in [0, 1], got %s" % _fmt(lam))
+    lo_num, lo_den, hi_num, hi_den = cut_ints(shape, lam.numerator, lam.denominator)
+    return Interval(Fraction(lo_num, lo_den), None if hi_num is None else Fraction(hi_num, hi_den))
 
 
 def fit_trapezoid(cuts: Sequence[tuple]) -> Trapezoid:

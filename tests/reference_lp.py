@@ -5,8 +5,8 @@ every crisp reading, each statement is compiled into rows of rational
 (atom set, coefficient) terms, strict rows are rewritten with the engine's
 margins, a ratio objective goes through Charnes-Cooper, and the atoms are
 partitioned into classes from scratch.  Tests compare compile_syllogism and
-solve against it; it shares nothing with them beyond atoms_of, check_unit
-and the margin constants.
+solve against it; it shares nothing with them beyond atoms_of, bound_ints,
+check_unit and the margin constants.
 """
 
 from dataclasses import dataclass
@@ -30,6 +30,7 @@ from sylq.quantifiers import (
     PROPORTIONAL,
     RATIO_FAMILIES,
     SIMILARITY,
+    bound_ints,
     check_unit,
 )
 from sylq.terms import atoms_of
@@ -117,7 +118,8 @@ def compile_statement(stmt, bound, properties) -> List[Constraint]:
     if stmt.family in LOGICAL_ROWS:
         family, rel = LOGICAL_ROWS[stmt.family]
         return [Constraint(measure(family, a, b)[0], rel, 0)]
-    check_unit(stmt.family, bound.lo, bound.hi)
+    lo_num, _, hi_num, hi_den = bound_ints(bound)
+    check_unit(stmt.family, lo_num, hi_num, hi_den)
     num, den = measure(stmt.family, a, b)
     rows = []
     for rel, value in ((GE, bound.lo), (LE, bound.hi)):

@@ -205,6 +205,31 @@ def test_answers_past_the_float_range_print_12_digits(capsys, fmt, doc, digits):
         assert json.loads(out)["hi"] == float(digits)
 
 
+# error messages that name a bound past the float range: 10**400 / 3 above
+# 1, 2 / 10**400 above 1 / 10**400, and a trapezoid's first corner
+ZEROS = "0" * 400
+PAST_FLOAT_ERRORS = [
+    ("abs[1%s/3, 1]" % ZEROS, "interval lower bound 3.33333333333e+399 exceeds upper bound 1"),
+    (
+        "abs[2/1%s, 1/1%s]" % (ZEROS, ZEROS),
+        "interval lower bound 2e-400 exceeds upper bound 1e-400",
+    ),
+    (
+        "abs tz(1%s/3, 1, 2, 3)" % ZEROS,
+        "trapezoid parameters must be ordered a <= b <= c <= d, "
+        "got [3.33333333333e+399, 1, 2, 3]",
+    ),
+]
+
+
+@pytest.mark.parametrize("quantifier, message", PAST_FLOAT_ERRORS, ids=["huge", "tiny", "tz"])
+def test_errors_past_the_float_range_name_12_digits(capsys, quantifier, message):
+    sys.stdin = io.StringIO("terms: a, b\npremise: %s a -> b\nconclude: abs? a -> b\n" % quantifier)
+    code, out, err = run_cli(capsys, ["-"])
+    assert (code, out) == (1, "")
+    assert err == "error: line 2, column 10: %s\n" % message
+
+
 def test_reads_stdin_when_file_is_dash(capsys):
     sys.stdin = io.StringIO((FIXTURE_DIR / "pets_at_home.syl").read_text())
     code, out, _ = run_cli(capsys, ["-"])

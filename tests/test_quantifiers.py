@@ -1,11 +1,26 @@
+import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sylq import Interval, KernelSupportPair, Trapezoid
-from sylq.quantifiers import RimQuantifier, as_fraction, cut, fit_trapezoid, grid_cuts
+from sylq.quantifiers import (
+    COMPARATIVE_ABSOLUTE,
+    FAMILIES,
+    LOGICAL_FAMILIES,
+    PROPORTIONAL,
+    RATIO_FAMILIES,
+    SIMILARITY,
+    QuantifierSpec,
+    RimQuantifier,
+    as_fraction,
+    cut,
+    cut_ints,
+    fit_trapezoid,
+)
 
 F = Fraction
 
@@ -171,26 +186,115 @@ def shapes(draw):
     return KernelSupportPair(Interval(b, kernel_hi), Interval(a, support_hi))
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(shapes(), st.integers(2, 41))
-def test_level_cuts_equal_the_generic_cut(shape, levels):
-    # grid_cuts gives cut(shape, i/(levels-1)) as ints in lowest terms, so
-    # equal bounds are equal int tuples
-    cuts = grid_cuts(shape, levels)
-    for i in range(levels):
-        if shape is None:
-            assert next(cuts) is None
-            continue
-        try:
-            want = cut(shape, F(i, levels - 1))
-        except ValueError as exc:  # an unbounded pair between its ends
-            with pytest.raises(ValueError, match=str(exc)):
-                next(cuts)
+def _formula_cut(shape, lam):
+    """(lo, hi) of the cut at Fraction level lam, by the textbook formula:
+    a + lam (b - a) and d - lam (d - c) for a trapezoid or a bounded pair,
+    the pair's support at 0 and kernel at 1, and lam ** n for RIM when the
+    inverse exponent is an integer n <= 64 (None for a snapped RIM cut)."""
+    if isinstance(shape, Interval):
+        return shape.lo, shape.hi
+    if isinstance(shape, RimQuantifier):
+        inv = 1 / shape.exponent
+        if inv.denominator == 1 and inv <= 64:
+            return lam ** inv.numerator, F(1)
+        return (lam, F(1)) if lam in (0, 1) else None
+    if isinstance(shape, KernelSupportPair):
+        if lam in (0, 1):
+            iv = shape.kernel if lam else shape.support
+            return iv.lo, iv.hi
+        a, b, c, d = shape.support.lo, shape.kernel.lo, shape.kernel.hi, shape.support.hi
+    else:
+        a, b, c, d = shape.as_tuple()
+    return a + lam * (b - a), d - lam * (d - c)
+
+
+def _check_cut_ints(shape, p, q):
+    lam = F(p, q)
+    if shape is None:
+        with pytest.raises(TypeError, match="no cut for shape None"):
+            cut_ints(shape, p, q)
+        return
+    if isinstance(shape, KernelSupportPair) and 0 < lam < 1:
+        if shape.support.hi is None or shape.kernel.hi is None:
+            with pytest.raises(ValueError, match="cannot interpolate an unbounded"):
+                cut_ints(shape, p, q)
             return
-        lo_num, lo_den, hi_num, hi_den = next(cuts)
-        assert (lo_num, lo_den) == (want.lo.numerator, want.lo.denominator)
-        if want.hi is None:
-            assert (hi_num, hi_den) == (None, None)
-        else:
-            assert (hi_num, hi_den) == (want.hi.numerator, want.hi.denominator)
-    assert next(cuts, "done") == "done"
+    lo_num, lo_den, hi_num, hi_den = cut_ints(shape, p, q)
+    # each end in lowest terms with a positive denominator, so equal
+    # bounds are equal int tuples
+    assert lo_den > 0 and gcd(lo_num, lo_den) == 1
+    if hi_num is None:
+        assert hi_den is None
+    else:
+        assert hi_den > 0 and gcd(hi_num, hi_den) == 1
+    lo, hi = F(lo_num, lo_den), None if hi_num is None else F(hi_num, hi_den)
+    want = _formula_cut(shape, lam)
+    if want is None:  # level ** (1 / exponent) through floats, then snapped
+        assert hi == 1
+        assert abs(float(lo) - float(lam) ** float(1 / shape.exponent)) <= 1e-9
+    else:
+        assert (lo, hi) == want
+
+
+@st.composite
+def any_level(draw):
+    q = draw(st.integers(1, 10**9))
+    return draw(st.integers(0, q)), q
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(shapes(), st.integers(2, 41), any_level())
+def test_level_cuts_equal_the_generic_cut(shape, levels, level):
+    # cut_ints against the Fraction formula at every level of a grid, in
+    # the grid's unreduced terms as infer reads them, and at a random level
+    for p, q in [*((i, levels - 1) for i in range(levels)), level]:
+        _check_cut_ints(shape, p, q)
+
+
+# ------------------------------------------- QuantifierSpec's level-0 check
+
+SPEC_SHAPES = {
+    "none": None,
+    "interval-below-0": Interval(-1, 1),
+    "interval-above-1": Interval(0, 2),
+    "trapezoid-below-0": Trapezoid(-1, 0, 1, 1),
+    "trapezoid-above-1": Trapezoid(0, 1, 1, 2),
+    "kersup-below-0": KernelSupportPair(Interval(0, 1), Interval(-1, 1)),
+    "kersup-above-1": KernelSupportPair(Interval(0, 1), Interval(0, 2)),
+    "rim": RimQuantifier(2),
+    "not-a-shape": F(1, 2),
+}
+
+
+def _spec_error(kind, family):
+    """The error QuantifierSpec(family, SPEC_SHAPES[kind]) raises, or None."""
+    if family in LOGICAL_FAMILIES:
+        if kind == "none":
+            return None
+        return ValueError, "logical quantifier %s carries no bound shape" % family
+    if kind == "none":
+        return ValueError, "quantifier %s needs a bound shape" % family
+    if kind == "rim":
+        if family in RATIO_FAMILIES:
+            return None
+        return ValueError, "RIM shapes define proportions; family %s uses counts" % family
+    if kind == "not-a-shape":
+        return TypeError, "no cut for shape Fraction(1, 2)"
+    # the unit check reads the level-0 cut, here [-1, 1] or [0, 2]
+    if family in (PROPORTIONAL, SIMILARITY):
+        return ValueError, "%s bounds must lie inside [0, 1]" % family
+    if kind.endswith("below-0") and family != COMPARATIVE_ABSOLUTE:
+        return ValueError, "%s bounds must be nonnegative" % family
+    return None
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("kind", SPEC_SHAPES)
+def test_quantifier_spec_checks_family_and_level_0_cut(kind, family):
+    error = _spec_error(kind, family)
+    if error is None:
+        assert QuantifierSpec(family, SPEC_SHAPES[kind]).shape is SPEC_SHAPES[kind]
+        return
+    exc, message = error
+    with pytest.raises(exc, match="^%s$" % re.escape(message)):
+        QuantifierSpec(family, SPEC_SHAPES[kind])
