@@ -26,14 +26,16 @@ premises' bounds move, so the LP is built in two steps.  build_skeleton
 runs once per Syllogism (kept as Syllogism.skeleton).  It splits the
 K = 2**S atoms into classes, the atoms that lie in exactly the same
 referenced sets (in a chain of premises on p0, every atom outside p0 is one
-class), and makes each class one LP column, the sum of its atoms.  Over
-those columns it writes the logical and structural rows, with the strict
-rewrite and the Charnes-Cooper substitution already applied, the objective
-costs, and each numeric premise's measure as int vectors: U for the
-numerator and, for a ratio family, W for the denominator.  compile_syllogism
-then writes each bound p/q of a reading as one int row: q*U - p*W rel 0 for
-a ratio family, q*U rel p for a count family (q*U - p*t rel 0 under
-Charnes-Cooper).
+class), and makes each class one LP column, the sum of its atoms; no level
+drops a column.  Over those columns it writes the logical and structural
+rows, with the strict rewrite and the Charnes-Cooper substitution already
+applied, the objective costs, and each numeric premise's measure as int
+vectors: U for the numerator and, for a ratio family, W for the
+denominator.  compile_syllogism then writes each bound p/q of a reading as
+one int row: q*U - p*W rel 0 for a ratio family, q*U rel p for a count
+family (q*U - p*t rel 0 under Charnes-Cooper).  Every row is a simplex.Row,
+which the simplex reads as it is: the class numerators with the rhs
+numerator last, their positive denominator, and the relation.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ from .quantifiers import (
     bound_ints,
     check_unit,
 )
+from .simplex import Row
 
 if TYPE_CHECKING:
     from .statements import Syllogism
@@ -83,11 +86,6 @@ class UnitMixingError(ValueError):
     """Count and proportion quantifiers mixed without a declared universe."""
 
 
-# an LP row over atom classes: (class numerators, rhs numerator, their
-# positive denominator, relation)
-ClassRow = Tuple[Sequence[int], int, int, str]
-
-
 class _Measure(NamedTuple):
     """A numeric premise's measure: a bound p/q is the row q*U - p*W rel 0
     when homogeneous (W is a ratio family's denominator, or t for a count
@@ -104,8 +102,8 @@ class _Measure(NamedTuple):
 class Skeleton:
     """The part of a syllogism's LP that no premise bound changes.
 
-    classes   the atom mask of each column, ordered by smallest atom; under
-              Charnes-Cooper the last column is t, written as atom K
+    classes   the atom mask of each column, ordered by smallest atom; t,
+              written as atom K, is the last column when a row carries it
     premises  per premise, a logical premise's row or a numeric one's measure
     fixed     the structural rows, then the Charnes-Cooper normalization
     costs     the objective numerator per column
@@ -113,15 +111,14 @@ class Skeleton:
 
     classes: Tuple[int, ...]
     premises: Tuple[object, ...]
-    fixed: Tuple[ClassRow, ...]
+    fixed: Tuple[Row, ...]
     costs: Tuple[int, ...]
-    charnes_cooper: bool
 
     @cached_property
-    def solver_fixed(self) -> Optional[tuple]:
-        """optimizer.solve's reading of the fixed rows, made once per
-        syllogism since no level changes them (optimizer.fixed_rows)."""
-        return optimizer.fixed_rows(self.fixed, self.costs)
+    def solver_fixed(self) -> Optional[List[Row]]:
+        """The fixed rows optimizer.solve keeps (optimizer.keep_rows), read
+        once per syllogism since no level changes them."""
+        return optimizer.keep_rows(self.fixed)
 
 
 @value
@@ -133,14 +130,14 @@ class ConstraintSystem:
     """
 
     k: int
-    rows: List[ClassRow]
+    rows: List[Row]
     skeleton: Skeleton
 
-    def __init__(self, k: int, rows: List[ClassRow], skeleton: Skeleton) -> None:
+    def __init__(self, k: int, rows: List[Row], skeleton: Skeleton) -> None:
         self.__dict__.update(k=k, rows=rows, skeleton=skeleton)
 
     @property
-    def constraints(self) -> List[ClassRow]:
+    def constraints(self) -> List[Row]:
         """Every row of the LP: the premise rows, then the fixed rows."""
         return [*self.rows, *self.skeleton.fixed]
 
@@ -231,15 +228,16 @@ def build_skeleton(syl: Syllogism) -> Skeleton:
         # Row a.x rel b becomes a.y - b*t rel 0, plus the normalization
         # den.y == 1; t >= 0 admits limits along recession directions, so
         # suprema that are only approached are still found.  t is atom
-        # index k, so it forms the last class.
-        rows = [(terms + ((1 << k, -rhs),), rel, _ZERO) for terms, rel, rhs in rows]
+        # index k, so it forms the last class, when a row carries it: with
+        # no universe declared every rhs is 0.
+        rows = [(terms + ((1 << k, -b),) if b else terms, rel, _ZERO) for terms, rel, b in rows]
         rows.append((_sum(denominator), EQ, _ONE))
 
     # atoms in the same referenced sets have equal columns: one class each,
     # found by splitting the referenced atoms on every distinct set (rows
-    # reference each ratio denominator and t already).  A class carries bit
-    # i when it lies inside the i-th set, so the split also decides which
-    # classes each set covers.
+    # reference each ratio denominator, and t if any row carries it).  A
+    # class carries bit i when it lies inside the i-th set, so the split
+    # also decides which classes each set covers.
     sums = [numerator, *(num for num, _ in filter(None, measures)), *(r[0] for r in rows)]
     masks = list(dict.fromkeys(atoms for terms in sums for atoms, _ in terms))
     parts = [(reduce(int.__or__, masks), 0)] if masks else []
@@ -277,22 +275,23 @@ def build_skeleton(syl: Syllogism) -> Skeleton:
                 row_bits |= bit
         return table, row_bits
 
-    def class_row(row: SetRow) -> ClassRow:
+    def class_row(row: SetRow) -> Row:
         """A set row as int numerators over the lcm of its denominators."""
         terms, rel, rhs = row
         den = lcm(rhs.denominator, *(v.denominator for _, v in terms))
         if len(terms) == 1:
             atoms, v = terms[0]
             a, bit = v.numerator * (den // v.denominator), bits[atoms]
-            nums = tuple([a if inside & bit else 0 for inside in insides])
+            nums = [a if inside & bit else 0 for inside in insides]
         else:
             table, row_bits = sums(terms, den)
-            nums = tuple([table[inside & row_bits] for inside in insides])
-        return nums, rhs.numerator * (den // rhs.denominator), den, rel
+            nums = [table[inside & row_bits] for inside in insides]
+        return (*nums, rhs.numerator * (den // rhs.denominator)), den, rel
 
     class_rows = [class_row(row) for row in rows]
     logical = iter(class_rows[:n_logical])
-    # a count family's W: t under Charnes-Cooper, else zero
+    # a count family's W: t under Charnes-Cooper (a count premise there
+    # needs a universe, whose row carries t), else zero
     t = _sum(1 << k) if denominator is not None else ()
     premises = []
     for stmt, measure in zip(syl.premises, measures):
@@ -312,8 +311,7 @@ def build_skeleton(syl: Syllogism) -> Skeleton:
         classes=tuple(classes),
         premises=tuple(premises),
         fixed=(*[den_rows[den] for den in dens], *class_rows[n_logical + len(distinct):]),
-        costs=class_row((numerator, EQ, _ZERO))[0],
-        charnes_cooper=denominator is not None,
+        costs=class_row((numerator, EQ, _ZERO))[0][:-1],
     )
 
 
@@ -331,7 +329,7 @@ def compile_syllogism(
     if len(premise_bounds) != len(syl.premises):
         raise ValueError("need exactly one bound per premise")
     skeleton = syl.skeleton
-    rows: List[ClassRow] = []
+    rows: List[Row] = []
     for premise, bound in zip(skeleton.premises, premise_bounds):
         if not isinstance(premise, _Measure):
             rows.append(premise)
@@ -346,5 +344,5 @@ def compile_syllogism(
         for rel, p, q in ((GE, lo_p, lo_q), (LE, hi_p, hi_q)):
             if p is not None:
                 values = [q * x - p * y for x, y in pairs]
-                rows.append(([values[i] for i in index], 0 if homogeneous else p, q, rel))
+                rows.append(([*map(values.__getitem__, index), 0 if homogeneous else p], q, rel))
     return ConstraintSystem(1 << syl.s, rows, skeleton)

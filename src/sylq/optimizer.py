@@ -8,11 +8,12 @@ homogeneous or carries the scaling variable, the substitution is exact, not
 approximate.
 
 solve() takes one compiled reading: integer rows and costs over atom
-classes.  It drops constant rows and rows implied by x >= 0, gives no
-column to a class that no kept row or cost touches, then minimizes and
-maximizes the conclusion objective.  The rows no premise bound changes are
-read once per syllogism (fixed_rows, kept on the skeleton), so a level
-pays only for its premise rows.
+classes, in the simplex's row layout.  It drops constant rows and rows
+implied by x >= 0 (keep_rows), then minimizes and maximizes the conclusion
+objective over the kept rows as they are, on the skeleton's columns; no
+level filters a column.  The rows no premise bound changes are kept once
+per syllogism (Skeleton.solver_fixed), so a level pays only for its
+premise rows.
 
 Reporting convention: a measure with a nonnegative objective that is
 unbounded above is reported with lo = 0 (the bracket conveys no lower
@@ -29,7 +30,7 @@ from . import simplex
 from ._value import value
 
 if TYPE_CHECKING:
-    from .compiler import ClassRow, ConstraintSystem
+    from .compiler import ConstraintSystem
 
 __all__ = [
     "BOUNDED",
@@ -38,7 +39,7 @@ __all__ = [
     "UNBOUNDED_ABOVE",
     "UNBOUNDED_BELOW",
     "SolveOutcome",
-    "fixed_rows",
+    "keep_rows",
     "rewrite_strict",
     "solve",
 ]
@@ -148,12 +149,12 @@ def _bracket(costs: Sequence[int], rows: List[simplex.Row], sign_definite: bool)
     return SolveOutcome(BOUNDED, lo, hi, pivots=pivots)
 
 
-def _keep(rows: Sequence[ClassRow]) -> Optional[List[ClassRow]]:
+def keep_rows(rows: Sequence[simplex.Row]) -> Optional[List[simplex.Row]]:
     """rows without constant rows and rows implied by x >= 0, which only add
     simplex columns; None when a constant row is false."""
     kept = []
     for row in rows:
-        coeffs, rhs, _, rel = row
+        (*coeffs, rhs), _, rel = row
         if not any(coeffs):
             if not _ORDER[rel](0, rhs):
                 return None
@@ -166,52 +167,20 @@ def _keep(rows: Sequence[ClassRow]) -> Optional[List[ClassRow]]:
     return kept
 
 
-def _simplex_rows(rows: Sequence[ClassRow], live: Optional[List[int]]) -> List[simplex.Row]:
-    """rows as the simplex takes them, over the columns in live (None: all)."""
-    if live is None:
-        return [([*coeffs, rhs], den, rel) for coeffs, rhs, den, rel in rows]
-    return [([*map(coeffs.__getitem__, live), rhs], den, rel) for coeffs, rhs, den, rel in rows]
-
-
-def fixed_rows(rows: Sequence[ClassRow], costs: Sequence[int]) -> Optional[tuple]:
-    """What solve reads of a skeleton's fixed rows, which no level changes.
-
-    None when a fixed row is a false constant; else the kept rows, the
-    columns that the costs and every kept row leave zero, whether the costs
-    are nonnegative, and a memo that solve fills: for the dead columns of a
-    reading, (its live columns or None for all, costs, kept rows as the
-    simplex takes them).
-    """
-    kept = _keep(rows)
-    if kept is None:
-        return None
-    columns = zip(costs, *(coeffs for coeffs, _, _, _ in kept))
-    dead = [j for j, column in enumerate(columns) if not any(column)]
-    return kept, dead, all(v >= 0 for v in costs), {}
-
-
 def solve(system: ConstraintSystem) -> SolveOutcome:
     """Min/max a compiled reading's objective over its feasible cardinalities.
 
     The system's columns are atom classes (see the compiler).  Equal
     columns stay equal under pivoting and the simplex breaks every tie by
     smallest index, so it makes the same choices on the classes as on the
-    atoms; a zero column never enters, so it gets no column at all.  The
-    skeleton's fixed rows are read once per syllogism (fixed_rows); only the
-    premise rows are filtered here.
+    atoms.  A column that is zero in the costs and in every kept row (a
+    class only dropped rows name) has reduced cost 0 throughout, so it never
+    enters and changes no pivot.  The kept premise rows, then the skeleton's
+    kept fixed rows, go to the simplex as the compiler wrote them.
     """
     fixed = system.skeleton.solver_fixed
-    kept = _keep(system.rows)
+    kept = keep_rows(system.rows)
     if fixed is None or kept is None:
         return SolveOutcome(INFEASIBLE, None, None)
-    fixed_kept, fixed_dead, sign_definite, memo = fixed
-    dead = tuple(j for j in fixed_dead if not any(coeffs[j] for coeffs, _, _, _ in kept))
-    view = memo.get(dead)
-    if view is None:
-        costs, live = system.skeleton.costs, None
-        if dead:
-            live = [j for j in range(len(costs)) if j not in dead]
-            costs = [costs[j] for j in live]
-        view = memo[dead] = live, costs, _simplex_rows(fixed_kept, live)
-    live, costs, fixed_simplex = view
-    return _bracket(costs, _simplex_rows(kept, live) + fixed_simplex, sign_definite)
+    costs = system.skeleton.costs
+    return _bracket(costs, kept + fixed, min(costs, default=0) >= 0)

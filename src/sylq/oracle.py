@@ -7,10 +7,11 @@ reference the optimizer is validated against: the LP interval must contain
 every value the oracle can attain.
 
 Premise satisfaction is decided by the quantifier definitions evaluated on
-exact integers (comparisons are cross-multiplied, so no rationals are formed
-row-wise), and populations on which any ratio statement's denominator is
-empty are excluded, mirroring the engine's structural nonemptiness
-constraints; both sides then quantify over the same populations.
+exact integers (a bound is read as the numerators it admits per denominator,
+so no rationals are formed row-wise), and populations on which any ratio
+statement's denominator is empty are excluded, mirroring the engine's
+structural nonemptiness constraints; both sides then quantify over the same
+populations.
 
 Enumeration is vectorized with numpy and chunked so peak memory stays
 bounded; a combinatorial guard refuses instance sizes whose composition count
@@ -59,19 +60,24 @@ def _sum_over(counts: np.ndarray, atoms) -> np.ndarray:
     return counts[:, idx].sum(axis=1)
 
 
-def _band_mask(num: np.ndarray, den: Optional[np.ndarray], bound: Interval) -> np.ndarray:
-    """bound.lo <= num/den <= bound.hi on integers, cross-multiplied.
+def _band_mask(num, den, bound: Interval, total: int) -> np.ndarray:
+    """bound.lo <= num/den <= bound.hi on int64 rows with |num| and den at
+    most total; den None reads num/1.
 
-    With den None the bound applies to num directly.  Fractions p/q are
-    compared as q*num >= p*den, which is exact in int64 at these sizes.
+    Over each denominator d the bound admits the numerators ceil(lo*d) to
+    floor(hi*d), computed on Python ints and clamped to [-total-1, total+1],
+    so the comparisons are exact however large the bound's terms are.
     """
-    if den is None:
-        den = np.ones(len(num), dtype=np.int64)
-    lo = bound.lo
-    mask = lo.denominator * num >= lo.numerator * den
+    dens, at = ((1,), 0) if den is None else (range(total + 1), den)
+
+    def ends(end: Fraction, sign: int) -> np.ndarray:
+        # sign * floor(sign*end*d): the floor (sign 1) or ceiling (-1) of end*d
+        p, q, cap = sign * end.numerator, end.denominator, total + 1
+        return np.array([sign * min(max(p * d // q, -cap), cap) for d in dens], dtype=np.int64)
+
+    mask = num >= ends(bound.lo, -1)[at]
     if bound.hi is not None:
-        hi = bound.hi
-        mask &= hi.denominator * num <= hi.numerator * den
+        mask &= num <= ends(bound.hi, 1)[at]
     return mask
 
 
@@ -106,6 +112,7 @@ def statement_predicate(
     properties: Sequence[str],
     counts: np.ndarray,
     term_sets: Optional[Tuple[frozenset, frozenset]] = None,
+    total: Optional[int] = None,
 ) -> np.ndarray:
     """Truth of one quantified statement on each row of a population matrix.
 
@@ -115,7 +122,8 @@ def statement_predicate(
     with an empty second term holds only if the first term is empty too
     (cross-multiplied reading).  ``counts`` is an (n, K) integer matrix;
     ``term_sets`` are the statement's (restriction, scope) atoms when the
-    caller has them already.
+    caller has them already, and ``total`` bounds every row's sum (default:
+    the largest row sum).
     """
     a, b = term_sets or _term_sets(stmt, properties)
     family = stmt.family
@@ -135,7 +143,9 @@ def statement_predicate(
     num = _sum_over(counts, counted)
     if subtracted is not None:
         num = num - _sum_over(counts, subtracted)
-    return _band_mask(num, None if den is None else _sum_over(counts, den), bound)
+    if total is None:
+        total = int(counts.sum(axis=1).max(initial=0))
+    return _band_mask(num, None if den is None else _sum_over(counts, den), bound, total)
 
 
 def _compositions(
@@ -286,7 +296,7 @@ def enumerate_range(
         for counts in _blocks(total, k, cache):
             mask = np.ones(len(counts), dtype=bool)
             for stmt, bound, sets in zip(syl.premises, premise_bounds, term_sets):
-                mask &= statement_predicate(stmt, bound, syl.properties, counts, sets)
+                mask &= statement_predicate(stmt, bound, syl.properties, counts, sets, total)
                 if not mask.any():
                     break
             if not mask.any():

@@ -183,8 +183,9 @@ def atom_lp(syl, bounds) -> AtomLP:
     num, den = measure(conclusion.family, a, b)
     if den is None:
         return AtomLP(k, [(c.expr, c.rel, c.rhs) for c in rows], num)
-    t = frozenset((k,))
-    out = [(LinearExpr(c.expr.terms + ((t, -c.rhs),)), c.rel, Fraction(0)) for c in rows]
+    # t, atom k, enters a row only through a nonzero rhs (plus drops factor 0)
+    t = LinearExpr.sum_over((k,))
+    out = [(c.expr.plus(t, -c.rhs), c.rel, Fraction(0)) for c in rows]
     out.append((LinearExpr.sum_over(den), EQ, Fraction(1)))
     return AtomLP(k, out, num)
 
@@ -228,9 +229,6 @@ def class_lp(syl, bounds) -> Optional[Tuple[List[Fraction], list]]:
     for atoms, v in cost_terms:
         for j in covers[atoms]:
             costs[j] += v
-    live = [j for j, c in enumerate(costs) if c or any(nums[j] for nums, _, _ in kept)]
-    costs = [costs[j] for j in live]
-    kept = [([nums[j] for j in live] + nums[-1:], den, rel) for nums, den, rel in kept]
     return costs, kept
 
 

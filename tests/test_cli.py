@@ -530,6 +530,24 @@ def test_verify_without_a_universe_names_the_cap(capsys, monkeypatch):
     assert err == "verify crisp: engine: infeasible; no integer witness up to cap 3: OK\n"
 
 
+# bounds whose terms pass int64; the enumeration compares them exactly
+HUGE_BOUND_DOCS = [
+    ("prop[999999999999999999/1000000000000000000, 1]", "prop", "[1, 1]"),
+    ("abs[0, 100000000000000000000]", "abs", "[0, 20]"),
+    ("prop[1/100000000000000000000, 1]", "prop", "[0.05, 1]"),
+]
+
+
+@pytest.mark.parametrize("bound, family, enumerated", HUGE_BOUND_DOCS, ids=["near", "abs", "tiny"])
+def test_verify_reads_bounds_past_int64_exactly(capsys, monkeypatch, bound, family, enumerated):
+    doc = "terms: p, q\npremise: %s p -> q\nconclude: %s? p -> q\n" % (bound, family)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    code, out, err = run_cli(capsys, ["verify", "-", "--cap", "20"])
+    assert (code, out) == (0, "")
+    assert err.startswith("verify crisp: engine [")
+    assert err.endswith("; enumerated %s: OK\n" % enumerated) and err.count("\n") == 1
+
+
 def test_run_with_verify_flag(capsys):
     code, out, err = run_cli(capsys, [PETS, "--verify", "10"])
     assert code == 0

@@ -60,7 +60,7 @@ def atom_rows(syl, system):
     """A compiled reading's rows as (per-atom coefficients, relation, rhs)."""
     return [
         (per_atom(syl, [F(c, den) for c in coeffs]), rel, F(rhs, den))
-        for coeffs, rhs, den, rel in system.constraints
+        for (*coeffs, rhs), den, rel in system.constraints
     ]
 
 
@@ -198,7 +198,7 @@ def test_unit_mixing_needs_a_declared_universe():
 def test_objectives():
     syl, system = compiled([], Conclusion(ABSOLUTE, P, Q))
     assert per_atom(syl, system.costs) == {3: F(1)}
-    assert not syl.skeleton.charnes_cooper
+    assert atom_rows(syl, system) == []  # a count objective: no normalization row
 
     syl, system = compiled([], Conclusion(PROPORTIONAL, P, Q))
     assert per_atom(syl, system.costs) == {3: F(1)}
@@ -240,7 +240,8 @@ def test_compile_syllogism_assembles_everything():
     )
     system = compile_syllogism(syl, [Interval(F(1, 2), 1), None])
     assert system.k == 4
-    assert syl.skeleton.charnes_cooper
+    # Charnes-Cooper with no universe: every rhs is 0, so no row carries t
+    assert 1 << system.k not in syl.skeleton.classes
     # premise rows + strict some-row + 2 denominators + normalization
     assert len(system.constraints) == 2 + 1 + 2 + 1
     # another reading rewrites only the bound rows
@@ -350,7 +351,8 @@ def referenced_sets(syl):
 
     Every measure's parts and denominator; all K atoms when the universe is
     declared or a ratio statement's strict denominator row folds the total
-    in; and t, atom K, under Charnes-Cooper.
+    in; and t, atom K, under Charnes-Cooper with a declared universe, whose
+    row is then the one with a nonzero rhs that carries t.
     """
     k = 1 << syl.s
     sets = []
@@ -364,7 +366,7 @@ def referenced_sets(syl):
             ratio = True
     if ratio or syl.universe_size is not None:
         sets.append(frozenset(range(k)))
-    if syl.conclusion.family in RATIO_FAMILIES:
+    if syl.conclusion.family in RATIO_FAMILIES and syl.universe_size is not None:
         sets.append(frozenset((k,)))
     return [atoms for atoms in sets if atoms]
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sylq import Interval, SolveOutcome, Syllogism, parse, simplex
+from sylq import Interval, SolveOutcome, Syllogism, cli, parse, simplex
 from sylq.compiler import compile_syllogism
 from sylq.optimizer import rewrite_strict, solve
 from sylq.quantifiers import (
@@ -287,3 +287,48 @@ def class_readings(draw):
 def test_class_lp_equals_the_dense_atom_lp_with_duplicate_and_zero_columns(reading):
     syl, bounds = reading
     assert solve(compile_syllogism(syl, bounds)) == dense_solve(syl, bounds)
+
+
+# ------------------------------------------------ the rows the simplex receives
+
+
+def recorded_lps(monkeypatch, run):
+    """run()'s result and the (costs, rows) of every simplex.minimize call
+    it made."""
+    seen = []
+    real = simplex.minimize
+
+    def recording(costs, rows, **kwargs):
+        seen.append((list(costs), [list(nums) for nums, _, _ in rows]))
+        return real(costs, rows, **kwargs)
+
+    monkeypatch.setattr(simplex, "minimize", recording)
+    result = run()
+    monkeypatch.setattr(simplex, "minimize", real)
+    return result, seen
+
+
+@pytest.mark.parametrize("mode", [None, "crisp", "kersup", "alpha"])
+@pytest.mark.parametrize("path", sorted(FIXTURE_DIR.glob("*.syl")), ids=lambda p: p.stem)
+def test_bundled_lps_have_no_zero_column(monkeypatch, capsys, path, mode):
+    # solve keeps every class column; on the bundled documents each one is
+    # read by the costs or by a kept row
+    argv = [str(path)] + (["--mode", mode] if mode else [])
+    _, lps = recorded_lps(monkeypatch, lambda: cli.main(argv))
+    capsys.readouterr()
+    assert lps or mode == "crisp"
+    for costs, rows in lps:
+        for j, cost in enumerate(costs):
+            assert cost or any(nums[j] for nums in rows), (costs, rows)
+
+
+def test_a_class_named_only_by_a_dropped_row_stays_a_zero_column(monkeypatch):
+    # abs[0, inf] p -> q writes only |p & q| >= 0, which x >= 0 implies, so
+    # the class p & q is in no kept row and not in the costs
+    doc = "terms: p, q\npremise: abs[0, inf] p -> q\npremise: abs[0, 5] p -> !q\n"
+    syl = parse(doc + "conclude: abs? p -> !q\n").to_syllogism()
+    system = compile_syllogism(syl, crisp_bounds(syl))
+    outcome, lps = recorded_lps(monkeypatch, lambda: solve(system))
+    assert lps == [([1, 0], [[1, 0, 5]]), ([-1, 0], [[1, 0, 5]])]
+    assert outcome == dense_solve(syl, crisp_bounds(syl))
+    assert (outcome.status, outcome.lo, outcome.hi, outcome.pivots) == ("bounded", 0, 5, 1)

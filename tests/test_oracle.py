@@ -1,19 +1,22 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sylq import Interval, SizeGuardError, Syllogism, Trapezoid, enumerate_range
+from sylq import Interval, SizeGuardError, Syllogism, Trapezoid, enumerate_range, parse
 from sylq.oracle import population_totals, statement_predicate
 from sylq.quantifiers import (
     ABSOLUTE,
+    COMPARATIVE_ABSOLUTE,
     COMPARATIVE_PROPORTIONAL,
+    EXCEPTION,
     PROPORTIONAL,
     SIMILARITY,
     QuantifierSpec,
 )
 from sylq.statements import Conclusion, Statement
-from sylq.terms import Prop
+from sylq.terms import And, Not, Or, Prop, atoms_of
 from conftest import load_fixture
 
 F = Fraction
@@ -161,6 +164,63 @@ def test_statement_predicate_edge_conventions():
         False,
         True,
     ]
+
+
+def test_a_bound_past_int64_is_compared_exactly():
+    # 10**18 * |p & q| wraps in int64 once |p & q| >= 10
+    doc = parse(
+        "terms: p, q\n"
+        "premise: prop[999999999999999999/1000000000000000000, 1] p -> q\n"
+        "conclude: prop? p -> q\n"
+    )
+    assert enumerate_range(doc.to_syllogism(), 20) == Interval(1, 1)
+
+
+# each family's (numerator, denominator or None) on per-atom counts, over
+# restriction atoms a and scope atoms b
+FRACTION_MEASURES = {
+    ABSOLUTE: lambda n, a, b: (n(a & b), None),
+    EXCEPTION: lambda n, a, b: (n(a - b), None),
+    COMPARATIVE_ABSOLUTE: lambda n, a, b: (n(a) - n(b), None),
+    PROPORTIONAL: lambda n, a, b: (n(a & b), n(a)),
+    COMPARATIVE_PROPORTIONAL: lambda n, a, b: (n(a), n(b)),
+    SIMILARITY: lambda n, a, b: (n(a & b), n(a | b)),
+}
+
+
+def _huge_fraction(rng, negative):
+    """A value whose terms reach 10**30: a random ratio, or a small one moved
+    by a tiny amount, so some sit just beside a population's value."""
+    if rng.random() < 0.5:
+        top, bottom = (10 ** rng.randint(0, 30) for _ in range(2))
+        value = Fraction(rng.randint(0, top), rng.randint(1, bottom))
+    else:
+        tiny = Fraction(rng.choice((-1, 0, 1)), rng.randint(1, 10**30))
+        value = max(Fraction(0), Fraction(rng.randint(0, 12), rng.randint(1, 6)) + tiny)
+    return -value if negative and rng.random() < 0.5 else value
+
+
+def test_statement_predicate_equals_a_fraction_reading_for_huge_bounds():
+    rng = random.Random(20)
+    terms = (P, Q, Not(P), And(P, Q), Or(P, Not(Q)))
+    seen = set()
+    for _ in range(400):
+        family = rng.choice(sorted(FRACTION_MEASURES))
+        restriction, scope = rng.choice(terms), rng.choice(terms)
+        a, b = atoms_of(restriction, NAMES), atoms_of(scope, NAMES)
+        ends = sorted(_huge_fraction(rng, family == COMPARATIVE_ABSOLUTE) for _ in range(2))
+        bound = Interval(ends[0], None if rng.random() < 0.2 else ends[1])
+        rows = [[rng.randint(0, 6) for _ in range(4)] for _ in range(rng.randint(1, 30))]
+        spec = Statement(QuantifierSpec(family, Interval(0, 1)), restriction, scope)
+        got = statement_predicate(spec, bound, NAMES, np.array(rows, dtype=np.int64))
+        want = []
+        for row in rows:
+            num, den = FRACTION_MEASURES[family](lambda atoms: sum(row[x] for x in atoms), a, b)
+            den = 1 if den is None else den
+            want.append(bound.lo * den <= num and (bound.hi is None or num <= bound.hi * den))
+        assert got.tolist() == want, (family, bound, rows)
+        seen.update(want)
+    assert seen == {True, False}
 
 
 def test_term_sets_are_computed_once_per_enumeration(monkeypatch):

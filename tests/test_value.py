@@ -36,7 +36,7 @@ SPEC = QuantifierSpec("absolute", Interval(F(2)))
 STATEMENT = Statement(SPEC, P, Q)
 CONCLUSION = Conclusion("absolute", P, Q)
 OUTCOME = SolveOutcome("bounded", F(1), F(2))
-SKELETON = Skeleton(((0,), (1,)), (), (), (1, 0), False)
+SKELETON = Skeleton(((0,), (1,)), (), (), (1, 0))
 
 # class -> (field values, values that differ in one field or None)
 CASES = {
@@ -53,8 +53,8 @@ CASES = {
     Statement: ((SPEC, P, Q), (SPEC, Q, P)),
     Conclusion: (("absolute", P, Q), ("proportional", P, Q)),
     Syllogism: ((("p", "q"), (STATEMENT,), CONCLUSION, None), (("p", "q"), (), CONCLUSION, None)),
-    Skeleton: ((((0,), (1,)), (), (), (1, 0), False), (((0,), (1,)), (), (), (0, 1), False)),
-    ConstraintSystem: ((4, [((1, 0), 1, 1, ">=")], SKELETON), (4, [], SKELETON)),
+    Skeleton: ((((0,), (1,)), (), (), (1, 0)), (((0,), (1,)), (), (), (0, 1))),
+    ConstraintSystem: ((4, [((1, 0, 1), 1, ">=")], SKELETON), (4, [], SKELETON)),
     SolveOutcome: (("bounded", F(1), F(2), None, 3), ("bounded", F(1), F(3), None, 3)),
     LpSolution: (("optimal", F(1), [F(0)], 3), ("optimal", F(2), [F(0)], 3)),
     InferenceConfig: ((5,), (7,)),
