@@ -82,6 +82,9 @@ class InferenceResult:
             interval exists (premises infeasible there, or the measure is
             unbounded below);
     outcomes  the exact solver outcome behind each cut, in the same order;
+            a reading reused at later levels appears once per level as the
+            same object, so summing ``pivots`` over outcomes counts it again
+            (66 for the 33 pivots of course_passrates_crisp's two levels);
     fitted  trapezoid through the cuts, only when they are bounded and reach
             level 1 (never in crisp mode);
     max_feasible_level  highest grid level at which the premises are jointly

@@ -162,6 +162,9 @@ def _compositions(
         return hit
     if k == 1:
         block = np.array([[total]], dtype=np.int64)
+    elif k == 2:
+        first = np.arange(total + 1, dtype=np.int64)
+        block = np.stack((first, total - first), axis=1)
     else:
         parts = []
         for first in range(total + 1):

@@ -35,6 +35,19 @@ restricts the phase-1 LP, whose least sum of artificials is still 0 exactly
 when the rows are feasible; pivots change only where Dantzig's or Bland's
 rule would have brought an artificial back in.
 
+A row equal to an earlier row after normalization is a repeat, and phase 1
+carries it on its first copy instead of eliminating it.  While neither row
+pivots, their slack columns are zero in every other row and in the
+phase-1 reduced costs (+1 or 0 there, never negative), so no slack of
+theirs enters, every pivot subtracts the same multiple of the pivot row
+from both, and the repeat stays first copy + delta, delta being +-1 in the
+two slack columns (nothing for ==); the ratio test never picks it, since it
+ties its first copy, whose basis index is smaller.  The repeat is written
+out as delta, which is what elimination would leave, when its first copy
+pivots, and as first copy + delta when the iterations end, so the drive-out
+and phase 2 see the tableau row for row as if every repeat had been
+eliminated.
+
 Phase 1 never reads the costs: its end state depends only on the variable
 count n and the normalized rows.  minimize returns that state with its
 solution and takes it back for the same rows, so a bracket (minimize, then
@@ -65,6 +78,10 @@ _MAX_PIVOTS = 50_000
 # an eliminated row is reduced to lowest terms once its denominator is
 # longer than this; any bound from 45 to 90 bits runs about as fast
 _REDUCE_BITS = 60
+
+# phase 1 carries repeated rows on their first copy; with False it
+# eliminates them like any other row (same tableau, more work), for tests
+_CARRY_REPEATS = True
 
 _ZERO = Fraction(0)
 
@@ -133,6 +150,14 @@ def _int_row(values: Sequence) -> IntRow:
     return _reduced([v.numerator * (den // v.denominator) for v in fracs], den)
 
 
+def _plus(nums: List[int], den: int, delta: Sequence[Tuple[int, int]]) -> IntRow:
+    """The row nums/den plus delta, given as (column, +-1) pairs."""
+    nums = nums[:]
+    for j, unit in delta:
+        nums[j] += unit * den
+    return nums, den
+
+
 def _eliminate(row: IntRow, col: int, prow: IntRow, support: List[int]) -> IntRow:
     """row - row[col] * prow, where prow's entry at col equals one.
 
@@ -178,8 +203,13 @@ def _iterate(
     obj: IntRow,
     ncols: int,
     pivots_done: int,
+    repeats: Optional[Dict[int, list]] = None,
 ) -> Tuple[str, int, IntRow]:
-    """Run simplex iterations in place; obj is the reduced-cost row."""
+    """Run simplex iterations in place; obj is the reduced-cost row.
+
+    repeats maps a first copy's row to its carried repeats (see _phase1);
+    when the first copy pivots they are written out and dropped from it.
+    """
     pivots = pivots_done
     while True:
         reduced = obj[0]  # signs and order hold: the denominator is positive
@@ -206,6 +236,14 @@ def _iterate(
         if row < 0:
             return UNBOUNDED, pivots, obj
 
+        if repeats and row in repeats:
+            # first copy + delta less the pivot row times its entry at col
+            # is delta over the first copy's denominator, reduced as
+            # _eliminate would; delta is 0 at col, so _pivot passes it by
+            nums, den = tableau[row]
+            for j, delta in repeats.pop(row):
+                new = _plus([0] * len(nums), den, delta)
+                tableau[j] = _reduced(*new) if den.bit_length() > _REDUCE_BITS else new
         support = _pivot(tableau, basis, row, col)
         obj = _eliminate(obj, col, tableau[row], support)
         pivots += 1
@@ -221,7 +259,8 @@ def _phase1(n: int, rows: Sequence[Row]) -> _Phase1:
     table for the reduced-cost rows that minimize sets up at this basis,
     and n; the tableau is None when the rows are infeasible.  The costs
     play no part, so the result depends only on n and the rows' values.  No
-    row of the caller's is changed or kept.
+    row of the caller's is changed or kept.  A repeated row is a zero row
+    while the iterations carry it (see the module docstring).
     """
     slacks = [0] * sum(1 for *_, rel in rows if rel != "==")
     art_start = n + len(slacks)
@@ -230,6 +269,10 @@ def _phase1(n: int, rows: Sequence[Row]) -> _Phase1:
     art_rows: List[IntRow] = []
     slack_at = n
     art_at = art_start
+    # normalized row -> (its first copy's index, slack column); first
+    # copy's index -> [(repeat's index, delta = repeat - first copy)]
+    firsts: Dict[tuple, Tuple[int, int]] = {}
+    repeats: Dict[int, list] = {}
     for nums, den, rel in rows:
         if len(nums) != n + 1:
             raise ValueError("row length does not match variable count")
@@ -242,6 +285,11 @@ def _phase1(n: int, rows: Sequence[Row]) -> _Phase1:
             g, rel = -g, _FLIP[rel]
         if g != 1:
             nums, den = [v // g for v in nums], den // abs(g)
+        first, slack = firsts.setdefault((den, rel, *nums), (len(tableau), slack_at))
+        if first < len(tableau):
+            unit = 1 if rel == "<=" else -1
+            delta = () if rel == "==" else ((slack_at, unit), (slack, -unit))
+            repeats.setdefault(first, []).append((len(tableau), delta))
         row = [*nums[:n], *slacks, nums[n]], den
         if rel != "==":
             row[0][slack_at] = den if rel == "<=" else -den
@@ -261,10 +309,19 @@ def _phase1(n: int, rows: Sequence[Row]) -> _Phase1:
     oden = lcm(*(den for _, den in art_rows))
     scaled = [nums if den == oden else [oden // den * v for v in nums] for nums, den in art_rows]
     obj = _reduced([-sum(column) for column in zip(*scaled)], oden)
-    status, pivots, obj = _iterate(tableau, basis, obj, art_start, 0)
+    if not _CARRY_REPEATS:
+        repeats = {}
+    blank = [0] * (art_start + 1), 1
+    for carried in repeats.values():
+        for j, _ in carried:
+            tableau[j] = blank
+    status, pivots, obj = _iterate(tableau, basis, obj, art_start, 0, repeats)
     assert status == OPTIMAL  # phase 1 objective is bounded below by 0
     if obj[0][-1] < 0:
         return None, basis, pivots, art_start, {}, n
+    for first, carried in repeats.items():
+        for j, delta in carried:
+            tableau[j] = _plus(*tableau[first], delta)
     # pivot lingering artificials out of the basis, dropping empty rows
     for i in reversed(range(len(basis))):
         if basis[i] < art_start:

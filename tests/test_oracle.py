@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from sylq import Interval, SizeGuardError, Syllogism, Trapezoid, enumerate_range, parse
-from sylq.oracle import population_totals, statement_predicate
+from sylq.oracle import _compositions, population_totals, statement_predicate
 from sylq.quantifiers import (
     ABSOLUTE,
     COMPARATIVE_ABSOLUTE,
@@ -239,3 +240,16 @@ def test_term_sets_are_computed_once_per_enumeration(monkeypatch):
     assert enumerate_range(syl, 6) == Interval(F(3), F(3))
     # a restriction and a scope set for each premise and the conclusion
     assert len(calls) == 2 * (len(syl.premises) + 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_compositions_are_the_stars_and_bars_rows_in_order(k):
+    for total in range(9):
+        # k - 1 bars among total + k - 1 places; the parts are the gaps
+        expected = []
+        for bars in itertools.combinations(range(total + k - 1), k - 1):
+            ends = (-1, *bars, total + k - 1)
+            expected.append([b - a - 1 for a, b in zip(ends, ends[1:])])
+        block = _compositions(total, k, {})
+        assert block.dtype == np.int64
+        assert block.tolist() == expected

@@ -236,18 +236,32 @@ def boxed_lps(draw):
     )
     box = draw(st.integers(1, 4))
     rows += [([F(int(i == j)) for j in range(n)], "<=", F(box)) for i in range(n)]
-    return costs, rows
+    return costs, _with_repeats(draw, rows, max_repeats=2)
+
+
+def _with_repeats(draw, rows, max_repeats, times=1):
+    """rows and then up to max_repeats of them drawn again, each `times`
+    times, every copy at a drawn place."""
+    for row in draw(st.lists(st.sampled_from(rows), max_size=max_repeats)):
+        for _ in range(times):
+            rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
 
 
 @contextmanager
-def reduce_bits(bits):
-    """Run the simplex with eliminated rows reduced past `bits` bits."""
-    saved = simplex._REDUCE_BITS
-    simplex._REDUCE_BITS = bits
+def patched(name, value):
+    """Run the simplex with its module constant simplex.<name> set to value."""
+    saved = getattr(simplex, name)
+    setattr(simplex, name, value)
     try:
         yield
     finally:
-        simplex._REDUCE_BITS = saved
+        setattr(simplex, name, saved)
+
+
+def reduce_bits(bits):
+    """Run the simplex with eliminated rows reduced past `bits` bits."""
+    return patched("_REDUCE_BITS", bits)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -306,7 +320,7 @@ def wide_lps(draw):
     )
     if draw(st.booleans()):
         rows += [([F(int(i == j)) for j in range(n)], "<=", draw(wide)) for i in range(n)]
-    return costs, rows
+    return costs, _with_repeats(draw, rows, max_repeats=2)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -436,3 +450,63 @@ def test_one_phase1_per_feasible_solve(monkeypatch):
     # one phase-1 run of the iterations, then phase 2 for min and for max
     assert len(runs) == feasible
     assert len(iterations) == 3 * feasible
+
+
+# ------------------------------------------------------ carried repeated rows
+
+
+@st.composite
+def repeated_lps(draw):
+    """An LP with 1 to 3 of its rows repeated 1 to 4 times each."""
+    costs, rows = draw(st.one_of(boxed_lps(), wide_lps()))
+    for _ in range(draw(st.integers(1, 3))):
+        _with_repeats(draw, rows, max_repeats=1, times=draw(st.integers(1, 4)))
+    return costs, rows
+
+
+def _carried_and_eliminated(costs, rows):
+    """(min, max) solutions with repeats carried, then with none carried."""
+    rows = int_rows(rows)
+    solves = []
+    for carry in (True, False):
+        with patched("_CARRY_REPEATS", carry):
+            lo = simplex.minimize(costs, rows)
+            hi = simplex.maximize(costs, rows, phase1=lo.phase1)
+        # the phase-1 end state: tableau value for value, basis, pivots
+        solves.append((lo, hi, lo.phase1[:4]))
+    return solves
+
+
+# LPs in which a slack of a repeated pair enters: x >= 1 twice, where the
+# first copy pivots in phase 1 and the repeat then takes its slack; rows 0
+# and 2 alike, where phase 2 takes the repeat's own slack; rows 0 and 3
+# alike, where the repeat is carried to the end of phase 1 and phase 2
+# takes the first copy's slack
+SLACK_ENTERS = [
+    ([1], [([1], ">=", 1), ([1], ">=", 1)]),
+    ([0, -1], [([1, 1], ">=", 2), ([1, 0], "<=", 3), ([1, 1], ">=", 2), ([1, 1], "<=", 5)]),
+    ([-2, -1], [([1, -2], "<=", 0), ([-1, 3], ">=", 0), ([3, 1], "<=", 3), ([1, -2], "<=", 0)]),
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(repeated_lps())
+def test_carried_repeats_change_no_solution(lp):
+    # bound 0 reduces every eliminated row, so a repeat written out as delta
+    # is reduced too
+    for bits in (simplex._REDUCE_BITS, 0):
+        with reduce_bits(bits):
+            carried, eliminated = _carried_and_eliminated(*lp)
+        assert carried == eliminated
+
+
+@pytest.mark.parametrize("lp", SLACK_ENTERS)
+def test_a_repeated_rows_slack_enters_as_if_eliminated(lp):
+    costs, rows = lp
+    with counting("_pivot") as pivots:
+        carried, eliminated = _carried_and_eliminated(costs, rows)
+    assert carried == eliminated
+    # a slack of the repeated pair enters (columns n.. are the slacks)
+    n = len(costs)
+    slacks = {n + i for i, row in enumerate(rows) if rows.count(row) > 1}
+    assert any(col in slacks for *_, col in pivots)
