@@ -36,17 +36,16 @@ when the rows are feasible; pivots change only where Dantzig's or Bland's
 rule would have brought an artificial back in.
 
 A row equal to an earlier row after normalization is a repeat, and phase 1
-carries it on its first copy instead of eliminating it.  While neither row
-pivots, their slack columns are zero in every other row and in the
-phase-1 reduced costs (+1 or 0 there, never negative), so no slack of
-theirs enters, every pivot subtracts the same multiple of the pivot row
-from both, and the repeat stays first copy + delta, delta being +-1 in the
-two slack columns (nothing for ==); the ratio test never picks it, since it
-ties its first copy, whose basis index is smaller.  The repeat is written
-out as delta, which is what elimination would leave, when its first copy
-pivots, and as first copy + delta when the iterations end, so the drive-out
-and phase 2 see the tableau row for row as if every repeat had been
-eliminated.
+carries it on its first copy instead of eliminating it.  Until the first
+copy pivots, the two rows' slack columns are zero in every other row and
+keep their starting phase-1 reduced costs (+1 or 0), so neither enters;
+every pivot subtracts the same multiple of the pivot row from both rows, so
+the repeat stays first copy + delta (+-1 in the two slack columns, nothing
+for ==), and it never wins the ratio test, since it ties its first copy,
+whose basis index is smaller.  When the first copy pivots the repeat is
+written out as delta, what elimination would leave, and when the iterations
+end as first copy + delta, so the drive-out and phase 2 see the tableau
+value for value.
 
 Phase 1 never reads the costs: its end state depends only on the variable
 count n and the normalized rows.  minimize returns that state with its
@@ -285,8 +284,11 @@ def _phase1(n: int, rows: Sequence[Row]) -> _Phase1:
             g, rel = -g, _FLIP[rel]
         if g != 1:
             nums, den = [v // g for v in nums], den // abs(g)
-        first, slack = firsts.setdefault((den, rel, *nums), (len(tableau), slack_at))
-        if first < len(tableau):
+        key = den, rel, *nums
+        if key not in firsts:
+            firsts[key] = len(tableau), slack_at
+        else:
+            first, slack = firsts[key]
             unit = 1 if rel == "<=" else -1
             delta = () if rel == "==" else ((slack_at, unit), (slack, -unit))
             repeats.setdefault(first, []).append((len(tableau), delta))
@@ -311,10 +313,9 @@ def _phase1(n: int, rows: Sequence[Row]) -> _Phase1:
     obj = _reduced([-sum(column) for column in zip(*scaled)], oden)
     if not _CARRY_REPEATS:
         repeats = {}
-    blank = [0] * (art_start + 1), 1
     for carried in repeats.values():
         for j, _ in carried:
-            tableau[j] = blank
+            tableau[j] = [0] * (art_start + 1), 1
     status, pivots, obj = _iterate(tableau, basis, obj, art_start, 0, repeats)
     assert status == OPTIMAL  # phase 1 objective is bounded below by 0
     if obj[0][-1] < 0:
