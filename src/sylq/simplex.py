@@ -207,7 +207,8 @@ def _iterate(
     """Run simplex iterations in place; obj is the reduced-cost row.
 
     repeats maps a first copy's row to its carried repeats (see _phase1);
-    when the first copy pivots they are written out and dropped from it.
+    when the first copy pivots, its repeats are written out and its entry
+    leaves the table.
     """
     pivots = pivots_done
     while True:

@@ -236,14 +236,15 @@ def boxed_lps(draw):
     )
     box = draw(st.integers(1, 4))
     rows += [([F(int(i == j)) for j in range(n)], "<=", F(box)) for i in range(n)]
-    return costs, _with_repeats(draw, rows, max_repeats=2)
+    return costs, _with_repeats(draw, rows, st.integers(0, 2))
 
 
-def _with_repeats(draw, rows, max_repeats, times=1):
-    """rows and then up to max_repeats of them drawn again, each `times`
-    times, every copy at a drawn place."""
-    for row in draw(st.lists(st.sampled_from(rows), max_size=max_repeats)):
-        for _ in range(times):
+def _with_repeats(draw, rows, picks, times=st.just(1)):
+    """rows with a drawn number (`picks`) of them drawn again, each copied a
+    drawn number (`times`) of times, every copy at a drawn place."""
+    for _ in range(draw(picks)):
+        row = draw(st.sampled_from(rows))
+        for _ in range(draw(times)):
             rows.insert(draw(st.integers(0, len(rows))), row)
     return rows
 
@@ -320,7 +321,7 @@ def wide_lps(draw):
     )
     if draw(st.booleans()):
         rows += [([F(int(i == j)) for j in range(n)], "<=", draw(wide)) for i in range(n)]
-    return costs, _with_repeats(draw, rows, max_repeats=2)
+    return costs, _with_repeats(draw, rows, st.integers(0, 2))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -459,9 +460,7 @@ def test_one_phase1_per_feasible_solve(monkeypatch):
 def repeated_lps(draw):
     """An LP with 1 to 3 of its rows repeated 1 to 4 times each."""
     costs, rows = draw(st.one_of(boxed_lps(), wide_lps()))
-    for _ in range(draw(st.integers(1, 3))):
-        _with_repeats(draw, rows, max_repeats=1, times=draw(st.integers(1, 4)))
-    return costs, rows
+    return costs, _with_repeats(draw, rows, st.integers(1, 3), st.integers(1, 4))
 
 
 def _carried_and_eliminated(costs, rows):
@@ -506,7 +505,8 @@ def test_a_repeated_rows_slack_enters_as_if_eliminated(lp):
     with counting("_pivot") as pivots:
         carried, eliminated = _carried_and_eliminated(costs, rows)
     assert carried == eliminated
-    # a slack of the repeated pair enters (columns n.. are the slacks)
+    # a slack of the repeated pair enters (no row is ==, so row i's slack
+    # is column n + i)
     n = len(costs)
     slacks = {n + i for i, row in enumerate(rows) if rows.count(row) > 1}
     assert any(col in slacks for *_, col in pivots)
