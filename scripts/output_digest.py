@@ -1,14 +1,15 @@
-"""Print a JSON digest of what `sylq` prints for a fixed set of 148 runs.
+"""Print a JSON digest of what `sylq` prints for a fixed set of 156 runs.
 
 The runs are every bundled document in text, JSON and CSV, each in its own
 mode and with `--mode` crisp, kersup and alpha (96 runs); the four alpha
 documents in JSON on grids of 7 levels (cut levels such as 1/6, whose
 bounds are not decimal) and of 101 levels (8 runs); `sylq verify --cap 10`
-on every document (8 runs); and the 18 `scale_sweep` chains of
-`perfbench/bench_inputs.py` in text and JSON (36 runs).  For each run the
-digest records the exit code, a SHA-256 of stdout and of stderr, and for
-every `simplex.minimize` call in order its pivots and a SHA-256 of the LP it
-was given (costs and rows).
+on every document (8 runs); the 18 `scale_sweep` chains of
+`perfbench/bench_inputs.py` in text and JSON (36 runs); and `sylq DOC
+--verify 10` on every document (8 runs), whose audit solves nothing past
+the run's own LPs.  For each run the digest records the exit code, a
+SHA-256 of stdout and of stderr, and for every `simplex.minimize` call in
+order its pivots and a SHA-256 of the LP it was given (costs and rows).
 
 Run it in two checkouts and diff the results; identical files mean the two
 trees print the same bytes and hand the simplex the same LPs, call for call,
@@ -62,6 +63,8 @@ def runs():
     for case in bench_inputs.scale_cases(0):
         for fmt in ("text", "json"):
             yield "%s %s" % (case.name, fmt), ["-", "--format", fmt], case.stdin
+    for doc in docs:
+        yield "%s --verify" % doc, ["syllogisms/%s.syl" % doc, "--verify", "10"], None
 
 
 def _sha(text: str) -> str:

@@ -19,12 +19,12 @@ from __future__ import annotations
 import functools
 import os
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from . import optimizer
-from .compiler import compile_syllogism
+# not called here, but perfbench/bench_trace.py looks the name up
+from .compiler import compile_syllogism  # noqa: F401
 from .dsl import conclusion_text, parse
 from .inference import (
     MAX_LEVELS,
@@ -33,7 +33,7 @@ from .inference import (
     InferenceConfig,
     InferenceResult,
     infer,
-    premise_bounds,
+    readings,
 )
 from .quantifiers import _sig_digits, as_fraction
 from .simplex import PivotLimitError
@@ -307,27 +307,29 @@ def enumerate_range(syl: Syllogism, cap: int, bounds: tuple):
     return oracle.enumerate_range(syl, cap, premise_bounds=bounds)
 
 
-def _verify_doc(syl: Syllogism, cap: int) -> int:
+def _verify_doc(syl: Syllogism, cap: int, levels: Optional[Iterable[tuple]] = None) -> int:
     """Compare engine bounds with enumeration; 0 on agreement, 3 otherwise.
 
     Audits the distinct premise readings at levels 0 and 1: one for crisp
-    premises, else the support and the kernel.  A document too large to
-    enumerate is refused before anything is solved.
+    premises, else the support and the kernel.  levels gives a run's
+    (bounds, outcome) per grid level, whose first and last are levels 0
+    and 1; without it, a document too large to enumerate is refused before
+    a two-level grid is solved.
     """
     from . import oracle
 
     oracle.population_totals(syl, cap)
     size = syl.universe_size  # when declared, only that size is enumerated
     sizes = "up to cap %d" % cap if size is None else "of universe size %s" % _num_text(size)
-    readings: List[tuple] = []
-    for level in (Fraction(0), Fraction(1)):
-        bounds = premise_bounds(syl, level)
-        if bounds not in readings:
-            readings.append(bounds)
-    names = ("crisp",) if len(readings) == 1 else ("support", "kernel")
+    if levels is None:
+        levels = ((bounds, outcome) for _, bounds, outcome in readings(syl, 2))
+    (support, first), *_, (kernel, last) = levels
+    if support == kernel:
+        audited = [("crisp", support, first)]
+    else:
+        audited = [("support", support, first), ("kernel", kernel, last)]
     failures = 0
-    for name, bounds in zip(names, readings):
-        outcome = optimizer.solve(compile_syllogism(syl, bounds))
+    for name, bounds, outcome in audited:
         exact = enumerate_range(syl, cap, bounds)
         lp_lo = outcome.attained_lo if outcome.attained_lo is not None else outcome.lo
         if exact is None:
@@ -374,7 +376,7 @@ def _cmd_run(argv: Sequence[str]) -> int:
         _print_text(result, syl)
 
     if args.verify is not None:
-        return _verify_doc(syl, args.verify)
+        return _verify_doc(syl, args.verify, zip(result.bounds, result.outcomes))
     return 0
 
 

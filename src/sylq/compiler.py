@@ -43,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import optimizer
 from ._value import value
@@ -62,8 +62,6 @@ from .quantifiers import (
     RATIO_FAMILIES,
     SIMILARITY,
     IntBound,
-    Interval,
-    bound_ints,
     check_unit,
 )
 from .simplex import Row
@@ -316,15 +314,14 @@ def build_skeleton(syl: Syllogism) -> Skeleton:
 
 
 def compile_syllogism(
-    syl: Syllogism, premise_bounds: Sequence[Union[Interval, IntBound, None]]
+    syl: Syllogism, premise_bounds: Sequence[Optional[IntBound]]
 ) -> ConstraintSystem:
     """The LP of one crisp reading: the skeleton plus each bound's rows.
 
-    ``premise_bounds`` supplies the crisp interval for each premise in order
-    (None for logical premises), as an Interval or as the ints of
-    quantifiers.bound_ints; fuzzy quantifiers are expected to have been cut
-    by the caller.  Each bound is checked against its family's unit.  An
-    unbounded hi emits no upper row.
+    ``premise_bounds`` supplies each premise's crisp bound in order as the
+    ints of quantifiers.bound_ints (None for logical premises); fuzzy
+    quantifiers are cut by the caller (quantifiers.cut_ints).  Each bound is
+    checked against its family's unit.  An unbounded hi emits no upper row.
     """
     if len(premise_bounds) != len(syl.premises):
         raise ValueError("need exactly one bound per premise")
@@ -337,8 +334,6 @@ def compile_syllogism(
         family, pairs, index, homogeneous = premise
         if bound is None:
             raise ValueError("family %s needs a crisp bound to compile" % family)
-        if isinstance(bound, Interval):
-            bound = bound_ints(bound)
         lo_p, lo_q, hi_p, hi_q = bound
         check_unit(family, lo_p, hi_p, hi_q)
         for rel, p, q in ((GE, lo_p, lo_q), (LE, hi_p, hi_q)):

@@ -22,7 +22,7 @@ such non-normalized outcomes.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import optimizer
 from ._value import factory, value
@@ -36,7 +36,6 @@ from .quantifiers import (
     RimQuantifier,
     Trapezoid,
     _fmt,
-    cut,
     cut_ints,
     fit_trapezoid,
 )
@@ -49,14 +48,15 @@ __all__ = [
     "InferenceResult",
     "InfeasiblePremisesError",
     "infer",
-    "premise_bounds",
+    "readings",
 ]
 
 MODES = ("auto", "crisp", "kersup", "alpha")
 # largest alpha grid, which bounds what one infer call can solve
 MAX_LEVELS = 1001
 
-Bounds = Tuple[Optional[Interval], ...]
+# each premise's cut at one level (None for a logical premise)
+Reading = Tuple[Optional[IntBound], ...]
 
 
 class InfeasiblePremisesError(RuntimeError):
@@ -85,6 +85,8 @@ class InferenceResult:
             a reading reused at later levels appears once per level as the
             same object, so summing ``pivots`` over outcomes counts it again
             (66 for the 33 pivots of course_passrates_crisp's two levels);
+    bounds  the premise reading each outcome solved, in the same order (see
+            readings);
     fitted  trapezoid through the cuts, only when they are bounded and reach
             level 1 (never in crisp mode);
     max_feasible_level  highest grid level at which the premises are jointly
@@ -96,6 +98,7 @@ class InferenceResult:
     mode: str
     cuts: List[Tuple[Fraction, Optional[Interval]]]
     outcomes: List[optimizer.SolveOutcome]
+    bounds: List[Reading]
     max_feasible_level: Fraction
     epsilon_kind: str
     epsilon: Fraction
@@ -119,10 +122,24 @@ class InferenceResult:
         return KernelSupportPair(kernel=kernel, support=support)
 
 
-def premise_bounds(syl: Syllogism, level: Fraction) -> Bounds:
-    """Each premise's crisp bound at a Fraction level in [0, 1] (None when logical)."""
-    shapes = (p.quantifier.shape for p in syl.premises)
-    return tuple(None if shape is None else cut(shape, level) for shape in shapes)
+def readings(
+    syl: Syllogism, n: int
+) -> Iterator[Tuple[Fraction, Reading, optimizer.SolveOutcome]]:
+    """(level, bounds, outcome) at each level i/(n-1) of an n-level grid.
+
+    bounds cuts every premise at the level as quantifiers.cut_ints does and
+    keys the reuse of a solve: a level whose bounds equal an earlier level's
+    yields that level's outcome object and solves nothing.  Each level is
+    solved only when asked for, so a caller can stop before the next one.
+    """
+    shapes = [p.quantifier.shape for p in syl.premises]
+    solved: Dict[Reading, optimizer.SolveOutcome] = {}
+    for i in range(n):
+        bounds = tuple([None if s is None else cut_ints(s, i, n - 1) for s in shapes])
+        outcome = solved.get(bounds)
+        if outcome is None:
+            outcome = solved[bounds] = optimizer.solve(compile_syllogism(syl, bounds))
+        yield Fraction(i, n - 1), bounds, outcome
 
 
 def _auto_mode(syl: Syllogism) -> str:
@@ -155,22 +172,12 @@ def infer(
     # crisp and kersup read levels 0 and 1 only
     n = config.levels if mode == "alpha" else 2
 
-    # premise bounds as exact ints, which key the reuse of a level's solve
-    # and of its interval
-    shapes = [p.quantifier.shape for p in syl.premises]
-    solved: Dict[Tuple[Optional[IntBound], ...], Tuple[optimizer.SolveOutcome, object]] = {}
     cuts: List[Tuple[Fraction, Optional[Interval]]] = []
     outcomes: List[optimizer.SolveOutcome] = []
+    bounds: List[Reading] = []
     max_feasible = Fraction(0)
-    for i in range(n):
-        lam = Fraction(i, n - 1)
-        bounds = tuple([None if s is None else cut_ints(s, i, n - 1) for s in shapes])
-        reading = solved.get(bounds)
-        if reading is None:
-            outcome = optimizer.solve(compile_syllogism(syl, bounds))
-            iv = None if outcome.lo is None else Interval(outcome.lo, outcome.hi)
-            reading = solved[bounds] = outcome, iv
-        outcome, iv = reading
+    for lam, reading, outcome in readings(syl, n):
+        bounds.append(reading)
         outcomes.append(outcome)
         if outcome.status == optimizer.INFEASIBLE:
             if lam == 0:
@@ -181,7 +188,7 @@ def infer(
             cuts.append((lam, None))
             continue
         max_feasible = lam
-        cuts.append((lam, iv))
+        cuts.append((lam, None if outcome.lo is None else Interval(outcome.lo, outcome.hi)))
 
     families = {p.family for p in syl.premises} | {syl.conclusion.family}
     if families & RATIO_FAMILIES:
@@ -204,4 +211,6 @@ def infer(
     elif mode != "crisp" and all(iv is not None and iv.hi is not None for _, iv in cuts):
         fitted = fit_trapezoid(cuts)
 
-    return InferenceResult(mode, cuts, outcomes, max_feasible, kind, epsilon, fitted, warnings)
+    return InferenceResult(
+        mode, cuts, outcomes, bounds, max_feasible, kind, epsilon, fitted, warnings
+    )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +38,9 @@ from .quantifiers import (
     PROPORTIONAL,
     RATIO_FAMILIES,
     SIMILARITY,
+    IntBound,
     Interval,
+    bound_ints,
 )
 from .statements import Syllogism
 from .terms import SizeGuardError, atoms_of
@@ -60,24 +62,26 @@ def _sum_over(counts: np.ndarray, atoms) -> np.ndarray:
     return counts[:, idx].sum(axis=1)
 
 
-def _band_mask(num, den, bound: Interval, total: int) -> np.ndarray:
-    """bound.lo <= num/den <= bound.hi on int64 rows with |num| and den at
-    most total; den None reads num/1.
+def _band_mask(num, den, bound: IntBound, total: int) -> np.ndarray:
+    """lo <= num/den <= hi, for the bound (lo_num, lo_den, hi_num, hi_den) of
+    quantifiers.bound_ints, on int64 rows with |num| and den at most total;
+    den None reads num/1.
 
     Over each denominator d the bound admits the numerators ceil(lo*d) to
     floor(hi*d), computed on Python ints and clamped to [-total-1, total+1],
     so the comparisons are exact however large the bound's terms are.
     """
     dens, at = ((1,), 0) if den is None else (range(total + 1), den)
+    lo_num, lo_den, hi_num, hi_den = bound
 
-    def ends(end: Fraction, sign: int) -> np.ndarray:
-        # sign * floor(sign*end*d): the floor (sign 1) or ceiling (-1) of end*d
-        p, q, cap = sign * end.numerator, end.denominator, total + 1
+    def ends(p: int, q: int, sign: int) -> np.ndarray:
+        # sign * floor(sign*p*d/q): the floor (sign 1) or ceiling (-1) of p*d/q
+        p, cap = sign * p, total + 1
         return np.array([sign * min(max(p * d // q, -cap), cap) for d in dens], dtype=np.int64)
 
-    mask = num >= ends(bound.lo, -1)[at]
-    if bound.hi is not None:
-        mask &= num <= ends(bound.hi, 1)[at]
+    mask = num >= ends(lo_num, lo_den, -1)[at]
+    if hi_num is not None:
+        mask &= num <= ends(hi_num, hi_den, 1)[at]
     return mask
 
 
@@ -108,7 +112,7 @@ def _measure(family: str, a: frozenset, b: frozenset) -> tuple:
 
 def statement_predicate(
     stmt,
-    bound: Optional[Interval],
+    bound: Optional[IntBound],
     properties: Sequence[str],
     counts: np.ndarray,
     term_sets: Optional[Tuple[frozenset, frozenset]] = None,
@@ -217,7 +221,7 @@ class _Extrema:
                     self.hi = value
 
 
-def population_totals(syl: Syllogism, universe_cap: int) -> Optional[List[int]]:
+def population_totals(syl: Syllogism, universe_cap: int) -> Optional[range]:
     """The population sizes enumerate_range tries, within the size guard.
 
     None when the declared universe size is fractional, since no integer
@@ -226,26 +230,25 @@ def population_totals(syl: Syllogism, universe_cap: int) -> Optional[List[int]]:
     only on (syl.s, syl.universe_size, universe_cap), so a caller can check
     it before any other work.
     """
-    if syl.universe_size is not None:
-        if syl.universe_size.denominator != 1:
-            return None  # no integer population has a fractional total
-        totals = [int(syl.universe_size)]
-    else:
-        totals = list(range(universe_cap + 1))
-    k = 1 << syl.s
-    n_compositions = sum(math.comb(t + k - 1, k - 1) for t in totals)
+    size, k = syl.universe_size, 1 << syl.s
+    if size is not None and size.denominator != 1:
+        return None  # no integer population has a fractional total
+    first, last = (0, universe_cap) if size is None else (int(size),) * 2
+    # a total t has C(t + k - 1, k - 1) compositions into k parts; over
+    # t = first..last the sum telescopes to this
+    n_compositions = math.comb(last + k, k) - math.comb(first + k - 1, k)
     if n_compositions > COMPOSITION_GUARD:
         raise SizeGuardError(
             "enumerating %d populations exceeds the %d guard; lower the cap"
             % (n_compositions, COMPOSITION_GUARD)
         )
-    return totals
+    return range(first, last + 1)
 
 
 def enumerate_range(
     syl: Syllogism,
     universe_cap: int,
-    premise_bounds: Optional[Sequence[Optional[Interval]]] = None,
+    premise_bounds: Optional[Sequence[Optional[IntBound]]] = None,
 ) -> Optional[Interval]:
     """Exact range of the conclusion measure over small integer populations.
 
@@ -253,25 +256,22 @@ def enumerate_range(
     declared universe size when the syllogism fixes one) is tested against
     all premises; the conclusion measure is evaluated on the survivors.
     Returns None when no population qualifies.  Premises must carry crisp
-    interval bounds, or ``premise_bounds`` must supply them (one entry per
-    premise, None for logical premises).  A negative cap raises ValueError.
+    interval bounds, or ``premise_bounds`` must supply them as the ints of
+    quantifiers.bound_ints (one entry per premise, None for logical
+    premises).  A negative cap raises ValueError.
     """
     if universe_cap < 0:
         raise ValueError("cap must be a nonnegative integer, got %r" % (universe_cap,))
     k = 1 << syl.s
     if premise_bounds is None:
-        premise_bounds = []
-        for i, premise in enumerate(syl.premises):
-            shape = premise.quantifier.shape
-            if shape is None:
-                premise_bounds.append(None)
-            elif isinstance(shape, Interval):
-                premise_bounds.append(shape)
-            else:
+        shapes = [premise.quantifier.shape for premise in syl.premises]
+        for i, shape in enumerate(shapes):
+            if not isinstance(shape, (Interval, type(None))):
                 raise ValueError(
                     "premise %d carries a fuzzy quantifier; cut it to an "
                     "interval first" % (i + 1)
                 )
+        premise_bounds = [None if shape is None else bound_ints(shape) for shape in shapes]
     elif len(premise_bounds) != len(syl.premises):
         raise ValueError("need exactly one bound per premise")
 

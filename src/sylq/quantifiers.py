@@ -49,7 +49,6 @@ __all__ = [
     "RimQuantifier",
     "QuantifierSpec",
     "bound_ints",
-    "cut",
     "cut_ints",
     "fit_trapezoid",
 ]
@@ -347,19 +346,6 @@ def cut_ints(shape: Shape, p: int, q: int) -> IntBound:
     else:
         raise TypeError("no cut for shape %r" % (shape,))
     return _between(a, b, p, q) + _between(d, c, p, q)
-
-
-def cut(shape: Shape, level: Real) -> Interval:
-    """Crisp interval of values whose membership in ``shape`` is at least ``level``.
-
-    Level 0 returns the closed support, level 1 the kernel, and levels in
-    between the alpha cut, as cut_ints computes it.
-    """
-    lam = as_fraction(level)
-    if lam < 0 or lam > 1:
-        raise ValueError("cut level must lie in [0, 1], got %s" % _fmt(lam))
-    lo_num, lo_den, hi_num, hi_den = cut_ints(shape, lam.numerator, lam.denominator)
-    return Interval(Fraction(lo_num, lo_den), None if hi_num is None else Fraction(hi_num, hi_den))
 
 
 def fit_trapezoid(cuts: Sequence[tuple]) -> Trapezoid:

@@ -23,6 +23,7 @@ from sylq.quantifiers import (
     SIMILARITY,
     QuantifierSpec,
     RimQuantifier,
+    cut_ints,
 )
 from sylq.statements import Conclusion, Statement
 from sylq.terms import UNIVERSE, And, Not, Or, Prop
@@ -46,6 +47,19 @@ def int_rows(rows):
         den = lcm(*(v.denominator for v in values))
         out.append(([v.numerator * (den // v.denominator) for v in values], den, rel))
     return out
+
+
+def int_bounds(syl, p=0, q=1):
+    """Each premise's cut at level p/q in the ints of quantifiers.bound_ints
+    (None for a logical premise), the reading compile_syllogism takes."""
+    shapes = [prem.quantifier.shape for prem in syl.premises]
+    return tuple(None if shape is None else cut_ints(shape, p, q) for shape in shapes)
+
+
+def bound_ends(bound):
+    """(lo, hi) of bound_ints' ints as Fractions, hi None when unbounded."""
+    lo_num, lo_den, hi_num, hi_den = bound
+    return Fraction(lo_num, lo_den), None if hi_num is None else Fraction(hi_num, hi_den)
 
 
 def mask_atoms(mask):

@@ -5,8 +5,8 @@ every crisp reading, each statement is compiled into rows of rational
 (atom set, coefficient) terms, strict rows are rewritten with the engine's
 margins, a ratio objective goes through Charnes-Cooper, and the atoms are
 partitioned into classes from scratch.  Tests compare compile_syllogism and
-solve against it; it shares nothing with them beyond atoms_of, bound_ints,
-check_unit and the margin constants.
+solve against it; it shares nothing with them beyond atoms_of, check_unit
+and the margin constants.
 """
 
 from dataclasses import dataclass
@@ -30,7 +30,6 @@ from sylq.quantifiers import (
     PROPORTIONAL,
     RATIO_FAMILIES,
     SIMILARITY,
-    bound_ints,
     check_unit,
 )
 from sylq.terms import atoms_of
@@ -113,16 +112,18 @@ LOGICAL_ROWS = {
 
 
 def compile_statement(stmt, bound, properties) -> List[Constraint]:
-    """The rows saying ``stmt`` holds with a crisp bound (None if logical)."""
+    """The rows saying ``stmt`` holds with a crisp bound, given as the ints
+    of quantifiers.bound_ints (None if logical)."""
     a, b = atoms_of(stmt.restriction, properties), atoms_of(stmt.scope, properties)
     if stmt.family in LOGICAL_ROWS:
         family, rel = LOGICAL_ROWS[stmt.family]
         return [Constraint(measure(family, a, b)[0], rel, 0)]
-    lo_num, _, hi_num, hi_den = bound_ints(bound)
+    lo_num, lo_den, hi_num, hi_den = bound
     check_unit(stmt.family, lo_num, hi_num, hi_den)
     num, den = measure(stmt.family, a, b)
     rows = []
-    for rel, value in ((GE, bound.lo), (LE, bound.hi)):
+    hi = None if hi_num is None else Fraction(hi_num, hi_den)
+    for rel, value in ((GE, Fraction(lo_num, lo_den)), (LE, hi)):
         if value is None:
             continue
         if den is None:

@@ -22,9 +22,11 @@ from sylq import (
 from sylq.compiler import compile_syllogism
 from sylq.optimizer import solve
 from sylq.oracle import _compositions, statement_predicate
-from sylq.quantifiers import cut
+from sylq.quantifiers import bound_ints, cut_ints
 
 from conftest import (
+    bound_ends,
+    int_bounds,
     load_fixture,
     random_crisp_syllogism,
     random_fuzzy_syllogism,
@@ -38,13 +40,9 @@ def with_premises(syl, premises):
     return Syllogism(syl.properties, tuple(premises), syl.conclusion, syl.universe_size)
 
 
-def crisp_bounds(syl):
-    return [p.quantifier.shape for p in syl.premises]
-
-
-def cut_bounds(syl, which):
-    level = {"support": 0, "kernel": 1}[which]
-    return [cut(p.quantifier.shape, level) for p in syl.premises]
+def cut_ends(shape, level):
+    """(lo, hi) of shape's cut at a Fraction level."""
+    return bound_ends(cut_ints(shape, level.numerator, level.denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +171,7 @@ def test_criterion_6_rim_composition():
         raise AssertionError("level outside grid")
 
     grid = [F(i, 200) for i in range(201)]
-    linear_res = max(abs(cut(fitted_pair, g).lo - g * g) for g in grid)
+    linear_res = max(abs(cut_ends(fitted_pair, g)[0] - g * g) for g in grid)
     piece_res = max(abs(piecewise_lo(g) - g * g) for g in grid)
     assert linear_res > piece_res
 
@@ -190,10 +188,10 @@ def test_criterion_7_exception_minus_absolute():
     to_moriarty = syl.premises[0].quantifier.shape
     to_watson = syl.premises[1].quantifier.shape
     for level, iv in result.cuts:
-        first = cut(to_moriarty, level)
-        second = cut(to_watson, level)
-        assert abs(iv.lo - (first.lo - second.hi)) <= 1e-9
-        assert abs(iv.hi - (first.hi - second.lo)) <= 1e-9
+        first_lo, first_hi = cut_ends(to_moriarty, level)
+        second_lo, second_hi = cut_ends(to_watson, level)
+        assert abs(iv.lo - (first_lo - second_hi)) <= 1e-9
+        assert abs(iv.hi - (first_hi - second_lo)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +199,7 @@ def test_criterion_7_exception_minus_absolute():
 
 
 def check_against_oracle(syl, which, cap):
-    bounds = cut_bounds(syl, which)
+    bounds = int_bounds(syl, {"support": 0, "kernel": 1}[which])
     outcome = solve(compile_syllogism(syl, bounds))
     exact = enumerate_range(syl, cap, premise_bounds=bounds)
     assert exact is not None
@@ -315,8 +313,9 @@ def test_criterion_9a_rows_match_definitions():
                 spec = QuantifierSpec(family, shape)
                 for restriction, scope in pairs:
                     stmt = Statement(spec, restriction, scope)
-                    want = statement_predicate(stmt, bound, names, counts)
-                    rows = compile_statement(stmt, bound, names)
+                    ints = None if bound is None else bound_ints(bound)
+                    want = statement_predicate(stmt, ints, names, counts)
+                    rows = compile_statement(stmt, ints, names)
                     got = rows_hold(rows, counts, k)
                     mismatch = np.nonzero(want != got)[0]
                     assert mismatch.size == 0, (
@@ -337,8 +336,8 @@ def test_criterion_9b_oracle_containment(rng):
     checked = 0
     for _ in range(200):
         syl = random_crisp_syllogism(rng)
-        outcome = solve(compile_syllogism(syl, crisp_bounds(syl)))
-        exact = enumerate_range(syl, 8, premise_bounds=crisp_bounds(syl))
+        outcome = solve(compile_syllogism(syl, int_bounds(syl)))
+        exact = enumerate_range(syl, 8, premise_bounds=int_bounds(syl))
         if outcome.status == "infeasible":
             assert exact is None
             continue
@@ -429,7 +428,7 @@ def test_criterion_9e_fractional_scale_invariance(rng):
                 syl.conclusion,
                 universe_size=syl.universe_size * c,
             )
-            outcomes.append(solve(compile_syllogism(scaled, crisp_bounds(scaled))))
+            outcomes.append(solve(compile_syllogism(scaled, int_bounds(scaled))))
         first = outcomes[0]
         for other in outcomes[1:]:
             assert other.status == first.status

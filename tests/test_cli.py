@@ -449,25 +449,49 @@ def test_the_largest_grid_is_solved(capsys):
 
 def test_pivot_limit_exits_with_code_3_without_traceback(capsys, monkeypatch):
     monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
-    for argv in ([PETS], ["verify", PETS, "--cap", "10"]):
+    for argv in ([PETS], ["verify", PETS, "--cap", "10"], [PETS, "--verify", "10"]):
         code, out, err = run_cli(capsys, argv)
         assert code == 3
         assert out == ""
         assert err == "error: simplex did not terminate within the pivot cap\n"
 
 
-def test_pivot_limit_in_the_verify_flag_exits_with_code_3(capsys, monkeypatch):
-    # the run itself finishes; the cap is hit by the cross-check's solves
-    def infer_then_cap(*args, **kwargs):
-        result = infer(*args, **kwargs)
-        monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
-        return result
+def recorded_run(capsys, monkeypatch, argv):
+    """Exit code, stderr and the (costs, rows) of every simplex.minimize call."""
+    lps = []
+    original = simplex.minimize
 
-    monkeypatch.setattr(cli, "infer", infer_then_cap)
-    code, out, err = run_cli(capsys, [PETS, "--verify", "10"])
+    def recording(costs, rows, **kwargs):
+        lps.append((list(costs), [(list(nums), den, rel) for nums, den, rel in rows]))
+        return original(costs, rows, **kwargs)
+
+    monkeypatch.setattr(simplex, "minimize", recording)
+    code, _, err = run_cli(capsys, argv)
+    monkeypatch.setattr(simplex, "minimize", original)
+    return code, err, lps
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURE_DIR.glob("*.syl")), ids=lambda p: p.stem)
+def test_the_verify_flag_prints_the_verify_command_lines(capsys, monkeypatch, path):
+    doc = str(path)
+    _, _, run_lps = recorded_run(capsys, monkeypatch, [doc])
+    code, err, lps = recorded_run(capsys, monkeypatch, [doc, "--verify", "10"])
+    verify_code, verify_err, _ = recorded_run(capsys, monkeypatch, ["verify", doc, "--cap", "10"])
+    # the audit's lines, or the guard's, and no solve past the run's own
+    assert (code, err) == (verify_code, verify_err)
+    assert verify_err.startswith(("verify ", "error: enumerating "))
+    assert lps == run_lps
+
+
+@pytest.mark.parametrize("cap", [str(10**10), "99999999999999999999"])
+@pytest.mark.parametrize("command", ["verify", "flag"])
+def test_a_cap_past_the_guard_exits_3_with_one_error_line(capsys, command, cap):
+    argv = ["verify", PETS, "--cap", cap] if command == "verify" else [PETS, "--verify", cap]
+    code, out, err = run_cli(capsys, argv)
     assert code == 3
-    assert "lo: 3" in out
-    assert err == "error: simplex did not terminate within the pivot cap\n"
+    assert (out == "") if command == "verify" else ("lo: 3" in out)
+    assert err.startswith("error: enumerating ") and err.count("\n") == 1
+    assert err.endswith(" populations exceeds the 10000000 guard; lower the cap\n")
 
 
 def test_verify_agreement(capsys):

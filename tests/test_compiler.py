@@ -6,7 +6,6 @@ import pytest
 from sylq import InferenceConfig, Interval, Syllogism, UnitMixingError, infer, parse, simplex
 from sylq import compiler, optimizer
 from sylq.compiler import compile_syllogism
-from sylq.inference import premise_bounds
 from sylq.quantifiers import (
     ABSOLUTE,
     COMPARATIVE_ABSOLUTE,
@@ -27,6 +26,7 @@ from sylq.terms import UNIVERSE, And, Not, Or, Prop, atoms_of
 
 from conftest import (
     FIXTURE_DIR,
+    int_bounds,
     load_fixture,
     mask_atoms,
     random_crisp_syllogism,
@@ -44,11 +44,9 @@ def stmt(family, shape, restriction=P, scope=Q):
     return Statement(QuantifierSpec(family, shape), restriction, scope)
 
 
-def compiled(premises, conclusion, universe=None, bounds=None):
+def compiled(premises, conclusion, universe=None):
     syl = Syllogism(NAMES, tuple(premises), conclusion, universe_size=universe)
-    if bounds is None:
-        bounds = [p.quantifier.shape for p in premises]
-    return syl, compile_syllogism(syl, bounds)
+    return syl, compile_syllogism(syl, int_bounds(syl))
 
 
 def per_atom(syl, values):
@@ -136,21 +134,9 @@ def test_bound_unit_checks():
         (ABSOLUTE, Interval(0, 1), Interval(-1, 1), "absolute bounds must be nonnegative"),
     ):
         syl = Syllogism(NAMES, (stmt(family, shape),), Conclusion(family, P, Q))
-        # as an Interval or as its ints, a caller's bound is checked
-        for given_bound in (bound, bound_ints(bound)):
-            with pytest.raises(ValueError, match="^%s" % message):
-                compile_syllogism(syl, [given_bound])
-
-
-def test_int_bounds_compile_like_their_intervals():
-    syl = Syllogism(
-        NAMES,
-        (stmt(PROPORTIONAL, Interval(0, 1)), stmt(LOGICAL_SOME, None)),
-        Conclusion(PROPORTIONAL, UNIVERSE, Or(P, Q)),
-    )
-    for bound in (Interval(F(1, 3), F(5, 6)), Interval(F(2, 4))):
-        want = compile_syllogism(syl, [bound, None])
-        assert compile_syllogism(syl, [bound_ints(bound), None]) == want
+        # a caller's bound is checked, not only a shape's level-0 cut
+        with pytest.raises(ValueError, match="^%s" % message):
+            compile_syllogism(syl, [bound_ints(bound)])
 
 
 def count_syllogism(universe=None):
@@ -164,7 +150,7 @@ def count_syllogism(universe=None):
 
 def test_structural_rows_nonnegativity_and_universe():
     syl = count_syllogism(universe=F(7))
-    rows = atom_rows(syl, compile_syllogism(syl, [Interval(1, 2)]))
+    rows = atom_rows(syl, compile_syllogism(syl, [bound_ints(Interval(1, 2))]))
     # x >= 0 is the solver's domain, not a row: only the universe equation
     assert rows[2:] == [({0: F(1), 1: F(1), 2: F(1), 3: F(1)}, "==", F(7))]
 
@@ -238,14 +224,14 @@ def test_compile_syllogism_assembles_everything():
         ),
         Conclusion(PROPORTIONAL, UNIVERSE, Or(P, Q)),
     )
-    system = compile_syllogism(syl, [Interval(F(1, 2), 1), None])
+    system = compile_syllogism(syl, [bound_ints(Interval(F(1, 2), 1)), None])
     assert system.k == 4
     # Charnes-Cooper with no universe: every rhs is 0, so no row carries t
     assert 1 << system.k not in syl.skeleton.classes
     # premise rows + strict some-row + 2 denominators + normalization
     assert len(system.constraints) == 2 + 1 + 2 + 1
     # another reading rewrites only the bound rows
-    other = compile_syllogism(syl, [Interval(0, F(3, 4)), None])
+    other = compile_syllogism(syl, [bound_ints(Interval(0, F(3, 4))), None])
     assert other.constraints[2:] == system.constraints[2:]
     assert other.constraints[:2] != system.constraints[:2]
 
@@ -298,8 +284,8 @@ def test_skeleton_lp_equals_the_reference_on_bundled_documents(monkeypatch, path
     doc = parse(path.read_text())
     syl = doc.to_syllogism()
     n = doc.options.get("levels", InferenceConfig.levels)
-    for level in sorted({F(0), F(1)} | {F(i, n - 1) for i in range(n)}):
-        assert_equals_reference(monkeypatch, syl, premise_bounds(syl, level))
+    for i in range(n):
+        assert_equals_reference(monkeypatch, syl, int_bounds(syl, i, n - 1))
 
 
 def test_skeleton_lp_equals_the_reference_on_random_readings(monkeypatch):
@@ -307,11 +293,11 @@ def test_skeleton_lp_equals_the_reference_on_random_readings(monkeypatch):
     readings = []
     for _ in range(220):
         syl = random_crisp_syllogism(rng)
-        readings.append((syl, [p.quantifier.shape for p in syl.premises]))
+        readings.append((syl, int_bounds(syl)))
     for _ in range(40):
         syl = random_fuzzy_syllogism(rng)
-        for level in (F(0), F(1, 3), F(1)):
-            readings.append((syl, premise_bounds(syl, level)))
+        for p in (0, 1, 3):
+            readings.append((syl, int_bounds(syl, p, 3)))
     seen = dict.fromkeys(
         ("logical", "zero bound", "unbounded hi", "universe", "strict count", "strict ratio",
          "contradiction"), 0
@@ -321,8 +307,8 @@ def test_skeleton_lp_equals_the_reference_on_random_readings(monkeypatch):
         families = {p.family for p in syl.premises} | {syl.conclusion.family}
         strict = any(p.family in (LOGICAL_SOME, LOGICAL_NOT_ALL) for p in syl.premises)
         seen["logical"] += any(b is None for b in bounds)
-        seen["zero bound"] += any(b is not None and b.lo == 0 for b in bounds)
-        seen["unbounded hi"] += any(b is not None and b.hi is None for b in bounds)
+        seen["zero bound"] += any(b is not None and b[0] == 0 for b in bounds)
+        seen["unbounded hi"] += any(b is not None and b[2] is None for b in bounds)
         seen["universe"] += syl.universe_size is not None
         seen["strict count"] += strict and not families & RATIO_FAMILIES
         seen["strict ratio"] += bool(families & RATIO_FAMILIES)

@@ -16,12 +16,12 @@ from sylq import (
     parse,
 )
 from sylq.compiler import compile_syllogism
-from sylq.inference import MAX_LEVELS, premise_bounds
+from sylq.inference import MAX_LEVELS
 from sylq.optimizer import INFEASIBLE, solve
 from sylq.quantifiers import ABSOLUTE, PROPORTIONAL, QuantifierSpec, RimQuantifier
 from sylq.statements import Conclusion, Statement
 from sylq.terms import Prop
-from conftest import load_fixture, random_crisp_syllogism, random_fuzzy_syllogism
+from conftest import int_bounds, load_fixture, random_crisp_syllogism, random_fuzzy_syllogism
 
 F = Fraction
 P, Q = Prop("p"), Prop("q")
@@ -250,12 +250,13 @@ def test_atom_sets_are_computed_once_per_document(monkeypatch):
 
 
 def reference_outcomes(syl, n):
-    """The level loop spelled out with Fractions: premise_bounds,
-    compile_syllogism and solve at each level i/(n-1), one solve per
-    distinct tuple of premise Intervals."""
+    """The level loop spelled out: each premise cut at the level i/(n-1) in
+    lowest terms, then compile_syllogism and solve, one solve per distinct
+    tuple of premise bounds."""
     solved, outcomes = {}, []
     for i in range(n):
-        bounds = premise_bounds(syl, F(i, n - 1))
+        level = F(i, n - 1)
+        bounds = int_bounds(syl, level.numerator, level.denominator)
         if bounds not in solved:
             solved[bounds] = solve(compile_syllogism(syl, bounds))
         outcomes.append(solved[bounds])

@@ -19,10 +19,10 @@ from sylq.quantifiers import (
 )
 from sylq.statements import Conclusion, Statement
 from sylq.terms import And, Not, Or, Prop
-from sylq.inference import premise_bounds
 from conftest import (
     FIXTURE_DIR,
     LOGICAL,
+    int_bounds,
     int_rows,
     load_fixture,
     mask_atoms,
@@ -36,13 +36,9 @@ P, Q = Prop("p"), Prop("q")
 NAMES = ("p", "q")
 
 
-def crisp_bounds(syl):
-    return [prem.quantifier.shape for prem in syl.premises]
-
-
 def build(premises, conclusion, universe=None):
     syl = Syllogism(NAMES, tuple(premises), conclusion, universe_size=universe)
-    return compile_syllogism(syl, crisp_bounds(syl))
+    return compile_syllogism(syl, int_bounds(syl))
 
 
 def stmt(family, shape=None, restriction=P, scope=Q):
@@ -113,7 +109,7 @@ def test_margin_choice_does_not_move_the_pets_answer(monkeypatch):
         monkeypatch.setattr(sylq.optimizer, "EPS_COUNT", eps)
         # the margin is applied once per syllogism, when its skeleton is built
         syl = load_fixture("pets_at_home.syl").to_syllogism()
-        outcome = solve(compile_syllogism(syl, crisp_bounds(syl)))
+        outcome = solve(compile_syllogism(syl, int_bounds(syl)))
         assert (outcome.lo, outcome.hi) == (F(3), F(3))
 
 
@@ -208,7 +204,7 @@ def _readings(syl, levels):
     grid = {F(0), F(1)} | {F(i, levels - 1) for i in range(levels)}
     found = []
     for level in sorted(grid):
-        bounds = premise_bounds(syl, level)
+        bounds = int_bounds(syl, level.numerator, level.denominator)
         if bounds not in found:
             found.append(bounds)
     return found
@@ -234,7 +230,7 @@ def test_class_lp_equals_the_dense_atom_lp_on_chains():
                 lines.append("premise: prop[%d/100, %d/100] p0 -> %s" % (lo, hi, name))
             lines.append("conclude: prop? p0 -> " + " & ".join(names[1:]))
             syl = parse("\n".join(lines) + "\n").to_syllogism()
-            bounds = [p.quantifier.shape for p in syl.premises]
+            bounds = int_bounds(syl)
             assert solve(compile_syllogism(syl, bounds)) == dense_solve(syl, bounds)
 
 
@@ -279,7 +275,7 @@ def class_readings(draw):
         premises.append(Statement(QuantifierSpec(family, shape), draw(term), draw(term)))
     conclusion = Conclusion(draw(st.sampled_from(numeric)), draw(term), draw(term))
     syl = Syllogism(PQR, tuple(premises), conclusion)
-    return syl, crisp_bounds(syl)
+    return syl, int_bounds(syl)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -327,8 +323,8 @@ def test_a_class_named_only_by_a_dropped_row_stays_a_zero_column(monkeypatch):
     # the class p & q is in no kept row and not in the costs
     doc = "terms: p, q\npremise: abs[0, inf] p -> q\npremise: abs[0, 5] p -> !q\n"
     syl = parse(doc + "conclude: abs? p -> !q\n").to_syllogism()
-    system = compile_syllogism(syl, crisp_bounds(syl))
+    system = compile_syllogism(syl, int_bounds(syl))
     outcome, lps = recorded_lps(monkeypatch, lambda: solve(system))
     assert lps == [([1, 0], [[1, 0, 5]]), ([-1, 0], [[1, 0, 5]])]
-    assert outcome == dense_solve(syl, crisp_bounds(syl))
+    assert outcome == dense_solve(syl, int_bounds(syl))
     assert (outcome.status, outcome.lo, outcome.hi, outcome.pivots) == ("bounded", 0, 5, 1)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from sylq.quantifiers import (
     PROPORTIONAL,
     SIMILARITY,
     QuantifierSpec,
+    bound_ints,
 )
 from sylq.statements import Conclusion, Statement
 from sylq.terms import And, Not, Or, Prop, atoms_of
@@ -105,7 +107,7 @@ def test_fuzzy_premises_need_explicit_bounds():
     )
     with pytest.raises(ValueError):
         enumerate_range(syl, 4)
-    got = enumerate_range(syl, 4, premise_bounds=[Interval(0, 3)])
+    got = enumerate_range(syl, 4, premise_bounds=[bound_ints(Interval(0, 3))])
     assert got == Interval(F(0), F(3))
 
 
@@ -121,11 +123,26 @@ def test_population_guard_reads_only_the_size():
     syl = Syllogism(names, (), Conclusion(ABSOLUTE, P, Q))
     with pytest.raises(SizeGuardError, match="enumerating 125994627894135 populations"):
         population_totals(syl, 20)
-    assert population_totals(syl, 3) == [0, 1, 2, 3]
+    assert population_totals(syl, 3) == range(4)
     # a fractional universe has no integer population, whatever the cap
     half = Syllogism(names, (), Conclusion(ABSOLUTE, P, Q), universe_size=F(21, 2))
     assert population_totals(half, 20) is None
     assert enumerate_range(half, 20) is None
+
+
+@pytest.mark.parametrize("names", [("p", "q"), ("p", "q", "r")])
+def test_population_guard_counts_each_total_once(names):
+    # the closed form against the sum over totals, on both sides of the guard
+    k = 1 << len(names)
+    for cap, size in ((6, None), (60, None), (400, None), (9, F(9)), (60, F(60))):
+        syl = Syllogism(names, (), Conclusion(ABSOLUTE, P, Q), universe_size=size)
+        totals = range(cap + 1) if size is None else range(int(size), int(size) + 1)
+        count = sum(math.comb(t + k - 1, k - 1) for t in totals)
+        if count <= 10**7:
+            assert population_totals(syl, cap) == totals
+        else:
+            with pytest.raises(SizeGuardError, match="enumerating %d populations" % count):
+                population_totals(syl, cap)
 
 
 def test_negative_cap_is_rejected():
@@ -144,23 +161,25 @@ def test_statement_predicate_edge_conventions():
         ],
         dtype=np.int64,
     )
+    one = bound_ints(Interval(1, 1))
     prop = stmt(PROPORTIONAL, Interval(1, 1))
     # row 1: empty restriction reads vacuously true in the raw table
     # row 3: the single p element lies in q, so the ratio is exactly 1
-    assert statement_predicate(prop, Interval(1, 1), NAMES, counts).tolist() == [
+    assert statement_predicate(prop, one, NAMES, counts).tolist() == [
         True,
         False,
         True,
     ]
     cmp_eq = stmt(COMPARATIVE_PROPORTIONAL, Interval(1, 1))
     # |p| = 1*|q|: empty q tolerates only empty p
-    assert statement_predicate(cmp_eq, Interval(1, 1), NAMES, counts).tolist() == [
+    assert statement_predicate(cmp_eq, one, NAMES, counts).tolist() == [
         True,
         False,
         False,
     ]
     sim = stmt(SIMILARITY, Interval(F(1, 2), 1))
-    assert statement_predicate(sim, Interval(F(1, 2), 1), NAMES, counts).tolist() == [
+    half_to_one = bound_ints(Interval(F(1, 2), 1))
+    assert statement_predicate(sim, half_to_one, NAMES, counts).tolist() == [
         True,
         False,
         True,
@@ -213,7 +232,8 @@ def test_statement_predicate_equals_a_fraction_reading_for_huge_bounds():
         bound = Interval(ends[0], None if rng.random() < 0.2 else ends[1])
         rows = [[rng.randint(0, 6) for _ in range(4)] for _ in range(rng.randint(1, 30))]
         spec = Statement(QuantifierSpec(family, Interval(0, 1)), restriction, scope)
-        got = statement_predicate(spec, bound, NAMES, np.array(rows, dtype=np.int64))
+        counts = np.array(rows, dtype=np.int64)
+        got = statement_predicate(spec, bound_ints(bound), NAMES, counts)
         want = []
         for row in rows:
             num, den = FRACTION_MEASURES[family](lambda atoms: sum(row[x] for x in atoms), a, b)

@@ -17,10 +17,11 @@ from sylq.quantifiers import (
     QuantifierSpec,
     RimQuantifier,
     as_fraction,
-    cut,
+    bound_ints,
     cut_ints,
     fit_trapezoid,
 )
+from conftest import bound_ends
 
 F = Fraction
 
@@ -69,60 +70,60 @@ def test_rim_quantifier_needs_positive_exponent():
 
 def test_alpha_cut_trapezoid_interpolates_sides():
     tz = Trapezoid(0, 10, 20, 40)
-    assert cut(tz, 0) == Interval(0, 40)
-    assert cut(tz, F(1, 2)) == Interval(5, 30)
-    assert cut(tz, 1) == Interval(10, 20)
-    with pytest.raises(ValueError):
-        cut(tz, F(3, 2))
+    assert cut_ints(tz, 0, 1) == bound_ints(Interval(0, 40))
+    assert cut_ints(tz, 1, 2) == cut_ints(tz, 2, 4) == bound_ints(Interval(5, 30))
+    assert cut_ints(tz, 1, 1) == bound_ints(Interval(10, 20))
 
 
 def test_alpha_cut_rim_inverts_the_power():
     linear = RimQuantifier(1)
-    assert cut(linear, F(3, 10)) == Interval(F(3, 10), 1)
+    assert cut_ints(linear, 3, 10) == bound_ints(Interval(F(3, 10), 1))
     sqrt_like = RimQuantifier(F(1, 2))  # membership p**0.5, cut lo = level**2
-    assert cut(sqrt_like, F(1, 2)) == Interval(F(1, 4), 1)
+    assert cut_ints(sqrt_like, 1, 2) == bound_ints(Interval(F(1, 4), 1))
     most = RimQuantifier(2)  # cut lo = sqrt(level), snapped when irrational
-    lo = cut(most, F(1, 4)).lo
-    assert lo == F(1, 2)
+    assert cut_ints(most, 1, 4) == bound_ints(Interval(F(1, 2), 1))
 
 
 def test_rim_cut_is_exact_up_to_the_power_bound():
     level = F(9, 10)
-    assert cut(RimQuantifier(F(1, 64)), level).lo == level**64
+    assert cut_ints(RimQuantifier(F(1, 64)), 9, 10) == bound_ints(Interval(level**64, 1))
     snapped = F(0.9**65).limit_denominator(10**9)
-    assert cut(RimQuantifier(F(1, 65)), level).lo == snapped
-    assert cut(RimQuantifier(F(1, 10**10)), level) == Interval(0, 1)
+    assert cut_ints(RimQuantifier(F(1, 65)), 9, 10) == bound_ints(Interval(snapped, 1))
+    assert cut_ints(RimQuantifier(F(1, 10**10)), 9, 10) == bound_ints(Interval(0, 1))
     # 1/e past the float range
-    assert cut(RimQuantifier(F(1, 10**400)), level) == Interval(0, 1)
+    assert cut_ints(RimQuantifier(F(1, 10**400)), 9, 10) == bound_ints(Interval(0, 1))
 
 
 def test_cut_reads_support_at_0_and_kernel_at_1():
     tz = Trapezoid(F(1, 10), F(2, 10), F(3, 10), F(4, 10))
-    assert cut(tz, 1) == tz.kernel == Interval(F(2, 10), F(3, 10))
-    assert cut(tz, 0) == tz.support == Interval(F(1, 10), F(4, 10))
-    assert cut(Interval(1, 2), 1) == cut(Interval(1, 2), F(1, 2)) == Interval(1, 2)
-    assert cut(RimQuantifier(1), 1) == Interval(1, 1)
-    assert cut(RimQuantifier(1), 0) == Interval(0, 1)
-    with pytest.raises(ValueError):
-        cut(Interval(1, 2), -1)
+    assert cut_ints(tz, 1, 1) == bound_ints(tz.kernel) == (1, 5, 3, 10)
+    assert cut_ints(tz, 0, 1) == bound_ints(tz.support) == (1, 10, 2, 5)
+    assert cut_ints(Interval(1, 2), 1, 1) == cut_ints(Interval(1, 2), 1, 2) == (1, 1, 2, 1)
+    assert cut_ints(RimQuantifier(1), 1, 1) == (1, 1, 1, 1)
+    assert cut_ints(RimQuantifier(1), 0, 1) == (0, 1, 1, 1)
 
 
 def test_cut_reads_pairs_as_trapezoids():
     pair = KernelSupportPair(Interval(F(1, 2), F(3, 4)), Interval(F(1, 4), 1))
-    assert cut(pair, 0) == Interval(F(1, 4), 1)
-    assert cut(pair, 1) == Interval(F(1, 2), F(3, 4))
-    assert cut(pair, F(1, 2)) == Interval(F(3, 8), F(7, 8))
+    assert cut_ints(pair, 0, 1) == bound_ints(Interval(F(1, 4), 1))
+    assert cut_ints(pair, 1, 1) == bound_ints(Interval(F(1, 2), F(3, 4)))
+    assert cut_ints(pair, 1, 2) == bound_ints(Interval(F(3, 8), F(7, 8)))
     # an unbounded pair has a support and a kernel but nothing in between
     open_pair = KernelSupportPair(Interval(2, None), Interval(1, None))
-    assert cut(open_pair, 0) == Interval(1, None)
-    assert cut(open_pair, 1) == Interval(2, None)
+    assert cut_ints(open_pair, 0, 2) == (1, 1, None, None)
+    assert cut_ints(open_pair, 2, 2) == (2, 1, None, None)
     with pytest.raises(ValueError):
-        cut(open_pair, F(1, 2))
+        cut_ints(open_pair, 1, 2)
+
+
+def cut_interval(shape, p, q):
+    """The cut at level p/q as an Interval."""
+    return Interval(*bound_ends(cut_ints(shape, p, q)))
 
 
 def test_fit_trapezoid_recovers_linear_cuts_exactly():
     tz = Trapezoid(2, 4, 8, 10)
-    cuts = [(F(i, 4), cut(tz, F(i, 4))) for i in range(5)]
+    cuts = [(F(i, 4), cut_interval(tz, i, 4)) for i in range(5)]
     assert fit_trapezoid(cuts) == tz
 
 
@@ -159,7 +160,8 @@ levels = st.fractions(min_value=0, max_value=1, max_denominator=16)
 def test_alpha_cuts_nest_by_construction(knots, lam1, lam2):
     tz = Trapezoid(*knots)
     low, high = min(lam1, lam2), max(lam1, lam2)
-    assert cut(tz, high).subset_of(cut(tz, low))
+    inner = cut_interval(tz, high.numerator, high.denominator)
+    assert inner.subset_of(cut_interval(tz, low.numerator, low.denominator))
 
 
 # ------------------------------------------------- premise cuts on a grid

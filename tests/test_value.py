@@ -36,6 +36,7 @@ SPEC = QuantifierSpec("absolute", Interval(F(2)))
 STATEMENT = Statement(SPEC, P, Q)
 CONCLUSION = Conclusion("absolute", P, Q)
 OUTCOME = SolveOutcome("bounded", F(1), F(2))
+READING = ((1, 1, None, None),)  # one premise cut at [1, inf), as bound_ints gives it
 SKELETON = Skeleton(((0,), (1,)), (), (), (1, 0))
 
 # class -> (field values, values that differ in one field or None)
@@ -59,8 +60,8 @@ CASES = {
     LpSolution: (("optimal", F(1), [F(0)], 3), ("optimal", F(2), [F(0)], 3)),
     InferenceConfig: ((5,), (7,)),
     InferenceResult: (
-        ("crisp", [(F(0), Interval(1))], [OUTCOME], F(1), "count", F(1), None, []),
-        ("crisp", [(F(0), Interval(2))], [OUTCOME], F(1), "count", F(1), None, []),
+        ("crisp", [(F(0), Interval(1))], [OUTCOME], [READING], F(1), "count", F(1), None, []),
+        ("crisp", [(F(0), Interval(2))], [OUTCOME], [READING], F(1), "count", F(1), None, []),
     ),
     SyllogismDoc: (
         (("p", "q"), (STATEMENT,), CONCLUSION, None, {"levels": 5}),
