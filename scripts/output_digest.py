@@ -1,15 +1,18 @@
-"""Print a JSON digest of what `sylq` prints for a fixed set of 156 runs.
+"""Print a JSON digest of what `sylq` prints for a fixed set of 164 runs.
 
 The runs are every bundled document in text, JSON and CSV, each in its own
 mode and with `--mode` crisp, kersup and alpha (96 runs); the four alpha
 documents in JSON on grids of 7 levels (cut levels such as 1/6, whose
 bounds are not decimal) and of 101 levels (8 runs); `sylq verify --cap 10`
 on every document (8 runs); the 18 `scale_sweep` chains of
-`perfbench/bench_inputs.py` in text and JSON (36 runs); and `sylq DOC
+`perfbench/bench_inputs.py` in text and JSON (36 runs); `sylq DOC
 --verify 10` on every document (8 runs), whose audit solves nothing past
-the run's own LPs.  For each run the digest records the exit code, a
-SHA-256 of stdout and of stderr, and for every `simplex.minimize` call in
-order its pivots and a SHA-256 of the LP it was given (costs and rows).
+the run's own LPs; and 8 runs of how the command line is read: `--help`
+and `verify --help`, `--format=json`, a prefix (`--form json`), FILE after
+the options, and three usage errors.  For each run the digest records the
+exit code, a SHA-256 of stdout and of stderr, and for every
+`simplex.minimize` call in order its pivots and a SHA-256 of the LP it was
+given (costs and rows).
 
 Run it in two checkouts and diff the results; identical files mean the two
 trees print the same bytes and hand the simplex the same LPs, call for call,
@@ -65,6 +68,16 @@ def runs():
             yield "%s %s" % (case.name, fmt), ["-", "--format", fmt], case.stdin
     for doc in docs:
         yield "%s --verify" % doc, ["syllogisms/%s.syl" % doc, "--verify", "10"], None
+    pets = "syllogisms/pets_at_home.syl"
+    yield "help", ["--help"], None
+    yield "verify help", ["verify", "--help"], None
+    yield "pets_at_home json equals", [pets, "--format=json"], None
+    yield "pets_at_home json prefix", [pets, "--form", "json"], None
+    warehouse = "syllogisms/warehouse_sales_mix.syl"
+    yield "warehouse_sales_mix file last", ["--mode", "alpha", "--format", "csv", warehouse], None
+    yield "usage error choice", [pets, "--format", "xml"], None
+    yield "usage error missing value", [pets, "--levels"], None
+    yield "usage error second file", ["verify", pets, pets], None
 
 
 def _sha(text: str) -> str:

@@ -1,25 +1,28 @@
 """Command-line front end.
 
-    sylq FILE [--mode M] [--levels N] [--format text|json|csv] [--verify CAP]
-    sylq verify FILE [--cap N]
+usage: sylq [FILE] [--mode auto|crisp|kersup|alpha] [--levels N]
+            [--format text|json|csv] [--verify CAP]
+       sylq verify [FILE] [--cap N]
 
-Reads a syllogism document (or stdin when FILE is ``-``), runs inference, and
-prints the result.  ``verify`` cross-checks the engine against brute-force
-enumeration of integer populations.  Exit codes: 0 success, 1 input or output
-error, 2 infeasible premises, 3 size guard or pivot limit exceeded, or
-verification disagreement.
+FILE is a syllogism document, - (the default) for stdin.  --mode and
+--levels (the alpha grid size, 2 to 1001) override the document's options,
+else auto and 11.  verify, and --verify after the answer, cross-check the
+engine against brute-force enumeration of integer populations of up to CAP
+(--cap, default 10) members.  An option may be cut to a unique prefix or
+written --name=value.  Exit codes: 0 success, 1 input or output error, 2
+infeasible premises, 3 size guard or pivot limit exceeded, or verification
+disagreement.
 
 JSON and CSV output are deterministic: fixed key order and numbers printed
 to 12 significant digits (integers without a decimal point).  An unbounded
-upper end renders as ``null`` in JSON and an empty CSV cell.
+upper end renders as null in JSON and an empty CSV cell.
 """
 
 from __future__ import annotations
 
-import functools
 import os
+import re
 import sys
-from types import SimpleNamespace
 from typing import Iterable, List, Optional, Sequence
 
 from . import optimizer
@@ -27,7 +30,6 @@ from . import optimizer
 from .compiler import compile_syllogism  # noqa: F401
 from .dsl import conclusion_text, parse
 from .inference import (
-    MAX_LEVELS,
     MODES,
     InfeasiblePremisesError,
     InferenceConfig,
@@ -43,117 +45,70 @@ from .terms import SizeGuardError
 __all__ = ["main"]
 
 
-def _digits(text: str) -> bool:
-    # isdecimal() alone also takes the decimal digits of other scripts
-    return text.isascii() and text.isdecimal()
+# each command's options and the values each takes: a tuple of choices, or
+# _WHOLE for ASCII digits read by int(); an option left out reads None
+_WHOLE = "whole number"
+_RUN = {"mode": MODES, "levels": _WHOLE, "format": ("text", "json", "csv"), "verify": _WHOLE}
+_VERIFY = {"cap": _WHOLE}
+
+# a token that reads as a negative number is a value, not an option
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
-# argparse (with gettext, about 3 ms) and json (about 3 ms) are imported where
-# first needed: a plain argv needs no argparse, and only --format json needs json
+def _positional(token: str) -> bool:
+    return token == "-" or not token.startswith("-") or bool(_NEGATIVE.match(token))
 
 
-def _cap(text: str) -> int:
-    return _whole(text, "cap must be a nonnegative integer, got %r")
-
-
-def _levels(text: str) -> int:
-    return _whole(text, "levels must be an integer >= 2 and <= %d, got %%r" % MAX_LEVELS)
-
-
-def _whole(text: str, message: str) -> int:
-    """The int that argparse reads for _cap and _levels."""
-    if not _digits(text):
-        import argparse
-
-        raise argparse.ArgumentTypeError(message % text)
-    return int(text)
-
-
-_FORMATS = ("text", "json", "csv")
-
-
-def _parser(**kwargs):
-    """An argparse parser whose usage errors raise ValueError: main() reports
-    them with exit code 1 (argparse's 2 means infeasible premises here)."""
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        def error(self, message: str):
-            raise ValueError(message)
-
-    return Parser(**kwargs)
-
-
-# each parser is built on the first call that needs it, then reused: parsing
-# keeps nothing in the parser, and importing the module stays cheap
-@functools.cache
-def _run_parser():
-    p = _parser(
-        prog="sylq",
-        description="Interval bounds for syllogisms with generalized quantifiers.",
-    )
-    p.add_argument("file", nargs="?", default="-", help="syllogism document ('-' for stdin)")
-    p.add_argument(
-        "--mode",
-        choices=MODES,
-        default=None,
-        help="inference mode (default: document option, else auto)",
-    )
-    p.add_argument(
-        "--levels",
-        type=_levels,
-        default=None,
-        help="alpha grid size, 2 to %d (default %d)" % (MAX_LEVELS, InferenceConfig.levels),
-    )
-    p.add_argument("--format", choices=_FORMATS, default="text")
-    p.add_argument(
-        "--verify",
-        type=_cap,
-        default=None,
-        metavar="CAP",
-        help="also cross-check against enumeration of populations up to CAP",
-    )
-    return p
-
-
-# the values each option of a plain call takes (see _plain_args); int stands
-# for what _levels and _cap accept
-_PLAIN = {"--mode": MODES, "--levels": int, "--format": _FORMATS, "--verify": int}
-
-
-def _plain_args(argv: List[str]) -> Optional[SimpleNamespace]:
-    """What _run_parser() reads from a plain argv: FILE ("-" or not an
-    option), then distinct options of _PLAIN in full, each with a value it
-    accepts.  argparse takes about 0.1 ms for one with cold caches, a tenth
-    of a small document's run; None sends any other argv to argparse."""
-    if len(argv) % 2 == 0 or (argv[0].startswith("-") and argv[0] != "-"):
-        return None
-    flags = argv[1::2]
-    if len(set(flags)) < len(flags):
-        return None
-    args = SimpleNamespace(file=argv[0], mode=None, levels=None, format="text", verify=None)
-    for flag, text in zip(flags, argv[2::2]):
-        check = _PLAIN.get(flag, ())
-        if check is int and _digits(text):
+def _value(option: str, check, text: str):
+    if check == _WHOLE:
+        # isdecimal() alone also takes the decimal digits of other scripts
+        if text.isascii() and text.isdecimal():
             try:
-                text = int(text)
+                return int(text)
             except ValueError:  # past int()'s digit limit
+                pass
+    elif text in check:
+        return text
+    wanted = "a " + _WHOLE if check == _WHOLE else "one of " + ", ".join(check)
+    raise ValueError("argument --%s: expected %s, got %r" % (option, wanted, text))
+
+
+def _read_argv(argv: Sequence[str], options: dict) -> Optional[dict]:
+    """FILE and the value of each of options in one command's argv, or None
+    when it asks for help.
+
+    FILE may stand anywhere and defaults to "-".  An option is written in
+    full, as a unique prefix, or as --name=value; a repeated option's last
+    value wins; the first "--" ends options.  Any other token, a second
+    FILE or a missing or refused value raises ValueError.
+    """
+    args = dict.fromkeys(options)
+    files = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":
+            files += tokens
+        elif _positional(token):
+            files.append(token)
+        else:
+            name, equals, text = ("--help" if token == "-h" else token).partition("=")
+            found = [option for option in (*options, "help") if ("--" + option).startswith(name)]
+            if len(found) != 1:
+                raise ValueError("%s option: %s" % ("ambiguous" if found else "unrecognized", name))
+            option = found[0]
+            if option == "help":
+                if equals:
+                    raise ValueError("option --help takes no value")
                 return None
-        elif check is int or text not in check:
-            return None
-        setattr(args, flag[2:], text)
+            if not equals:
+                text = next(tokens, None)
+                if text is None or not _positional(text):
+                    raise ValueError("argument --%s: expected one argument" % option)
+            args[option] = _value(option, options[option], text)
+    if len(files) > 1:
+        raise ValueError("unrecognized arguments: %s" % " ".join(files[1:]))
+    args["file"] = files[0] if files else "-"
     return args
-
-
-@functools.cache
-def _verify_parser():
-    p = _parser(
-        prog="sylq verify",
-        description="Cross-check engine bounds against brute-force enumeration.",
-    )
-    p.add_argument("file", nargs="?", default="-", help="syllogism document ('-' for stdin)")
-    p.add_argument("--cap", type=_cap, default=10, help="largest universe size to enumerate")
-    return p
 
 
 def _read_text(path: str) -> str:
@@ -214,6 +169,7 @@ def _json_text(payload) -> str:
     """json.dumps(payload, indent=2) for a payload of dicts, lists, strings,
     ints, floats as _num makes them (finite, or _Digits), booleans and None,
     built directly: the standard encoder runs generators when it indents."""
+    # imported here: it takes about 3 ms, and only --format json needs it
     from json.encoder import encode_basestring_ascii as quote
 
     def text(value, indent: str) -> str:
@@ -356,34 +312,31 @@ def _verify_doc(syl: Syllogism, cap: int, levels: Optional[Iterable[tuple]] = No
     return 0 if failures == 0 else 3
 
 
-def _cmd_run(argv: Sequence[str]) -> int:
-    argv = list(argv)
-    args = _plain_args(argv) or _run_parser().parse_args(argv)
-    doc = parse(_read_text(args.file))
+def _cmd_run(args: dict) -> int:
+    doc = parse(_read_text(args["file"]))
     syl = doc.to_syllogism()
     # a flag beats the document option
-    levels = args.levels
+    levels = args["levels"]
     if levels is None:
         levels = doc.options.get("levels", InferenceConfig.levels)
-    mode = args.mode or doc.options.get("mode", "auto")
+    mode = args["mode"] or doc.options.get("mode", "auto")
     result = infer(syl, mode=mode, config=InferenceConfig(levels))
 
-    if args.format == "json":
+    if args["format"] == "json":
         print(_json_text(_json_payload(result, syl)))
-    elif args.format == "csv":
+    elif args["format"] == "csv":
         _print_csv(result)
     else:
         _print_text(result, syl)
 
-    if args.verify is not None:
-        return _verify_doc(syl, args.verify, zip(result.bounds, result.outcomes))
+    if args["verify"] is not None:
+        return _verify_doc(syl, args["verify"], zip(result.bounds, result.outcomes))
     return 0
 
 
-def _cmd_verify(argv: Sequence[str]) -> int:
-    args = _verify_parser().parse_args(list(argv))
-    doc = parse(_read_text(args.file))
-    return _verify_doc(doc.to_syllogism(), args.cap)
+def _cmd_verify(args: dict) -> int:
+    doc = parse(_read_text(args["file"]))
+    return _verify_doc(doc.to_syllogism(), 10 if args["cap"] is None else args["cap"])
 
 
 # exit code of each error a command reports as one "error: ..." line; DslError
@@ -399,10 +352,17 @@ _EXIT_CODES = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    verify = argv[:1] == ["verify"]
     try:
-        if argv and argv[0] == "verify":
-            return _cmd_verify(argv[1:])
-        code = _cmd_run(argv)
+        args = _read_argv(argv[1:], _VERIFY) if verify else _read_argv(argv, _RUN)
+        if args is None:
+            # the help text is the module docstring past its first line
+            print((__doc__ or "").partition("\n\n")[2], end="")
+            code = 0
+        elif verify:
+            return _cmd_verify(args)
+        else:
+            code = _cmd_run(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

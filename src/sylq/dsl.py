@@ -48,6 +48,7 @@ from .quantifiers import (
     QuantifierSpec,
     RimQuantifier,
     Trapezoid,
+    _fmt,
 )
 from .statements import COMPARED_FAMILIES, Conclusion, Statement, Syllogism
 from .terms import UNIVERSE, And, Not, Or, Prop, Universe
@@ -399,27 +400,6 @@ def parse(text: str) -> SyllogismDoc:
     return SyllogismDoc(properties, tuple(premises), conclusion, universe, options)
 
 
-def _fmt_number(value: Fraction) -> str:
-    """Exact text for a rational: integer, short decimal, or p/q."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    den = value.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den == 1:  # decimal-exact
-        digits = max(twos, fives)
-        scaled = value.numerator * 10**digits // value.denominator
-        sign = "-" if scaled < 0 else ""
-        text = str(abs(scaled)).rjust(digits + 1, "0")
-        return "%s%s.%s" % (sign, text[:-digits], text[-digits:])
-    return "%d/%d" % (value.numerator, value.denominator)
-
-
 def _term_text(term, parent: str = "or") -> str:
     if isinstance(term, Universe):
         return "*"
@@ -444,12 +424,12 @@ def _quantifier_text(spec: QuantifierSpec) -> str:
     if shape is None:
         return keyword
     if isinstance(shape, Interval):
-        hi = "inf" if shape.hi is None else _fmt_number(shape.hi)
-        return "%s[%s, %s]" % (keyword, _fmt_number(shape.lo), hi)
+        hi = "inf" if shape.hi is None else _fmt(shape.hi)
+        return "%s[%s, %s]" % (keyword, _fmt(shape.lo), hi)
     if isinstance(shape, Trapezoid):
-        return "%s tz(%s)" % (keyword, ", ".join(_fmt_number(v) for v in shape.as_tuple()))
+        return "%s tz(%s)" % (keyword, ", ".join(_fmt(v) for v in shape.as_tuple()))
     if isinstance(shape, RimQuantifier):
-        return "%s rim(%s)" % (keyword, _fmt_number(shape.exponent))
+        return "%s rim(%s)" % (keyword, _fmt(shape.exponent))
     raise TypeError("quantifier shape %s has no document spelling" % type(shape).__name__)
 
 
@@ -467,7 +447,7 @@ def print_doc(doc: SyllogismDoc) -> str:
     """Canonical text of a document; parsing it again gives an equal doc."""
     lines = ["terms: %s" % ", ".join(doc.properties)]
     if doc.universe_size is not None:
-        lines.append("universe: %s" % _fmt_number(doc.universe_size))
+        lines.append("universe: %s" % _fmt(doc.universe_size))
     for premise in doc.premises:
         lines.append("premise: %s" % _terms_text(_quantifier_text(premise.quantifier), premise))
     lines.append("conclude: %s" % conclusion_text(doc.conclusion))

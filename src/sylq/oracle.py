@@ -49,6 +49,8 @@ __all__ = ["COMPOSITION_GUARD", "enumerate_range", "population_totals"]
 
 # refuse to enumerate more compositions than this
 COMPOSITION_GUARD = 10**7
+# a refusal names a count up to this exactly, and a larger one as "more than 10^20"
+_SHORT = 10**20
 # split any single block beyond this many rows
 _CHUNK_ROWS = 1 << 22
 
@@ -234,13 +236,18 @@ def population_totals(syl: Syllogism, universe_cap: int) -> Optional[range]:
     if size is not None and size.denominator != 1:
         return None  # no integer population has a fractional total
     first, last = (0, universe_cap) if size is None else (int(size),) * 2
-    # a total t has C(t + k - 1, k - 1) compositions into k parts; over
-    # t = first..last the sum telescopes to this
-    n_compositions = math.comb(last + k, k) - math.comb(first + k - 1, k)
-    if n_compositions > COMPOSITION_GUARD:
+    # a total t has C(t + k - 1, k - 1) compositions into k parts, so the last
+    # one alone has at least C(last + k - 1, j) for each j <= min(last, k - 1).
+    # At j = 64 that is past _SHORT, so below it min(last, k - 1) < 64 and the
+    # exact count is quick to build; a vast cap or S never builds it
+    count = None
+    if math.comb(last + k - 1, min(last, k - 1, 64)) <= _SHORT:
+        # over t = first..last the sum telescopes to this
+        count = math.comb(last + k, k) - math.comb(first + k - 1, k)
+    if count is None or count > COMPOSITION_GUARD:
         raise SizeGuardError(
-            "enumerating %d populations exceeds the %d guard; lower the cap"
-            % (n_compositions, COMPOSITION_GUARD)
+            "enumerating %s populations exceeds the %d guard; lower the cap"
+            % ("%d" % count if count and count <= _SHORT else "more than 10^20", COMPOSITION_GUARD)
         )
     return range(first, last + 1)
 

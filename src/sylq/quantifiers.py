@@ -119,13 +119,24 @@ def _sig_digits(value: Fraction) -> str:
 
 
 def _fmt(value: Fraction) -> str:
+    """Exact text for a rational: integer, short decimal, or p/q."""
     if value.denominator == 1:
         return str(value.numerator)
-    try:
-        # value is not 0, so a float of 0.0 is past the float range
-        return str(float(value) or _sig_digits(value))
-    except OverflowError:
-        return _sig_digits(value)
+    den = value.denominator
+    twos = fives = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    if den == 1:  # decimal-exact
+        digits = max(twos, fives)
+        scaled = value.numerator * 10**digits // value.denominator
+        sign = "-" if scaled < 0 else ""
+        text = str(abs(scaled)).rjust(digits + 1, "0")
+        return "%s%s.%s" % (sign, text[:-digits], text[-digits:])
+    return "%d/%d" % (value.numerator, value.denominator)
 
 
 @value
