@@ -1,4 +1,4 @@
-"""Print a JSON digest of what `sylq` prints for a fixed set of 164 runs.
+"""Print a JSON digest of what `sylq` prints for a fixed set of 169 runs.
 
 The runs are every bundled document in text, JSON and CSV, each in its own
 mode and with `--mode` crisp, kersup and alpha (96 runs); the four alpha
@@ -7,18 +7,26 @@ bounds are not decimal) and of 101 levels (8 runs); `sylq verify --cap 10`
 on every document (8 runs); the 18 `scale_sweep` chains of
 `perfbench/bench_inputs.py` in text and JSON (36 runs); `sylq DOC
 --verify 10` on every document (8 runs), whose audit solves nothing past
-the run's own LPs; and 8 runs of how the command line is read: `--help`
+the run's own LPs; 8 runs of how the command line is read: `--help`
 and `verify --help`, `--format=json`, a prefix (`--form json`), FILE after
-the options, and three usage errors.  For each run the digest records the
-exit code, a SHA-256 of stdout and of stderr, and for every
-`simplex.minimize` call in order its pivots and a SHA-256 of the LP it was
-given (costs and rows).
+the options, and three usage errors; and 5 documents on stdin in JSON
+(STDIN_DOCS) that compile what no other run does: comparative and
+similarity families, some/not-all, a declared universe and a set named
+twice in one row.  For each run the digest records the exit code, a
+SHA-256 of stdout and of stderr, and for every `simplex.minimize` call in
+order its pivots and a SHA-256 of the LP it was given (costs and rows).
 
 Run it in two checkouts and diff the results; identical files mean the two
 trees print the same bytes and hand the simplex the same LPs, call for call,
 with the same pivots:
 
     python3 scripts/output_digest.py > digest.json
+
+With `--replay` it instead checks the runs that do not enumerate against
+the pin in `tests/output_digest.json` (see replay) and exits 1 if any
+changed:
+
+    python3 scripts/output_digest.py --replay
 """
 
 from __future__ import annotations
@@ -46,6 +54,60 @@ GRID_DOCS = (
     "wine_boxes_exception",
 )
 GRID_LEVELS = (7, 101)
+# what no bundled document or chain compiles: comparative and similarity
+# families, some/not-all (strict rows), a declared universe (with a ratio
+# conclusion, a rhs on the Charnes-Cooper t column) and a set named twice
+# in one row (`a vs a`; `some * -> *` with its strict margin on the universe)
+STDIN_DOCS = (
+    (
+        "stdin cmpabs a vs a",
+        "terms: a, b\n"
+        "premise: cmpabs[0, 2] a vs a\n"
+        "premise: cmpabs[1, 3] a vs b\n"
+        "premise: abs[2, 6] a -> b\n"
+        "premise: abs[0, 12] * -> b\n"
+        "conclude: cmpabs? b vs a & b\n",
+    ),
+    (
+        "stdin universe some not-all prop",
+        "terms: a, b, c\n"
+        "universe: 40\n"
+        "premise: some a -> b\n"
+        "premise: not-all b -> c\n"
+        "premise: abs[5, 10] a -> b\n"
+        "premise: abs[2, 6] a -> c\n"
+        "premise: exc[0, 20] * -> c\n"
+        "conclude: prop? a -> c\n",
+    ),
+    (
+        "stdin some not-all prop",
+        "terms: a, b, c\n"
+        "premise: some * -> *\n"
+        "premise: not-all a -> b\n"
+        "premise: prop[0.2, 0.6] b -> c\n"
+        "premise: some a -> c\n"
+        "conclude: prop? a -> b | c\n",
+    ),
+    (
+        "stdin cmpprop sim",
+        "terms: a, b, c\n"
+        "premise: cmpprop[0.5, 2] a vs b\n"
+        "premise: sim[0.3, 0.8] a vs c\n"
+        "premise: prop[0.1, 0.9] b -> c\n"
+        "conclude: sim? b vs c\n",
+    ),
+    (
+        "stdin universe alpha cmpprop",
+        "terms: a, b, c\n"
+        "universe: 40\n"
+        "premise: cmpabs tz(-2, 0, 0, 2) a vs a\n"
+        "premise: cmpprop tz(0.5, 1, 1.5, 2) a vs b\n"
+        "premise: abs[4, 30] a -> c\n"
+        "premise: sim[0.2, 0.9] b vs c\n"
+        "conclude: cmpprop? c vs a\n"
+        "options: mode=alpha\n",
+    ),
+)
 
 
 def runs():
@@ -78,6 +140,8 @@ def runs():
     yield "usage error choice", [pets, "--format", "xml"], None
     yield "usage error missing value", [pets, "--levels"], None
     yield "usage error second file", ["verify", pets, pets], None
+    for name, text in STDIN_DOCS:
+        yield name, ["-", "--format", "json"], text
 
 
 def _sha(text: str) -> str:
@@ -114,22 +178,45 @@ def run_one(argv, stdin):
     return code, out.getvalue(), err.getvalue(), pivots, lps
 
 
-def main() -> int:
-    os.chdir(REPO_ROOT)  # documents are named by relative path in every output
-    digest = {}
+def digest_one(argv, stdin):
+    """The digest entry of one run."""
+    code, out, err, pivots, lps = run_one(argv, stdin)
+    return {"code": code, "stdout": _sha(out), "stderr": _sha(err), "pivots": pivots, "lps": lps}
+
+
+# how many runs do not enumerate: replay() checks each of them
+REPLAYED = 153
+
+
+def replay() -> int:
+    """Replay every pinned run that does not enumerate against the pin.
+
+    Those runs need only the standard library (the runs that enumerate, with
+    `--cap` or `--verify`, need numpy), so they check the pin on any
+    supported Python.  Returns 1 when a run changed or the count of replayed
+    runs is not REPLAYED, else 0.
+    """
+    pin = json.loads((REPO_ROOT / "tests" / "output_digest.json").read_text(encoding="utf-8"))
+    replayed, changed = 0, []
     for name, argv, stdin in runs():
-        code, out, err, pivots, lps = run_one(argv, stdin)
-        digest[name] = {
-            "code": code,
-            "stdout": _sha(out),
-            "stderr": _sha(err),
-            "pivots": pivots,
-            "lps": lps,
-        }
+        if "--cap" in argv or "--verify" in argv:
+            continue
+        replayed += 1
+        if digest_one(argv, stdin) != pin["digest"][name]:
+            changed.append(name)
+    print("%d runs replayed, changed: %s" % (replayed, ", ".join(changed) or "none"))
+    return int(bool(changed) or replayed != REPLAYED)
+
+
+def main(args) -> int:
+    os.chdir(REPO_ROOT)  # documents are named by relative path in every output
+    if args == ["--replay"]:
+        return replay()
+    digest = {name: digest_one(argv, stdin) for name, argv, stdin in runs()}
     total = sum(sum(run["pivots"]) for run in digest.values())
     print(json.dumps({"runs": len(digest), "pivots": total, "digest": digest}, indent=1))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

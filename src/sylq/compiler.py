@@ -27,11 +27,12 @@ runs once per Syllogism (kept as Syllogism.skeleton).  It splits the
 K = 2**S atoms into classes, the atoms that lie in exactly the same
 referenced sets (in a chain of premises on p0, every atom outside p0 is one
 class), and makes each class one LP column, the sum of its atoms; no level
-drops a column.  Over those columns it writes the logical and structural
-rows, with the strict rewrite and the Charnes-Cooper substitution already
-applied, the objective costs, and each numeric premise's measure as int
-vectors: U for the numerator and, for a ratio family, W for the
-denominator.  compile_syllogism then writes each bound p/q of a reading as
+drops a column.  Each class lies wholly inside or outside each referenced
+set, so c & atoms reads whether a term covers class c.  Over those columns
+it writes the logical and structural rows, with the strict rewrite and the
+Charnes-Cooper substitution already applied, the objective costs, and each
+numeric premise's measure as int vectors: U for the numerator and, for a
+ratio family, W for the denominator.  compile_syllogism then writes each bound p/q of a reading as
 one int row: q*U - p*W rel 0 for a ratio family, q*U rel p for a count
 family (q*U - p*t rel 0 under Charnes-Cooper).  Every row is a simplex.Row,
 which the simplex reads as it is: the class numerators with the rhs
@@ -87,8 +88,9 @@ class UnitMixingError(ValueError):
 class _Measure(NamedTuple):
     """A numeric premise's measure: a bound p/q is the row q*U - p*W rel 0
     when homogeneous (W is a ratio family's denominator, or t for a count
-    family under Charnes-Cooper), else q*U rel p.  U and W are kept as
-    their few distinct column pairs (U_j, W_j) and each column's pair."""
+    family under Charnes-Cooper), else q*U rel p.  U and W, read per class
+    as c & atoms, are kept as their few distinct column pairs (U_j, W_j),
+    equal pairs once, and each column's pair."""
 
     family: str
     pairs: Tuple[Tuple[int, int], ...]
@@ -233,60 +235,27 @@ def build_skeleton(syl: Syllogism) -> Skeleton:
 
     # atoms in the same referenced sets have equal columns: one class each,
     # found by splitting the referenced atoms on every distinct set (rows
-    # reference each ratio denominator, and t if any row carries it).  A
-    # class carries bit i when it lies inside the i-th set, so the split
-    # also decides which classes each set covers.
+    # reference each ratio denominator, and t if any row carries it).  Each
+    # class then lies wholly inside or outside each set, so c & atoms reads
+    # membership.
     sums = [numerator, *(num for num, _ in filter(None, measures)), *(r[0] for r in rows)]
     masks = list(dict.fromkeys(atoms for terms in sums for atoms, _ in terms))
-    parts = [(reduce(int.__or__, masks), 0)] if masks else []
-    for i, mask in enumerate(masks):
-        bit = 1 << i
-        split = []
-        for c, inside in parts:
-            a = c & mask
-            if a:
-                split.append((a, inside | bit))
-                if a != c:
-                    split.append((c ^ a, inside))
-            else:
-                split.append((c, inside))
-        parts = split
-    parts.sort(key=lambda part: part[0] & -part[0])
-    classes = [c for c, _ in parts]
-    insides = [inside for _, inside in parts]
-    bits = {mask: 1 << i for i, mask in enumerate(masks)}
+    classes = [reduce(int.__or__, masks)] if masks else []
+    for mask in masks:
+        classes = [p for c in classes for p in (c & mask, c & ~mask) if p]
+    classes.sort(key=lambda c: c & -c)
 
-    def sums(terms: Tuple[Term, ...], den: int) -> Tuple[dict, int]:
-        """den times the sum of the coefficients of the sets a class lies
-        inside, by the class's inside bits for those sets; and those bits.
-
-        The entry depends only on those bits, so one table over the subsets
-        of the sets gives every class's entry.
-        """
-        table, row_bits = {0: 0}, 0
-        for atoms, v in terms:
-            a, bit = v.numerator * (den // v.denominator), bits[atoms]
-            if bit & row_bits:  # a set named twice in the row
-                table = {key: total + a if key & bit else total for key, total in table.items()}
-            else:
-                table.update({key | bit: total + a for key, total in table.items()})
-                row_bits |= bit
-        return table, row_bits
-
-    def class_row(row: SetRow) -> Row:
-        """A set row as int numerators over the lcm of its denominators."""
-        terms, rel, rhs = row
+    def class_row(terms: Tuple[Term, ...], rel: str = EQ, rhs: Fraction = _ZERO) -> Row:
+        """terms rel rhs as int numerators over the lcm of its denominators:
+        each term adds its coefficient to the classes inside its atoms."""
         den = lcm(rhs.denominator, *(v.denominator for _, v in terms))
-        if len(terms) == 1:
-            atoms, v = terms[0]
-            a, bit = v.numerator * (den // v.denominator), bits[atoms]
-            nums = [a if inside & bit else 0 for inside in insides]
-        else:
-            table, row_bits = sums(terms, den)
-            nums = [table[inside & row_bits] for inside in insides]
+        nums = [0] * len(classes)
+        for atoms, v in terms:
+            a = v.numerator * (den // v.denominator)
+            nums = [n + a if c & atoms else n for n, c in zip(nums, classes)]
         return (*nums, rhs.numerator * (den // rhs.denominator)), den, rel
 
-    class_rows = [class_row(row) for row in rows]
+    class_rows = [class_row(*row) for row in rows]
     logical = iter(class_rows[:n_logical])
     # a count family's W: t under Charnes-Cooper (a count premise there
     # needs a universe, whose row carries t), else zero
@@ -296,20 +265,20 @@ def build_skeleton(syl: Syllogism) -> Skeleton:
         if measure is None:
             premises.append(next(logical))
             continue
-        # numerator terms have coefficients +-1, so their denominator is 1
+        # numerator terms have coefficients +-1, so class_row's denominator is 1
         num, den = measure
-        (u, u_bits), (w, w_bits) = sums(num, 1), sums(t if den is None else _sum(den), 1)
-        slots: dict = {}
-        index = [slots.setdefault(inside & (u_bits | w_bits), len(slots)) for inside in insides]
-        pairs = tuple([(u[key & u_bits], w[key & w_bits]) for key in slots])
+        u, w = class_row(num)[0][:-1], class_row(t if den is None else _sum(den))[0][:-1]
+        pairs = list(zip(u, w))
+        slots = {pair: j for j, pair in enumerate(dict.fromkeys(pairs))}
+        index = tuple(map(slots.__getitem__, pairs))
         homogeneous = den is not None or denominator is not None
-        premises.append(_Measure(stmt.family, pairs, tuple(index), homogeneous))
+        premises.append(_Measure(stmt.family, tuple(slots), index, homogeneous))
     den_rows = dict(zip(distinct, class_rows[n_logical:]))
     return Skeleton(
         classes=tuple(classes),
         premises=tuple(premises),
         fixed=(*[den_rows[den] for den in dens], *class_rows[n_logical + len(distinct):]),
-        costs=class_row((numerator, EQ, _ZERO))[0][:-1],
+        costs=class_row(numerator)[0][:-1],
     )
 
 

@@ -100,8 +100,8 @@ def property_masks(properties: Sequence[str]) -> Dict[str, int]:
         raise ValueError("need at least one declared property")
     if s > S_MAX:
         raise SizeGuardError(
-            "S=%d properties would create %d atoms (cap %d); "
-            "the constraint system would be too large" % (s, 2**s, 2**S_MAX)
+            "S=%d properties would create 2^%d atoms (cap 2^%d); "
+            "the constraint system would be too large" % (s, s, S_MAX)
         )
     k = 1 << s
     masks = {}

@@ -435,6 +435,20 @@ def test_size_guard_exit_code(capsys):
     assert "guard" in err
 
 
+def test_too_many_properties_exit_3_with_one_error_line(capsys, monkeypatch):
+    # the atom count is named as 2^S: 2**15000 has more digits than int()
+    # converts to text by default
+    terms = ", ".join("t%d" % i for i in range(15000))
+    doc = "terms: %s\npremise: some * -> t0\nconclude: prop? * -> t0\n" % terms
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    code, out, err = run_cli(capsys, ["-"])
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: S=15000 properties would create 2^15000 atoms (cap 2^16); "
+        "the constraint system would be too large\n"
+    )
+
+
 def test_size_guard_refuses_before_any_solve(capsys, monkeypatch):
     calls = []
     original = simplex.minimize

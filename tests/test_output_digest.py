@@ -1,12 +1,13 @@
-"""What `sylq` prints, and the LPs it solves, are pinned for 164 runs.
+"""What `sylq` prints, and the LPs it solves, are pinned for 169 runs.
 
 `scripts/output_digest.py` digests the exit code, stdout, stderr and, per
 `simplex.minimize` call, the pivots and a hash of the LP of every bundled
 document in each format and mode, of the four alpha documents on 7- and
 101-level grids, of `sylq verify` on each document, of the `scale_sweep`
-chains, of `sylq DOC --verify 10` on each document, and of help, option
-spellings and usage errors.  A change that alters any of them on purpose
-regenerates the pin and says why:
+chains, of `sylq DOC --verify 10` on each document, of help, option
+spellings and usage errors, and of five stdin documents whose families,
+strict rows, universe and repeated sets no other run compiles.  A change
+that alters any of them on purpose regenerates the pin and says why:
 
     python3 scripts/output_digest.py > tests/output_digest.json
 """
