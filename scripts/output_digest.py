@@ -1,4 +1,4 @@
-"""Print a JSON digest of what `sylq` prints for a fixed set of 169 runs.
+"""Print a JSON digest of what `sylq` prints for a fixed set of 175 runs.
 
 The runs are every bundled document in text, JSON and CSV, each in its own
 mode and with `--mode` crisp, kersup and alpha (96 runs); the four alpha
@@ -9,10 +9,13 @@ on every document (8 runs); the 18 `scale_sweep` chains of
 --verify 10` on every document (8 runs), whose audit solves nothing past
 the run's own LPs; 8 runs of how the command line is read: `--help`
 and `verify --help`, `--format=json`, a prefix (`--form json`), FILE after
-the options, and three usage errors; and 5 documents on stdin in JSON
+the options, and three usage errors; 5 documents on stdin in JSON
 (STDIN_DOCS) that compile what no other run does: comparative and
 similarity families, some/not-all, a declared universe and a set named
-twice in one row.  For each run the digest records the exit code, a
+twice in one row; and `sylq verify - --cap 10` on each of them and on
+VERIFY_DOC (6 runs), so the oracle's ranges of their conclusions, and the
+population guard's refusal of the two S=3 `universe: 40` documents, are
+pinned too.  For each run the digest records the exit code, a
 SHA-256 of stdout and of stderr, and for every `simplex.minimize` call in
 order its pivots and a SHA-256 of the LP it was given (costs and rows).
 
@@ -108,6 +111,17 @@ STDIN_DOCS = (
         "options: mode=alpha\n",
     ),
 )
+# verified on stdin besides STDIN_DOCS: a ratio conclusion over a declared
+# universe whose denominator varies, with num > den on some populations
+VERIFY_DOC = (
+    "stdin universe cmpprop",
+    "terms: a, b\n"
+    "universe: 60\n"
+    "premise: prop[0.2, 0.8] * -> a\n"
+    "premise: abs[10, 40] * -> b\n"
+    "premise: prop[0.5, 0.9] a -> b\n"
+    "conclude: cmpprop? b vs a\n",
+)
 
 
 def runs():
@@ -142,6 +156,8 @@ def runs():
     yield "usage error second file", ["verify", pets, pets], None
     for name, text in STDIN_DOCS:
         yield name, ["-", "--format", "json"], text
+    for name, text in (*STDIN_DOCS, VERIFY_DOC):
+        yield "%s verify" % name, ["verify", "-", "--cap", "10"], text
 
 
 def _sha(text: str) -> str:
