@@ -269,11 +269,13 @@ def _verify_doc(syl: Syllogism, cap: int, levels: Optional[Iterable[tuple]] = No
     Audits the distinct premise readings at levels 0 and 1: one for crisp
     premises, else the support and the kernel.  levels gives a run's
     (bounds, outcome) per grid level, whose first and last are levels 0
-    and 1; without it, a document too large to enumerate is refused before
-    a two-level grid is solved.
+    and 1; without it, a document past the size guard or too large to
+    enumerate is refused before a two-level grid is solved.
     """
     from . import oracle
 
+    # past S_MAX this raises the size guard's 2^S error, which no cap can help
+    syl.term_sets
     oracle.population_totals(syl, cap)
     size = syl.universe_size  # when declared, only that size is enumerated
     sizes = "up to cap %d" % cap if size is None else "of universe size %s" % _num_text(size)

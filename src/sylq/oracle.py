@@ -11,7 +11,10 @@ exact integers (a bound is read as the numerators it admits per denominator,
 so no rationals are formed row-wise), and populations on which any ratio
 statement's denominator is empty are excluded, mirroring the engine's
 structural nonemptiness constraints; both sides then quantify over the same
-populations.
+populations.  No float is formed either: a ratio conclusion's extrema come
+from two int64 tables indexed by the denominator, holding the least and the
+greatest numerator seen over each, compared once after the last block by
+cross-multiplication.
 
 Enumeration is vectorized with numpy and chunked so peak memory stays
 bounded; a combinatorial guard refuses instance sizes whose composition count
@@ -53,8 +56,6 @@ COMPOSITION_GUARD = 10**7
 _SHORT = 10**20
 # split any single block beyond this many rows
 _CHUNK_ROWS = 1 << 22
-
-_FLOAT_SLACK = 1e-9
 
 
 def _sum_over(counts: np.ndarray, atoms) -> np.ndarray:
@@ -194,33 +195,43 @@ def _blocks(total: int, k: int, cache: Dict[Tuple[int, int], np.ndarray]):
             yield np.hstack((col, sub))
 
 
-class _Extrema:
-    """Exact running min/max of num/den over candidate rows.
+def _least(num: np.ndarray, den: np.ndarray) -> Fraction:
+    """The least num/den over nonempty int64 arrays with den > 0 and
+    |num * den| < 2^63: each round keeps the lesser of two halves' pairs by
+    cross-multiplying, so about log2(len) array steps."""
+    while len(num) > 1:
+        half = len(num) // 2
+        pair = slice(half, 2 * half)
+        first = num[:half] * den[pair] <= num[pair] * den[:half]
+        num = np.concatenate((np.where(first, num[:half], num[pair]), num[2 * half :]))
+        den = np.concatenate((np.where(first, den[:half], den[pair]), den[2 * half :]))
+    return Fraction(int(num[0]), int(den[0]))
 
-    Floats preselect candidates near the chunk optimum; the survivors are
-    compared as Fractions, so the result is exact regardless of rounding.
+
+class _Extrema:
+    """Exact min and max of num/den over the rows of every block, for
+    0 <= num <= size and 1 <= den <= size.
+
+    Two int64 tables indexed by the denominator d in 0..size hold the least
+    and the greatest numerator seen over d (size + 1 and -1 where none was);
+    a block updates them in place.  The extrema are read once, from the
+    denominators seen, by cross-multiplying ints below size^2 < 2^63.
     """
 
-    def __init__(self) -> None:
-        self.lo: Optional[Fraction] = None
-        self.hi: Optional[Fraction] = None
+    def __init__(self, size: int) -> None:
+        self.least = np.full(size + 1, size + 1, dtype=np.int64)
+        self.most = np.full(size + 1, -1, dtype=np.int64)
 
     def update(self, num: np.ndarray, den: np.ndarray) -> None:
-        if len(num) == 0:
-            return
-        ratio = num / den
-        for pick_min in (True, False):
-            edge = ratio.min() if pick_min else ratio.max()
-            near = ratio <= edge + _FLOAT_SLACK if pick_min else ratio >= edge - _FLOAT_SLACK
-            # ties collapse to a handful of distinct (num, den) pairs
-            pairs = np.unique(np.stack((num[near], den[near]), axis=1), axis=0)
-            for p, q in pairs:
-                value = Fraction(int(p), int(q))
-                if pick_min:
-                    if self.lo is None or value < self.lo:
-                        self.lo = value
-                elif self.hi is None or value > self.hi:
-                    self.hi = value
+        np.minimum.at(self.least, den, num)
+        np.maximum.at(self.most, den, num)
+
+    def interval(self) -> Optional[Interval]:
+        """[min, max] of num/den over every row, None when there was none."""
+        dens = np.flatnonzero(self.most >= 0)
+        if len(dens) == 0:
+            return None
+        return Interval(_least(self.least[dens], dens), -_least(-self.most[dens], dens))
 
 
 def population_totals(syl: Syllogism, universe_cap: int) -> Optional[range]:
@@ -299,7 +310,7 @@ def enumerate_range(
 
     int_lo: Optional[int] = None
     int_hi: Optional[int] = None
-    extrema = _Extrema()
+    extrema = _Extrema(totals[-1])
     cache: Dict[Tuple[int, int], np.ndarray] = {}
 
     for total in totals:
@@ -330,6 +341,4 @@ def enumerate_range(
         if int_lo is None:
             return None
         return Interval(Fraction(int_lo), Fraction(int_hi))
-    if extrema.lo is None:
-        return None
-    return Interval(extrema.lo, extrema.hi)
+    return extrema.interval()

@@ -449,6 +449,20 @@ def test_too_many_properties_exit_3_with_one_error_line(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("s, cap", [(17, "10"), (30, "1")])
+def test_verify_past_the_atom_cap_names_the_atoms_not_the_cap(capsys, monkeypatch, s, cap):
+    # no cap can help here, so the size guard speaks before the population guard
+    terms = ", ".join("t%d" % i for i in range(s))
+    doc = "terms: %s\npremise: some * -> t0\nconclude: prop? * -> t0\n" % terms
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    code, out, err = run_cli(capsys, ["verify", "-", "--cap", cap])
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: S=%d properties would create 2^%d atoms (cap 2^16); "
+        "the constraint system would be too large\n" % (s, s)
+    )
+
+
 def test_size_guard_refuses_before_any_solve(capsys, monkeypatch):
     calls = []
     original = simplex.minimize

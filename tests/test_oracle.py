@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sylq import Interval, SizeGuardError, Syllogism, Trapezoid, enumerate_range, parse
-from sylq.oracle import _compositions, population_totals, statement_predicate
+from sylq.oracle import _compositions, _Extrema, population_totals, statement_predicate
 from sylq.quantifiers import (
     ABSOLUTE,
     COMPARATIVE_ABSOLUTE,
@@ -273,3 +275,49 @@ def test_compositions_are_the_stars_and_bars_rows_in_order(k):
         block = _compositions(total, k, {})
         assert block.dtype == np.int64
         assert block.tolist() == expected
+
+
+@st.composite
+def _ratio_blocks(draw):
+    """(size, blocks of (num, den) rows) with 0 <= num <= size >= den >= 1:
+    random rows, and blocks whose rows all tie at one ratio."""
+    size = draw(st.one_of(st.integers(1, 12), st.integers(1, 10**5)))
+    row = st.tuples(st.integers(0, size), st.integers(1, size))
+    blocks = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            blocks.append(draw(st.lists(row, max_size=40)))
+            continue
+        p, q = draw(row)
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        scales = st.integers(1, size // max(p, q))
+        blocks.append([(p * m, q * m) for m in draw(st.lists(scales, min_size=1, max_size=40))])
+    return size, blocks
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_ratio_blocks())
+@example((5, []))
+@example((5, [[], []]))
+@example((7, [[(7, 1), (0, 7)], [(3, 6), (1, 2), (2, 4)]]))
+def test_extrema_tables_equal_fraction_min_and_max(case):
+    size, blocks = case
+    extrema = _Extrema(size)
+    for block in blocks:
+        num, den = np.array(block, dtype=np.int64).reshape(-1, 2).T
+        extrema.update(num, den)
+    values = [F(p, q) for block in blocks for p, q in block]
+    want = Interval(min(values), max(values)) if values else None
+    assert extrema.interval() == want
+
+
+def test_a_large_declared_universe_meets_its_closed_form():
+    # |a| runs over ceil(200000/3)..100000, so |*|/|a| spans [2, 200000/66667]
+    doc = parse(
+        "terms: a\n"
+        "universe: 200000\n"
+        "premise: prop[1/3, 1/2] * -> a\n"
+        "conclude: cmpprop? * vs a\n"
+    )
+    assert enumerate_range(doc.to_syllogism(), 20) == Interval(F(2), F(200000, 66667))

@@ -1,10 +1,13 @@
 """The package root exports the entry points and the types they take and
 return; everything else is imported from its own module.  The values a
 caller can set are pinned too: the config field, the command-line flags and
-the document options."""
+the document options.  README's Python examples print what their comments
+quote."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,10 @@ from sylq import DslError, InferenceConfig, parse
 from sylq._value import fields
 from sylq.cli import _RUN, _VERIFY, _WHOLE
 from sylq.inference import MODES
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# what README's Python examples print, as the comment on each print quotes it
+QUOTED = {"result.pair.kernel": "[7/11, 1]", "cut_ints(most.shape, 1, 2)": "(3, 5, 1, 1)"}
 
 ENTRY_POINTS = {
     "parse",
@@ -65,3 +72,20 @@ def test_document_options_are_mode_and_levels():
     for key in ("epsilon-count", "epsilon-prop"):
         with pytest.raises(DslError, match=r"unknown option .* \(mode, levels\)"):
             parse(base + "options: %s=1\n" % key)
+
+
+def test_readme_python_examples_print_what_they_quote(capsys, monkeypatch):
+    # the examples open bundled documents by relative path
+    monkeypatch.chdir(README.parent)
+    seen = {}
+    text = README.read_text(encoding="utf-8")
+    for block in re.findall(r"^```python\n(.*?)^```", text, re.M | re.S):
+        exec(compile(block, str(README), "exec"), {})
+        printed = capsys.readouterr().out.splitlines()
+        calls = re.findall(r"^print\((.*)\)\s+# (.*)$", block, re.M)
+        assert len(calls) == len(printed)
+        for (expr, comment), line in zip(calls, printed):
+            if expr in QUOTED:
+                assert (line, comment.startswith(line)) == (QUOTED[expr], True)
+                seen[expr] = line
+    assert seen == QUOTED
