@@ -197,14 +197,14 @@ def _blocks(total: int, k: int, cache: Dict[Tuple[int, int], np.ndarray]):
 
 def _least(num: np.ndarray, den: np.ndarray) -> Fraction:
     """The least num/den over nonempty int64 arrays with den > 0 and
-    |num * den| < 2^63: each round keeps the lesser of two halves' pairs by
-    cross-multiplying, so about log2(len) array steps."""
+    |num * den| < 2^63, in about log2(len) rounds: each keeps the lesser of
+    the first and the last half's pairs by cross-multiplying (at an odd
+    length the two halves share the middle pair)."""
     while len(num) > 1:
-        half = len(num) // 2
-        pair = slice(half, 2 * half)
-        first = num[:half] * den[pair] <= num[pair] * den[:half]
-        num = np.concatenate((np.where(first, num[:half], num[pair]), num[2 * half :]))
-        den = np.concatenate((np.where(first, den[:half], den[pair]), den[2 * half :]))
+        half = (len(num) + 1) // 2
+        num_a, num_b, den_a, den_b = num[:half], num[-half:], den[:half], den[-half:]
+        first = num_a * den_b <= num_b * den_a
+        num, den = np.where(first, num_a, num_b), np.where(first, den_a, den_b)
     return Fraction(int(num[0]), int(den[0]))
 
 
@@ -310,7 +310,7 @@ def enumerate_range(
 
     int_lo: Optional[int] = None
     int_hi: Optional[int] = None
-    extrema = _Extrema(totals[-1])
+    extrema = None if den_atoms is None else _Extrema(totals[-1])
     cache: Dict[Tuple[int, int], np.ndarray] = {}
 
     for total in totals:
