@@ -274,8 +274,6 @@ def _verify_doc(syl: Syllogism, cap: int, levels: Optional[Iterable[tuple]] = No
     """
     from . import oracle
 
-    # past S_MAX this raises the size guard's 2^S error, which no cap can help
-    syl.term_sets
     oracle.population_totals(syl, cap)
     size = syl.universe_size  # when declared, only that size is enumerated
     sizes = "up to cap %d" % cap if size is None else "of universe size %s" % _num_text(size)

@@ -44,7 +44,7 @@ __all__ = [
     "solve",
 ]
 
-LE, GE, EQ, LT, GT = "<=", ">=", "==", "<", ">"
+LE, GE, EQ, GT = "<=", ">=", "==", ">"
 
 BOUNDED = "bounded"
 UNBOUNDED_ABOVE = "unbounded-above"
@@ -94,7 +94,8 @@ def rewrite_strict(
     proportional_context: bool,
     universe_size: Optional[Fraction] = None,
 ) -> List[SetRow]:
-    """Replace strict rows with weak rows at a fixed margin.
+    """Replace strict rows (>, the only strict relation the compiler
+    writes) with weak rows at a fixed margin.
 
     Count context: a strict count bound moves by EPS_COUNT (cardinalities
     are integers, so a margin of one is exact).  Proportion context: the
@@ -109,18 +110,15 @@ def rewrite_strict(
         margin = EPS_PROP * universe_size
     else:
         margin = None
-        full = (1 << k) - 1
-        totals = {GT: ((full, -EPS_PROP),), LT: ((full, EPS_PROP),)}
+        total = (((1 << k) - 1, -EPS_PROP),)
     out: List[SetRow] = []
     for terms, rel, rhs in rows:
-        if rel not in (LT, GT):
+        if rel != GT:
             out.append((terms, rel, rhs))
         elif margin is None:
-            out.append((terms + totals[rel], GE if rel == GT else LE, rhs))
-        elif rel == GT:
-            out.append((terms, GE, rhs + margin))
+            out.append((terms + total, GE, rhs))
         else:
-            out.append((terms, LE, rhs - margin))
+            out.append((terms, GE, rhs + margin))
     return out
 
 

@@ -6,11 +6,14 @@ the exact attainable range of the conclusion measure.  This is the semantic
 reference the optimizer is validated against: the LP interval must contain
 every value the oracle can attain.
 
-Premise satisfaction is decided by the quantifier definitions evaluated on
-exact integers (a bound is read as the numerators it admits per denominator,
-so no rationals are formed row-wise), and populations on which any ratio
-statement's denominator is empty are excluded, mirroring the engine's
-structural nonemptiness constraints; both sides then quantify over the same
+Every statement's terms are the atom masks of Syllogism.term_sets, built
+when the syllogism was; a mask becomes its list of count columns once
+(_columns) and is summed over each block through it.  Premise satisfaction
+is decided by the quantifier definitions evaluated on exact integers (a
+bound is read as the numerators it admits per denominator, so no rationals
+are formed row-wise), and populations on which any ratio statement's
+denominator is empty are excluded, mirroring the engine's structural
+nonemptiness constraints; both sides then quantify over the same
 populations.  No float is formed either: a ratio conclusion's extrema come
 from two int64 tables indexed by the denominator, holding the least and the
 greatest numerator seen over each, compared once after the last block by
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,7 +50,7 @@ from .quantifiers import (
     bound_ints,
 )
 from .statements import Syllogism
-from .terms import SizeGuardError, atoms_of
+from .terms import SizeGuardError
 
 __all__ = ["COMPOSITION_GUARD", "enumerate_range", "population_totals"]
 
@@ -58,8 +62,15 @@ _SHORT = 10**20
 _CHUNK_ROWS = 1 << 22
 
 
-def _sum_over(counts: np.ndarray, atoms) -> np.ndarray:
-    idx = sorted(atoms)
+@lru_cache(maxsize=None)
+def _columns(mask: int) -> Tuple[int, ...]:
+    """The atom indices of a mask, in order: its set bits."""
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+def _sum_over(counts: np.ndarray, mask: int) -> np.ndarray:
+    """Each row's count over the atoms of mask."""
+    idx = _columns(mask)
     if not idx:
         return np.zeros(len(counts), dtype=np.int64)
     return counts[:, idx].sum(axis=1)
@@ -88,12 +99,8 @@ def _band_mask(num, den, bound: IntBound, total: int) -> np.ndarray:
     return mask
 
 
-def _term_sets(stmt, properties: Sequence[str]) -> Tuple[frozenset, frozenset]:
-    return atoms_of(stmt.restriction, properties), atoms_of(stmt.scope, properties)
-
-
-def _measure(family: str, a: frozenset, b: frozenset) -> tuple:
-    """A numeric family's measure over term sets a and b.
+def _measure(family: str, a: int, b: int) -> tuple:
+    """A numeric family's measure over the atom masks a and b.
 
     Returns (counted atoms, subtracted atoms, denominator atoms); the last
     two are None where the measure has no such part.
@@ -101,7 +108,7 @@ def _measure(family: str, a: frozenset, b: frozenset) -> tuple:
     if family == ABSOLUTE:
         return a & b, None, None
     if family == EXCEPTION:
-        return a - b, None, None
+        return a & ~b, None, None
     if family == COMPARATIVE_ABSOLUTE:
         return a, b, None
     if family == PROPORTIONAL:
@@ -114,11 +121,10 @@ def _measure(family: str, a: frozenset, b: frozenset) -> tuple:
 
 
 def statement_predicate(
-    stmt,
+    family: str,
     bound: Optional[IntBound],
-    properties: Sequence[str],
+    sets: Tuple[int, int],
     counts: np.ndarray,
-    term_sets: Optional[Tuple[frozenset, frozenset]] = None,
     total: Optional[int] = None,
 ) -> np.ndarray:
     """Truth of one quantified statement on each row of a population matrix.
@@ -127,22 +133,19 @@ def statement_predicate(
     an empty-restriction proportional statement and an empty-union similarity
     statement are vacuously true, and a comparative-proportional statement
     with an empty second term holds only if the first term is empty too
-    (cross-multiplied reading).  ``counts`` is an (n, K) integer matrix;
-    ``term_sets`` are the statement's (restriction, scope) atoms when the
-    caller has them already, and ``total`` bounds every row's sum (default:
-    the largest row sum).
+    (cross-multiplied reading).  ``sets`` are the statement's (restriction,
+    scope) atom masks, ``counts`` is an (n, K) integer matrix, and ``total``
+    bounds every row's sum (default: the largest row sum).
     """
-    a, b = term_sets or _term_sets(stmt, properties)
-    family = stmt.family
-
+    a, b = sets
     if family == LOGICAL_ALL:
-        return _sum_over(counts, a - b) == 0
+        return _sum_over(counts, a & ~b) == 0
     if family == LOGICAL_NONE:
         return _sum_over(counts, a & b) == 0
     if family == LOGICAL_SOME:
         return _sum_over(counts, a & b) > 0
     if family == LOGICAL_NOT_ALL:
-        return _sum_over(counts, a - b) > 0
+        return _sum_over(counts, a & ~b) > 0
 
     if bound is None:
         raise ValueError("family %s needs a crisp bound" % family)
@@ -185,9 +188,15 @@ def _compositions(
 
 
 def _blocks(total: int, k: int, cache: Dict[Tuple[int, int], np.ndarray]):
-    """Yield composition blocks of bounded size (split on the first count)."""
+    """Yield composition blocks of at most _CHUNK_ROWS rows, in order (split
+    on the first count, or for two parts into runs of first counts)."""
     if k == 1 or math.comb(total + k - 1, k - 1) <= _CHUNK_ROWS:
         yield _compositions(total, k, cache, store=False)
+        return
+    if k == 2:  # split on the first count would give one-row blocks
+        for start in range(0, total + 1, _CHUNK_ROWS):
+            first = np.arange(start, min(start + _CHUNK_ROWS, total + 1), dtype=np.int64)
+            yield np.stack((first, total - first), axis=1)
         return
     for first in range(total + 1):
         for sub in _blocks(total - first, k - 1, cache):
@@ -297,16 +306,14 @@ def enumerate_range(
     if totals is None:
         return None
 
-    # term sets once per call, not per block; denominators that must be
-    # nonempty, conclusion included
+    # denominators that must be nonempty, conclusion included
     statements = [*syl.premises, syl.conclusion]
-    term_sets = [_term_sets(stmt, syl.properties) for stmt in statements]
     positivity = [
         _measure(stmt.family, *sets)[2]
-        for stmt, sets in zip(statements, term_sets)
+        for stmt, sets in zip(statements, syl.term_sets)
         if stmt.family in RATIO_FAMILIES
     ]
-    num_atoms, signed, den_atoms = _measure(syl.conclusion.family, *term_sets[-1])
+    num_atoms, signed, den_atoms = _measure(syl.conclusion.family, *syl.term_sets[-1])
 
     int_lo: Optional[int] = None
     int_hi: Optional[int] = None
@@ -316,8 +323,8 @@ def enumerate_range(
     for total in totals:
         for counts in _blocks(total, k, cache):
             mask = np.ones(len(counts), dtype=bool)
-            for stmt, bound, sets in zip(syl.premises, premise_bounds, term_sets):
-                mask &= statement_predicate(stmt, bound, syl.properties, counts, sets, total)
+            for stmt, bound, sets in zip(syl.premises, premise_bounds, syl.term_sets):
+                mask &= statement_predicate(stmt.family, bound, sets, counts, total)
                 if not mask.any():
                     break
             if not mask.any():

@@ -4,14 +4,16 @@ A statement applies a quantifier to a pair of terms.  For most families the
 pair is read as restriction -> scope ("Q restriction are scope"); comparative
 and similarity families compare the two terms as wholes.  A syllogism is a
 list of premise statements plus one conclusion template whose quantifier
-family is declared but whose bound is the unknown to be inferred.
+family is declared but whose bound is the unknown to be inferred.  Building
+a syllogism reduces each of its terms to an atom mask once (term_sets); the
+compiler and the oracle read those masks and walk no term again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import compiler
 from ._value import value
@@ -24,7 +26,7 @@ from .quantifiers import (
     QuantifierSpec,
     as_fraction,
 )
-from .terms import S_MAX, TermExpr, property_masks, term_mask
+from .terms import TermExpr, property_masks, term_mask
 
 __all__ = ["COMPARED_FAMILIES", "Statement", "Conclusion", "Syllogism"]
 
@@ -96,16 +98,24 @@ class Syllogism:
             if size <= 0:
                 raise ValueError("universe size must be positive")
             object.__setattr__(self, "universe_size", size)
-        # one walk per term: its atom mask (term_sets), which also finds
-        # undeclared names.  Past S_MAX no mask can be built and term_sets
-        # raises SizeGuardError on use, so a walk over zeros checks the names.
-        if self.s <= S_MAX:
-            self.term_sets
-        else:
-            self._term_masks(dict.fromkeys(self.properties, 0), 0)
+        # one walk per term: its atom mask, which also finds undeclared
+        # names; past S_MAX building the property masks raises SizeGuardError
+        self.term_sets
 
-    def _term_masks(self, masks: Dict[str, int], full: int) -> Tuple[Tuple[int, int], ...]:
-        """term_mask of every premise's and the conclusion's two terms."""
+    @property
+    def s(self) -> int:
+        return len(self.properties)
+
+    @cached_property
+    def term_sets(self) -> Tuple[Tuple[int, int], ...]:
+        """(restriction atoms, scope atoms) of each premise, then of the
+        conclusion, as atom masks: bit k is atom k (see terms).
+
+        __post_init__ computes them, from the property masks built once,
+        and keeps them on this object only, so every level of one
+        inference, and the oracle, reads the same sets.
+        """
+        masks, full = property_masks(self.properties), (1 << (1 << self.s)) - 1
         statements = (*self.premises, self.conclusion)
         sets = []
         for i, st in enumerate(statements, start=1):
@@ -118,21 +128,6 @@ class Syllogism:
                         "%s %s references undeclared property %r" % (where, side, exc.args[0])
                     ) from None
         return tuple(zip(sets[::2], sets[1::2]))
-
-    @property
-    def s(self) -> int:
-        return len(self.properties)
-
-    @cached_property
-    def term_sets(self) -> Tuple[Tuple[int, int], ...]:
-        """(restriction atoms, scope atoms) of each premise, then of the
-        conclusion, as atom masks (terms.atom_mask).
-
-        __post_init__ computes them, from the property masks built once,
-        and keeps them on this object only, so every level of one
-        inference reads the same sets.
-        """
-        return self._term_masks(property_masks(self.properties), (1 << (1 << self.s)) - 1)
 
     @cached_property
     def skeleton(self) -> "compiler.Skeleton":

@@ -5,9 +5,9 @@ atoms.  Atom index k encodes membership bitwise: bit s of k is 1 exactly when
 the atom lies inside property s, with bit 0 the first declared property.  A
 term expression (any and/or/not combination of property names, plus the
 universe constant) denotes a subset of the universe, which reduces exactly to
-a set of atoms: an int with bit k set for atom k (atom_mask).  A caller
-that reduces many terms over one property list builds the property masks
-once (property_masks) and walks each term over them (term_mask).
+a set of atoms: an int with bit k set for atom k.  The property masks are
+built once per property list (property_masks) and each term is walked over
+them (term_mask); statements.Syllogism.term_sets is the one caller.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ __all__ = [
     "Or",
     "Universe",
     "UNIVERSE",
-    "atom_mask",
-    "atoms_of",
     "property_masks",
     "term_mask",
 ]
@@ -94,10 +92,9 @@ UNIVERSE = Universe()
 
 
 def property_masks(properties: Sequence[str]) -> Dict[str, int]:
-    """Each declared property's atom mask (see atom_mask), by name."""
+    """Each declared property's atom mask, by name, for at least one
+    property and distinct names; more than S_MAX raises SizeGuardError."""
     s = len(properties)
-    if s < 1:
-        raise ValueError("need at least one declared property")
     if s > S_MAX:
         raise SizeGuardError(
             "S=%d properties would create 2^%d atoms (cap 2^%d); "
@@ -112,8 +109,6 @@ def property_masks(properties: Sequence[str]) -> Dict[str, int]:
         while period < k:
             mask, period = mask | mask << period, 2 * period
         masks[name] = mask
-    if len(masks) != s:
-        raise ValueError("property names must be unique")
     return masks
 
 
@@ -133,24 +128,3 @@ def term_mask(expr: TermExpr, masks: Dict[str, int], full: int) -> int:
     if isinstance(expr, Universe):
         return full
     raise TypeError("not a term expression: %r" % (expr,))
-
-
-def atom_mask(expr: TermExpr, properties: Sequence[str]) -> int:
-    """Exact atom set denoted by a term expression, as an int: bit k is atom k.
-
-    Respects De Morgan laws by construction (complement/intersection/union on
-    bitmasks).  Raises ValueError for leaves naming undeclared properties.
-    """
-    masks = property_masks(properties)
-    try:
-        return term_mask(expr, masks, (1 << (1 << len(properties))) - 1)
-    except KeyError as exc:
-        raise ValueError(
-            "undeclared property %r; declared: %s" % (exc.args[0], ", ".join(properties))
-        ) from None
-
-
-def atoms_of(expr: TermExpr, properties: Sequence[str]) -> frozenset:
-    """atom_mask as a set of atom indices."""
-    bits = bin(atom_mask(expr, properties))[:1:-1]
-    return frozenset(k for k, bit in enumerate(bits) if bit == "1")

@@ -5,8 +5,9 @@ every crisp reading, each statement is compiled into rows of rational
 (atom set, coefficient) terms, strict rows are rewritten with the engine's
 margins, a ratio objective goes through Charnes-Cooper, and the atoms are
 partitioned into classes from scratch.  Tests compare compile_syllogism and
-solve against it; it shares nothing with them beyond atoms_of, check_unit
-and the margin constants.
+solve against it; it shares nothing with them beyond the term walk
+(terms.property_masks and term_mask, read here as sets by atoms_of),
+check_unit and the margin constants.
 """
 
 from dataclasses import dataclass
@@ -32,11 +33,23 @@ from sylq.quantifiers import (
     SIMILARITY,
     check_unit,
 )
-from sylq.terms import atoms_of
+from sylq.terms import property_masks, term_mask
 
 LE, GE, EQ, LT, GT = "<=", ">=", "==", "<", ">"
 
 Term = Tuple[FrozenSet[int], Fraction]
+
+
+def term_masks(stmt, properties) -> Tuple[int, int]:
+    """A statement's (restriction, scope) atom masks over properties."""
+    masks, full = property_masks(properties), (1 << (1 << len(properties))) - 1
+    return term_mask(stmt.restriction, masks, full), term_mask(stmt.scope, masks, full)
+
+
+def atoms_of(expr, properties) -> FrozenSet[int]:
+    """The atom set of a term over properties: the set bits of its mask."""
+    mask = term_mask(expr, property_masks(properties), (1 << (1 << len(properties))) - 1)
+    return frozenset(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,7 +31,7 @@ from conftest import (
     random_crisp_syllogism,
     random_fuzzy_syllogism,
 )
-from reference_lp import compile_statement
+from reference_lp import compile_statement, term_masks
 
 F = Fraction
 
@@ -314,7 +314,7 @@ def test_criterion_9a_rows_match_definitions():
                 for restriction, scope in pairs:
                     stmt = Statement(spec, restriction, scope)
                     ints = None if bound is None else bound_ints(bound)
-                    want = statement_predicate(stmt, ints, names, counts)
+                    want = statement_predicate(family, ints, term_masks(stmt, names), counts)
                     rows = compile_statement(stmt, ints, names)
                     got = rows_hold(rows, counts, k)
                     mismatch = np.nonzero(want != got)[0]

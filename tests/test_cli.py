@@ -449,6 +449,29 @@ def test_too_many_properties_exit_3_with_one_error_line(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "body, flags",
+    [
+        # count premise, ratio conclusion, no universe: a unit-mixing error
+        ("premise: abs[1, 5] * -> t0\nconclude: prop? * -> t0\n", []),
+        ("premise: some * -> t0\nconclude: prop? * -> t0\n", ["--levels", "5000"]),
+    ],
+)
+def test_past_the_atom_cap_the_size_guard_speaks_before_other_faults(
+    capsys, monkeypatch, body, flags
+):
+    # the atom masks are built with the syllogism, before the unit check or
+    # the level grid, so its second fault goes unreported
+    doc = "terms: %s\n%s" % (", ".join("t%d" % i for i in range(17)), body)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    code, out, err = run_cli(capsys, ["-", *flags])
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: S=17 properties would create 2^17 atoms (cap 2^16); "
+        "the constraint system would be too large\n"
+    )
+
+
 @pytest.mark.parametrize("s, cap", [(17, "10"), (30, "1")])
 def test_verify_past_the_atom_cap_names_the_atoms_not_the_cap(capsys, monkeypatch, s, cap):
     # no cap can help here, so the size guard speaks before the population guard

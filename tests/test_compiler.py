@@ -22,7 +22,7 @@ from sylq.quantifiers import (
     bound_ints,
 )
 from sylq.statements import Conclusion, Statement
-from sylq.terms import UNIVERSE, And, Not, Or, Prop, atoms_of
+from sylq.terms import UNIVERSE, And, Not, Or, Prop
 
 from conftest import (
     FIXTURE_DIR,
@@ -32,7 +32,7 @@ from conftest import (
     random_crisp_syllogism,
     random_fuzzy_syllogism,
 )
-from reference_lp import LinearExpr, class_lp, reduced
+from reference_lp import LinearExpr, atoms_of, class_lp, reduced
 
 F = Fraction
 P, Q = Prop("p"), Prop("q")

@@ -21,8 +21,9 @@ from sylq.quantifiers import (
     bound_ints,
 )
 from sylq.statements import Conclusion, Statement
-from sylq.terms import And, Not, Or, Prop, atoms_of
+from sylq.terms import And, Not, Or, Prop
 from conftest import load_fixture
+from reference_lp import atoms_of, term_masks
 
 F = Fraction
 P, Q = Prop("p"), Prop("q")
@@ -167,21 +168,21 @@ def test_statement_predicate_edge_conventions():
     prop = stmt(PROPORTIONAL, Interval(1, 1))
     # row 1: empty restriction reads vacuously true in the raw table
     # row 3: the single p element lies in q, so the ratio is exactly 1
-    assert statement_predicate(prop, one, NAMES, counts).tolist() == [
+    assert statement_predicate(PROPORTIONAL, one, term_masks(prop, NAMES), counts).tolist() == [
         True,
         False,
         True,
     ]
     cmp_eq = stmt(COMPARATIVE_PROPORTIONAL, Interval(1, 1))
     # |p| = 1*|q|: empty q tolerates only empty p
-    assert statement_predicate(cmp_eq, one, NAMES, counts).tolist() == [
+    assert statement_predicate(COMPARATIVE_PROPORTIONAL, one, term_masks(cmp_eq, NAMES), counts).tolist() == [
         True,
         False,
         False,
     ]
     sim = stmt(SIMILARITY, Interval(F(1, 2), 1))
     half_to_one = bound_ints(Interval(F(1, 2), 1))
-    assert statement_predicate(sim, half_to_one, NAMES, counts).tolist() == [
+    assert statement_predicate(SIMILARITY, half_to_one, term_masks(sim, NAMES), counts).tolist() == [
         True,
         False,
         True,
@@ -235,7 +236,7 @@ def test_statement_predicate_equals_a_fraction_reading_for_huge_bounds():
         rows = [[rng.randint(0, 6) for _ in range(4)] for _ in range(rng.randint(1, 30))]
         spec = Statement(QuantifierSpec(family, Interval(0, 1)), restriction, scope)
         counts = np.array(rows, dtype=np.int64)
-        got = statement_predicate(spec, bound_ints(bound), NAMES, counts)
+        got = statement_predicate(family, bound_ints(bound), term_masks(spec, NAMES), counts)
         want = []
         for row in rows:
             num, den = FRACTION_MEASURES[family](lambda atoms: sum(row[x] for x in atoms), a, b)
@@ -246,22 +247,22 @@ def test_statement_predicate_equals_a_fraction_reading_for_huge_bounds():
     assert seen == {True, False}
 
 
-def test_term_sets_are_computed_once_per_enumeration(monkeypatch):
+def test_enumeration_walks_no_term(monkeypatch):
     from sylq import terms
 
-    calls = []
-    real = terms.atom_mask
-
-    def counting(expr, properties):
-        calls.append(expr)
-        return real(expr, properties)
-
-    # atoms_of reads the module's atom_mask
-    monkeypatch.setattr(terms, "atom_mask", counting)
     syl = load_fixture("pets_at_home.syl").to_syllogism()
+    calls = []
+    real = terms.term_mask
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    # a walk through the terms module, recursion included, reads this name
+    monkeypatch.setattr(terms, "term_mask", counting)
     assert enumerate_range(syl, 6) == Interval(F(3), F(3))
-    # a restriction and a scope set for each premise and the conclusion
-    assert len(calls) == 2 * (len(syl.premises) + 1)
+    # the enumeration reads the masks built with the syllogism
+    assert calls == []
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -321,3 +322,15 @@ def test_a_large_declared_universe_meets_its_closed_form():
         "conclude: cmpprop? * vs a\n"
     )
     assert enumerate_range(doc.to_syllogism(), 20) == Interval(F(2), F(200000, 66667))
+
+
+def test_a_two_atom_universe_past_one_block_is_enumerated_in_chunks():
+    # 4194305 compositions of the universe into |a| and |not a|: one more
+    # row than a block holds
+    doc = parse(
+        "terms: a\n"
+        "universe: 4194304\n"
+        "premise: abs[0, 4194304] * -> a\n"
+        "conclude: cmpprop? * vs a\n"
+    )
+    assert enumerate_range(doc.to_syllogism(), 10) == Interval(F(1), F(4194304))

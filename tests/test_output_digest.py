@@ -9,7 +9,9 @@ spellings and usage errors, of five stdin documents whose families,
 strict rows, universe and repeated sets no other run compiles, and of
 `sylq verify - --cap 10` on those five and on one more, a ratio
 conclusion over a declared universe whose denominator varies.  A change
-that alters any of them on purpose regenerates the pin and says why:
+that alters any of them on purpose regenerates the pin and says why; a
+failure lists each changed run's exit code and per-call pivots, old and
+new:
 
     python3 scripts/output_digest.py > tests/output_digest.json
 """
@@ -32,9 +34,13 @@ def test_output_digest_is_unchanged():
     )
     got = json.loads(proc.stdout)
     want = json.loads(PIN.read_text(encoding="utf-8"))
-    assert (got["runs"], got["pivots"]) == (want["runs"], want["pivots"])
-    changed = sorted(
-        name for name, run in want["digest"].items() if got["digest"].get(name) != run
-    )
-    assert not changed, "runs whose output, LPs or pivots changed: %s" % ", ".join(changed)
+    # each changed run with its exit code and per-call pivots, old -> new,
+    # ready to quote when a change re-pins on purpose
+    changed = [
+        "%s: exit %s -> %s, pivots %s -> %s"
+        % (name, run["code"], new.get("code"), run["pivots"], new.get("pivots"))
+        for name, run in want["digest"].items()
+        if (new := got["digest"].get(name, {})) != run
+    ]
+    assert not changed, "runs whose output, LPs or pivots changed:\n" + "\n".join(changed)
     assert got == want

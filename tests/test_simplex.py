@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sylq import cli, infer, optimizer, parse, simplex
+from sylq import infer, optimizer, parse, simplex
 from sylq.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 from conftest import FIXTURE_DIR, int_rows
@@ -96,84 +96,6 @@ def test_negative_rhs_rows_normalize():
     assert sol.status == OPTIMAL
     assert sol.value == 3
     assert sol.point == [0, 3]
-
-
-# (pivots, minimize calls) of `sylq FILE` for each bundled document in its
-# own mode; the integer-row tableau must choose every pivot as before
-BUNDLED_PIVOTS = {
-    "course_passrates_crisp": (33, 2),
-    "course_passrates_fuzzy": (363, 22),
-    "course_passrates_nonnormalized": (637, 41),
-    "hats_and_ties": (36, 4),
-    "pets_at_home": (26, 2),
-    "warehouse_sales_mix": (40, 4),
-    "wine_boxes_exception": (68, 22),
-    "wine_exports_rim": (168, 22),
-}
-
-# (exit code, pivots of each minimize call in order) of `sylq FILE --mode M`
-# for every bundled document and mode; crisp mode refuses fuzzy premises
-_ALPHA_11 = " ".join(["18 15"] * 11)
-BUNDLED_PIVOT_PATHS = {
-    ("course_passrates_crisp", "crisp"): (0, "18 15"),
-    ("course_passrates_crisp", "kersup"): (0, "18 15"),
-    ("course_passrates_crisp", "alpha"): (0, "18 15"),
-    ("course_passrates_fuzzy", "crisp"): (1, ""),
-    ("course_passrates_fuzzy", "kersup"): (0, "18 15 18 15"),
-    ("course_passrates_fuzzy", "alpha"): (0, _ALPHA_11),
-    ("course_passrates_nonnormalized", "crisp"): (1, ""),
-    ("course_passrates_nonnormalized", "kersup"): (0, "20 16 12"),
-    ("course_passrates_nonnormalized", "alpha"): (
-        0,
-        "20 16 20 17 20 17 20 17 18 16 18 16 16 15 16 15 16 15 16 15 16 15 16 15 "
-        "16 15 16 15 14 13 14 13 14 13 14 13 14 13 14 13 12",
-    ),
-    ("hats_and_ties", "crisp"): (1, ""),
-    ("hats_and_ties", "kersup"): (0, "9 9 9 9"),
-    ("hats_and_ties", "alpha"): (0, " ".join(["9"] * 22)),
-    ("pets_at_home", "crisp"): (0, "14 12"),
-    ("pets_at_home", "kersup"): (0, "14 12"),
-    ("pets_at_home", "alpha"): (0, "14 12"),
-    ("warehouse_sales_mix", "crisp"): (1, ""),
-    ("warehouse_sales_mix", "kersup"): (0, "10 10 10 10"),
-    ("warehouse_sales_mix", "alpha"): (0, " ".join(["10"] * 22)),
-    ("wine_boxes_exception", "crisp"): (1, ""),
-    ("wine_boxes_exception", "kersup"): (0, "3 3 3 5"),
-    ("wine_boxes_exception", "alpha"): (0, " ".join(["3"] * 21 + ["5"])),
-    ("wine_exports_rim", "crisp"): (1, ""),
-    ("wine_exports_rim", "kersup"): (0, "4 6 6 8"),
-    ("wine_exports_rim", "alpha"): (0, "4 6 " + " ".join(["7 9"] * 9) + " 6 8"),
-}
-
-
-def _pivots_per_call(argv, monkeypatch, capsys):
-    """Exit code of `sylq argv` and the pivots of each minimize call in order."""
-    seen = []
-    original = simplex.minimize
-
-    def counting_minimize(costs, rows, **kwargs):
-        sol = original(costs, rows, **kwargs)
-        seen.append(sol.pivots)
-        return sol
-
-    monkeypatch.setattr(simplex, "minimize", counting_minimize)
-    code = cli.main(argv)
-    capsys.readouterr()
-    return code, seen
-
-
-@pytest.mark.parametrize("name", sorted(BUNDLED_PIVOTS))
-def test_bundled_pivot_counts(name, monkeypatch, capsys):
-    code, seen = _pivots_per_call([str(FIXTURE_DIR / ("%s.syl" % name))], monkeypatch, capsys)
-    assert code == 0
-    assert (sum(seen), len(seen)) == BUNDLED_PIVOTS[name]
-
-
-@pytest.mark.parametrize("name, mode", sorted(BUNDLED_PIVOT_PATHS))
-def test_bundled_pivots_per_call(name, mode, monkeypatch, capsys):
-    argv = [str(FIXTURE_DIR / ("%s.syl" % name)), "--mode", mode]
-    code, seen = _pivots_per_call(argv, monkeypatch, capsys)
-    assert (code, " ".join(map(str, seen))) == BUNDLED_PIVOT_PATHS[name, mode]
 
 
 # ------------------------------------------------- differential property test
