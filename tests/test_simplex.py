@@ -1,12 +1,14 @@
 import itertools
+import json
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sylq import infer, optimizer, parse, simplex
+from sylq import cli, infer, optimizer, parse, simplex
 from sylq.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 from conftest import FIXTURE_DIR, int_rows
@@ -96,6 +98,49 @@ def test_negative_rhs_rows_normalize():
     assert sol.status == OPTIMAL
     assert sol.value == 3
     assert sol.point == [0, 3]
+
+
+# (exit code, pivots of each minimize call in order) of `sylq FILE` and of
+# `sylq FILE --mode M` for every bundled document, read from the output
+# digest, which is their one pin; the integer-row tableau must choose every
+# pivot as the digest recorded it.  Crisp mode refuses fuzzy premises.
+_DIGEST = json.loads((Path(__file__).parent / "output_digest.json").read_text())["digest"]
+BUNDLED = sorted({key.split(" ")[0] for key in _DIGEST if key.endswith(" text own")})
+MODES = ("crisp", "kersup", "alpha")
+
+
+def _pinned(name, mode):
+    run = _DIGEST["%s text %s" % (name, mode)]
+    return run["code"], run["pivots"]
+
+
+def _pivots_per_call(argv, monkeypatch, capsys):
+    """Exit code of `sylq argv` and the pivots of each minimize call in order."""
+    seen = []
+    original = simplex.minimize
+
+    def counting_minimize(costs, rows, **kwargs):
+        sol = original(costs, rows, **kwargs)
+        seen.append(sol.pivots)
+        return sol
+
+    monkeypatch.setattr(simplex, "minimize", counting_minimize)
+    code = cli.main(argv)
+    capsys.readouterr()
+    return code, seen
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_pivot_counts(name, monkeypatch, capsys):
+    code, seen = _pivots_per_call([str(FIXTURE_DIR / ("%s.syl" % name))], monkeypatch, capsys)
+    assert code == 0
+    assert (code, seen) == _pinned(name, "own")
+
+
+@pytest.mark.parametrize("name, mode", sorted(itertools.product(BUNDLED, MODES)))
+def test_bundled_pivots_per_call(name, mode, monkeypatch, capsys):
+    argv = [str(FIXTURE_DIR / ("%s.syl" % name)), "--mode", mode]
+    assert _pivots_per_call(argv, monkeypatch, capsys) == _pinned(name, mode)
 
 
 # ------------------------------------------------- differential property test
