@@ -1,4 +1,4 @@
-"""Print a JSON digest of what `sylq` prints for a fixed set of 175 runs.
+"""Print a JSON digest of what `sylq` prints for a fixed set of 184 runs.
 
 The runs are every bundled document in text, JSON and CSV, each in its own
 mode and with `--mode` crisp, kersup and alpha (96 runs); the four alpha
@@ -12,12 +12,15 @@ and `verify --help`, `--format=json`, a prefix (`--form json`), FILE after
 the options, and three usage errors; 5 documents on stdin in JSON
 (STDIN_DOCS) that compile what no other run does: comparative and
 similarity families, some/not-all, a declared universe and a set named
-twice in one row; and `sylq verify - --cap 10` on each of them and on
-VERIFY_DOC (6 runs), so the oracle's ranges of their conclusions, and the
-population guard's refusal of the two S=3 `universe: 40` documents, are
-pinned too.  For each run the digest records the exit code, a
-SHA-256 of stdout and of stderr, and for every `simplex.minimize` call in
-order its pivots and a SHA-256 of the LP it was given (costs and rows).
+twice in one row; 4 documents on stdin in JSON (UNBOUNDED_DOCS), one per
+unbounded outcome kind, and the first of them in text too (5 runs), so
+`attained lo` is pinned in text and JSON; and `sylq verify - --cap 10` on
+each stdin document and on VERIFY_DOC (10 runs), so the oracle's ranges of
+their conclusions, and the population guard's refusal of the two S=3
+`universe: 40` documents, are pinned too.  For each run the digest records
+the exit code, a SHA-256 of stdout and of stderr, and for every
+`simplex.minimize` call in order its pivots and a SHA-256 of the LP it was
+given (costs and rows).
 
 Run it in two checkouts and diff the results; identical files mean the two
 trees print the same bytes and hand the simplex the same LPs, call for call,
@@ -111,7 +114,39 @@ STDIN_DOCS = (
         "options: mode=alpha\n",
     ),
 )
-# verified on stdin besides STDIN_DOCS: a ratio conclusion over a declared
+# one document per outcome kind that no other run reaches: unbounded above
+# with a floored lo and its attained minimum, unbounded above with a signed
+# objective (lo kept, nothing attained to print), unbounded below, and
+# unbounded both ways at every alpha level
+UNBOUNDED_DOCS = (
+    (
+        "stdin exc unbounded above attained",
+        "terms: dog, cat, parrot\n"
+        "premise: exc[2, 2] * -> dog\n"
+        "premise: exc[2, 2] * -> cat\n"
+        "premise: exc[2, 2] * -> parrot\n"
+        "conclude: abs? * -> *\n",
+    ),
+    (
+        "stdin cmpabs unbounded above",
+        "terms: a, b\n"
+        "premise: cmpabs[-2, inf] a vs b\n"
+        "conclude: cmpabs? a vs b\n",
+    ),
+    (
+        "stdin cmpabs unbounded below",
+        "terms: a, b\n"
+        "premise: cmpabs[1, inf] a vs b\n"
+        "conclude: cmpabs? b vs a\n",
+    ),
+    (
+        "stdin alpha unbounded both ways",
+        "terms: p, q\n"
+        "premise: abs tz(1, 2, 3, 4) p -> q\n"
+        "conclude: cmpabs? p vs q\n",
+    ),
+)
+# verified on stdin besides STDIN_DOCS and UNBOUNDED_DOCS: a ratio conclusion over a declared
 # universe whose denominator varies, with num > den on some populations
 VERIFY_DOC = (
     "stdin universe cmpprop",
@@ -154,9 +189,11 @@ def runs():
     yield "usage error choice", [pets, "--format", "xml"], None
     yield "usage error missing value", [pets, "--levels"], None
     yield "usage error second file", ["verify", pets, pets], None
-    for name, text in STDIN_DOCS:
+    for name, text in (*STDIN_DOCS, *UNBOUNDED_DOCS):
         yield name, ["-", "--format", "json"], text
-    for name, text in (*STDIN_DOCS, VERIFY_DOC):
+    name, text = UNBOUNDED_DOCS[0]
+    yield "%s text" % name, ["-"], text
+    for name, text in (*STDIN_DOCS, *UNBOUNDED_DOCS, VERIFY_DOC):
         yield "%s verify" % name, ["verify", "-", "--cap", "10"], text
 
 
@@ -201,7 +238,7 @@ def digest_one(argv, stdin):
 
 
 # how many runs do not enumerate: replay() checks each of them
-REPLAYED = 153
+REPLAYED = 158
 
 
 def replay() -> int:

@@ -114,6 +114,9 @@ class Skeleton:
     fixed: Tuple[Row, ...]
     costs: Tuple[int, ...]
 
+    def __init__(self, classes, premises, fixed, costs) -> None:
+        self.__dict__.update(classes=classes, premises=premises, fixed=fixed, costs=costs)
+
     @cached_property
     def solver_fixed(self) -> Optional[List[Row]]:
         """The fixed rows optimizer.solve keeps (optimizer.keep_rows), read

@@ -31,7 +31,7 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from ._value import factory, value
+from ._value import value
 from .inference import MAX_LEVELS, MODES
 from .quantifiers import (
     ABSOLUTE,
@@ -122,7 +122,16 @@ class SyllogismDoc:
     premises: Tuple[Statement, ...]
     conclusion: Conclusion
     universe_size: Optional[Fraction] = None
-    options: Dict[str, object] = factory(dict)
+    options: Dict[str, object]  # {} when None is given
+
+    def __init__(self, properties, premises, conclusion, universe_size=None, options=None) -> None:
+        self.__dict__.update(
+            properties=properties,
+            premises=premises,
+            conclusion=conclusion,
+            universe_size=universe_size,
+            options={} if options is None else options,
+        )
 
     def to_syllogism(self) -> Syllogism:
         return Syllogism(self.properties, self.premises, self.conclusion, self.universe_size)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import optimizer
-from ._value import factory, value
+from ._value import value
 from .compiler import compile_syllogism
 from .quantifiers import (
     COUNT_FAMILIES,
@@ -69,8 +69,9 @@ class InferenceConfig:
 
     levels: int = 11
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.levels, int) or not 2 <= self.levels <= MAX_LEVELS:
+    def __init__(self, levels: int = 11) -> None:
+        self.__dict__["levels"] = levels
+        if not isinstance(levels, int) or not 2 <= levels <= MAX_LEVELS:
             raise ValueError("levels must be an integer >= 2 and <= %d" % MAX_LEVELS)
 
 
@@ -103,7 +104,21 @@ class InferenceResult:
     epsilon_kind: str
     epsilon: Fraction
     fitted: Optional[Trapezoid] = None
-    warnings: List[str] = factory(list)
+    warnings: List[str]  # [] when None is given
+
+    def __init__(
+        self, mode, cuts, outcomes, bounds, max_feasible_level, epsilon_kind, epsilon,
+        fitted=None, warnings=None,
+    ) -> None:
+        self.mode = mode
+        self.cuts = cuts
+        self.outcomes = outcomes
+        self.bounds = bounds
+        self.max_feasible_level = max_feasible_level
+        self.epsilon_kind = epsilon_kind
+        self.epsilon = epsilon
+        self.fitted = fitted
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def crisp(self) -> Optional[Interval]:

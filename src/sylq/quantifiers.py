@@ -215,11 +215,12 @@ class KernelSupportPair:
     kernel: Interval
     support: Interval
 
-    def __post_init__(self) -> None:
-        if not self.kernel.subset_of(self.support):
+    def __init__(self, kernel: Interval, support: Interval) -> None:
+        self.__dict__.update(kernel=kernel, support=support)
+        if not kernel.subset_of(support):
             raise ValueError(
                 "kernel %s is not contained in support %s"
-                % (self.kernel, self.support)
+                % (kernel, support)
             )
 
 
@@ -229,9 +230,9 @@ class RimQuantifier:
 
     exponent: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponent", as_fraction(self.exponent))
-        if self.exponent <= 0:
+    def __init__(self, exponent: Real) -> None:
+        exponent = self.__dict__["exponent"] = as_fraction(exponent)
+        if exponent <= 0:
             raise ValueError("RIM exponent must be positive")
 
 
@@ -275,8 +276,7 @@ class QuantifierSpec:
     shape: Shape = None
 
     def __init__(self, family: str, shape: Shape = None) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "shape", shape)
+        self.__dict__.update(family=family, shape=shape)
         if self.family not in FAMILIES:
             raise ValueError(
                 "unknown quantifier family %r; expected one of %s"

@@ -47,9 +47,7 @@ class Statement:
     scope: TermExpr
 
     def __init__(self, quantifier: QuantifierSpec, restriction: TermExpr, scope: TermExpr) -> None:
-        object.__setattr__(self, "quantifier", quantifier)
-        object.__setattr__(self, "restriction", restriction)
-        object.__setattr__(self, "scope", scope)
+        self.__dict__.update(quantifier=quantifier, restriction=restriction, scope=scope)
 
     @property
     def family(self) -> str:
@@ -64,15 +62,16 @@ class Conclusion:
     restriction: TermExpr
     scope: TermExpr
 
-    def __post_init__(self) -> None:
-        if self.family in LOGICAL_FAMILIES:
+    def __init__(self, family: str, restriction: TermExpr, scope: TermExpr) -> None:
+        self.__dict__.update(family=family, restriction=restriction, scope=scope)
+        if family in LOGICAL_FAMILIES:
             raise ValueError(
                 "logical quantifiers cannot be synthesized in conclusion "
                 "position; declare a numeric family (a [0,0] absolute result "
                 "can be read back as 'none', and so on)"
             )
-        if self.family not in NUMERIC_FAMILIES:
-            raise ValueError("unknown conclusion family %r" % self.family)
+        if family not in NUMERIC_FAMILIES:
+            raise ValueError("unknown conclusion family %r" % family)
 
 
 @value
@@ -84,20 +83,20 @@ class Syllogism:
     conclusion: Conclusion
     universe_size: Optional[Fraction] = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "properties", tuple(self.properties))
-        object.__setattr__(self, "premises", tuple(self.premises))
-        if not self.properties:
+    def __init__(self, properties, premises, conclusion, universe_size=None) -> None:
+        properties, premises = tuple(properties), tuple(premises)
+        if not properties:
             raise ValueError("a syllogism needs at least one declared property")
-        if len(set(self.properties)) != len(self.properties):
+        if len(set(properties)) != len(properties):
             raise ValueError("property names must be unique")
         # zero premises is allowed: the conclusion is then bounded only by
         # the structural constraints (useful as a baseline and for slicing)
-        if self.universe_size is not None:
-            size = as_fraction(self.universe_size)
-            if size <= 0:
-                raise ValueError("universe size must be positive")
-            object.__setattr__(self, "universe_size", size)
+        size = None if universe_size is None else as_fraction(universe_size)
+        if size is not None and size <= 0:
+            raise ValueError("universe size must be positive")
+        self.__dict__.update(
+            properties=properties, premises=premises, conclusion=conclusion, universe_size=size
+        )
         # one walk per term: its atom mask, which also finds undeclared
         # names; past S_MAX building the property masks raises SizeGuardError
         self.term_sets
@@ -111,7 +110,7 @@ class Syllogism:
         """(restriction atoms, scope atoms) of each premise, then of the
         conclusion, as atom masks: bit k is atom k (see terms).
 
-        __post_init__ computes them, from the property masks built once,
+        __init__ computes them, from the property masks built once,
         and keeps them on this object only, so every level of one
         inference, and the oracle, reads the same sets.
         """

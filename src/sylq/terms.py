@@ -45,7 +45,7 @@ class Prop:
     name: str
 
     def __init__(self, name: str) -> None:
-        object.__setattr__(self, "name", name)
+        self.__dict__["name"] = name
 
 
 @value
@@ -55,7 +55,7 @@ class Not:
     arg: "TermExpr"
 
     def __init__(self, arg: "TermExpr") -> None:
-        object.__setattr__(self, "arg", arg)
+        self.__dict__["arg"] = arg
 
 
 @value
@@ -66,8 +66,7 @@ class And:
     right: "TermExpr"
 
     def __init__(self, left: "TermExpr", right: "TermExpr") -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        self.__dict__.update(left=left, right=right)
 
 
 @value
@@ -78,8 +77,7 @@ class Or:
     right: "TermExpr"
 
     def __init__(self, left: "TermExpr", right: "TermExpr") -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        self.__dict__.update(left=left, right=right)
 
 
 @value

@@ -1,4 +1,4 @@
-"""What `sylq` prints, and the LPs it solves, are pinned for 175 runs.
+"""What `sylq` prints, and the LPs it solves, are pinned for 184 runs.
 
 `scripts/output_digest.py` digests the exit code, stdout, stderr and, per
 `simplex.minimize` call, the pivots and a hash of the LP of every bundled
@@ -6,8 +6,9 @@ document in each format and mode, of the four alpha documents on 7- and
 101-level grids, of `sylq verify` on each document, of the `scale_sweep`
 chains, of `sylq DOC --verify 10` on each document, of help, option
 spellings and usage errors, of five stdin documents whose families,
-strict rows, universe and repeated sets no other run compiles, and of
-`sylq verify - --cap 10` on those five and on one more, a ratio
+strict rows, universe and repeated sets no other run compiles, of four
+stdin documents, one per unbounded outcome kind (one of them in text too),
+and of `sylq verify - --cap 10` on those nine and on one more, a ratio
 conclusion over a declared universe whose denominator varies.  A change
 that alters any of them on purpose regenerates the pin and says why; a
 failure lists each changed run's exit code and per-call pivots, old and
