@@ -49,22 +49,7 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 from . import optimizer
 from ._value import value
 from .optimizer import EQ, GE, GT, LE, SetRow, Term
-from .quantifiers import (
-    ABSOLUTE,
-    COMPARATIVE_ABSOLUTE,
-    COMPARATIVE_PROPORTIONAL,
-    COUNT_FAMILIES,
-    EXCEPTION,
-    LOGICAL_ALL,
-    LOGICAL_NONE,
-    LOGICAL_NOT_ALL,
-    LOGICAL_SOME,
-    PROPORTIONAL,
-    RATIO_FAMILIES,
-    SIMILARITY,
-    IntBound,
-    check_unit,
-)
+from .quantifiers import COUNT_FAMILIES, FAMILY_TABLE, RATIO_FAMILIES, IntBound, check_unit
 from .simplex import Row
 
 if TYPE_CHECKING:
@@ -155,33 +140,13 @@ def _sum(atoms: int, coefficient: Fraction = _ONE) -> Tuple[Term, ...]:
 
 
 def _measure(family: str, a: int, b: int) -> Tuple[Tuple[Term, ...], Optional[int]]:
-    """A numeric family's measure over the atom masks a and b.
+    """A family's measure over the atom masks a and b (FAMILY_TABLE).
 
-    Returns (numerator terms, denominator atoms), with None as the
-    denominator of a count family.
+    Returns (numerator terms, denominator atoms): the counted atoms, then
+    the subtracted ones at -1; the denominator is None but for a ratio family.
     """
-    if family == ABSOLUTE:
-        return _sum(a & b), None
-    if family == EXCEPTION:
-        return _sum(a & ~b), None
-    if family == COMPARATIVE_ABSOLUTE:
-        return _sum(a) + _sum(b, -_ONE), None
-    if family == PROPORTIONAL:
-        return _sum(a & b), a
-    if family == COMPARATIVE_PROPORTIONAL:
-        return _sum(a), b
-    if family == SIMILARITY:
-        return _sum(a & b), a | b
-    raise ValueError("family %r has no numeric measure" % family)
-
-
-# a logical family is a fixed relation on a count measure: (family, rel) of 0
-_LOGICAL_ROWS = {
-    LOGICAL_ALL: (EXCEPTION, EQ),
-    LOGICAL_NONE: (ABSOLUTE, EQ),
-    LOGICAL_SOME: (ABSOLUTE, GT),
-    LOGICAL_NOT_ALL: (EXCEPTION, GT),
-}
+    counted, subtracted, denominator = FAMILY_TABLE[family].measure(a, b)
+    return _sum(counted) + _sum(subtracted, -_ONE), denominator
 
 
 def build_skeleton(syl: Syllogism) -> Skeleton:
@@ -207,12 +172,11 @@ def build_skeleton(syl: Syllogism) -> Skeleton:
     rows: List[SetRow] = []
     measures = []
     for stmt, (a, b) in zip(syl.premises, syl.term_sets):
-        if stmt.family in _LOGICAL_ROWS:
-            family, rel = _LOGICAL_ROWS[stmt.family]
-            rows.append((_measure(family, a, b)[0], rel, _ZERO))
-            measures.append(None)
-        else:
-            measures.append(_measure(stmt.family, a, b))
+        # a logical family is a fixed relation of its measure to 0
+        measure, rel = _measure(stmt.family, a, b), FAMILY_TABLE[stmt.family].relation
+        if rel:
+            rows.append((measure[0], rel, _ZERO))
+        measures.append(None if rel else measure)
     n_logical = len(rows)
     # a positivity row per ratio statement's denominator; equal ones are
     # written once here and repeated in the fixed rows

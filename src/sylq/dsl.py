@@ -34,23 +34,17 @@ from typing import Dict, List, Optional, Tuple
 from ._value import value
 from .inference import MAX_LEVELS, MODES
 from .quantifiers import (
-    ABSOLUTE,
-    COMPARATIVE_ABSOLUTE,
-    COMPARATIVE_PROPORTIONAL,
-    EXCEPTION,
-    LOGICAL_ALL,
-    LOGICAL_NONE,
-    LOGICAL_NOT_ALL,
-    LOGICAL_SOME,
-    PROPORTIONAL,
-    SIMILARITY,
+    COMPARED_FAMILIES,
+    FAMILY_TABLE,
+    LOGICAL,
+    LOGICAL_FAMILIES,
     Interval,
     QuantifierSpec,
     RimQuantifier,
     Trapezoid,
     _fmt,
 )
-from .statements import COMPARED_FAMILIES, Conclusion, Statement, Syllogism
+from .statements import Conclusion, Statement, Syllogism
 from .terms import UNIVERSE, And, Not, Or, Prop, Universe
 
 __all__ = ["DslError", "SyllogismDoc", "conclusion_text", "parse", "print_doc"]
@@ -71,20 +65,10 @@ class DslError(ValueError):
         super().__init__(where + message)
 
 
-_KEYWORD_TO_FAMILY = {
-    "all": LOGICAL_ALL,
-    "none": LOGICAL_NONE,
-    "some": LOGICAL_SOME,
-    "not-all": LOGICAL_NOT_ALL,
-    "abs": ABSOLUTE,
-    "prop": PROPORTIONAL,
-    "exc": EXCEPTION,
-    "cmpabs": COMPARATIVE_ABSOLUTE,
-    "cmpprop": COMPARATIVE_PROPORTIONAL,
-    "sim": SIMILARITY,
-}
-_FAMILY_TO_KEYWORD = {v: k for k, v in _KEYWORD_TO_FAMILY.items()}
-_LOGICAL_KEYWORDS = ("all", "none", "some", "not-all")
+_KEYWORD_TO_FAMILY = {row.keyword: family for family, row in FAMILY_TABLE.items()}
+# each in FAMILY_TABLE's order
+_LOGICAL_KEYWORDS = [row.keyword for row in FAMILY_TABLE.values() if row.unit == LOGICAL]
+_NUMERIC_KEYWORDS = [row.keyword for row in FAMILY_TABLE.values() if row.unit != LOGICAL]
 
 _RESERVED_NAMES = frozenset({"vs", "inf"})
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -100,13 +84,20 @@ _VS = re.compile(r"\bvs\b")
 _NUM = r"-?(?:[0-9]+\.[0-9]+|[0-9]+(?:/[0-9]+)?)"
 # _NUM with its parts: digits before any point, after it, and after any /
 _NUMBER = re.compile(r"(-?[0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
-_QSPEC_HEAD = re.compile(r"\s*(not-all|cmpprop|cmpabs|prop|abs|exc|sim|all|none|some)\b")
+
+def _alternation(keywords: List[str]) -> str:
+    """A regex matching any of keywords, the longest first, so that none
+    stops at the end of a shorter one it begins with."""
+    return "|".join(map(re.escape, sorted(keywords, key=len, reverse=True)))
+
+
+_QSPEC_HEAD = re.compile(r"\s*(%s)\b" % _alternation(_LOGICAL_KEYWORDS + _NUMERIC_KEYWORDS))
 _INTERVAL_SHAPE = re.compile(r"\s*\[\s*(%s)\s*,\s*(%s|inf)\s*\]" % (_NUM, _NUM))
 _TZ_SHAPE = re.compile(r"\s*tz\(\s*(%s)\s*,\s*(%s)\s*,\s*(%s)\s*,\s*(%s)\s*\)" % ((_NUM,) * 4))
 _RIM_SHAPE = re.compile(r"\s*rim\(\s*(%s)\s*\)" % _NUM)
 # an "inf" upper bound reaches Interval as None
 _SHAPES = ((_INTERVAL_SHAPE, Interval), (_TZ_SHAPE, Trapezoid), (_RIM_SHAPE, RimQuantifier))
-_CONCLUDE_HEAD = re.compile(r"\s*(cmpprop|cmpabs|prop|abs|exc|sim)\?")
+_CONCLUDE_HEAD = re.compile(r"\s*(%s)\?" % _alternation(_NUMERIC_KEYWORDS))
 _OPTION_ITEM = re.compile(r"\s*([a-z-]+)\s*=\s*([^\s,]+)\s*$")
 # deepest term accepted: each !, &, | and pair of parentheses is one level;
 # deeper terms would exhaust Python's recursion limit in the parser and in
@@ -242,13 +233,14 @@ def _parse_quantifier(rest: str, line: int, col0: int) -> Tuple[QuantifierSpec, 
     m = _QSPEC_HEAD.match(rest)
     if not m:
         raise DslError(
-            "expected a quantifier (all/none/some/not-all or a family with a "
-            "shape)", line, col0 + len(rest) - len(rest.lstrip()) + 1
+            "expected a quantifier (%s or a family with a shape)" % "/".join(_LOGICAL_KEYWORDS),
+            line,
+            col0 + len(rest) - len(rest.lstrip()) + 1,
         )
     keyword = m.group(1)
     family = _KEYWORD_TO_FAMILY[keyword]
     pos = m.end()
-    if keyword in _LOGICAL_KEYWORDS:
+    if family in LOGICAL_FAMILIES:
         return QuantifierSpec(family), rest[pos:], col0 + pos
 
     for pattern, make in _SHAPES:
@@ -278,7 +270,7 @@ def _split_terms(
     arrow = rest.find("->")
     vs = _VS.search(rest)
     wants_vs = family in COMPARED_FAMILIES
-    keyword = _FAMILY_TO_KEYWORD[family]
+    keyword = FAMILY_TABLE[family].keyword
     if wants_vs:
         if vs is None:
             raise DslError("%s compares two terms; connect them with 'vs'" % keyword, line)
@@ -387,8 +379,8 @@ def parse(text: str) -> SyllogismDoc:
                 cm = _CONCLUDE_HEAD.match(body)
                 if not cm:
                     raise DslError(
-                        "expected a conclusion family followed by '?' (one of "
-                        "abs? prop? exc? cmpabs? cmpprop? sim?)",
+                        "expected a conclusion family followed by '?' (one of %s?)"
+                        % "? ".join(_NUMERIC_KEYWORDS),
                         line_no,
                         col0 + 1,
                     )
@@ -428,7 +420,7 @@ def _term_text(term, parent: str = "or") -> str:
 
 
 def _quantifier_text(spec: QuantifierSpec) -> str:
-    keyword = _FAMILY_TO_KEYWORD[spec.family]
+    keyword = FAMILY_TABLE[spec.family].keyword
     shape = spec.shape
     if shape is None:
         return keyword
@@ -449,7 +441,7 @@ def _terms_text(head: str, stmt) -> str:
 
 def conclusion_text(conclusion: Conclusion) -> str:
     """Document spelling of a conclusion template, e.g. 'abs? * -> *'."""
-    return _terms_text(_FAMILY_TO_KEYWORD[conclusion.family] + "?", conclusion)
+    return _terms_text(FAMILY_TABLE[conclusion.family].keyword + "?", conclusion)
 
 
 def print_doc(doc: SyllogismDoc) -> str:

@@ -2,7 +2,10 @@
 
 A generalized quantifier is a family tag (how a statement is translated into
 constraints on cardinalities) plus a bound shape (which numeric range the
-quantifier allows at a given membership level).  Four shapes are supported:
+quantifier allows at a given membership level).  FAMILY_TABLE is the one
+definition of a family: its document keyword, unit, connector, measure and
+bound range; every family set below is read from it.  Four shapes are
+supported:
 
 * ``Interval``           crisp bounds, possibly unbounded above;
 * ``Trapezoid``          the usual [a, b, c, d] fuzzy membership function;
@@ -21,9 +24,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ._value import value
+from .optimizer import EQ, GT
 
 __all__ = [
     "LOGICAL_ALL",
@@ -36,11 +40,13 @@ __all__ = [
     "COMPARATIVE_ABSOLUTE",
     "COMPARATIVE_PROPORTIONAL",
     "SIMILARITY",
+    "FAMILY_TABLE",
     "FAMILIES",
     "LOGICAL_FAMILIES",
     "COUNT_FAMILIES",
     "RATIO_FAMILIES",
     "NUMERIC_FAMILIES",
+    "COMPARED_FAMILIES",
     "as_fraction",
     "check_unit",
     "Interval",
@@ -64,13 +70,53 @@ COMPARATIVE_ABSOLUTE = "comparative-absolute"
 COMPARATIVE_PROPORTIONAL = "comparative-proportional"
 SIMILARITY = "similarity"
 
-LOGICAL_FAMILIES = frozenset({LOGICAL_ALL, LOGICAL_NONE, LOGICAL_SOME, LOGICAL_NOT_ALL})
-# count units: the bound talks about cardinalities
-COUNT_FAMILIES = frozenset({ABSOLUTE, EXCEPTION, COMPARATIVE_ABSOLUTE})
-# proportion units: the bound talks about a ratio of cardinalities
-RATIO_FAMILIES = frozenset({PROPORTIONAL, COMPARATIVE_PROPORTIONAL, SIMILARITY})
+# units: a logical family carries no bound; a count family's bound talks
+# about cardinalities, a ratio family's about a ratio of cardinalities
+LOGICAL, COUNT, RATIO = "logical", "count", "ratio"
+
+
+class Family(NamedTuple):
+    """Everything that defines one quantifier family.
+
+    measure maps the atom masks (a, b) of a statement's two terms to
+    (counted, subtracted, denominator) masks: the family measures
+    S_counted - S_subtracted, over S_denominator for a ratio family (0 is
+    the empty set; the denominator is None for the other units).  A logical
+    family holds when its measure stands in relation to 0.  bounds is the
+    (least lo, greatest hi) a numeric family's bound may have, None where
+    it is open; a range starts at 0 or is open below.
+    """
+
+    keyword: str
+    unit: str
+    compared: bool  # the terms are two sets compared with "vs", not "->"
+    measure: Callable[[int, int], Tuple[int, int, Optional[int]]]
+    bounds: Optional[Tuple[Optional[int], Optional[int]]] = None
+    relation: Optional[str] = None
+
+
+# in document order: dsl lists the keywords in their error messages so
+FAMILY_TABLE = {
+    LOGICAL_ALL: Family("all", LOGICAL, False, lambda a, b: (a & ~b, 0, None), relation=EQ),
+    LOGICAL_NONE: Family("none", LOGICAL, False, lambda a, b: (a & b, 0, None), relation=EQ),
+    LOGICAL_SOME: Family("some", LOGICAL, False, lambda a, b: (a & b, 0, None), relation=GT),
+    LOGICAL_NOT_ALL: Family("not-all", LOGICAL, False, lambda a, b: (a & ~b, 0, None), relation=GT),
+    ABSOLUTE: Family("abs", COUNT, False, lambda a, b: (a & b, 0, None), (0, None)),
+    PROPORTIONAL: Family("prop", RATIO, False, lambda a, b: (a & b, 0, a), (0, 1)),
+    EXCEPTION: Family("exc", COUNT, False, lambda a, b: (a & ~b, 0, None), (0, None)),
+    # differences of counts may be negative; ratios of them may exceed 1
+    COMPARATIVE_ABSOLUTE: Family("cmpabs", COUNT, True, lambda a, b: (a, b, None), (None, None)),
+    COMPARATIVE_PROPORTIONAL: Family("cmpprop", RATIO, True, lambda a, b: (a, 0, b), (0, None)),
+    SIMILARITY: Family("sim", RATIO, True, lambda a, b: (a & b, 0, a | b), (0, 1)),
+}
+FAMILIES = frozenset(FAMILY_TABLE)
+LOGICAL_FAMILIES, COUNT_FAMILIES, RATIO_FAMILIES = (
+    frozenset(f for f, row in FAMILY_TABLE.items() if row.unit == unit)
+    for unit in (LOGICAL, COUNT, RATIO)
+)
 NUMERIC_FAMILIES = COUNT_FAMILIES | RATIO_FAMILIES
-FAMILIES = LOGICAL_FAMILIES | NUMERIC_FAMILIES
+# families whose two terms are compared as wholes rather than restricted
+COMPARED_FAMILIES = frozenset(f for f, row in FAMILY_TABLE.items() if row.compared)
 
 _SNAP_DENOMINATOR = 10**9
 # a RIM cut level ** n is exact for an integer n up to this; past it the
@@ -243,23 +289,18 @@ IntBound = Tuple[int, int, Optional[int], Optional[int]]
 
 
 def check_unit(family: str, lo_num: int, hi_num: Optional[int], hi_den: Optional[int]) -> None:
-    """Validate that a bound is expressed in the family's unit.
+    """Validate that a bound lies in the range its family's unit admits
+    (FAMILY_TABLE's bounds).
 
     The bound is read as bound_ints gives it (hi_num and hi_den None when
     unbounded above); denominators are positive, so each test is in ints.
     """
-    if family in (ABSOLUTE, EXCEPTION):
-        if lo_num < 0:
-            raise ValueError("%s bounds must be nonnegative" % family)
-    elif family in (PROPORTIONAL, SIMILARITY):
-        if lo_num < 0 or (hi_num is not None and hi_num > hi_den):
-            raise ValueError("%s bounds must lie inside [0, 1]" % family)
-    elif family == COMPARATIVE_PROPORTIONAL:
-        # may exceed 1 ("double"), but a negative ratio of cardinalities is
-        # meaningless
-        if lo_num < 0:
-            raise ValueError("%s bounds must be nonnegative" % family)
-    # comparative-absolute differences may be negative; nothing to check
+    least, most = FAMILY_TABLE[family].bounds
+    if least is not None and lo_num < least or (
+        most is not None and hi_num is not None and hi_num > most * hi_den
+    ):
+        where = "be nonnegative" if most is None else "lie inside [%d, %d]" % (least, most)
+        raise ValueError("%s bounds must %s" % (family, where))
 
 
 @value

@@ -17,21 +17,10 @@ from typing import Optional, Tuple
 
 from . import compiler
 from ._value import value
-from .quantifiers import (
-    COMPARATIVE_ABSOLUTE,
-    COMPARATIVE_PROPORTIONAL,
-    LOGICAL_FAMILIES,
-    NUMERIC_FAMILIES,
-    SIMILARITY,
-    QuantifierSpec,
-    as_fraction,
-)
+from .quantifiers import LOGICAL_FAMILIES, NUMERIC_FAMILIES, QuantifierSpec, as_fraction
 from .terms import TermExpr, property_masks, term_mask
 
-__all__ = ["COMPARED_FAMILIES", "Statement", "Conclusion", "Syllogism"]
-
-# families whose two terms are compared as wholes rather than restricted
-COMPARED_FAMILIES = frozenset({COMPARATIVE_ABSOLUTE, COMPARATIVE_PROPORTIONAL, SIMILARITY})
+__all__ = ["Statement", "Conclusion", "Syllogism"]
 
 
 @value
