@@ -1,7 +1,7 @@
 """Run every bundled syllogism document and tabulate the results.
 
 Prints each document's ``sylq FILE`` text output and writes its
-``sylq FILE --format csv`` output (``level,lo,hi``) into the output
+``sylq FILE --format csv`` output (``level,lo,hi,feasible``) into the output
 directory, both through the ``sylq`` command-line front end.
 
     python3 scripts/reproduce_examples.py [--docs DIR] [--out DIR]

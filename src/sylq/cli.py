@@ -250,9 +250,12 @@ def _print_text(result: InferenceResult, syl: Syllogism) -> None:
 
 
 def _print_csv(result: InferenceResult) -> None:
-    lines = ["level,lo,hi"]
-    for level, lo, hi, _ in _level_rows(result):
-        lines.append("%s,%s,%s" % (_num_text(level), _num_text(lo), _num_text(hi)))
+    # feasible, spelled as in JSON, tells an infeasible level from one
+    # unbounded both ways: both print empty lo and hi cells
+    lines = ["level,lo,hi,feasible"]
+    for level, lo, hi, feasible in _level_rows(result):
+        cells = (_num_text(level), _num_text(lo), _num_text(hi), "true" if feasible else "false")
+        lines.append(",".join(cells))
     print("\n".join(lines))
 
 

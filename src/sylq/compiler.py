@@ -161,9 +161,9 @@ def build_skeleton(syl: Syllogism) -> Skeleton:
     has_count = any(st.family in COUNT_FAMILIES for st in statements)
     if has_ratio and has_count and syl.universe_size is None:
         raise UnitMixingError(
-            "syllogism mixes count quantifiers (absolute/exception/"
-            "comparative-absolute) with proportion quantifiers; declare "
+            "syllogism mixes count quantifiers (%s) with proportion quantifiers; declare "
             "'universe:' to make the units commensurable"
+            % "/".join(f for f in FAMILY_TABLE if f in COUNT_FAMILIES)
         )
     k = 1 << syl.s
 

@@ -70,6 +70,13 @@ _KEYWORD_TO_FAMILY = {row.keyword: family for family, row in FAMILY_TABLE.items(
 _LOGICAL_KEYWORDS = [row.keyword for row in FAMILY_TABLE.values() if row.unit == LOGICAL]
 _NUMERIC_KEYWORDS = [row.keyword for row in FAMILY_TABLE.values() if row.unit != LOGICAL]
 
+
+def _alternation(keywords: List[str]) -> str:
+    """A regex matching any of keywords, the longest first, so that none
+    stops at the end of a shorter one it begins with."""
+    return "|".join(map(re.escape, sorted(keywords, key=len, reverse=True)))
+
+
 _RESERVED_NAMES = frozenset({"vs", "inf"})
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # a term's tokens are names, operators and parentheses; _TERM_TEXT matches
@@ -84,13 +91,6 @@ _VS = re.compile(r"\bvs\b")
 _NUM = r"-?(?:[0-9]+\.[0-9]+|[0-9]+(?:/[0-9]+)?)"
 # _NUM with its parts: digits before any point, after it, and after any /
 _NUMBER = re.compile(r"(-?[0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
-
-def _alternation(keywords: List[str]) -> str:
-    """A regex matching any of keywords, the longest first, so that none
-    stops at the end of a shorter one it begins with."""
-    return "|".join(map(re.escape, sorted(keywords, key=len, reverse=True)))
-
-
 _QSPEC_HEAD = re.compile(r"\s*(%s)\b" % _alternation(_LOGICAL_KEYWORDS + _NUMERIC_KEYWORDS))
 _INTERVAL_SHAPE = re.compile(r"\s*\[\s*(%s)\s*,\s*(%s|inf)\s*\]" % (_NUM, _NUM))
 _TZ_SHAPE = re.compile(r"\s*tz\(\s*(%s)\s*,\s*(%s)\s*,\s*(%s)\s*,\s*(%s)\s*\)" % ((_NUM,) * 4))

@@ -95,7 +95,7 @@ class Family(NamedTuple):
     relation: Optional[str] = None
 
 
-# in document order: dsl lists the keywords in their error messages so
+# error messages list keywords and families in this order
 FAMILY_TABLE = {
     LOGICAL_ALL: Family("all", LOGICAL, False, lambda a, b: (a & ~b, 0, None), relation=EQ),
     LOGICAL_NONE: Family("none", LOGICAL, False, lambda a, b: (a & b, 0, None), relation=EQ),

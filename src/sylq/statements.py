@@ -17,7 +17,14 @@ from typing import Optional, Tuple
 
 from . import compiler
 from ._value import value
-from .quantifiers import LOGICAL_FAMILIES, NUMERIC_FAMILIES, QuantifierSpec, as_fraction
+from .quantifiers import (
+    FAMILY_TABLE,
+    LOGICAL_FAMILIES,
+    LOGICAL_NONE,
+    NUMERIC_FAMILIES,
+    QuantifierSpec,
+    as_fraction,
+)
 from .terms import TermExpr, property_masks, term_mask
 
 __all__ = ["Statement", "Conclusion", "Syllogism"]
@@ -57,7 +64,7 @@ class Conclusion:
             raise ValueError(
                 "logical quantifiers cannot be synthesized in conclusion "
                 "position; declare a numeric family (a [0,0] absolute result "
-                "can be read back as 'none', and so on)"
+                "can be read back as '%s', and so on)" % FAMILY_TABLE[LOGICAL_NONE].keyword
             )
         if family not in NUMERIC_FAMILIES:
             raise ValueError("unknown conclusion family %r" % family)

@@ -116,8 +116,30 @@ def test_csv_levels(capsys):
     code, out, _ = run_cli(capsys, [COURSE_CRISP, "--format", "csv"])
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "level,lo,hi"
-    assert lines[1] == "0,0.2,1"
+    assert lines[0] == "level,lo,hi,feasible"
+    assert lines[1] == "0,0.2,1,true"
+    # an infeasible level and a level unbounded both ways print apart
+    assert run_cli(capsys, [COURSE_PARTIAL, "--format", "csv"])[1].splitlines()[-1] == "1,,,false"
+    sys.stdin = io.StringIO(UNBOUNDED_DOC)
+    rows = run_cli(capsys, ["-", "--format", "csv"])[1].splitlines()[1:]
+    assert len(rows) == 11 and all(row.endswith(",,,true") for row in rows)
+
+
+# |a| = 1 attains |*| / |a| = 2000000, but over a universe past 10^6 the
+# proportion margin keeps the denominator |a| at 2 or more
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="engine [1, 1000000]; enumerated [1, 2000000]: DISAGREE",
+)
+def test_verify_agrees_past_the_proportion_margin(capsys):
+    sys.stdin = io.StringIO(
+        "terms: a\n"
+        "universe: 2000000\n"
+        "premise: abs[0, 2000000] * -> a\n"
+        "conclude: cmpprop? * vs a\n"
+    )
+    assert run_cli(capsys, ["verify", "-", "--cap", "1"])[0] == 0
 
 
 def test_csv_unbounded_hi_is_empty_cell(capsys):
@@ -125,7 +147,7 @@ def test_csv_unbounded_hi_is_empty_cell(capsys):
     sys.stdin = io.StringIO(doc)
     code, out, _ = run_cli(capsys, ["-", "--format", "csv"])
     assert code == 0
-    assert out.splitlines()[1] == "0,0,"
+    assert out.splitlines()[1] == "0,0,,true"
 
 
 # the premise pins |p & q| but nothing bounds |p| - |q| either way, so every
@@ -179,7 +201,7 @@ def test_crisp_bounds_render_exactly_in_every_format(capsys):
     assert [row["hi"] for row in payload["levels"]] == [HUGE, HUGE]
     sys.stdin = io.StringIO(HUGE_DOC)
     _, out, _ = run_cli(capsys, ["-", "--format", "csv"])
-    assert out.splitlines()[1:] == ["0,3,%d" % HUGE, "1,3,%d" % HUGE]
+    assert out.splitlines()[1:] == ["0,3,%d,true" % HUGE, "1,3,%d,true" % HUGE]
 
 
 # non-integral answers past the float range: 10**400 / 3, (10**400 + 1) / 2
@@ -398,7 +420,7 @@ def test_tiny_rim_exponent_is_cut_fast(capsys):
     code, out, err = run_cli(capsys, ["-", "--format", "csv"])
     assert time.perf_counter() - start < 1
     assert code == 0 and err == ""
-    assert out.splitlines()[1:3] == ["0,0,1", "0.1,0,1"]
+    assert out.splitlines()[1:3] == ["0,0,1,true", "0.1,0,1,true"]
 
 
 @pytest.mark.parametrize(
@@ -535,7 +557,7 @@ def test_the_largest_grid_is_solved(capsys):
     assert (code, err) == (0, "")
     rows = out.splitlines()
     assert len(rows) == 1 + MAX_LEVELS
-    assert rows[1] == "0,0.1,0.4" and rows[-1] == "1,0.2,0.3"
+    assert rows[1] == "0,0.1,0.4,true" and rows[-1] == "1,0.2,0.3,true"
 
 
 def test_pivot_limit_exits_with_code_3_without_traceback(capsys, monkeypatch):

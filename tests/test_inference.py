@@ -89,6 +89,16 @@ def test_crisp_result_structure():
     assert result.epsilon == 1
 
 
+# some a -> b leaves |a & b| / |a| free in (0, 1]: the lower end is the
+# infimum 0, open, but the strict row's proportion margin moves it
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="lo: 1e-06, the proportion margin, not 0"
+)
+def test_an_open_proportion_end_is_its_infimum():
+    doc = parse("terms: a, b\npremise: some a -> b\nconclude: prop? a -> b\n")
+    assert infer(doc.to_syllogism()).crisp.lo == 0
+
+
 def test_alpha_on_fuzzy_count_premise():
     result = infer(
         one_premise(Trapezoid(1, 2, 4, 5)), mode="alpha", config=InferenceConfig(levels=3)
