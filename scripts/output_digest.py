@@ -14,7 +14,8 @@ the options, and three usage errors; 5 documents on stdin in JSON
 similarity families, some/not-all, a declared universe and a set named
 twice in one row; 4 documents on stdin in JSON (UNBOUNDED_DOCS), one per
 unbounded outcome kind, and the first of them in text too (5 runs), so
-`attained lo` is pinned in text and JSON; and `sylq verify - --cap 10` on
+the minimum of a nonnegative measure unbounded above is pinned in text and
+JSON; and `sylq verify - --cap 10` on
 each stdin document and on VERIFY_DOC (10 runs), so the oracle's ranges of
 their conclusions, and the population guard's refusal of the two S=3
 `universe: 40` documents, are pinned too.  For each run the digest records
@@ -115,9 +116,9 @@ STDIN_DOCS = (
     ),
 )
 # one document per outcome kind that no other run reaches: unbounded above
-# with a floored lo and its attained minimum, unbounded above with a signed
-# objective (lo kept, nothing attained to print), unbounded below, and
-# unbounded both ways at every alpha level
+# with a nonnegative objective and a positive minimum, unbounded above with
+# a signed objective, unbounded below, and unbounded both ways at every
+# alpha level
 UNBOUNDED_DOCS = (
     (
         "stdin exc unbounded above attained",

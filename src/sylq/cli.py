@@ -37,7 +37,7 @@ from .inference import (
     infer,
     readings,
 )
-from .quantifiers import _sig_digits, as_fraction
+from .quantifiers import _fmt, _sig_digits, as_fraction
 from .simplex import PivotLimitError
 from .statements import Syllogism
 from .terms import SizeGuardError
@@ -202,8 +202,6 @@ def _json_payload(result: InferenceResult, syl: Syllogism) -> dict:
     payload["conclusion"] = conclusion_text(syl.conclusion)
     if result.mode == "crisp":
         payload["status"] = first.status
-        if first.attained_lo is not None:
-            payload["attained_lo"] = _num(first.attained_lo)
     if result.mode == "kersup":
         pair = result.pair
         payload["kernel"] = None if pair is None else _json_interval(pair.kernel)
@@ -229,8 +227,6 @@ def _print_text(result: InferenceResult, syl: Syllogism) -> None:
         out.append("lo: %s" % (_num_text(first.lo) or "-inf"))
         out.append("hi: %s" % (_num_text(first.hi) or "inf"))
         out.append("status: %s" % first.status)
-        if first.attained_lo is not None:
-            out.append("attained lo: %s" % _num_text(first.attained_lo))
     else:
         for level, lo, hi, feasible in _level_rows(result):
             if not feasible:
@@ -279,7 +275,7 @@ def _verify_doc(syl: Syllogism, cap: int, levels: Optional[Iterable[tuple]] = No
 
     oracle.population_totals(syl, cap)
     size = syl.universe_size  # when declared, only that size is enumerated
-    sizes = "up to cap %d" % cap if size is None else "of universe size %s" % _num_text(size)
+    sizes = "up to cap %d" % cap if size is None else "of universe size %s" % _fmt(size)
     if levels is None:
         levels = ((bounds, outcome) for _, bounds, outcome in readings(syl, 2))
     (support, first), *_, (kernel, last) = levels
@@ -290,7 +286,6 @@ def _verify_doc(syl: Syllogism, cap: int, levels: Optional[Iterable[tuple]] = No
     failures = 0
     for name, bounds, outcome in audited:
         exact = enumerate_range(syl, cap, bounds)
-        lp_lo = outcome.attained_lo if outcome.attained_lo is not None else outcome.lo
         if exact is None:
             witness = "no integer witness %s" % sizes
             ok = True
@@ -298,7 +293,7 @@ def _verify_doc(syl: Syllogism, cap: int, levels: Optional[Iterable[tuple]] = No
             witness = "enumerated [%s, %s]" % (_num_text(exact.lo), _num_text(exact.hi))
             ok = (
                 outcome.status != optimizer.INFEASIBLE
-                and (lp_lo is None or lp_lo <= exact.lo)
+                and (outcome.lo is None or outcome.lo <= exact.lo)
                 and (outcome.hi is None or exact.hi <= outcome.hi)
             )
         if outcome.status == optimizer.INFEASIBLE:

@@ -14,11 +14,6 @@ objective over the kept rows as they are, on the skeleton's columns; no
 level filters a column.  The rows no premise bound changes are kept once
 per syllogism (Skeleton.solver_fixed), so a level pays only for its
 premise rows.
-
-Reporting convention: a measure with a nonnegative objective that is
-unbounded above is reported with lo = 0 (the bracket conveys no lower
-information in that case); the minimum the program actually attains is kept
-in attained_lo so callers can still see it.
 """
 
 from __future__ import annotations
@@ -58,8 +53,6 @@ INFEASIBLE = "infeasible"
 EPS_COUNT = Fraction(1)
 EPS_PROP = Fraction(1, 10**6)
 
-_ZERO = Fraction(0)
-
 # (atom mask, coefficient): the coefficient times the sum of x_k over bits k
 Term = Tuple[int, Fraction]
 
@@ -71,20 +64,18 @@ SetRow = Tuple[Tuple[Term, ...], str, Fraction]
 class SolveOutcome:
     """Bounds on the conclusion measure over the feasible region.
 
-    lo/hi are exact rationals; hi is None when the measure is unbounded
-    above, lo is None when unbounded below.  attained_lo records the true
-    minimum whenever the reported lo was floored to zero.
+    lo/hi are the program's exact minimum and maximum; hi is None when the
+    measure is unbounded above, lo is None when unbounded below.
     """
 
     status: str
     lo: Optional[Fraction]
     hi: Optional[Fraction]
-    attained_lo: Optional[Fraction] = None
     pivots: int = 0
 
-    def __init__(self, status: str, lo, hi, attained_lo=None, pivots: int = 0) -> None:
+    def __init__(self, status: str, lo, hi, pivots: int = 0) -> None:
         # the frozen fields, written past __setattr__ (one outcome per solve)
-        self.__dict__.update(status=status, lo=lo, hi=hi, attained_lo=attained_lo, pivots=pivots)
+        self.__dict__.update(status=status, lo=lo, hi=hi, pivots=pivots)
 
 
 def rewrite_strict(
@@ -125,7 +116,7 @@ def rewrite_strict(
 _ORDER = {LE: lambda a, b: a <= b, GE: lambda a, b: a >= b, EQ: lambda a, b: a == b}
 
 
-def _bracket(costs: Sequence[int], rows: List[simplex.Row], sign_definite: bool) -> SolveOutcome:
+def _bracket(costs: Sequence[int], rows: List[simplex.Row]) -> SolveOutcome:
     lo_sol = simplex.minimize(costs, rows)
     if lo_sol.status == simplex.INFEASIBLE:
         return SolveOutcome(INFEASIBLE, None, None, pivots=lo_sol.pivots)
@@ -136,15 +127,11 @@ def _bracket(costs: Sequence[int], rows: List[simplex.Row], sign_definite: bool)
     lo = lo_sol.value if lo_sol.status == simplex.OPTIMAL else None
     hi = hi_sol.value if hi_sol.status == simplex.OPTIMAL else None
 
-    if lo is None and hi is None:
-        return SolveOutcome(UNBOUNDED, None, None, pivots=pivots)
     if lo is None:
-        return SolveOutcome(UNBOUNDED_BELOW, None, hi, pivots=pivots)
-    if hi is None:
-        if sign_definite:
-            return SolveOutcome(UNBOUNDED_ABOVE, _ZERO, None, attained_lo=lo, pivots=pivots)
-        return SolveOutcome(UNBOUNDED_ABOVE, lo, None, pivots=pivots)
-    return SolveOutcome(BOUNDED, lo, hi, pivots=pivots)
+        status = UNBOUNDED if hi is None else UNBOUNDED_BELOW
+    else:
+        status = UNBOUNDED_ABOVE if hi is None else BOUNDED
+    return SolveOutcome(status, lo, hi, pivots=pivots)
 
 
 def keep_rows(rows: Sequence[simplex.Row]) -> Optional[List[simplex.Row]]:
@@ -180,5 +167,4 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     kept = keep_rows(system.rows)
     if fixed is None or kept is None:
         return SolveOutcome(INFEASIBLE, None, None)
-    costs = system.skeleton.costs
-    return _bracket(costs, kept + fixed, min(costs, default=0) >= 0)
+    return _bracket(system.skeleton.costs, kept + fixed)

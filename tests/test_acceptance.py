@@ -67,9 +67,8 @@ def test_criterion_1_pets_crisp_counts():
     bare = with_premises(syl, syl.premises[:3])
     loose = infer(bare, mode="crisp")
     assert loose.outcomes[0].status == "unbounded-above"
-    assert loose.crisp.lo == 0
+    assert loose.crisp.lo == 2
     assert loose.crisp.hi is None
-    assert loose.outcomes[0].attained_lo == 2
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +202,7 @@ def check_against_oracle(syl, which, cap):
     outcome = solve(compile_syllogism(syl, bounds))
     exact = enumerate_range(syl, cap, premise_bounds=bounds)
     assert exact is not None
-    lp_lo = outcome.attained_lo if outcome.attained_lo is not None else outcome.lo
-    assert lp_lo == exact.lo
+    assert outcome.lo == exact.lo
     assert outcome.hi == exact.hi
     return exact
 
@@ -344,9 +342,8 @@ def test_criterion_9b_oracle_containment(rng):
         if exact is None:
             continue
         checked += 1
-        lp_lo = outcome.attained_lo if outcome.attained_lo is not None else outcome.lo
-        if lp_lo is not None:
-            assert lp_lo <= exact.lo
+        if outcome.lo is not None:
+            assert outcome.lo <= exact.lo
         if outcome.hi is not None:
             assert exact.hi <= outcome.hi
     assert checked >= 60  # the generator must not starve the property
@@ -434,4 +431,3 @@ def test_criterion_9e_fractional_scale_invariance(rng):
             assert other.status == first.status
             assert other.lo == first.lo
             assert other.hi == first.hi
-            assert other.attained_lo == first.attained_lo

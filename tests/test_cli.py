@@ -13,6 +13,7 @@ import functools
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -25,9 +26,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sylq
-from sylq import SolveOutcome, cli, simplex
+from sylq import Interval, KernelSupportPair, SolveOutcome, Syllogism, cli, parse, simplex
 from sylq.cli import main
 from sylq.inference import MAX_LEVELS, MODES, infer
+from sylq.quantifiers import QuantifierSpec
+from sylq.statements import Statement
 
 from conftest import FIXTURE_DIR
 
@@ -147,7 +150,53 @@ def test_csv_unbounded_hi_is_empty_cell(capsys):
     sys.stdin = io.StringIO(doc)
     code, out, _ = run_cli(capsys, ["-", "--format", "csv"])
     assert code == 0
-    assert out.splitlines()[1] == "0,0,,true"
+    assert out.splitlines()[1] == "0,1,,true"
+
+
+# |a & b| >= 3 bounds the conclusion below by 3 and leaves it free above
+ABOVE_3_DOC = "terms: a, b\npremise: abs[3, inf] a -> b\nconclude: abs? a -> b\n"
+
+
+def printed_los(out, fmt):
+    """Every lower end a run printed, as text."""
+    if fmt == "json":
+        payload = json.loads(out)
+        ends = [payload, payload.get("kernel"), payload.get("support"), *payload["levels"]]
+        return [str(end["lo"]) for end in ends if end and "lo" in end]
+    if fmt == "csv":
+        return [row.split(",")[1] for row in out.splitlines()[1:]]
+    return re.findall(r"^(?:lo: |level \S+: \[)([^,\s]+)", out, re.M)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("mode", ["crisp", "kersup", "alpha"])
+def test_every_mode_and_format_prints_the_minimum_when_unbounded_above(capsys, mode, fmt):
+    sys.stdin = io.StringIO(ABOVE_3_DOC)
+    code, out, _ = run_cli(capsys, ["-", "--mode", mode, "--format", fmt])
+    assert code == 0
+    los = printed_los(out, fmt)
+    assert los and all(lo == "3" for lo in los)
+
+    sys.stdin = io.StringIO(ABOVE_3_DOC)
+    code, _, err = run_cli(capsys, ["verify", "-", "--cap", "6"])
+    assert (code, err) == (0, "verify crisp: engine [3, inf]; enumerated [3, 6]: OK\n")
+
+    syl = parse(ABOVE_3_DOC).to_syllogism()
+    (premise,) = syl.premises
+    pair = KernelSupportPair(Interval(3), Interval(2))
+    spec = QuantifierSpec(premise.quantifier.family, pair)
+    statement = Statement(spec, premise.restriction, premise.scope)
+    result = infer(Syllogism(syl.properties, (statement,), syl.conclusion))
+    assert result.pair == pair
+
+
+def test_verify_prints_a_fractional_universe_size_exactly(capsys):
+    sys.stdin = io.StringIO(
+        "terms: a\nuniverse: 1/3\npremise: prop[0.2, 0.5] * -> a\nconclude: prop? * -> a\n"
+    )
+    code, _, err = run_cli(capsys, ["verify", "-"])
+    assert code == 0
+    assert "no integer witness of universe size 1/3: OK" in err
 
 
 # the premise pins |p & q| but nothing bounds |p| - |q| either way, so every

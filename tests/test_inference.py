@@ -99,6 +99,18 @@ def test_an_open_proportion_end_is_its_infimum():
     assert infer(doc.to_syllogism()).crisp.lo == 0
 
 
+# some a -> b leaves |a| free to grow while |b| = 1, so |a| / |b| has no
+# maximum, but the denominator's positivity row |b| >= 1e-06 * |*| caps it
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="hi: 1000000, the proportion margin's cap"
+)
+def test_an_unbounded_ratio_is_not_capped_by_the_margin():
+    doc = parse("terms: a, b\npremise: some a -> b\nconclude: cmpprop? a vs b\n")
+    outcome = infer(doc.to_syllogism()).outcomes[0]
+    assert outcome.status == "unbounded-above"
+    assert outcome.hi is None
+
+
 def test_alpha_on_fuzzy_count_premise():
     result = infer(
         one_premise(Trapezoid(1, 2, 4, 5)), mode="alpha", config=InferenceConfig(levels=3)

@@ -93,13 +93,12 @@ def test_point_proportion_premise_pins_the_conclusion():
     assert (outcome.lo, outcome.hi) == (F(2, 5), F(2, 5))
 
 
-def test_unbounded_above_floors_the_reported_lo():
+def test_unbounded_above_reports_the_minimum_as_lo():
     system = build([stmt(LOGICAL_SOME)], Conclusion(ABSOLUTE, P, Q))
     outcome = solve(system)
     assert outcome.status == "unbounded-above"
     assert outcome.hi is None
-    assert outcome.lo == 0  # reported floor
-    assert outcome.attained_lo == 1  # true minimum under the count margin
+    assert outcome.lo == 1  # true minimum under the count margin
 
 
 def test_margin_choice_does_not_move_the_pets_answer(monkeypatch):
@@ -193,11 +192,7 @@ def dense_solve(syl, bounds):
     if lo is None:
         status = "unbounded" if hi is None else "unbounded-below"
         return SolveOutcome(status, None, hi, pivots=pivots)
-    if hi is None:
-        if min(costs) >= 0:
-            return SolveOutcome("unbounded-above", F(0), None, attained_lo=lo, pivots=pivots)
-        return SolveOutcome("unbounded-above", lo, None, pivots=pivots)
-    return SolveOutcome("bounded", lo, hi, pivots=pivots)
+    return SolveOutcome("unbounded-above" if hi is None else "bounded", lo, hi, pivots=pivots)
 
 
 def _readings(syl, levels):

@@ -56,7 +56,7 @@ CASES = {
     Syllogism: ((("p", "q"), (STATEMENT,), CONCLUSION, None), (("p", "q"), (), CONCLUSION, None)),
     Skeleton: ((((0,), (1,)), (), (), (1, 0)), (((0,), (1,)), (), (), (0, 1))),
     ConstraintSystem: ((4, [((1, 0, 1), 1, ">=")], SKELETON), (4, [], SKELETON)),
-    SolveOutcome: (("bounded", F(1), F(2), None, 3), ("bounded", F(1), F(3), None, 3)),
+    SolveOutcome: (("bounded", F(1), F(2), 3), ("bounded", F(1), F(3), 3)),
     LpSolution: (("optimal", F(1), [F(0)], 3), ("optimal", F(2), [F(0)], 3)),
     InferenceConfig: ((5,), (7,)),
     InferenceResult: (
@@ -74,7 +74,7 @@ DEFAULTS = {
     Interval: {"hi": None},
     QuantifierSpec: {"shape": None},
     Syllogism: {"universe_size": None},
-    SolveOutcome: {"attained_lo": None, "pivots": 0},
+    SolveOutcome: {"pivots": 0},
     LpSolution: {"value": None, "point": None, "pivots": 0},
     InferenceConfig: {"levels": 11},
     InferenceResult: {"fitted": None, "warnings": []},
@@ -210,7 +210,6 @@ def test_repr_text_is_pinned():
     )
     assert repr(RimQuantifier(2)) == "RimQuantifier(exponent=Fraction(2, 1))"
     assert repr(OUTCOME) == (
-        "SolveOutcome(status='bounded', lo=Fraction(1, 1), hi=Fraction(2, 1), "
-        "attained_lo=None, pivots=0)"
+        "SolveOutcome(status='bounded', lo=Fraction(1, 1), hi=Fraction(2, 1), pivots=0)"
     )
     assert repr(InferenceConfig()) == "InferenceConfig(levels=11)"
