@@ -1,4 +1,4 @@
-"""Print a JSON digest of what `sylq` prints for a fixed set of 184 runs.
+"""Print a JSON digest of what `sylq` prints for a fixed set of 185 runs.
 
 The runs are every bundled document in text, JSON and CSV, each in its own
 mode and with `--mode` crisp, kersup and alpha (96 runs); the four alpha
@@ -13,10 +13,11 @@ the options, and three usage errors; 5 documents on stdin in JSON
 (STDIN_DOCS) that compile what no other run does: comparative and
 similarity families, some/not-all, a declared universe and a set named
 twice in one row; 4 documents on stdin in JSON (UNBOUNDED_DOCS), one per
-unbounded outcome kind, and the first of them in text too (5 runs), so
-the minimum of a nonnegative measure unbounded above is pinned in text and
-JSON; and `sylq verify - --cap 10` on
-each stdin document and on VERIFY_DOC (10 runs), so the oracle's ranges of
+unbounded outcome kind, the first of them in text too and the unbounded
+below one in kersup mode too (6 runs), so the minimum of a nonnegative
+measure unbounded above is pinned in text and JSON, and kersup's kernel and
+support where both levels are unbounded below; and `sylq verify - --cap 10`
+on each stdin document and on VERIFY_DOC (10 runs), so the oracle's ranges of
 their conclusions, and the population guard's refusal of the two S=3
 `universe: 40` documents, are pinned too.  For each run the digest records
 the exit code, a SHA-256 of stdout and of stderr, and for every
@@ -194,6 +195,8 @@ def runs():
         yield name, ["-", "--format", "json"], text
     name, text = UNBOUNDED_DOCS[0]
     yield "%s text" % name, ["-"], text
+    name, text = UNBOUNDED_DOCS[2]
+    yield "%s kersup" % name, ["-", "--mode", "kersup", "--format", "json"], text
     for name, text in (*STDIN_DOCS, *UNBOUNDED_DOCS, VERIFY_DOC):
         yield "%s verify" % name, ["verify", "-", "--cap", "10"], text
 
@@ -239,7 +242,7 @@ def digest_one(argv, stdin):
 
 
 # how many runs do not enumerate: replay() checks each of them
-REPLAYED = 158
+REPLAYED = 159
 
 
 def replay() -> int:

@@ -151,14 +151,18 @@ def _num(value) -> Optional[object]:
 
 
 def _num_text(value) -> str:
+    # str of a float, and so of _Digits, is its repr
     n = _num(value)
-    if n is None:
-        return ""
-    return repr(n) if isinstance(n, float) else str(n)
+    return "" if n is None else str(n)
+
+
+def _interval_text(lo, hi) -> str:
+    """[lo, hi] as every text line prints it; a missing end is -inf or inf."""
+    return "[%s, %s]" % (_num_text(lo) or "-inf", _num_text(hi) or "inf")
 
 
 def _level_rows(result: InferenceResult) -> List[tuple]:
-    """Exact (level, lo, hi, feasible) per grid level, read from the outcomes."""
+    """Exact (level, lo, hi, feasible) per grid level: all that any format prints of a level."""
     return [
         (level, outcome.lo, outcome.hi, outcome.status != optimizer.INFEASIBLE)
         for (level, _), outcome in zip(result.cuts, result.outcomes)
@@ -188,28 +192,27 @@ def _json_text(payload) -> str:
     return text(payload, "")
 
 
-def _json_interval(iv) -> Optional[dict]:
-    return None if iv is None else {"lo": _num(iv.lo), "hi": _num(iv.hi)}
+def _json_interval(row: dict) -> Optional[dict]:
+    return {"lo": row["lo"], "hi": row["hi"]} if row["feasible"] else None
 
 
 def _json_payload(result: InferenceResult, syl: Syllogism) -> dict:
-    first = result.outcomes[0]
-    payload: dict = {}
-    if result.mode == "crisp":
-        payload["lo"] = _num(first.lo)
-        payload["hi"] = _num(first.hi)
-    payload["mode"] = result.mode
-    payload["conclusion"] = conclusion_text(syl.conclusion)
-    if result.mode == "crisp":
-        payload["status"] = first.status
-    if result.mode == "kersup":
-        pair = result.pair
-        payload["kernel"] = None if pair is None else _json_interval(pair.kernel)
-        payload["support"] = _json_interval(result.cuts[0][1])
-    payload["levels"] = [
+    levels = [
         {"level": _num(level), "lo": _num(lo), "hi": _num(hi), "feasible": feasible}
         for level, lo, hi, feasible in _level_rows(result)
     ]
+    payload: dict = {}
+    if result.mode == "crisp":
+        payload["lo"] = levels[0]["lo"]
+        payload["hi"] = levels[0]["hi"]
+    payload["mode"] = result.mode
+    payload["conclusion"] = conclusion_text(syl.conclusion)
+    if result.mode == "crisp":
+        payload["status"] = result.outcomes[0].status
+    if result.mode == "kersup":
+        payload["kernel"] = _json_interval(levels[-1])
+        payload["support"] = _json_interval(levels[0])
+    payload["levels"] = levels
     payload["fitted"] = (
         None if result.fitted is None else [_num(v) for v in result.fitted.as_tuple()]
     )
@@ -223,19 +226,16 @@ def _json_payload(result: InferenceResult, syl: Syllogism) -> dict:
 def _print_text(result: InferenceResult, syl: Syllogism) -> None:
     out = ["mode: %s" % result.mode, "conclusion: %s" % conclusion_text(syl.conclusion)]
     if result.mode == "crisp":
-        first = result.outcomes[0]
-        out.append("lo: %s" % (_num_text(first.lo) or "-inf"))
-        out.append("hi: %s" % (_num_text(first.hi) or "inf"))
-        out.append("status: %s" % first.status)
+        _, lo, hi, _ = _level_rows(result)[0]
+        out.append("lo: %s" % (_num_text(lo) or "-inf"))
+        out.append("hi: %s" % (_num_text(hi) or "inf"))
+        out.append("status: %s" % result.outcomes[0].status)
     else:
         for level, lo, hi, feasible in _level_rows(result):
             if not feasible:
                 out.append("level %s: infeasible" % _num_text(level))
             else:
-                out.append(
-                    "level %s: [%s, %s]"
-                    % (_num_text(level), _num_text(lo) or "-inf", _num_text(hi) or "inf")
-                )
+                out.append("level %s: %s" % (_num_text(level), _interval_text(lo, hi)))
         out.append("max feasible level: %s" % _num_text(result.max_feasible_level))
         if result.fitted is not None:
             out.append("fitted: tz(%s)" % ", ".join(_num_text(v) for v in result.fitted.as_tuple()))
@@ -290,7 +290,7 @@ def _verify_doc(syl: Syllogism, cap: int, levels: Optional[Iterable[tuple]] = No
             witness = "no integer witness %s" % sizes
             ok = True
         else:
-            witness = "enumerated [%s, %s]" % (_num_text(exact.lo), _num_text(exact.hi))
+            witness = "enumerated " + _interval_text(exact.lo, exact.hi)
             ok = (
                 outcome.status != optimizer.INFEASIBLE
                 and (outcome.lo is None or outcome.lo <= exact.lo)
@@ -299,10 +299,7 @@ def _verify_doc(syl: Syllogism, cap: int, levels: Optional[Iterable[tuple]] = No
         if outcome.status == optimizer.INFEASIBLE:
             engine = "engine: infeasible"
         else:
-            engine = "engine [%s, %s]" % (
-                _num_text(outcome.lo) or "-inf",
-                _num_text(outcome.hi) or "inf",
-            )
+            engine = "engine " + _interval_text(outcome.lo, outcome.hi)
         verdict = "OK" if ok else "DISAGREE"
         print("verify %s: %s; %s: %s" % (name, engine, witness, verdict), file=sys.stderr)
         if not ok:

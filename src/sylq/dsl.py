@@ -382,7 +382,7 @@ def parse(text: str) -> SyllogismDoc:
                         "expected a conclusion family followed by '?' (one of %s?)"
                         % "? ".join(_NUMERIC_KEYWORDS),
                         line_no,
-                        col0 + 1,
+                        col0 + len(body) - len(body.lstrip()) + 1,
                     )
                 family = _KEYWORD_TO_FAMILY[cm.group(1)]
                 restriction, scope = _split_terms(

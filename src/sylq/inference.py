@@ -122,13 +122,15 @@ class InferenceResult:
 
     @property
     def crisp(self) -> Optional[Interval]:
-        """The one interval of a crisp-mode result."""
+        """The one interval of a crisp-mode result; None when it is unbounded
+        below (outcomes holds the exact bounds of every level)."""
         return self.cuts[0][1] if self.mode == "crisp" else None
 
     @property
     def pair(self) -> Optional[KernelSupportPair]:
         """Kernel/support intervals of a kersup-mode result; None when the
-        premises are contradictory at kernel level."""
+        premises are contradictory at kernel level or either level is
+        unbounded below (outcomes holds the exact bounds of every level)."""
         if self.mode != "kersup":
             return None
         (_, support), (_, kernel) = self.cuts

@@ -115,6 +115,26 @@ def test_kersup_json_payload(capsys):
     assert payload["fitted"] == [0.05, 0.15, 0.45, 0.5]
 
 
+# |b| - |a| is at most -1 and free below, at both levels
+BELOW_DOC = "terms: a, b\npremise: cmpabs[1, inf] a vs b\nconclude: cmpabs? b vs a\n"
+
+
+def test_kersup_json_kernel_and_support_are_the_level_rows(capsys):
+    sys.stdin = io.StringIO(BELOW_DOC)
+    code, out, _ = run_cli(capsys, ["-", "--mode", "kersup", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["kernel"] == {"lo": None, "hi": -1}
+    assert payload["support"] == {"lo": None, "hi": -1}
+    assert [row["feasible"] for row in payload["levels"]] == [True, True]
+    # null only where the level is infeasible: here the kernel level
+    code, out, _ = run_cli(capsys, [COURSE_PARTIAL, "--mode", "kersup", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["kernel"] is None
+    assert payload["support"] == {"lo": 0.2, "hi": 0.6}
+
+
 def test_csv_levels(capsys):
     code, out, _ = run_cli(capsys, [COURSE_CRISP, "--format", "csv"])
     assert code == 0

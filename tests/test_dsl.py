@@ -260,6 +260,60 @@ def test_error_positions_are_reported():
     assert (err.value.line, err.value.column) == (2, 12)
 
 
+T, P, C = "terms: p, q\n", "premise: all p -> q\n", "conclude: abs? p -> q\n"
+# each error's message, and the line and column it names (None where it
+# names none)
+PARSE_ERRORS = [
+    (T + "premise: all p q -> q\n" + C, "line 2, column 16: unexpected 'q' after term", 2, 16),
+    (
+        T + "premise: all p & -> q\n" + C,
+        "line 2, column 18: expected a term, got 'end of line'",
+        2,
+        18,
+    ),
+    (T + "premise: all ) -> q\n" + C, "line 2, column 14: expected a term, got ')'", 2, 14),
+    (
+        T + "premise: cmpabs[0, 2] p -> q vs q\n" + C,
+        "line 2, column 25: cmpabs compares two terms; connect them with 'vs', not '->'",
+        2,
+        25,
+    ),
+    (
+        T + "premise: abs[0, 2] p vs q -> q\n" + C,
+        "line 2, column 22: abs restricts a scope; connect the terms with '->', not 'vs'",
+        2,
+        22,
+    ),
+    (
+        T + P + C + "options: levels\n",
+        "line 4: malformed option 'levels'; expected key=value",
+        4,
+        None,
+    ),
+    (T + P + C + "options: mode=fast\n", "line 4: unknown mode 'fast'", 4, None),
+    (T + T + P + C, "line 2: duplicate terms declaration", 2, None),
+    ("terms:\n" + P + C, "line 1: terms line declares no names", 1, None),
+    ("terms: p, 1x\n" + P + C, "line 1: invalid property name '1x'", 1, None),
+    (T + "universe: 0\n" + P + C, "line 2: universe size must be positive", 2, None),
+    # at the body's first non-blank, as a premise's missing quantifier is
+    (
+        T + P + "conclude: abs p -> q\n",
+        "line 3, column 11: expected a conclusion family followed by '?' "
+        "(one of abs? prop? exc? cmpabs? cmpprop? sim?)",
+        3,
+        11,
+    ),
+    ("options: mode=alpha\n", "missing terms declaration", None, None),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", PARSE_ERRORS)
+def test_parse_errors_name_their_line_and_column(text, message, line, column):
+    with pytest.raises(DslError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line, err.value.column) == (message, line, column)
+
+
 def test_connector_must_match_the_family():
     head = "terms: p, q\n"
     tail = "conclude: abs? p -> q\n"

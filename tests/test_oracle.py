@@ -8,9 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sylq import Interval, SizeGuardError, Syllogism, Trapezoid, enumerate_range, parse
+from sylq import Interval, SizeGuardError, Syllogism, Trapezoid, enumerate_range, oracle, parse
 from sylq.optimizer import EQ, GT
-from sylq.oracle import _compositions, _Extrema, _measure, population_totals, statement_predicate
+from sylq.oracle import (
+    _blocks,
+    _compositions,
+    _Extrema,
+    _measure,
+    population_totals,
+    statement_predicate,
+)
 from sylq.quantifiers import (
     ABSOLUTE,
     COMPARATIVE_ABSOLUTE,
@@ -278,6 +285,19 @@ def test_compositions_are_the_stars_and_bars_rows_in_order(k):
         block = _compositions(total, k, {})
         assert block.dtype == np.int64
         assert block.tolist() == expected
+
+
+@pytest.mark.parametrize("chunk", range(1, 12))
+def test_blocks_split_the_compositions_into_chunks_in_order(monkeypatch, chunk):
+    # past the chunk, a block of three or more atoms is split on its first count
+    monkeypatch.setattr(oracle, "_CHUNK_ROWS", chunk)
+    for k in range(1, 6):
+        for total in range(8):
+            blocks = list(_blocks(total, k, {}))
+            assert all(len(block) <= chunk for block in blocks)
+            assert np.vstack(blocks).tolist() == _compositions(total, k, {}).tolist()
+    syl = load_fixture("pets_at_home.syl").to_syllogism()
+    assert enumerate_range(syl, 6) == Interval(F(3), F(3))
 
 
 @st.composite

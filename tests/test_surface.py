@@ -7,15 +7,28 @@ quote."""
 import importlib
 import pkgutil
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import sylq
-from sylq import DslError, InferenceConfig, parse
+from sylq import (
+    DslError,
+    InferenceConfig,
+    Interval,
+    KernelSupportPair,
+    Syllogism,
+    enumerate_range,
+    parse,
+)
 from sylq._value import fields
 from sylq.cli import _RUN, _VERIFY, _WHOLE
+from sylq.compiler import compile_syllogism
 from sylq.inference import MODES
+from sylq.quantifiers import as_fraction, fit_trapezoid
+from sylq.statements import Conclusion
+from sylq.terms import Prop
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # what README's Python examples print, as the comment on each print quotes it
@@ -89,3 +102,64 @@ def test_readme_python_examples_print_what_they_quote(capsys, monkeypatch):
                 assert (line, comment.startswith(line)) == (QUOTED[expr], True)
                 seen[expr] = line
     assert seen == QUOTED
+
+
+P, Q = Prop("p"), Prop("q")
+CONCLUSION = Conclusion("absolute", P, Q)
+# one numeric premise: each reading must give it a crisp bound
+NUMERIC = parse("terms: p, q\npremise: abs[1, 3] p -> q\nconclude: abs? p -> q\n")
+# each call's error type and whole message; the last is the only place
+# Interval.__str__ prints its unbounded form
+API_ERRORS = {
+    "as_fraction bool": (lambda: as_fraction(True), TypeError, "boolean is not a numeric bound"),
+    "as_fraction inf": (
+        lambda: as_fraction(float("inf")), ValueError, "bound must be finite, got inf"
+    ),
+    "as_fraction nan": (
+        lambda: as_fraction(float("nan")), ValueError, "bound must be finite, got nan"
+    ),
+    "as_fraction list": (lambda: as_fraction([1]), TypeError, "cannot interpret [1] as a number"),
+    "no property": (
+        lambda: Syllogism((), (), CONCLUSION),
+        ValueError,
+        "a syllogism needs at least one declared property",
+    ),
+    "duplicate names": (
+        lambda: Syllogism(("p", "p"), (), CONCLUSION), ValueError, "property names must be unique"
+    ),
+    "universe 0": (
+        lambda: Syllogism(("p", "q"), (), CONCLUSION, 0),
+        ValueError,
+        "universe size must be positive",
+    ),
+    "conclusion family": (
+        lambda: Conclusion("bogus", P, Q), ValueError, "unknown conclusion family 'bogus'"
+    ),
+    "cut level above 1": (
+        lambda: fit_trapezoid([(Fraction(0), Interval(0, 5)), (Fraction(2), Interval(1, 2))]),
+        ValueError,
+        "cut levels must not exceed 1",
+    ),
+    "compile without a bound": (
+        lambda: compile_syllogism(NUMERIC.to_syllogism(), [None]),
+        ValueError,
+        "family absolute needs a crisp bound to compile",
+    ),
+    "enumerate without a bound": (
+        lambda: enumerate_range(NUMERIC.to_syllogism(), 3, premise_bounds=[None]),
+        ValueError,
+        "family absolute needs a crisp bound",
+    ),
+    "kernel outside support": (
+        lambda: KernelSupportPair(Interval(0), Interval(1)),
+        ValueError,
+        "kernel [0, inf) is not contained in support [1, inf)",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, kind, message", API_ERRORS.values(), ids=list(API_ERRORS))
+def test_api_input_errors_name_the_fault(call, kind, message):
+    with pytest.raises(kind) as err:
+        call()
+    assert type(err.value) is kind and str(err.value) == message
