@@ -1,4 +1,4 @@
-"""Print a JSON digest of what `sylq` prints for a fixed set of 185 runs.
+"""Print a JSON digest of what `sylq` prints for a fixed set of 186 runs.
 
 The runs are every bundled document in text, JSON and CSV, each in its own
 mode and with `--mode` crisp, kersup and alpha (96 runs); the four alpha
@@ -16,10 +16,12 @@ twice in one row; 4 documents on stdin in JSON (UNBOUNDED_DOCS), one per
 unbounded outcome kind, the first of them in text too and the unbounded
 below one in kersup mode too (6 runs), so the minimum of a nonnegative
 measure unbounded above is pinned in text and JSON, and kersup's kernel and
-support where both levels are unbounded below; and `sylq verify - --cap 10`
+support where both levels are unbounded below; `sylq verify - --cap 10`
 on each stdin document and on VERIFY_DOC (10 runs), so the oracle's ranges of
 their conclusions, and the population guard's refusal of the two S=3
-`universe: 40` documents, are pinned too.  For each run the digest records
+`universe: 40` documents, are pinned too; and one alpha document on stdin
+in text (RIM_DOC), whose `rim(3/2)` cuts are rounded down to a multiple of
+1e-09 and whose output warns that they are.  For each run the digest records
 the exit code, a SHA-256 of stdout and of stderr, and for every
 `simplex.minimize` call in order its pivots and a SHA-256 of the LP it was
 given (costs and rows).
@@ -160,6 +162,18 @@ VERIFY_DOC = (
     "conclude: cmpprop? b vs a\n",
 )
 
+# a RIM premise whose 1/e = 2/3 is not an integer: its cuts between levels 0
+# and 1 are rounded outward, which the answer's lower ends show and a
+# warning says
+RIM_DOC = (
+    "stdin alpha rim rounded",
+    "terms: p, q, r\n"
+    "premise: prop rim(3/2) p -> q\n"
+    "premise: all q -> r\n"
+    "conclude: prop? p -> r\n"
+    "options: mode=alpha\n",
+)
+
 
 def runs():
     """(name, argv, stdin text or None) for every run, in a fixed order."""
@@ -199,6 +213,8 @@ def runs():
     yield "%s kersup" % name, ["-", "--mode", "kersup", "--format", "json"], text
     for name, text in (*STDIN_DOCS, *UNBOUNDED_DOCS, VERIFY_DOC):
         yield "%s verify" % name, ["verify", "-", "--cap", "10"], text
+    name, text = RIM_DOC
+    yield name, ["-"], text
 
 
 def _sha(text: str) -> str:
@@ -242,7 +258,7 @@ def digest_one(argv, stdin):
 
 
 # how many runs do not enumerate: replay() checks each of them
-REPLAYED = 159
+REPLAYED = 160
 
 
 def replay() -> int:

@@ -15,7 +15,7 @@ disagreement.
 
 JSON and CSV output are deterministic: fixed key order and numbers printed
 to 12 significant digits (integers without a decimal point).  An unbounded
-upper end renders as null in JSON and an empty CSV cell.
+end, upper or lower, renders as null in JSON and an empty CSV cell.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ def _level_rows(result: InferenceResult) -> List[tuple]:
     """Exact (level, lo, hi, feasible) per grid level: all that any format prints of a level."""
     return [
         (level, outcome.lo, outcome.hi, outcome.status != optimizer.INFEASIBLE)
-        for (level, _), outcome in zip(result.cuts, result.outcomes)
+        for level, _, outcome in result.rows
     ]
 
 
@@ -208,7 +208,7 @@ def _json_payload(result: InferenceResult, syl: Syllogism) -> dict:
     payload["mode"] = result.mode
     payload["conclusion"] = conclusion_text(syl.conclusion)
     if result.mode == "crisp":
-        payload["status"] = result.outcomes[0].status
+        payload["status"] = result.rows[0][2].status
     if result.mode == "kersup":
         payload["kernel"] = _json_interval(levels[-1])
         payload["support"] = _json_interval(levels[0])
@@ -229,7 +229,7 @@ def _print_text(result: InferenceResult, syl: Syllogism) -> None:
         _, lo, hi, _ = _level_rows(result)[0]
         out.append("lo: %s" % (_num_text(lo) or "-inf"))
         out.append("hi: %s" % (_num_text(hi) or "inf"))
-        out.append("status: %s" % result.outcomes[0].status)
+        out.append("status: %s" % result.rows[0][2].status)
     else:
         for level, lo, hi, feasible in _level_rows(result):
             if not feasible:
@@ -262,23 +262,23 @@ def enumerate_range(syl: Syllogism, cap: int, bounds: tuple):
     return oracle.enumerate_range(syl, cap, premise_bounds=bounds)
 
 
-def _verify_doc(syl: Syllogism, cap: int, levels: Optional[Iterable[tuple]] = None) -> int:
+def _verify_doc(syl: Syllogism, cap: int, rows: Optional[Iterable[tuple]] = None) -> int:
     """Compare engine bounds with enumeration; 0 on agreement, 3 otherwise.
 
     Audits the distinct premise readings at levels 0 and 1: one for crisp
-    premises, else the support and the kernel.  levels gives a run's
-    (bounds, outcome) per grid level, whose first and last are levels 0
-    and 1; without it, a document past the size guard or too large to
-    enumerate is refused before a two-level grid is solved.
+    premises, else the support and the kernel.  rows gives a run's
+    InferenceResult.rows, whose first and last are levels 0 and 1;
+    without it, a document past the size guard or too large to enumerate
+    is refused before a two-level grid is solved.
     """
     from . import oracle
 
     oracle.population_totals(syl, cap)
     size = syl.universe_size  # when declared, only that size is enumerated
     sizes = "up to cap %d" % cap if size is None else "of universe size %s" % _fmt(size)
-    if levels is None:
-        levels = ((bounds, outcome) for _, bounds, outcome in readings(syl, 2))
-    (support, first), *_, (kernel, last) = levels
+    if rows is None:
+        rows = readings(syl, 2)
+    (_, support, first), *_, (_, kernel, last) = rows
     if support == kernel:
         audited = [("crisp", support, first)]
     else:
@@ -325,7 +325,7 @@ def _cmd_run(args: dict) -> int:
         _print_text(result, syl)
 
     if args["verify"] is not None:
-        return _verify_doc(syl, args["verify"], zip(result.bounds, result.outcomes))
+        return _verify_doc(syl, args["verify"], result.rows)
     return 0
 
 

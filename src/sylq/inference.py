@@ -15,8 +15,9 @@ rest of the LP is the same at every level: it is built once per syllogism
 Premise cuts shrink as the level rises, so the feasible region shrinks too;
 consequently conclusion cuts are nested and feasibility is monotone.  A
 premise set can be satisfiable at low levels yet contradictory near the top;
-max_feasible_level records where it gives out, and no trapezoid is fitted for
-such non-normalized outcomes.
+max_feasible_level reads where it gives out, and no trapezoid is fitted for
+such non-normalized outcomes.  A result is one (level, reading, outcome) row
+per grid level, which every view of it reads.
 """
 
 from __future__ import annotations
@@ -75,73 +76,56 @@ class InferenceConfig:
             raise ValueError("levels must be an integer >= 2 and <= %d" % MAX_LEVELS)
 
 
-@value(frozen=False)
+Row = Tuple[Fraction, Reading, optimizer.SolveOutcome]
+
+
+@value
 class InferenceResult:
     """Conclusion bounds at the precision the premises support.
 
-    cuts    (level, interval) rows, with None for levels where no closed
-            interval exists (premises infeasible there, or the measure is
-            unbounded below);
-    outcomes  the exact solver outcome behind each cut, in the same order;
-            a reading reused at later levels appears once per level as the
-            same object, so summing ``pivots`` over outcomes counts it again
-            (66 for the 33 pivots of course_passrates_crisp's two levels);
-    bounds  the premise reading each outcome solved, in the same order (see
-            readings);
+    rows    one (level, reading, outcome) row per grid level, in order, as
+            readings yields them; a reading reused at later levels carries
+            the same outcome object in each of its rows, so summing
+            ``pivots`` over the rows counts it again (66 for the 33 pivots
+            of course_passrates_crisp's two levels);
     fitted  trapezoid through the cuts, only when they are bounded and reach
             level 1 (never in crisp mode);
-    max_feasible_level  highest grid level at which the premises are jointly
-            satisfiable;
     epsilon_kind, epsilon  the strictness margin the solves used (see
             optimizer.EPS_COUNT and optimizer.EPS_PROP).
     """
 
     mode: str
-    cuts: List[Tuple[Fraction, Optional[Interval]]]
-    outcomes: List[optimizer.SolveOutcome]
-    bounds: List[Reading]
-    max_feasible_level: Fraction
+    rows: Tuple[Row, ...]
     epsilon_kind: str
     epsilon: Fraction
     fitted: Optional[Trapezoid] = None
-    warnings: List[str]  # [] when None is given
+    warnings: Tuple[str, ...] = ()
 
-    def __init__(
-        self, mode, cuts, outcomes, bounds, max_feasible_level, epsilon_kind, epsilon,
-        fitted=None, warnings=None,
-    ) -> None:
-        self.mode = mode
-        self.cuts = cuts
-        self.outcomes = outcomes
-        self.bounds = bounds
-        self.max_feasible_level = max_feasible_level
-        self.epsilon_kind = epsilon_kind
-        self.epsilon = epsilon
-        self.fitted = fitted
-        self.warnings = [] if warnings is None else warnings
+    def __init__(self, mode, rows, epsilon_kind, epsilon, fitted=None, warnings=()) -> None:
+        self.__dict__.update(
+            mode=mode, rows=rows, epsilon_kind=epsilon_kind, epsilon=epsilon,
+            fitted=fitted, warnings=warnings,
+        )
 
     @property
-    def crisp(self) -> Optional[Interval]:
-        """The one interval of a crisp-mode result; None when it is unbounded
-        below (outcomes holds the exact bounds of every level)."""
-        return self.cuts[0][1] if self.mode == "crisp" else None
+    def cuts(self) -> Tuple[Tuple[Fraction, Optional[Interval]], ...]:
+        """(level, interval) per row, with None where no closed interval
+        exists (premises infeasible there, or the measure is unbounded
+        below)."""
+        return tuple(
+            (level, None if outcome.lo is None else Interval(outcome.lo, outcome.hi))
+            for level, _, outcome in self.rows
+        )
 
     @property
-    def pair(self) -> Optional[KernelSupportPair]:
-        """Kernel/support intervals of a kersup-mode result; None when the
-        premises are contradictory at kernel level or either level is
-        unbounded below (outcomes holds the exact bounds of every level)."""
-        if self.mode != "kersup":
-            return None
-        (_, support), (_, kernel) = self.cuts
-        if support is None or kernel is None:
-            return None
-        return KernelSupportPair(kernel=kernel, support=support)
+    def max_feasible_level(self) -> Fraction:
+        """Highest grid level at which the premises are jointly satisfiable."""
+        return max(
+            level for level, _, outcome in self.rows if outcome.status != optimizer.INFEASIBLE
+        )
 
 
-def readings(
-    syl: Syllogism, n: int
-) -> Iterator[Tuple[Fraction, Reading, optimizer.SolveOutcome]]:
+def readings(syl: Syllogism, n: int) -> Iterator[Row]:
     """(level, bounds, outcome) at each level i/(n-1) of an n-level grid.
 
     bounds cuts every premise at the level as quantifiers.cut_ints does and
@@ -189,23 +173,15 @@ def infer(
     # crisp and kersup read levels 0 and 1 only
     n = config.levels if mode == "alpha" else 2
 
-    cuts: List[Tuple[Fraction, Optional[Interval]]] = []
-    outcomes: List[optimizer.SolveOutcome] = []
-    bounds: List[Reading] = []
-    max_feasible = Fraction(0)
-    for lam, reading, outcome in readings(syl, n):
-        bounds.append(reading)
-        outcomes.append(outcome)
-        if outcome.status == optimizer.INFEASIBLE:
-            if lam == 0:
-                raise InfeasiblePremisesError(
-                    "no population satisfies the premises"
-                    + ("" if mode == "crisp" else " even at support level")
-                )
-            cuts.append((lam, None))
-            continue
-        max_feasible = lam
-        cuts.append((lam, None if outcome.lo is None else Interval(outcome.lo, outcome.hi)))
+    rows: List[Row] = []
+    # readings is lazy: premises infeasible at level 0 solve nothing more
+    for level, reading, outcome in readings(syl, n):
+        if level == 0 and outcome.status == optimizer.INFEASIBLE:
+            raise InfeasiblePremisesError(
+                "no population satisfies the premises"
+                + ("" if mode == "crisp" else " even at support level")
+            )
+        rows.append((level, reading, outcome))
 
     families = {p.family for p in syl.premises} | {syl.conclusion.family}
     if families & RATIO_FAMILIES:
@@ -218,16 +194,21 @@ def infer(
             "count and proportion quantifiers are mixed; all bounds are read "
             "at the declared universe size"
         )
+    if n > 2:  # levels 0 and 1 cut every shape exactly
+        warnings += [
+            "premise %d's rim(%s) cuts between levels 0 and 1 are rounded down "
+            "to a multiple of 1e-09, which loosens the premise" % (i, _fmt(shape.exponent))
+            for i, shape in enumerate((p.quantifier.shape for p in syl.premises), 1)
+            if isinstance(shape, RimQuantifier) and shape.rounds
+        ]
 
-    fitted = None
-    if max_feasible < 1:
+    answer = InferenceResult(mode, tuple(rows), kind, epsilon)
+    top, fitted = answer.max_feasible_level, None
+    if top < 1:
         warnings.append(
             "premises become contradictory above level %s; no trapezoid "
-            "is fitted" % _fmt(max_feasible)
+            "is fitted" % _fmt(top)
         )
-    elif mode != "crisp" and all(iv is not None and iv.hi is not None for _, iv in cuts):
-        fitted = fit_trapezoid(cuts)
-
-    return InferenceResult(
-        mode, cuts, outcomes, bounds, max_feasible, kind, epsilon, fitted, warnings
-    )
+    elif mode != "crisp" and all(iv is not None and iv.hi is not None for _, iv in answer.cuts):
+        fitted = fit_trapezoid(answer.cuts)
+    return InferenceResult(mode, answer.rows, kind, epsilon, fitted, tuple(warnings))

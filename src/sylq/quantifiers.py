@@ -15,13 +15,12 @@ supported:
 Everything here is exact: numeric inputs are normalized to ``Fraction`` (floats
 are snapped to the nearest rational with denominator <= 10**9, so 0.7 means
 7/10), and alpha cuts of trapezoids are computed without rounding.  Only RIM
-cuts whose inverse exponent is not an integer up to _RIM_EXACT_POWER go
-through floats, and those are snapped back immediately.
+cuts whose inverse exponent is not an integer up to _RIM_EXACT_POWER are
+rounded, in ints and outward: down to a multiple of 1/10**9.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from math import gcd
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
@@ -121,8 +120,11 @@ COMPARED_FAMILIES = frozenset(f for f, row in FAMILY_TABLE.items() if row.compar
 _SNAP_DENOMINATOR = 10**9
 # a RIM cut level ** n is exact for an integer n up to this; past it the
 # exact power has n times the level's digits, which every solve then pays
-# for (rim(0.00001) took a minute), so it is snapped like a non-integer n
+# for (rim(0.00001) took a minute), so it is rounded like a non-integer n
 _RIM_EXACT_POWER = 64
+# a rounded RIM cut takes an n-th root of an int of about this many bits at
+# most; past it the cut is 0, which rounds outward too
+_RIM_ROOT_BITS = 1 << 14
 
 Real = Union[int, float, str, Fraction]
 
@@ -281,6 +283,13 @@ class RimQuantifier:
         if exponent <= 0:
             raise ValueError("RIM exponent must be positive")
 
+    @property
+    def rounds(self) -> bool:
+        """Whether cuts strictly between levels 0 and 1 are rounded down (see
+        _rim_cut_lo), as 1/exponent is not an integer up to _RIM_EXACT_POWER."""
+        inv = 1 / self.exponent
+        return inv.denominator != 1 or inv.numerator > _RIM_EXACT_POWER
+
 
 Shape = Union[Interval, Trapezoid, KernelSupportPair, RimQuantifier, None]
 
@@ -335,22 +344,30 @@ class QuantifierSpec:
         check_unit(self.family, lo_num, hi_num, hi_den)
 
 
-def _rim_cut_lo(exponent: Fraction, level: Fraction) -> Fraction:
-    """Smallest p with p ** exponent >= level, i.e. level ** (1/exponent)."""
-    if level == 0:
+def _rim_cut_lo(rim: RimQuantifier, level: Fraction) -> Fraction:
+    """Smallest p with p ** exponent >= level, i.e. level ** (1/exponent);
+    when rim.rounds, that p rounded down to r/D with D = _SNAP_DENOMINATOR:
+    with 1/exponent = m/n, the largest int r with r ** n <= level ** m *
+    D ** n, which lies in [0, D] and is bisected in ints (0 past
+    _RIM_ROOT_BITS)."""
+    if level == 0 or level == 1:
+        return level
+    inv = 1 / rim.exponent
+    m, n = inv.numerator, inv.denominator
+    if not rim.rounds:
+        return level ** m
+    num, den = level.numerator, level.denominator
+    if m * den.bit_length() + n * _SNAP_DENOMINATOR.bit_length() > _RIM_ROOT_BITS:
         return Fraction(0)
-    if level == 1:
-        return Fraction(1)
-    inv = 1 / exponent
-    if inv.denominator == 1 and inv.numerator <= _RIM_EXACT_POWER:
-        return level ** inv.numerator
-    try:
-        power = float(inv)
-    except OverflowError:
-        # past the float range; a level below one then cuts at 0
-        power = math.inf
-    value = float(level) ** power
-    return Fraction(value).limit_denominator(_SNAP_DENOMINATOR)
+    target = num**m * _SNAP_DENOMINATOR**n // den**m
+    lo, hi = 0, _SNAP_DENOMINATOR
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**n <= target:
+            lo = mid
+        else:
+            hi = mid - 1
+    return Fraction(lo, _SNAP_DENOMINATOR)
 
 
 def bound_ints(bound: Interval) -> IntBound:
@@ -393,7 +410,7 @@ def cut_ints(shape: Shape, p: int, q: int) -> IntBound:
             return bound_ints(kernel if p else support)
         a, b, c, d = support.lo, kernel.lo, kernel.hi, support.hi
     elif isinstance(shape, RimQuantifier):
-        lo = _rim_cut_lo(shape.exponent, Fraction(p, q))
+        lo = _rim_cut_lo(shape, Fraction(p, q))
         return lo.numerator, lo.denominator, 1, 1
     else:
         raise TypeError("no cut for shape %r" % (shape,))

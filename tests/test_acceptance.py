@@ -53,22 +53,22 @@ def test_criterion_1_pets_crisp_counts():
     syl = load_fixture("pets_at_home.syl").to_syllogism()
 
     full = infer(syl, mode="crisp")
-    assert abs(full.crisp.lo - 3) <= 1e-9
-    assert abs(full.crisp.hi - 3) <= 1e-9
-    assert full.outcomes[0].status == "bounded"
+    assert abs(full.cuts[0][1].lo - 3) <= 1e-9
+    assert abs(full.cuts[0][1].hi - 3) <= 1e-9
+    assert full.rows[0][2].status == "bounded"
 
     # drop the two closure premises (every animal is a dog, cat or parrot)
     opened = with_premises(syl, syl.premises[:3] + syl.premises[5:])
     part = infer(opened, mode="crisp")
-    assert abs(part.crisp.lo - 2) <= 1e-9
-    assert abs(part.crisp.hi - 3) <= 1e-9
+    assert abs(part.cuts[0][1].lo - 2) <= 1e-9
+    assert abs(part.cuts[0][1].hi - 3) <= 1e-9
 
     # the three exception premises alone leave the total unbounded
     bare = with_premises(syl, syl.premises[:3])
     loose = infer(bare, mode="crisp")
-    assert loose.outcomes[0].status == "unbounded-above"
-    assert loose.crisp.lo == 2
-    assert loose.crisp.hi is None
+    assert loose.rows[0][2].status == "unbounded-above"
+    assert loose.cuts[0][1].lo == 2
+    assert loose.cuts[0][1].hi is None
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +79,8 @@ def test_criterion_2_course_crisp_fractional():
     syl = load_fixture("course_passrates_crisp.syl").to_syllogism()
     assert syl.s == 5  # 32 atoms
     result = infer(syl, mode="crisp")
-    assert abs(result.crisp.lo - F(1, 5)) <= 1e-6
-    assert abs(result.crisp.hi - 1) <= 1e-6
+    assert abs(result.cuts[0][1].lo - F(1, 5)) <= 1e-6
+    assert abs(result.cuts[0][1].hi - 1) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +89,11 @@ def test_criterion_2_course_crisp_fractional():
 
 def test_criterion_3_kernel_support():
     syl = load_fixture("course_passrates_fuzzy.syl").to_syllogism()
-    result = infer(syl, mode="kersup")
-    assert abs(result.pair.kernel.lo - F(42, 100)) <= 1e-6
-    assert abs(result.pair.kernel.hi - 1) <= 1e-6
-    assert abs(result.pair.support.lo - F(20, 100)) <= 1e-6
-    assert abs(result.pair.support.hi - 1) <= 1e-6
+    (_, support), (_, kernel) = infer(syl, mode="kersup").cuts
+    assert abs(kernel.lo - F(42, 100)) <= 1e-6
+    assert abs(kernel.hi - 1) <= 1e-6
+    assert abs(support.lo - F(20, 100)) <= 1e-6
+    assert abs(support.hi - 1) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +108,14 @@ def test_criterion_4_alpha_trapezoid():
     for got, want in zip(fitted.as_tuple(), (F(1, 5), F(21, 50), 1, 1)):
         assert abs(got - want) <= 1e-6
 
-    pair = infer(syl, mode="kersup").pair
+    (_, support), (_, kernel) = infer(syl, mode="kersup").cuts
     level0 = result.cuts[0][1]
     level1 = result.cuts[-1][1]
     assert result.cuts[0][0] == 0 and result.cuts[-1][0] == 1
-    assert abs(level0.lo - pair.support.lo) <= 1e-9
-    assert abs(level0.hi - pair.support.hi) <= 1e-9
-    assert abs(level1.lo - pair.kernel.lo) <= 1e-9
-    assert abs(level1.hi - pair.kernel.hi) <= 1e-9
+    assert abs(level0.lo - support.lo) <= 1e-9
+    assert abs(level0.hi - support.hi) <= 1e-9
+    assert abs(level1.lo - kernel.lo) <= 1e-9
+    assert abs(level1.hi - kernel.hi) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +209,12 @@ def check_against_oracle(syl, which, cap):
 
 def test_criterion_8_decreasing_results_match_oracle(acceptance_notes):
     sales = load_fixture("warehouse_sales_mix.syl").to_syllogism()
-    pair = infer(sales, mode="kersup").pair
-    assert abs(pair.support.hi - F(1, 2)) <= 1e-6
-    assert abs(pair.kernel.hi - F(45, 100)) <= 1e-6
+    (_, support), (_, kernel) = infer(sales, mode="kersup").cuts
+    assert abs(support.hi - F(1, 2)) <= 1e-6
+    assert abs(kernel.hi - F(45, 100)) <= 1e-6
     sup = check_against_oracle(sales, "support", 20)
     ker = check_against_oracle(sales, "kernel", 20)
-    assert pair.support == sup and pair.kernel == ker
+    assert support == sup and kernel == ker
     acceptance_notes.append(
         "note: warehouse_sales_mix lower bounds are %s (support) and %s "
         "(kernel), not 0; enumeration at cap 20 attains both exactly"
@@ -222,12 +222,12 @@ def test_criterion_8_decreasing_results_match_oracle(acceptance_notes):
     )
 
     hats = load_fixture("hats_and_ties.syl").to_syllogism()
-    pair = infer(hats, mode="kersup").pair
-    assert abs(pair.support.hi - 1) <= 1e-6
-    assert abs(pair.kernel.hi - 1) <= 1e-6  # upper shoulders coincide
+    (_, support), (_, kernel) = infer(hats, mode="kersup").cuts
+    assert abs(support.hi - 1) <= 1e-6
+    assert abs(kernel.hi - 1) <= 1e-6  # upper shoulders coincide
     sup = check_against_oracle(hats, "support", 20)
     ker = check_against_oracle(hats, "kernel", 20)
-    assert pair.support == sup and pair.kernel == ker
+    assert support == sup and kernel == ker
     acceptance_notes.append(
         "note: hats_and_ties lower bounds are %s (support) and %s (kernel), "
         "not 0; too few hats exist to cover the red ties" % (sup.lo, ker.lo)
@@ -390,8 +390,8 @@ def test_criterion_9d_premise_permutation(rng):
                 infer(shuffled, mode="crisp")
             continue
         other = infer(shuffled, mode="crisp")
-        assert base.crisp == other.crisp
-        assert base.outcomes[0].status == other.outcomes[0].status
+        assert base.cuts[0][1] == other.cuts[0][1]
+        assert base.rows[0][2].status == other.rows[0][2].status
 
     config = InferenceConfig(levels=4)
     for _ in range(25):

@@ -207,7 +207,7 @@ def test_every_mode_and_format_prints_the_minimum_when_unbounded_above(capsys, m
     spec = QuantifierSpec(premise.quantifier.family, pair)
     statement = Statement(spec, premise.restriction, premise.scope)
     result = infer(Syllogism(syl.properties, (statement,), syl.conclusion))
-    assert result.pair == pair
+    assert (result.mode, result.cuts) == ("kersup", ((0, pair.support), (1, pair.kernel)))
 
 
 def test_verify_prints_a_fractional_universe_size_exactly(capsys):
@@ -481,7 +481,8 @@ def test_consecutive_calls_share_no_parsed_values(capsys):
 
 
 def test_tiny_rim_exponent_is_cut_fast(capsys):
-    # 1/e = 10**10 is past the exact-power bound, so its cuts are snapped
+    # 1/e = 10**10 is past the exact-power bound and its root past the bit
+    # bound, so its cuts are 0
     sys.stdin = io.StringIO(
         "terms: p, q\npremise: prop rim(0.0000000001) p -> q\nconclude: prop? p -> q\n"
     )

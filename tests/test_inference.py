@@ -81,10 +81,10 @@ def test_crisp_infeasible_raises():
 
 def test_crisp_result_structure():
     result = infer(one_premise(Interval(1, 2)), mode="crisp")
-    assert result.crisp == Interval(F(1), F(2))
-    assert result.cuts == [(F(0), result.crisp), (F(1), result.crisp)]
+    cut = Interval(F(1), F(2))
+    assert result.cuts == ((F(0), cut), (F(1), cut))
     assert result.max_feasible_level == 1
-    assert result.outcomes[0].status == "bounded"
+    assert result.rows[0][2].status == "bounded"
     assert result.epsilon_kind == "count"
     assert result.epsilon == 1
 
@@ -96,7 +96,7 @@ def test_crisp_result_structure():
 )
 def test_an_open_proportion_end_is_its_infimum():
     doc = parse("terms: a, b\npremise: some a -> b\nconclude: prop? a -> b\n")
-    assert infer(doc.to_syllogism()).crisp.lo == 0
+    assert infer(doc.to_syllogism()).cuts[0][1].lo == 0
 
 
 # some a -> b leaves |a| free to grow while |b| = 1, so |a| / |b| has no
@@ -106,7 +106,7 @@ def test_an_open_proportion_end_is_its_infimum():
 )
 def test_an_unbounded_ratio_is_not_capped_by_the_margin():
     doc = parse("terms: a, b\npremise: some a -> b\nconclude: cmpprop? a vs b\n")
-    outcome = infer(doc.to_syllogism()).outcomes[0]
+    outcome = infer(doc.to_syllogism()).rows[0][2]
     assert outcome.status == "unbounded-above"
     assert outcome.hi is None
 
@@ -125,9 +125,7 @@ def test_alpha_on_fuzzy_count_premise():
 def test_kersup_pair_nests_and_fits():
     syl = one_premise(Trapezoid(1, 2, 4, 5))
     result = infer(syl, mode="kersup")
-    assert result.pair == KernelSupportPair(
-        Interval(F(2), F(4)), Interval(F(1), F(5))
-    )
+    assert result.cuts == ((0, Interval(F(1), F(5))), (1, Interval(F(2), F(4))))
     assert result.fitted == Trapezoid(1, 2, 4, 5)
     assert result.max_feasible_level == 1
 
@@ -143,12 +141,12 @@ def test_kersup_degrades_when_the_kernel_contradicts():
         Conclusion(ABSOLUTE, P, Q),
     )
     result = infer(syl, mode="kersup")
-    assert result.pair is None
+    assert result.rows[1][2].status == "infeasible"
     assert result.max_feasible_level == 0
     assert result.fitted is None
-    assert result.warnings == [
-        "premises become contradictory above level 0; no trapezoid is fitted"
-    ]
+    assert result.warnings == (
+        "premises become contradictory above level 0; no trapezoid is fitted",
+    )
     level0, level1 = result.cuts
     assert level0[1] == Interval(F(3), F(4))
     assert level1[1] is None
@@ -180,17 +178,31 @@ def test_two_sided_passrate_shapes_cap_the_upper_bound():
         conclude: prop? student -> phys & math & phil & lang
         """
     )
-    result = infer(doc.to_syllogism(), mode="kersup")
-    assert result.pair.kernel == Interval(F(42, 100), F(85, 100))
-    assert result.pair.support == Interval(F(20, 100), F(90, 100))
+    (_, support), (_, kernel) = infer(doc.to_syllogism(), mode="kersup").cuts
+    assert kernel == Interval(F(42, 100), F(85, 100))
+    assert support == Interval(F(20, 100), F(90, 100))
 
 
 def test_alpha_matches_kersup_at_the_grid_ends():
     syl = load_fixture("course_passrates_fuzzy.syl").to_syllogism()
     alpha = infer(syl, mode="alpha", config=InferenceConfig(levels=5))
-    pair = infer(syl, mode="kersup").pair
-    assert alpha.cuts[0][1] == pair.support
-    assert alpha.cuts[-1][1] == pair.kernel
+    (_, support), (_, kernel) = infer(syl, mode="kersup").cuts
+    assert alpha.cuts[0][1] == support
+    assert alpha.cuts[-1][1] == kernel
+
+
+def test_only_rounded_rim_cuts_warn():
+    def rim(exponent):
+        return one_premise(RimQuantifier(exponent), PROPORTIONAL, PROPORTIONAL)
+
+    assert infer(rim(F(3, 2))).warnings == (
+        "premise 1's rim(1.5) cuts between levels 0 and 1 are rounded down to a "
+        "multiple of 1e-09, which loosens the premise",
+    )
+    # levels 0 and 1 cut exactly, and so does an integer 1/e up to 64
+    assert infer(rim(F(3, 2)), mode="kersup").warnings == ()
+    assert infer(rim(F(3, 2)), config=InferenceConfig(levels=2)).warnings == ()
+    assert infer(rim(F(1, 3))).warnings == ()
 
 
 def test_unit_mix_warning_with_declared_universe():
@@ -225,10 +237,36 @@ def test_levels_with_equal_premise_bounds_share_one_solve(monkeypatch):
         calls.clear()
         result = infer(syl, mode=mode, config=config)
         assert len(calls) == 1
-        assert all(outcome is result.outcomes[0] for outcome in result.outcomes)
+        assert all(outcome is result.rows[0][2] for _, _, outcome in result.rows)
     calls.clear()
     infer(one_premise(Trapezoid(1, 2, 4, 5)), mode="alpha", config=InferenceConfig(levels=5))
     assert len(calls) == 5
+
+
+def test_premises_infeasible_at_support_solve_one_level(monkeypatch):
+    import sylq.optimizer
+
+    calls = []
+    real = sylq.optimizer.solve
+
+    def counting(system):
+        calls.append(system)
+        return real(system)
+
+    monkeypatch.setattr(sylq.optimizer, "solve", counting)
+    # disjoint supports: no level of the 11-level grid is feasible, and
+    # infer stops after level 0 instead of solving the other ten
+    syl = Syllogism(
+        NAMES,
+        (
+            Statement(QuantifierSpec(ABSOLUTE, Trapezoid(0, 1, 1, 2)), P, Q),
+            Statement(QuantifierSpec(ABSOLUTE, Trapezoid(5, 6, 6, 7)), P, Q),
+        ),
+        Conclusion(ABSOLUTE, P, Q),
+    )
+    with pytest.raises(InfeasiblePremisesError, match="even at support level"):
+        infer(syl, mode="alpha", config=InferenceConfig(levels=11))
+    assert len(calls) == 1
 
 
 def test_atom_sets_are_computed_once_per_document(monkeypatch):
@@ -271,20 +309,20 @@ def test_atom_sets_are_computed_once_per_document(monkeypatch):
 # ------------------------------------------- infer against the plain level loop
 
 
-def reference_outcomes(syl, n):
+def reference_rows(syl, n):
     """The level loop spelled out: each premise cut at the level i/(n-1) in
     lowest terms, then compile_syllogism and solve, one solve per distinct
-    tuple of premise bounds."""
-    solved, outcomes = {}, []
+    tuple of premise bounds; (level, bounds, outcome) per level."""
+    solved, rows = {}, []
     for i in range(n):
         level = F(i, n - 1)
         bounds = int_bounds(syl, level.numerator, level.denominator)
         if bounds not in solved:
             solved[bounds] = solve(compile_syllogism(syl, bounds))
-        outcomes.append(solved[bounds])
-        if i == 0 and outcomes[0].status == INFEASIBLE:
+        rows.append((level, bounds, solved[bounds]))
+        if i == 0 and solved[bounds].status == INFEASIBLE:
             raise InfeasiblePremisesError("level 0")
-    return outcomes
+    return tuple(rows)
 
 
 def as_kernel_support(statement, bounded):
@@ -311,7 +349,7 @@ def test_infer_equals_the_reference_loop(seed, mode, levels):
     n = levels if mode == "alpha" else 2
     config = InferenceConfig(levels=levels)
     try:
-        want = reference_outcomes(syl, n)
+        want = reference_rows(syl, n)
     except (ValueError, InfeasiblePremisesError) as exc:
         with pytest.raises(type(exc)) as err:
             infer(syl, mode=mode, config=config)
@@ -319,14 +357,14 @@ def test_infer_equals_the_reference_loop(seed, mode, levels):
             assert str(err.value) == str(exc)
         return
     result = infer(syl, mode=mode, config=config)
-    assert result.outcomes == want
-    assert solve_slots(result.outcomes) == solve_slots(want)
+    assert result.rows == want
+    assert solve_slots(result.rows) == solve_slots(want)
 
 
-def solve_slots(outcomes):
-    """Which solve each level's outcome came from, numbered in order."""
+def solve_slots(rows):
+    """Which solve each row's outcome came from, numbered in order."""
     slots = {}
-    return [slots.setdefault(id(outcome), len(slots)) for outcome in outcomes]
+    return [slots.setdefault(id(outcome), len(slots)) for _, _, outcome in rows]
 
 
 @pytest.mark.parametrize("mode, levels", [("crisp", 2), ("kersup", 2), ("alpha", 5)])
@@ -335,7 +373,7 @@ def test_zero_premises_bound_the_conclusion_at_every_level(mode, levels):
     result = infer(syl, mode=mode, config=InferenceConfig(levels=levels))
     n = levels if mode == "alpha" else 2
     assert [lam for lam, _ in result.cuts] == [F(i, n - 1) for i in range(n)]
-    assert result.outcomes == reference_outcomes(syl, n)
+    assert result.rows == reference_rows(syl, n)
     assert all(iv == Interval(0, 1) for _, iv in result.cuts)
     assert result.max_feasible_level == 1
     assert not any("contradictory" in w for w in result.warnings)

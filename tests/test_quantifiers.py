@@ -87,11 +87,32 @@ def test_alpha_cut_rim_inverts_the_power():
 def test_rim_cut_is_exact_up_to_the_power_bound():
     level = F(9, 10)
     assert cut_ints(RimQuantifier(F(1, 64)), 9, 10) == bound_ints(Interval(level**64, 1))
-    snapped = F(0.9**65).limit_denominator(10**9)
-    assert cut_ints(RimQuantifier(F(1, 65)), 9, 10) == bound_ints(Interval(snapped, 1))
+    assert not RimQuantifier(F(1, 64)).rounds and RimQuantifier(F(1, 65)).rounds
+    rounded = F(9**65 * 10**9 // 10**65, 10**9)  # 0.9 ** 65 rounded down
+    assert cut_ints(RimQuantifier(F(1, 65)), 9, 10) == bound_ints(Interval(rounded, 1))
+    # past the root's bit bound, and past the float range, the cut is 0
     assert cut_ints(RimQuantifier(F(1, 10**10)), 9, 10) == bound_ints(Interval(0, 1))
-    # 1/e past the float range
     assert cut_ints(RimQuantifier(F(1, 10**400)), 9, 10) == bound_ints(Interval(0, 1))
+    assert cut_ints(RimQuantifier(10**400), 9, 10) == bound_ints(Interval(0, 1))
+
+
+def test_rounded_rim_cuts_are_the_exact_cut_rounded_down():
+    # with 1/e = m/n the exact cut p0 has p0 ** n == level ** m; the cut p is
+    # p0 rounded down to a multiple of 1/D, so p ** n <= level ** m < (p + 1/D) ** n
+    d = F(1, 10**9)
+    wrong, cuts = [], []
+    for exponent in (F(3, 2), F(5, 2), F(2, 3), F(7, 10), F(13, 10)):
+        m, n = (1 / exponent).as_integer_ratio()
+        for i in range(1, 100):
+            level = F(i, 100)
+            lo_num, lo_den, hi_num, hi_den = cut_ints(RimQuantifier(exponent), i, 100)
+            p = F(lo_num, lo_den)
+            cuts.append(p)
+            assert (hi_num, hi_den) == (1, 1)
+            if not p**n <= level**m < (p + d) ** n:
+                wrong.append((exponent, level, p))
+    assert wrong == [], "%d of 495 cuts" % len(wrong)
+    assert all((p / d).denominator == 1 for p in cuts)
 
 
 def test_cut_reads_support_at_0_and_kernel_at_1():

@@ -32,7 +32,7 @@ from sylq.terms import Prop
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # what README's Python examples print, as the comment on each print quotes it
-QUOTED = {"result.pair.kernel": "[7/11, 1]", "cut_ints(most.shape, 1, 2)": "(3, 5, 1, 1)"}
+QUOTED = {"result.cuts[-1][1]": "[7/11, 1]", "cut_ints(most.shape, 1, 2)": "(3, 5, 1, 1)"}
 
 ENTRY_POINTS = {
     "parse",

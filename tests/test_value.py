@@ -60,15 +60,15 @@ CASES = {
     LpSolution: (("optimal", F(1), [F(0)], 3), ("optimal", F(2), [F(0)], 3)),
     InferenceConfig: ((5,), (7,)),
     InferenceResult: (
-        ("crisp", [(F(0), Interval(1))], [OUTCOME], [READING], F(1), "count", F(1), None, []),
-        ("crisp", [(F(0), Interval(2))], [OUTCOME], [READING], F(1), "count", F(1), None, []),
+        ("crisp", ((F(0), READING, OUTCOME),), "count", F(1), None, ()),
+        ("crisp", ((F(1), READING, OUTCOME),), "count", F(1), None, ()),
     ),
     SyllogismDoc: (
         (("p", "q"), (STATEMENT,), CONCLUSION, None, {"levels": 5}),
         (("p", "q"), (STATEMENT,), CONCLUSION, F(10), {"levels": 5}),
     ),
 }
-MUTABLE = {LpSolution, InferenceResult}
+MUTABLE = {LpSolution}
 # class -> defaults of its trailing fields; a list or dict is made per instance
 DEFAULTS = {
     Interval: {"hi": None},
@@ -77,7 +77,7 @@ DEFAULTS = {
     SolveOutcome: {"pivots": 0},
     LpSolution: {"value": None, "point": None, "pivots": 0},
     InferenceConfig: {"levels": 11},
-    InferenceResult: {"fitted": None, "warnings": []},
+    InferenceResult: {"fitted": None, "warnings": ()},
     SyllogismDoc: {"universe_size": None, "options": {}},
 }
 
