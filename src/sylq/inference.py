@@ -4,13 +4,14 @@ The engine answers one question: given quantified premises, how large and how
 small can the conclusion's measure be over populations satisfying all of
 them?  Every mode runs the same levelwise path: each membership level cuts
 every premise quantifier to a crisp interval, the crisp engine runs, and the
-family of resulting intervals is reassembled into a fuzzy answer (a fitted
-trapezoid when the cuts are bounded and reach level 1).  The mode only picks
-the level grid: crisp and kersup read levels 0 and 1 (support and kernel),
-alpha an evenly spaced grid.  A level whose premise bounds equal an earlier
-level's reuses that level's outcome, so crisp premises cost one solve.  The
-rest of the LP is the same at every level: it is built once per syllogism
-(compiler.build_skeleton), and a level only writes its premise bounds' rows.
+stack of resulting intervals is the fuzzy answer, reported as a trapezoid
+only when one cuts every level exactly (else a warning names the largest
+gap).  The mode only picks the level grid: crisp and kersup read levels 0
+and 1 (support and kernel), alpha an evenly spaced grid.  A level whose
+premise bounds equal an earlier level's reuses that level's outcome, so
+crisp premises cost one solve.  The rest of the LP is the same at every
+level: it is built once per syllogism (compiler.build_skeleton), and a
+level only writes its premise bounds' rows.
 
 Premise cuts shrink as the level rises, so the feasible region shrinks too;
 consequently conclusion cuts are nested and feasibility is monotone.  A
@@ -88,8 +89,8 @@ class InferenceResult:
             the same outcome object in each of its rows, so summing
             ``pivots`` over the rows counts it again (66 for the 33 pivots
             of course_passrates_crisp's two levels);
-    fitted  trapezoid through the cuts, only when they are bounded and reach
-            level 1 (never in crisp mode);
+    fitted  the trapezoid cutting every row's bounds exactly, or None (crisp
+            mode, a row unbounded or infeasible, or no such trapezoid);
     epsilon_kind, epsilon  the strictness margin the solves used (see
             optimizer.EPS_COUNT and optimizer.EPS_PROP).
     """
@@ -176,7 +177,9 @@ def infer(
     rows: List[Row] = []
     # readings is lazy: premises infeasible at level 0 solve nothing more
     for level, reading, outcome in readings(syl, n):
-        if level == 0 and outcome.status == optimizer.INFEASIBLE:
+        if outcome.status != optimizer.INFEASIBLE:
+            top = level
+        elif level == 0:
             raise InfeasiblePremisesError(
                 "no population satisfies the premises"
                 + ("" if mode == "crisp" else " even at support level")
@@ -202,13 +205,18 @@ def infer(
             if isinstance(shape, RimQuantifier) and shape.rounds
         ]
 
-    answer = InferenceResult(mode, tuple(rows), kind, epsilon)
-    top, fitted = answer.max_feasible_level, None
+    fitted = None
     if top < 1:
         warnings.append(
             "premises become contradictory above level %s; no trapezoid "
             "is fitted" % _fmt(top)
         )
-    elif mode != "crisp" and all(iv is not None and iv.hi is not None for _, iv in answer.cuts):
-        fitted = fit_trapezoid(answer.cuts)
-    return InferenceResult(mode, answer.rows, kind, epsilon, fitted, tuple(warnings))
+    elif mode != "crisp" and all(o.lo is not None and o.hi is not None for _, _, o in rows):
+        fitted, gap, at = fit_trapezoid(rows)
+        if gap:
+            warnings.append(
+                "no trapezoid matches every cut: tz(%s) is off by %s at level %s"
+                % (", ".join(map(_fmt, fitted.as_tuple())), _fmt(gap), _fmt(at))
+            )
+            fitted = None
+    return InferenceResult(mode, tuple(rows), kind, epsilon, fitted, tuple(warnings))

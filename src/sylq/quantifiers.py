@@ -417,37 +417,28 @@ def cut_ints(shape: Shape, p: int, q: int) -> IntBound:
     return _between(a, b, p, q) + _between(d, c, p, q)
 
 
-def fit_trapezoid(cuts: Sequence[tuple]) -> Trapezoid:
-    """Fit a trapezoid through a nested collection of (level, Interval) cuts.
+def fit_trapezoid(rows: Sequence[tuple]) -> Tuple[Trapezoid, Fraction, Optional[Fraction]]:
+    """The trapezoid with the level-0 row as support and the level-1 row as
+    kernel, the largest gap between its cut and a row's, and the highest
+    level with that gap; it is the answer only when the gap is 0 (level None).
 
-    The fitted support is the level-0 cut and the fitted kernel is the highest
-    given cut, so a collection that tops out below level 1 keeps its actual
-    ceiling as the kernel rather than an extrapolation.
-
-    Cut levels must be strictly increasing, start at 0, and the intervals must
-    be nested and bounded; a nesting violation signals an optimizer bug
-    upstream and raises ValueError.
+    rows are (level, reading, outcome) as inference.readings yields them.  A
+    row is compared in ints, cut_ints against the outcome's ends, and builds
+    Fractions only when it differs.  Rows that are unbounded, not nested or
+    not running from level 0 to level 1 signal a bug upstream: ValueError.
     """
-    if not cuts:
-        raise ValueError("need at least one cut to fit")
-    levels = [as_fraction(level) for level, _ in cuts]
-    intervals = [interval for _, interval in cuts]
-    if levels[0] != 0:
-        raise ValueError("cut collection must start at level 0")
-    for i in range(1, len(levels)):
-        if not _below(levels[i - 1], levels[i]):
-            raise ValueError("cut levels must be strictly increasing")
-        if levels[i].numerator > levels[i].denominator:
-            raise ValueError("cut levels must not exceed 1")
-    for iv in intervals:
-        if iv.hi is None:
-            raise ValueError("cannot fit a trapezoid through unbounded cuts")
-    for i in range(1, len(intervals)):
-        if not intervals[i].subset_of(intervals[i - 1]):
-            raise ValueError(
-                "cuts are not nested: level %s cut %s is not inside level %s cut %s"
-                % (_fmt(levels[i]), intervals[i], _fmt(levels[i - 1]), intervals[i - 1])
-            )
-
-    support, kernel = intervals[0], intervals[-1]
-    return Trapezoid(support.lo, kernel.lo, kernel.hi, support.hi)
+    (first, _, support), (last, _, kernel) = rows[0], rows[-1]
+    if first != 0 or last != 1 or any(o.lo is None or o.hi is None for _, _, o in rows):
+        raise ValueError("rows must be bounded and run from level 0 to level 1")
+    fitted = Trapezoid(support.lo, kernel.lo, kernel.hi, support.hi)
+    gap, at, outer = Fraction(0), None, support
+    for level, _, cut in rows:
+        lo, hi = cut.lo, cut.hi
+        if _below(lo, outer.lo) or _below(outer.hi, hi):
+            raise ValueError("cuts are not nested at level %s" % _fmt(level))
+        outer = cut
+        want = cut_ints(fitted, level.numerator, level.denominator)
+        if want != (lo.numerator, lo.denominator, hi.numerator, hi.denominator):
+            miss = max(abs(Fraction(*want[:2]) - lo), abs(Fraction(*want[2:]) - hi))
+            gap, at = max((gap, at), (miss, level))
+    return fitted, gap, at

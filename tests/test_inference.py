@@ -1,5 +1,7 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,25 @@ from sylq import (
 from sylq.compiler import compile_syllogism
 from sylq.inference import MAX_LEVELS
 from sylq.optimizer import INFEASIBLE, solve
-from sylq.quantifiers import ABSOLUTE, PROPORTIONAL, QuantifierSpec, RimQuantifier
+from sylq.quantifiers import (
+    ABSOLUTE,
+    PROPORTIONAL,
+    QuantifierSpec,
+    RimQuantifier,
+    _fmt,
+    bound_ints,
+    cut_ints,
+)
 from sylq.statements import Conclusion, Statement
 from sylq.terms import Prop
-from conftest import int_bounds, load_fixture, random_crisp_syllogism, random_fuzzy_syllogism
+from conftest import (
+    FIXTURE_DIR,
+    bound_ends,
+    int_bounds,
+    load_fixture,
+    random_crisp_syllogism,
+    random_fuzzy_syllogism,
+)
 
 F = Fraction
 P, Q = Prop("p"), Prop("q")
@@ -195,14 +212,78 @@ def test_only_rounded_rim_cuts_warn():
     def rim(exponent):
         return one_premise(RimQuantifier(exponent), PROPORTIONAL, PROPORTIONAL)
 
+    # the curved cuts match no trapezoid either
     assert infer(rim(F(3, 2))).warnings == (
         "premise 1's rim(1.5) cuts between levels 0 and 1 are rounded down to a "
         "multiple of 1e-09, which loosens the premise",
+        "no trapezoid matches every cut: tz(0, 1, 1, 1) is off by 0.148140474 at level 0.3",
     )
     # levels 0 and 1 cut exactly, and so does an integer 1/e up to 64
     assert infer(rim(F(3, 2)), mode="kersup").warnings == ()
     assert infer(rim(F(3, 2)), config=InferenceConfig(levels=2)).warnings == ()
-    assert infer(rim(F(1, 3))).warnings == ()
+    assert infer(rim(F(1, 3))).warnings == (
+        "no trapezoid matches every cut: tz(0, 1, 1, 1) is off by 0.384 at level 0.6",
+    )
+
+
+def digest_documents():
+    """The stdin documents of scripts/output_digest.py, by run name."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    return dict((*digest.STDIN_DOCS, digest.RIM_DOC))
+
+
+# every bundled document in alpha mode on two grids and in kersup mode, and
+# the two alpha documents on stdin that the output digest pins
+FIT_CASES = [
+    (doc, mode, levels)
+    for doc in sorted(path.stem for path in FIXTURE_DIR.glob("*.syl"))
+    for mode, levels in (("alpha", 11), ("alpha", 101), ("kersup", 2))
+] + [("stdin universe alpha cmpprop", "alpha", 11), ("stdin alpha rim rounded", "alpha", 11)]
+# the largest gap between the support/kernel trapezoid's cut and a row's, and
+# its level, where they differ
+MISFITS = {
+    ("hats_and_ties", "alpha", 11): (F(1, 308), F(1, 2)),
+    ("hats_and_ties", "alpha", 101): (F(7497, 2307800), F(49, 100)),
+    ("wine_exports_rim", "alpha", 11): (F(1, 4), F(1, 2)),
+    ("wine_exports_rim", "alpha", 101): (F(1, 4), F(1, 2)),
+    ("stdin universe alpha cmpprop", "alpha", 11): (F(6, 7), F(2, 5)),
+    ("stdin alpha rim rounded", "alpha", 11): (F(148140474, 10**9), F(3, 10)),
+}
+
+
+@pytest.mark.parametrize(
+    "doc, mode, levels", FIT_CASES, ids=["%s-%s-%d" % case for case in FIT_CASES]
+)
+def test_every_fit_is_the_answer(doc, mode, levels):
+    if doc.startswith("stdin"):
+        text = digest_documents()[doc]
+    else:
+        text = (FIXTURE_DIR / (doc + ".syl")).read_text()
+    result = infer(parse(text).to_syllogism(), mode=mode, config=InferenceConfig(levels))
+    misfits = [w for w in result.warnings if w.startswith("no trapezoid matches every cut")]
+    if result.fitted is not None:
+        for level, _, outcome in result.rows:
+            cut = cut_ints(result.fitted, level.numerator, level.denominator)
+            assert cut == bound_ints(Interval(outcome.lo, outcome.hi)), level
+        assert misfits == []
+    elif (doc, mode, levels) not in MISFITS:
+        assert misfits == []
+    else:
+        (_, _, support), (_, _, kernel) = result.rows[0], result.rows[-1]
+        tz = Trapezoid(support.lo, kernel.lo, kernel.hi, support.hi)
+        gaps = {}
+        for level, _, outcome in result.rows:
+            lo, hi = bound_ends(cut_ints(tz, level.numerator, level.denominator))
+            gaps[level] = max(abs(lo - outcome.lo), abs(hi - outcome.hi))
+        gap, at = MISFITS[doc, mode, levels]
+        assert max(gaps.values()) == gaps[at] == gap
+        assert misfits == [
+            "no trapezoid matches every cut: tz(%s) is off by %s at level %s"
+            % (", ".join(map(_fmt, tz.as_tuple())), _fmt(gap), _fmt(at))
+        ]
 
 
 def test_unit_mix_warning_with_declared_universe():

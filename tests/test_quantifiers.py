@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sylq import Interval, KernelSupportPair, Trapezoid
+from sylq import Interval, KernelSupportPair, SolveOutcome, Trapezoid
 from sylq.quantifiers import (
     COMPARATIVE_ABSOLUTE,
     FAMILIES,
@@ -142,31 +142,49 @@ def cut_interval(shape, p, q):
     return Interval(*bound_ends(cut_ints(shape, p, q)))
 
 
+def fit_rows(*cuts):
+    """Inference rows (level, reading, outcome) with the given (level, lo, hi)."""
+    return [(F(level), None, SolveOutcome("bounded", lo, hi)) for level, lo, hi in cuts]
+
+
 def test_fit_trapezoid_recovers_linear_cuts_exactly():
     tz = Trapezoid(2, 4, 8, 10)
-    cuts = [(F(i, 4), cut_interval(tz, i, 4)) for i in range(5)]
-    assert fit_trapezoid(cuts) == tz
+    rows = fit_rows(*((F(i, 4), *bound_ends(cut_ints(tz, i, 4))) for i in range(5)))
+    assert fit_trapezoid(rows) == (tz, 0, None)
+    # two rows always fit: they are the support and the kernel
+    assert fit_trapezoid(rows[::4]) == (tz, 0, None)
 
 
-def test_fit_trapezoid_tops_out_at_the_highest_given_level():
-    cuts = [(0, Interval(0, 10)), (F(1, 2), Interval(2, 8))]
-    fitted = fit_trapezoid(cuts)
-    assert fitted == Trapezoid(0, 2, 8, 10)
-    # the kernel is the level-1/2 cut, not an extrapolation to level 1
-    assert fitted.kernel == cuts[-1][1]
+def test_fit_trapezoid_names_the_largest_gap_of_a_kinked_stack():
+    # the level-1/2 cut [1, 9] lies 1 inside the line from [0, 10] to [4, 6]
+    rows = fit_rows((0, F(0), F(10)), (F(1, 2), F(1), F(9)), (1, F(4), F(6)))
+    assert fit_trapezoid(rows) == (Trapezoid(0, 4, 6, 10), 1, F(1, 2))
+    # the gap at a level is the larger of its two ends' gaps
+    rows[1] = fit_rows((F(1, 2), F(2), F(15, 2)))[0]
+    assert fit_trapezoid(rows) == (Trapezoid(0, 4, 6, 10), F(1, 2), F(1, 2))
+    # of equal gaps, the highest level's is named
+    rows = fit_rows(
+        (0, F(0), F(10)), (F(1, 4), F(1), F(8)), (F(1, 2), F(2), F(8)),
+        (F(3, 4), F(3), F(6)), (1, F(4), F(6)),
+    )
+    assert fit_trapezoid(rows) == (Trapezoid(0, 4, 6, 10), 1, F(3, 4))
 
 
 def test_fit_trapezoid_rejects_bad_collections():
+    with pytest.raises(ValueError, match="run from level 0 to level 1"):
+        fit_trapezoid(fit_rows((F(1, 2), F(0), F(1)), (1, F(0), F(1))))
+    with pytest.raises(ValueError, match="run from level 0 to level 1"):
+        fit_trapezoid(fit_rows((0, F(0), F(1)), (F(1, 2), F(0), F(1))))
+    with pytest.raises(ValueError, match="bounded"):
+        fit_trapezoid(fit_rows((0, F(0), None), (1, F(0), None)))
+    with pytest.raises(ValueError, match="bounded"):
+        fit_trapezoid(fit_rows((0, None, F(1)), (1, F(0), F(1))))
+    # not nested: a middle row outside the one below it, or a kernel
+    # outside the support
+    with pytest.raises(ValueError, match="not nested at level 0.5"):
+        fit_trapezoid(fit_rows((0, F(0), F(4)), (F(1, 2), F(0), F(5)), (1, F(1), F(2))))
     with pytest.raises(ValueError):
-        fit_trapezoid([])
-    with pytest.raises(ValueError):
-        fit_trapezoid([(F(1, 2), Interval(0, 1))])  # must start at level 0
-    with pytest.raises(ValueError):
-        fit_trapezoid([(0, Interval(0, 1)), (0, Interval(0, 1))])
-    with pytest.raises(ValueError):
-        fit_trapezoid([(0, Interval(0, 1)), (1, Interval(0, 2))])  # not nested
-    with pytest.raises(ValueError):
-        fit_trapezoid([(0, Interval(0, None))])
+        fit_trapezoid(fit_rows((0, F(0), F(1)), (1, F(0), F(2))))
 
 
 knots = st.lists(

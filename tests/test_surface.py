@@ -7,7 +7,6 @@ quote."""
 import importlib
 import pkgutil
 import re
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,7 +25,7 @@ from sylq._value import fields
 from sylq.cli import _RUN, _VERIFY, _WHOLE
 from sylq.compiler import compile_syllogism
 from sylq.inference import MODES
-from sylq.quantifiers import as_fraction, fit_trapezoid
+from sylq.quantifiers import as_fraction
 from sylq.statements import Conclusion
 from sylq.terms import Prop
 
@@ -134,11 +133,6 @@ API_ERRORS = {
     ),
     "conclusion family": (
         lambda: Conclusion("bogus", P, Q), ValueError, "unknown conclusion family 'bogus'"
-    ),
-    "cut level above 1": (
-        lambda: fit_trapezoid([(Fraction(0), Interval(0, 5)), (Fraction(2), Interval(1, 2))]),
-        ValueError,
-        "cut levels must not exceed 1",
     ),
     "compile without a bound": (
         lambda: compile_syllogism(NUMERIC.to_syllogism(), [None]),
