@@ -1,4 +1,4 @@
-"""Print a JSON digest of what `sylq` prints for a fixed set of 186 runs.
+"""Print a JSON digest of what `sylq` prints for a fixed set of 187 runs.
 
 The runs are every bundled document in text, JSON and CSV, each in its own
 mode and with `--mode` crisp, kersup and alpha (96 runs); the four alpha
@@ -19,9 +19,11 @@ measure unbounded above is pinned in text and JSON, and kersup's kernel and
 support where both levels are unbounded below; `sylq verify - --cap 10`
 on each stdin document and on VERIFY_DOC (10 runs), so the oracle's ranges of
 their conclusions, and the population guard's refusal of the two S=3
-`universe: 40` documents, are pinned too; and one alpha document on stdin
-in text (RIM_DOC), whose `rim(3/2)` cuts are rounded down to a multiple of
-1e-09 and whose output warns that they are.  For each run the digest records
+`universe: 40` documents, are pinned too; `sylq verify - --cap 1` on an
+S=10 document (ATOMS_DOC), whose 2^10 atoms the population guard refuses;
+and one alpha document on stdin in text (RIM_DOC), whose `rim(3/2)` cuts
+are rounded down to a multiple of 1e-09 and whose output warns that they
+are.  For each run the digest records
 the exit code, a SHA-256 of stdout and of stderr, and for every
 `simplex.minimize` call in order its pivots and a SHA-256 of the LP it was
 given (costs and rows).
@@ -162,6 +164,17 @@ VERIFY_DOC = (
     "conclude: cmpprop? b vs a\n",
 )
 
+# S=10 properties: 2^10 atoms, past the population guard's 2^9 (the
+# oracle recurses once per atom), though its 1024 populations of size 1
+# are within the count
+ATOMS_DOC = (
+    "stdin S=10 universe 1",
+    "terms: %s\n"
+    "universe: 1\n"
+    "premise: abs[0, 1] p0 -> p1\n"
+    "conclude: abs? p0 -> p1\n" % ", ".join("p%d" % i for i in range(10)),
+)
+
 # a RIM premise whose 1/e = 2/3 is not an integer: its cuts between levels 0
 # and 1 are rounded outward, which the answer's lower ends show and a
 # warning says
@@ -213,6 +226,8 @@ def runs():
     yield "%s kersup" % name, ["-", "--mode", "kersup", "--format", "json"], text
     for name, text in (*STDIN_DOCS, *UNBOUNDED_DOCS, VERIFY_DOC):
         yield "%s verify" % name, ["verify", "-", "--cap", "10"], text
+    name, text = ATOMS_DOC
+    yield "%s verify" % name, ["verify", "-", "--cap", "1"], text
     name, text = RIM_DOC
     yield name, ["-"], text
 

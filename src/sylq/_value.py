@@ -7,16 +7,16 @@ the twenty value classes of this package cost a one-shot ``sylq FILE`` about
 
 Each value class writes its own ``__init__``: it takes the fields in
 declaration order, positionally or by keyword, with their defaults; a list
-or dict field takes None and builds its value per instance.  A frozen
-class's ``__init__`` sets its fields straight into the instance
-``__dict__``, which also lets ``functools.cached_property`` work on frozen
-classes.  ``value`` adds the rest from the class's annotations:
+or dict field takes None and builds its value per instance.  It sets the
+fields straight into the instance ``__dict__``, which also lets
+``functools.cached_property`` work on these frozen classes.  ``value`` adds
+the rest from the class's annotations:
 
 * ``__eq__`` compares the field tuples of two instances of the same class
   and gives NotImplemented for any other class; ``__repr__`` reads
   ``Name(field=value, ...)``.
-* A frozen class hashes its field tuple and refuses assignment; a mutable
-  one is unhashable.
+* ``__hash__`` hashes the field tuple, so an instance is hashable wherever
+  its fields are; assigning or deleting an attribute raises.
 """
 
 from __future__ import annotations
@@ -41,11 +41,9 @@ def _key(names: tuple):
     return lambda obj: ()
 
 
-def value(cls=None, *, frozen: bool = True):
-    """Class decorator: give ``cls`` the comparison, hash, repr and (when
-    frozen) the refusal of assignment of a value class."""
-    if cls is None:
-        return lambda cls: value(cls, frozen=frozen)
+def value(cls):
+    """Class decorator: give ``cls`` the comparison, hash, repr and refusal
+    of assignment of a value class."""
     names = tuple(cls.__dict__.get("__annotations__", {}))
     key = _key(names)
 
@@ -67,10 +65,7 @@ def value(cls=None, *, frozen: bool = True):
     def __delattr__(self, name) -> None:
         raise AttributeError("cannot delete field %r" % name)
 
-    cls.__eq__, cls.__repr__ = __eq__, __repr__
-    if frozen:
-        cls.__hash__, cls.__setattr__, cls.__delattr__ = __hash__, __setattr__, __delattr__
-    else:
-        cls.__hash__ = None
+    cls.__eq__, cls.__hash__, cls.__repr__ = __eq__, __hash__, __repr__
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
     cls.__value_fields__ = names
     return cls

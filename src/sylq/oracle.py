@@ -21,7 +21,8 @@ cross-multiplication.
 
 Enumeration is vectorized with numpy and chunked so peak memory stays
 bounded; a combinatorial guard refuses instance sizes whose composition count
-exceeds ten million.
+exceeds ten million, whose atoms outnumber 2^9 (the compositions recurse
+once per atom) or whose blocks would hold more than 1.5 * 10^8 int64 cells.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ __all__ = ["COMPOSITION_GUARD", "enumerate_range", "population_totals"]
 
 # refuse to enumerate more compositions than this
 COMPOSITION_GUARD = 10**7
+# or over more atoms than this (_compositions recurses once per atom), or into
+# more int64 cells (1.2 GB; S=3 at universe 29, the most S <= 3 admits, takes 1.365e8)
+_ATOM_GUARD, _CELL_GUARD = 1 << 9, 15 * 10**7
 # a refusal names a count up to this exactly, and a larger one as "more than 10^20"
 _SHORT = 10**20
 # split any single block beyond this many rows
@@ -243,12 +247,20 @@ class _Extrema:
         return Interval(_least(self.least[dens], dens), -_least(-self.most[dens], dens))
 
 
+def _cells(last: int, k: int) -> int:
+    """The int64 cells enumerating totals up to ``last`` over k atoms holds:
+    j C(t + j - 1, j - 1) per memoized block (t <= last, 1 < j < k; with
+    j = 1 they sum to the first term) and the largest block."""
+    return (last + 1) * math.comb(last + k, k - 2) + k * math.comb(last + k - 1, k - 1)
+
+
 def population_totals(syl: Syllogism, universe_cap: int) -> Optional[range]:
     """The population sizes enumerate_range tries, within the size guard.
 
     None when the declared universe size is fractional, since no integer
     population has that total.  Raises SizeGuardError when the populations
-    of those sizes number more than COMPOSITION_GUARD.  The answer depends
+    of those sizes number more than COMPOSITION_GUARD, or the atoms or
+    cells more than _ATOM_GUARD or _CELL_GUARD.  The answer depends
     only on (syl.s, syl.universe_size, universe_cap), so a caller can check
     it before any other work.
     """
@@ -268,6 +280,12 @@ def population_totals(syl: Syllogism, universe_cap: int) -> Optional[range]:
         raise SizeGuardError(
             "enumerating %s populations exceeds the %d guard; lower the cap"
             % ("%d" % count if count and count <= _SHORT else "more than 10^20", COMPOSITION_GUARD)
+        )
+    cells = _cells(last, k)
+    if k > _ATOM_GUARD or cells > _CELL_GUARD:
+        raise SizeGuardError(
+            "enumerating populations of size %d over %d atoms takes %d int64 cells; the guard "
+            "admits %d atoms and %d cells" % (last, k, cells, _ATOM_GUARD, _CELL_GUARD)
         )
     return range(first, last + 1)
 

@@ -50,15 +50,16 @@ value for value.
 Phase 1 never reads the costs: its end state depends only on the variable
 count n and the normalized rows.  minimize returns that state with its
 solution and takes it back for the same rows, so a bracket (minimize, then
-maximize with phase1=) normalizes and runs phase 1 once, sets up the
-phase-2 objective once and runs phase 2 twice.  Each solution's pivots
-still count the whole path from the slack/artificial start basis, phase 1
-included, so both solutions of one system count it.
+maximize with phase1=) normalizes and runs phase 1 once and phase 2 twice.
+Each solution's pivots still count the whole path from the
+slack/artificial start basis, phase 1 included, so both solutions of one
+system count it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -89,37 +90,31 @@ class PivotLimitError(RuntimeError):
     """The simplex ran past its pivot cap without terminating."""
 
 
-class _Point:
-    """LpSolution.point: None on the class, the field's default.  minimize
-    leaves an optimal point in its final tableau, read off on first use."""
-
-    def __get__(self, sol, owner=None) -> Optional[List[Fraction]]:
-        point = None
-        if sol is not None and "_final" in sol.__dict__:
-            tableau, basis, n = sol.__dict__.pop("_final")
-            point = [_ZERO] * n
-            for (nums, den), b in zip(tableau, basis):
-                if b < n:
-                    point[b] = Fraction(nums[-1], den)
-            sol.point = point
-        return point
-
-
-@value(frozen=False)
+@value
 class LpSolution:
-    """A solve's answer; minimize also sets ``phase1`` (not a field) on it."""
+    """A solve's answer.  minimize also keeps its ``phase1`` state (not a
+    field) on it, and on an optimal solution its final tableau, from which
+    ``point`` is read on first use."""
 
     status: str  # optimal | unbounded | infeasible
     value: Optional[Fraction] = None
-    point: Optional[List[Fraction]] = _Point()
     pivots: int = 0
 
-    def __init__(self, status: str, value=None, point=None, pivots: int = 0) -> None:
-        self.status = status
-        self.value = value
-        if point is not None:
-            self.point = point
-        self.pivots = pivots
+    def __init__(self, status: str, value=None, pivots: int = 0, *, phase1=None, final=None):
+        # the frozen fields and the two extras, written past __setattr__
+        self.__dict__.update(status=status, value=value, pivots=pivots, phase1=phase1, _final=final)
+
+    @cached_property
+    def point(self) -> Optional[List[Fraction]]:
+        """An optimal x, None without a final tableau."""
+        if self._final is None:
+            return None
+        tableau, basis, n = self._final
+        point = [_ZERO] * n
+        for (nums, den), b in zip(tableau, basis):
+            if b < n:
+                point[b] = Fraction(nums[-1], den)
+        return point
 
 
 # an exact row: (numerators, positive denominator), not always in lowest terms
@@ -130,9 +125,8 @@ IntRow = Tuple[List[int], int]
 Row = Tuple[List[int], int, str]
 
 # phase 1's end state for one system: tableau (None if infeasible), basis,
-# pivots, columns, the reduced-cost rows set up at that basis by costs, and
-# the variable count n
-_Phase1 = Tuple[Optional[List[IntRow]], List[int], int, int, Dict[tuple, IntRow], int]
+# pivots, columns and the variable count n
+_Phase1 = Tuple[Optional[List[IntRow]], List[int], int, int, int]
 
 
 def _reduced(nums: List[int], den: int) -> IntRow:
@@ -255,12 +249,11 @@ def _phase1(n: int, rows: Sequence[Row]) -> _Phase1:
     """Phase 1 over the rows, each normalized to lowest terms and rhs >= 0.
 
     Returns the feasible tableau, its basis (artificials as indices past
-    the stored columns), the pivots taken, the column count, an empty
-    table for the reduced-cost rows that minimize sets up at this basis,
-    and n; the tableau is None when the rows are infeasible.  The costs
-    play no part, so the result depends only on n and the rows' values.  No
-    row of the caller's is changed or kept.  A repeated row is a zero row
-    while the iterations carry it (see the module docstring).
+    the stored columns), the pivots taken, the column count and n; the
+    tableau is None when the rows are infeasible.  The costs play no part,
+    so the result depends only on n and the rows' values.  No row of the
+    caller's is changed or kept.  A repeated row is a zero row while the
+    iterations carry it (see the module docstring).
     """
     slacks = [0] * sum(1 for *_, rel in rows if rel != "==")
     art_start = n + len(slacks)
@@ -305,7 +298,7 @@ def _phase1(n: int, rows: Sequence[Row]) -> _Phase1:
             art_rows.append(row)
         tableau.append(row)
     if not art_rows:
-        return tableau, basis, 0, art_start, {}, n
+        return tableau, basis, 0, art_start, n
 
     # drive artificial variables to zero: the reduced costs of their sum are
     # minus the sum of their basic rows, over the lcm of those denominators
@@ -320,7 +313,7 @@ def _phase1(n: int, rows: Sequence[Row]) -> _Phase1:
     status, pivots, obj = _iterate(tableau, basis, obj, art_start, 0, repeats)
     assert status == OPTIMAL  # phase 1 objective is bounded below by 0
     if obj[0][-1] < 0:
-        return None, basis, pivots, art_start, {}, n
+        return None, basis, pivots, art_start, n
     for first, carried in repeats.items():
         for j, delta in carried:
             tableau[j] = _plus(*tableau[first], delta)
@@ -336,7 +329,7 @@ def _phase1(n: int, rows: Sequence[Row]) -> _Phase1:
         else:
             _pivot(tableau, basis, i, entry)
             pivots += 1
-    return tableau, basis, pivots, art_start, {}, n
+    return tableau, basis, pivots, art_start, n
 
 
 _FLIP = {"<=": ">=", ">=": "<=", "==": "=="}
@@ -350,48 +343,36 @@ def minimize(costs: Sequence, rows: Sequence[Row], phase1: Optional[_Phase1] = N
     phase 1, and the rows are not read; a state of another width is refused.
     Each call works on shallow copies of the state's tableau and basis,
     which is enough because _reduced, _eliminate and _pivot never change a
-    row list in place, and phase 1 builds its rows from copies.  The state
-    also keeps the reduced-cost rows set up at its basis, by costs; they are
-    linear in the costs, so the row for -c is the negated row for c.
+    row list in place, and phase 1 builds its rows from copies.
     """
     n = len(costs)
     if phase1 is None:
         phase1 = _phase1(n, rows)
     elif phase1[-1] != n:
         raise ValueError("phase-1 state is for %d variables, not %d" % (phase1[-1], n))
-    tableau, basis, pivots, ncols, objectives, _ = phase1
+    tableau, basis, pivots, ncols, _ = phase1
     if tableau is None:
-        sol = LpSolution(INFEASIBLE, pivots=pivots)
-        sol.phase1 = phase1
-        return sol
+        return LpSolution(INFEASIBLE, pivots=pivots, phase1=phase1)
 
     # phase 2: reduced costs c - sum of c_b * (basic row b)
-    key = tuple(costs)
-    obj = objectives.get(key)
-    if obj is None:
-        obj = [*costs, *[0] * (ncols - n), 0]
-        obj = (obj, 1) if all(type(c) is int for c in costs) else _int_row(obj)
-        for row, b in zip(tableau, basis):
-            if obj[0][b]:
-                obj = _eliminate(obj, b, row, [j for j, v in enumerate(row[0]) if v])
-        objectives[key] = obj
-        objectives[tuple([-c for c in costs])] = [-v for v in obj[0]], obj[1]
+    obj = [*costs, *[0] * (ncols - n), 0]
+    obj = (obj, 1) if all(type(c) is int for c in costs) else _int_row(obj)
+    for row, b in zip(tableau, basis):
+        if obj[0][b]:
+            obj = _eliminate(obj, b, row, [j for j, v in enumerate(row[0]) if v])
     tableau, basis = list(tableau), list(basis)
     status, pivots, obj = _iterate(tableau, basis, obj, ncols, pivots)
     if status == UNBOUNDED:
-        sol = LpSolution(UNBOUNDED, pivots=pivots)
-    else:
-        # the reduced-cost row's rhs entry is -c.x
-        onums, oden = obj
-        sol = LpSolution(OPTIMAL, Fraction(-onums[-1], oden), pivots=pivots)
-        sol._final = tableau, basis, n
-    sol.phase1 = phase1
-    return sol
+        return LpSolution(UNBOUNDED, pivots=pivots, phase1=phase1)
+    # the reduced-cost row's rhs entry is -c.x
+    onums, oden = obj
+    final = tableau, basis, n
+    return LpSolution(OPTIMAL, Fraction(-onums[-1], oden), pivots, phase1=phase1, final=final)
 
 
 def maximize(costs: Sequence, rows: Sequence[Row], phase1: Optional[_Phase1] = None) -> LpSolution:
     """Maximize costs.x; same contract as minimize."""
     sol = minimize([-c for c in costs], rows, phase1=phase1)
-    if sol.status == OPTIMAL:
-        sol.value = -sol.value
-    return sol
+    if sol.status != OPTIMAL:
+        return sol
+    return LpSolution(OPTIMAL, -sol.value, sol.pivots, phase1=sol.phase1, final=sol._final)

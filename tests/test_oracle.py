@@ -157,6 +157,69 @@ def test_population_guard_counts_each_total_once(names):
                 population_totals(syl, cap)
 
 
+def _bare(s, size=None):
+    """A syllogism over s properties with no premises."""
+    names = ("p", "q", *("p%d" % i for i in range(2, s)))[:s]
+    return Syllogism(names, (), Conclusion(ABSOLUTE, P, Prop(names[-1])), universe_size=size)
+
+
+def _last_within_count_guard(count):
+    """The largest t with count(t) <= 10^7, for count increasing in t."""
+    lo, hi = 0, 1
+    while count(hi) <= 10**7:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if count(mid) <= 10**7 else (lo, mid)
+    return lo
+
+
+# (S, cap, universe): admitted by count, but holding 1.3 to 305 GB of
+# int64 cells or past 2^9 atoms (_compositions recurses once per atom; the
+# empty population at S=10 takes few cells).  Never enumerate these.
+LARGE = [
+    (4, 10, None, "size 10 over 16 atoms takes 158534860 int64 cells"),
+    (5, 6, None, "size 6 over 32 atoms takes 416717532 int64 cells"),
+    (6, 4, None, "size 4 over 64 atoms takes 596321440 int64 cells"),
+    (7, 3, None, "size 3 over 128 atoms takes 1236203904 int64 cells"),
+    (8, 1, F(3), "size 3 over 256 atoms takes 38093239040 int64 cells"),
+    (9, 1, F(2), "size 2 over 512 atoms takes 8690696064 int64 cells"),
+    (10, 1, F(1), "size 1 over 1024 atoms takes 358962176 int64 cells"),
+    (10, 0, None, "size 0 over 1024 atoms takes 524800 int64 cells"),
+    (16, 1, F(1), "size 1 over 65536 atoms takes 93829287182336 int64 cells"),
+]
+
+
+@pytest.mark.parametrize("s, cap, size, message", LARGE)
+def test_population_guard_refuses_what_the_oracle_cannot_hold(s, cap, size, message):
+    message += "; the guard admits 512 atoms and 150000000 cells"
+    with pytest.raises(SizeGuardError, match=message):
+        population_totals(_bare(s, size), cap)
+
+
+def test_population_guard_admits_every_s3_size_it_counts():
+    # each S <= 3 admits the largest universe and cap within the count
+    # guard (universe 29 at S = 3 holds 1.365 * 10^8 cells), and S = 9 a
+    # universe of one, as before the atom and cell guards
+    for s in (1, 2, 3):
+        k = 1 << s
+        size = _last_within_count_guard(lambda t: math.comb(t + k - 1, k - 1))
+        cap = _last_within_count_guard(lambda t: math.comb(t + k, k))
+        assert population_totals(_bare(s, F(size)), 0) == range(size, size + 1)
+        assert population_totals(_bare(s), cap) == range(cap + 1)
+    assert population_totals(_bare(9, F(1)), 0) == range(1, 2)
+
+
+@pytest.mark.parametrize("s, cap", [(1, 5), (2, 4), (3, 3), (3, 6), (4, 2)])
+def test_cell_count_is_the_memo_and_the_largest_block(s, cap):
+    k = 1 << s
+    cache = {}
+    largest = max(block.size for t in range(cap + 1) for block in _blocks(t, k, cache))
+    memo = sum(block.size for block in cache.values())
+    # the count's j = 1 term, last + 1 cells, is a block the memo never keeps
+    assert memo + largest + cap + 1 == oracle._cells(cap, k)
+
+
 def test_negative_cap_is_rejected():
     # a negative cap is a caller error, not "no population"
     syl = load_fixture("pets_at_home.syl").to_syllogism()

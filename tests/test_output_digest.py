@@ -1,4 +1,4 @@
-"""What `sylq` prints, and the LPs it solves, are pinned for 186 runs.
+"""What `sylq` prints, and the LPs it solves, are pinned for 187 runs.
 
 `scripts/output_digest.py` digests the exit code, stdout, stderr and, per
 `simplex.minimize` call, the pivots and a hash of the LP of every bundled
@@ -10,9 +10,10 @@ strict rows, universe and repeated sets no other run compiles, of four
 stdin documents, one per unbounded outcome kind (one of them in text too,
 and the unbounded below one in kersup mode too), and of
 `sylq verify - --cap 10` on those nine and on one more, a ratio conclusion
-over a declared universe whose denominator varies, and of one alpha stdin
-document in text whose `rim(3/2)` cuts are rounded outward, with its
-warning.  A change that alters
+over a declared universe whose denominator varies, of `sylq verify - --cap
+1` on an S=10 document the population guard refuses for its 2^10 atoms,
+and of one alpha stdin document in text whose `rim(3/2)` cuts are rounded
+outward, with its warning.  A change that alters
 any of them on purpose regenerates the pin and says why; a failure lists
 each changed run's exit code and per-call pivots, old and new:
 
