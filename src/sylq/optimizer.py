@@ -86,52 +86,30 @@ def rewrite_strict(
     universe_size: Optional[Fraction] = None,
 ) -> List[SetRow]:
     """Replace strict rows (>, the only strict relation the compiler
-    writes) with weak rows at a fixed margin.
+    writes) with weak rows at a fixed margin; weak rows come back as given,
+    in their order.
 
-    Count context: a strict count bound moves by EPS_COUNT (cardinalities
-    are integers, so a margin of one is exact).  Proportion context: the
-    margin is EPS_PROP at the scale of the universe; without a declared
-    universe size the margin EPS_PROP * sum(x) over the k atoms is folded
-    into the row itself, which keeps the rewritten system invariant under
+    The context fixes one (margin, total), and a strict row becomes
+    terms + total >= rhs + margin.  Count context: the margin is EPS_COUNT
+    (cardinalities are integers, so a margin of one is exact).  Proportion
+    context: the margin is EPS_PROP at the scale of the universe; without a
+    declared universe size it is EPS_PROP * sum(x) over the k atoms, folded
+    into the row as total, which keeps the rewritten system invariant under
     rescaling all cardinalities.
     """
     if not proportional_context:
-        margin = EPS_COUNT
+        margin, total = EPS_COUNT, ()
     elif universe_size is not None:
-        margin = EPS_PROP * universe_size
+        margin, total = EPS_PROP * universe_size, ()
     else:
-        margin = None
-        total = (((1 << k) - 1, -EPS_PROP),)
-    out: List[SetRow] = []
-    for terms, rel, rhs in rows:
-        if rel != GT:
-            out.append((terms, rel, rhs))
-        elif margin is None:
-            out.append((terms + total, GE, rhs))
-        else:
-            out.append((terms, GE, rhs + margin))
-    return out
+        margin, total = 0, (((1 << k) - 1, -EPS_PROP),)
+    return [
+        (terms + total, GE, rhs + margin) if rel == GT else (terms, rel, rhs)
+        for terms, rel, rhs in rows
+    ]
 
 
 _ORDER = {LE: lambda a, b: a <= b, GE: lambda a, b: a >= b, EQ: lambda a, b: a == b}
-
-
-def _bracket(costs: Sequence[int], rows: List[simplex.Row]) -> SolveOutcome:
-    lo_sol = simplex.minimize(costs, rows)
-    if lo_sol.status == simplex.INFEASIBLE:
-        return SolveOutcome(INFEASIBLE, None, None, pivots=lo_sol.pivots)
-    # the same rows: phase 1 and its normalization carry over
-    hi_sol = simplex.maximize(costs, rows, phase1=lo_sol.phase1)
-    pivots = lo_sol.pivots + hi_sol.pivots
-
-    lo = lo_sol.value if lo_sol.status == simplex.OPTIMAL else None
-    hi = hi_sol.value if hi_sol.status == simplex.OPTIMAL else None
-
-    if lo is None:
-        status = UNBOUNDED if hi is None else UNBOUNDED_BELOW
-    else:
-        status = UNBOUNDED_ABOVE if hi is None else BOUNDED
-    return SolveOutcome(status, lo, hi, pivots=pivots)
 
 
 def keep_rows(rows: Sequence[simplex.Row]) -> Optional[List[simplex.Row]]:
@@ -161,10 +139,23 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     atoms.  A column that is zero in the costs and in every kept row (a
     class only dropped rows name) has reduced cost 0 throughout, so it never
     enters and changes no pivot.  The kept premise rows, then the skeleton's
-    kept fixed rows, go to the simplex as the compiler wrote them.
+    kept fixed rows, go to the simplex as the compiler wrote them: one
+    minimize, and one maximize from the minimum's phase-1 state.
     """
     fixed = system.skeleton.solver_fixed
     kept = keep_rows(system.rows)
     if fixed is None or kept is None:
         return SolveOutcome(INFEASIBLE, None, None)
-    return _bracket(system.skeleton.costs, kept + fixed)
+    costs, rows = system.skeleton.costs, kept + fixed
+    lo_sol = simplex.minimize(costs, rows)
+    if lo_sol.status == simplex.INFEASIBLE:
+        return SolveOutcome(INFEASIBLE, None, None, pivots=lo_sol.pivots)
+    # the same rows: phase 1 and its normalization carry over
+    hi_sol = simplex.maximize(costs, rows, phase1=lo_sol.phase1)
+    lo = lo_sol.value if lo_sol.status == simplex.OPTIMAL else None
+    hi = hi_sol.value if hi_sol.status == simplex.OPTIMAL else None
+    if lo is None:
+        status = UNBOUNDED if hi is None else UNBOUNDED_BELOW
+    else:
+        status = UNBOUNDED_ABOVE if hi is None else BOUNDED
+    return SolveOutcome(status, lo, hi, pivots=lo_sol.pivots + hi_sol.pivots)

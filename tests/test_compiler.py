@@ -54,12 +54,15 @@ def per_atom(syl, values):
     return {x: v for v, mask in zip(values, syl.skeleton.classes) if v for x in mask_atoms(mask)}
 
 
+def atom_row(syl, row):
+    """A class row as (per-atom coefficients, relation, rhs)."""
+    (*coeffs, rhs), den, rel = row
+    return per_atom(syl, [F(c, den) for c in coeffs]), rel, F(rhs, den)
+
+
 def atom_rows(syl, system):
     """A compiled reading's rows as (per-atom coefficients, relation, rhs)."""
-    return [
-        (per_atom(syl, [F(c, den) for c in coeffs]), rel, F(rhs, den))
-        for (*coeffs, rhs), den, rel in system.constraints
-    ]
+    return [atom_row(syl, row) for row in system.constraints]
 
 
 # over (p, q): p = {1, 3}, q = {2, 3}, and t = 4 under Charnes-Cooper
@@ -167,6 +170,29 @@ def test_structural_rows_force_ratio_denominators_positive():
         ({0: 1 - EPS, 1: -EPS, 2: 1 - EPS, 3: 1 - EPS}, ">=", F(0)),
         ({0: F(1), 2: F(1), 3: F(1)}, "==", F(1)),
     ]
+
+
+def test_shared_denominator_rows_repeat_per_ratio_statement():
+    # two prop premises and a prop? conclusion, all over p, and no bound in
+    # the skeleton: |p| > 0 once per ratio statement, in statement order,
+    # then the normalization; the logical premise keeps its premise slot
+    syl = Syllogism(
+        NAMES,
+        (
+            stmt(PROPORTIONAL, Interval(F(1, 2), 1)),
+            stmt(LOGICAL_ALL, None, Q, P),
+            stmt(PROPORTIONAL, Interval(0, F(1, 3)), P, Not(Q)),
+        ),
+        RATIO_CONCLUSION,
+    )
+    skeleton = syl.skeleton
+    positive = ({0: -EPS, 1: 1 - EPS, 2: -EPS, 3: 1 - EPS}, ">=", F(0))
+    normalization = ({1: F(1), 3: F(1)}, "==", F(1))
+    assert [atom_row(syl, row) for row in skeleton.fixed] == [positive] * 3 + [normalization]
+    first, logical, last = skeleton.premises
+    assert isinstance(first, compiler._Measure) and isinstance(last, compiler._Measure)
+    assert not isinstance(logical, compiler._Measure)
+    assert atom_row(syl, logical) == ({2: F(1)}, "==", F(0))
 
 
 def test_unit_mixing_needs_a_declared_universe():

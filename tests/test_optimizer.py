@@ -74,8 +74,23 @@ def test_rewrite_strict_proportion_folds_total_when_universe_is_free():
 
 
 def test_rewrite_strict_keeps_weak_rows_untouched():
-    row = (((0b0001, F(1)),), "<=", F(5))
-    assert rewrite_strict([row], k=4, proportional_context=False) == [row]
+    weak = [(((0b0001, F(1)),), "<=", F(5)), (((0b0110, F(2)),), "==", F(3))]
+    strict = [(((0b1000, F(1)),), ">", F(0)), (((0b1010, F(1)),), ">", F(0))]
+    eps = F(1, 10**6)
+    for context, margin, folded in (
+        # count: rhs + 1; proportion with |E| = 1: rhs + EPS_PROP; proportion
+        # with no universe: EPS_PROP of every atom folded into the terms
+        ({"proportional_context": False}, F(1), {}),
+        ({"proportional_context": True, "universe_size": F(1)}, eps, {}),
+        ({"proportional_context": True}, F(0), {x: -eps for x in range(4)}),
+    ):
+        out = rewrite_strict([weak[0], strict[0], weak[1], strict[1]], k=4, **context)
+        assert len(out) == 4
+        assert out[0::2] == weak
+        for (terms, _, rhs), (got_terms, got_rel, got_rhs) in zip(strict, out[1::2]):
+            want = {x: folded.get(x, 0) + per_atom(terms).get(x, 0) for x in range(4)}
+            assert per_atom(got_terms) == {x: v for x, v in want.items() if v}
+            assert (got_rel, got_rhs) == (">=", rhs + margin)
 
 
 def test_bounded_count_band_comes_back_exactly():
