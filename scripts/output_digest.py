@@ -39,6 +39,8 @@ the pin in `tests/output_digest.json` (see replay) and exits 1 if any
 changed:
 
     python3 scripts/output_digest.py --replay
+
+Any other argument prints a one-line usage on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -297,8 +299,11 @@ def replay() -> int:
 
 
 def main(args) -> int:
+    if args not in ([], ["--replay"]):
+        print("usage: python3 scripts/output_digest.py [--replay]", file=sys.stderr)
+        return 2
     os.chdir(REPO_ROOT)  # documents are named by relative path in every output
-    if args == ["--replay"]:
+    if args:
         return replay()
     digest = {name: digest_one(argv, stdin) for name, argv, stdin in runs()}
     total = sum(sum(run["pivots"]) for run in digest.values())

@@ -31,12 +31,12 @@ drops a column.  Each class lies wholly inside or outside each referenced
 set, so c & atoms reads whether a term covers class c.  Over those columns
 it writes the logical and structural rows, with the strict rewrite and the
 Charnes-Cooper substitution already applied, the objective costs, and each
-numeric premise's measure as int vectors: U for the numerator and, for a
-ratio family, W for the denominator.  compile_syllogism then writes each bound p/q of a reading as
-one int row: q*U - p*W rel 0 for a ratio family, q*U rel p for a count
-family (q*U - p*t rel 0 under Charnes-Cooper).  Every row is a simplex.Row,
-which the simplex reads as it is: the class numerators with the rhs
-numerator last, their positive denominator, and the relation.
+numeric premise's measure U/W as int vectors over the columns and the rhs
+(W is a ratio family's denominator, a count family's t under Charnes-Cooper,
+else the constant 1).  compile_syllogism writes each bound p/q of a reading
+as the one int row q*U - p*W over q.  Every row is a simplex.Row, which the
+simplex reads as it is: the class numerators with the rhs numerator last,
+their positive denominator, and the relation.
 """
 
 from __future__ import annotations
@@ -71,16 +71,14 @@ class UnitMixingError(ValueError):
 
 
 class _Measure(NamedTuple):
-    """A numeric premise's measure: a bound p/q is the row q*U - p*W rel 0
-    when homogeneous (W is a ratio family's denominator, or t for a count
-    family under Charnes-Cooper), else q*U rel p.  U and W, read per class
-    as c & atoms, are kept as their few distinct column pairs (U_j, W_j),
-    equal pairs once, and each column's pair."""
+    """A numeric premise's measure U/W: a bound p/q is the row q*U - p*W.
+    W is a ratio family's denominator, t for a count family under
+    Charnes-Cooper, else the constant 1, which is 0 in every column and -1
+    at the rhs.  pairs holds (U_j, W_j) per column, read per class as
+    c & atoms, then the pair of the rhs."""
 
     family: str
     pairs: Tuple[Tuple[int, int], ...]
-    index: Tuple[int, ...]
-    homogeneous: bool
 
 
 @value
@@ -223,20 +221,16 @@ def build_skeleton(syl: Syllogism) -> Skeleton:
     class_rows = [class_row(*row) for row in rows]
     logical = iter(class_rows[:n_logical])
     # a count family's W: t under Charnes-Cooper (a count premise there
-    # needs a universe, whose row carries t), else zero
-    t = _sum(1 << k) if denominator is not None else ()
+    # needs a universe, whose row carries t), else the constant 1
+    count_w = class_row(_sum(1 << k)) if denominator is not None else class_row((), EQ, -_ONE)
     premises = []
     for stmt, (num, den), rel in zip(syl.premises, measures, relations):
         if rel:
             premises.append(next(logical))
             continue
-        # numerator terms have coefficients +-1, so class_row's denominator is 1
-        u, w = class_row(num)[0][:-1], class_row(t if den is None else _sum(den))[0][:-1]
-        pairs = list(zip(u, w))
-        slots = {pair: j for j, pair in enumerate(dict.fromkeys(pairs))}
-        index = tuple(map(slots.__getitem__, pairs))
-        homogeneous = den is not None or denominator is not None
-        premises.append(_Measure(stmt.family, tuple(slots), index, homogeneous))
+        # every term and rhs here is +-1 or 0, so class_row's denominator is 1
+        w = count_w[0] if den is None else class_row(_sum(den))[0]
+        premises.append(_Measure(stmt.family, tuple(zip(class_row(num)[0], w))))
     den_rows = dict(zip(distinct, class_rows[n_logical:]))
     return Skeleton(
         classes=tuple(classes),
@@ -264,13 +258,12 @@ def compile_syllogism(
         if not isinstance(premise, _Measure):
             rows.append(premise)
             continue
-        family, pairs, index, homogeneous = premise
+        family, pairs = premise
         if bound is None:
             raise ValueError("family %s needs a crisp bound to compile" % family)
         lo_p, lo_q, hi_p, hi_q = bound
         check_unit(family, lo_p, hi_p, hi_q)
         for rel, p, q in ((GE, lo_p, lo_q), (LE, hi_p, hi_q)):
             if p is not None:
-                values = [q * x - p * y for x, y in pairs]
-                rows.append(([*map(values.__getitem__, index), 0 if homogeneous else p], q, rel))
+                rows.append(([q * u - p * w for u, w in pairs], q, rel))
     return ConstraintSystem(1 << syl.s, rows, skeleton)

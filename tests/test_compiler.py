@@ -10,6 +10,7 @@ from sylq.quantifiers import (
     ABSOLUTE,
     COMPARATIVE_ABSOLUTE,
     COMPARATIVE_PROPORTIONAL,
+    COUNT_FAMILIES,
     EXCEPTION,
     LOGICAL_ALL,
     LOGICAL_NONE,
@@ -326,7 +327,7 @@ def test_skeleton_lp_equals_the_reference_on_random_readings(monkeypatch):
             readings.append((syl, int_bounds(syl, p, 3)))
     seen = dict.fromkeys(
         ("logical", "zero bound", "unbounded hi", "universe", "strict count", "strict ratio",
-         "contradiction"), 0
+         "count under Charnes-Cooper", "contradiction"), 0
     )
     for syl, bounds in readings:
         seen["contradiction"] += assert_equals_reference(monkeypatch, syl, bounds) is None
@@ -338,6 +339,13 @@ def test_skeleton_lp_equals_the_reference_on_random_readings(monkeypatch):
         seen["universe"] += syl.universe_size is not None
         seen["strict count"] += strict and not families & RATIO_FAMILIES
         seen["strict ratio"] += bool(families & RATIO_FAMILIES)
+        # a count premise's W is t here; elsewhere it is the constant 1 or,
+        # for a ratio premise, its denominator
+        seen["count under Charnes-Cooper"] += (
+            syl.universe_size is not None
+            and syl.conclusion.family in RATIO_FAMILIES
+            and any(p.family in COUNT_FAMILIES for p in syl.premises)
+        )
     assert len(readings) >= 300
     assert min(seen.values()) > 0, seen
 

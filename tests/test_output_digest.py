@@ -48,3 +48,15 @@ def test_output_digest_is_unchanged():
     ]
     assert not changed, "runs whose output, LPs or pivots changed:\n" + "\n".join(changed)
     assert got == want
+
+
+def test_other_arguments_exit_2_with_nothing_on_stdout():
+    # a mistyped replay step must fail, not print the digest and exit 0
+    for args in (["--replya"], ["--replay", "extra"]):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "output_digest.py"), *args],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), args
+        assert proc.stderr.startswith("usage:") and proc.stderr.count("\n") == 1, args
